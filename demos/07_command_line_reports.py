@@ -50,9 +50,9 @@ orbit_cfg.write_text(json.dumps({
 print("\n$ itmlib empirical --config orbit.json")
 main(["empirical", "--config", str(orbit_cfg)])
 
-# Config errors exit 1 with a message naming the failing operation;
-# verification failures exit 3.  Exit codes arrive as the return value
-# here and as the process status in the shell.
+# Config and usage errors exit 1 with a one-line message naming the
+# config key at fault; verification failures exit 3.  Exit codes arrive
+# as the return value here and as the process status in the shell.
 bad = work / "bad.json"
 bad.write_text(json.dumps({
     "map": {"breakpoints": ["1/2", "1/4"], "shifts": ["0", "0"]}

@@ -158,7 +158,8 @@ def detect_relations(s: Itm, depth: int) -> RelationSystem:
                 winding = (
                     s.breakpoints[i].value + shifted - orbit.points[r].value
                 )
-                assert winding.denominator == 1
+                if winding.denominator != 1:
+                    raise AssertionError("relation winding is not an integer")
                 rel = Relation(
                     i=i,
                     j=j,

@@ -6,7 +6,12 @@ stdout (also written under --out, along with optional CSV tables and
 SVG plots).  Given the same config and seed the report is byte
 identical except for the generatedAt timestamp.
 
-Exit codes: 0 success, 1 config error, 2 budget exceeded,
+The COMMANDS table lists, for each command, the config keys it reads:
+how each is parsed and checked, its default, and the flag that
+overrides it.  Each subcommand's flags are built from that table, and a
+config key the command does not read is an error.
+
+Exit codes: 0 success, 1 config or usage error, 2 budget exceeded,
 3 verification failure.
 """
 
@@ -14,24 +19,25 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
+import traceback
+from dataclasses import replace
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from itmlib import __version__
 from itmlib.approx import (
-    InconsistentRelations,
-    OrderViolation,
+    Relation,
     detect_convergence,
     detect_relations,
     generate_approximants,
     measure_sequence,
     verify_limit_measure,
 )
-from itmlib.circle import frac
 from itmlib.conjugacy import AtomicMeasure, NotInvariant, induce_iem
 from itmlib.families import PolynomialFamily, TrigFamily
 from itmlib.itm import (
@@ -45,6 +51,7 @@ from itmlib.itm import (
 from itmlib.measure import (
     DEFAULT_CYCLE_BUDGET,
     CycleNotFound,
+    Measure,
     NotFiniteType,
     attractor_measure,
     invariance_residual_exact,
@@ -67,162 +74,192 @@ from itmlib.serialize import (
     measure_from_json,
     measure_to_json,
     parse_rational,
-    parse_schedule_config,
     piecewise_from_json,
     piecewise_to_json,
     rat,
+    relation_from_json,
     relation_to_json,
     visit_frequency_csv,
 )
 
 MEASURE_EMBED_LIMIT = 256
+FAMILIES = {"trig": TrigFamily, "polynomial": PolynomialFamily}
 
 
 class ConfigError(ValueError):
-    """Bad config file or flag combination; maps to exit code 1."""
+    """Bad config file, config key or flag; maps to exit code 1."""
 
 
 class VerificationFailure(RuntimeError):
     """A pipeline ran but its exact or tolerance check failed; exit code 3."""
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="itmlib",
-        description="exact experiments with interval translation maps",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = (
-        ("validate", "parse and validate a map config"),
-        ("attractor", "iterate forward images until exact stabilization"),
-        ("measure", "build the exactly invariant attractor measure"),
-        ("homtervals", "classify continuity intervals and periodic domains"),
-        ("relations", "harvest exact breakpoint-orbit relations"),
-        ("approximate", "run a rational approximant schedule"),
-        ("conjugate", "induce and verify the metrically conjugate exchange"),
-        ("empirical", "orbit statistics and the Birkhoff empirical measure"),
-        ("verify-limit", "test a candidate limit measure against a map"),
-    )
-    for name, help_text in commands:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", help="directory for report and artifacts")
-        p.add_argument("--plot", action="store_true", help="emit SVG plots")
-        p.add_argument("--seed", type=int, help="seed for any sampled choices")
-        p.add_argument("--max-iter", type=int, dest="max_iter")
-        p.add_argument("--max-arcs", type=int, dest="max_arcs")
-        p.add_argument("--depth", type=int)
-        p.add_argument("--tol", help="tolerance as P/Q")
-        p.add_argument("--levels", type=int, help="truncate schedules")
-    return parser
+# -- config values: each parser takes a JSON value (or a flag's string) and
+# raises ValueError, TypeError or LookupError on a value it cannot read
 
 
-def _load_config(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    return config
-
-
-def _map_config(config: dict) -> dict:
-    spec = config.get("map", config)
+def _shape(spec, **kinds) -> None:
     if not isinstance(spec, dict):
-        raise ConfigError("'map' must be a JSON object")
-    return spec
+        raise TypeError(f"must be a JSON object: {spec!r}")
+    for name, kind in kinds.items():
+        if name in spec and not isinstance(spec[name], kind):
+            raise TypeError(f"'{name}' must be a {kind.__name__}")
 
 
-def _is_piecewise(spec: dict) -> bool:
-    return "pieces" in spec or "domain" in spec
+def _integer(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise TypeError(f"must be an integer: {v!r}")
+    return int(v)
 
 
-def _build_itm(spec: dict) -> Itm:
-    breakpoints = spec.get("breakpoints")
-    if isinstance(breakpoints, list):
-        values = [parse_rational(b, "breakpoint") for b in breakpoints]
-        for i, (a, b) in enumerate(zip(values, values[1:]), start=1):
-            if b <= a:
-                raise ConfigError(
-                    f"breakpoints not strictly increasing at index {i}"
-                )
-    try:
-        return itm_from_json(spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _list_of(item: Callable) -> Callable:
+    def parse(v) -> list:
+        if not isinstance(v, list):
+            raise TypeError(f"must be a list: {v!r}")
+        return [item(x) for x in v]
+
+    return parse
 
 
-def _build_piecewise(spec: dict) -> PiecewiseMap:
-    try:
+def _itm(spec) -> Itm:
+    _shape(spec, breakpoints=list, shifts=list)
+    return itm_from_json(spec)
+
+
+def _any_map(spec):
+    """A PiecewiseMap when the spec has 'pieces' or 'domain', else an Itm."""
+    if isinstance(spec, dict) and ("pieces" in spec or "domain" in spec):
+        _shape(spec, pieces=list, boundaryValues=dict, discontinuities=list)
         return piecewise_from_json(spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _itm(spec)
 
 
-def _load_any_map(config: dict):
-    spec = _map_config(config)
-    if _is_piecewise(spec):
-        return _build_piecewise(spec)
-    return _build_itm(spec)
+def _measure(d):
+    _shape(d)
+    return measure_from_json(d)
 
 
-def _int_option(config: dict, args, key: str, flag: str, default: int) -> int:
-    value = getattr(args, flag, None)
-    if value is None:
-        value = config.get(key, default)
-    try:
-        value = int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'{key}' must be an integer") from exc
-    if value < 1:
-        raise ConfigError(f"'{key}' must be positive")
-    return value
+def _orbit_lengths(v) -> list:
+    return _list_of(_integer)(v) if isinstance(v, list) else [_integer(v)]
 
 
-def _tol_option(config: dict, args, key: str, default) -> Fraction:
-    value = args.tol if args.tol is not None else config.get(key, default)
-    try:
-        tol = parse_rational(value, key)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if tol < 0:
-        raise ConfigError(f"'{key}' must be nonnegative")
-    return tol
+def _wandering(v) -> dict:
+    _shape(v, radii=list)
+    return {
+        "radii": [parse_rational(r, "radius") for r in v["radii"]],
+        "horizon": _integer(v["horizon"]),
+    }
 
 
-def _cmd_validate(config, args):
-    spec = _map_config(config)
-    if _is_piecewise(spec):
-        t = _build_piecewise(spec)
-        resolved = {"map": piecewise_to_json(t)}
-        payload = {
-            "valid": True,
-            "kind": "piecewise",
-            "pieces": len(t.pieces),
-            "discontinuities": [rat(p) for p in t.discontinuities],
-        }
+def _family(v) -> dict:
+    _shape(v)
+    kind = v.get("kind", "trig")
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown family kind: {kind!r}")
+    return {"kind": kind, "degree": _integer(v.get("degree", 8))}
+
+
+POSITIVE = (lambda v: v > 0, "must be positive")
+NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+FINITE_NONNEGATIVE = (lambda v: 0 <= v < math.inf, "must be finite and nonnegative")
+ALL_POSITIVE = (lambda vs: vs and all(v > 0 for v in vs), "must list positive values")
+REQUIRED = object()  # default of a key the config must give
+
+
+class Key(NamedTuple):
+    """One config key of a command.
+
+    Its value comes from the flag if given, else from the config, else
+    (when ``bare`` names top-level keys) from those, else it is
+    ``default``.  ``check`` is a (predicate, message) pair.  A
+    ``flag_only`` key is never read from a config.
+    """
+
+    name: str
+    parse: Callable[[Any], Any]
+    default: Any = None
+    check: Optional[tuple] = None
+    flag: Optional[str] = None
+    bare: tuple = ()
+    flag_only: bool = False
+
+
+ITM_KEYS = ("breakpoints", "shifts")
+MAP_KEYS = ITM_KEYS + ("domain", "pieces", "boundaryValues", "discontinuities")
+ITM_MAP = Key("map", _itm, bare=ITM_KEYS)
+ANY_MAP = Key("map", _any_map, bare=MAP_KEYS)
+MAX_ITER = Key("maxIter", _integer, DEFAULT_MAX_ITER, POSITIVE, "--max-iter")
+MAX_ARCS = Key("maxArcs", _integer, DEFAULT_MAX_ARCS, POSITIVE, "--max-arcs")
+DEPTH = Key("depth", _integer, 8, POSITIVE, "--depth")
+CYCLE_BUDGET = Key("cycleBudget", _integer, DEFAULT_CYCLE_BUDGET, POSITIVE)
+ORBIT_BUDGET = Key("orbitBudget", _integer, DEFAULT_ORBIT_BUDGET, POSITIVE)
+
+
+def _resolve(keys: tuple, config: dict, args) -> dict:
+    """Each key's checked value, after flag overrides and defaults."""
+    known = {k.name for k in keys if not k.flag_only}
+    known.update(b for k in keys if k.name not in config for b in k.bare)
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
+    values = {}
+    for key in keys:
+        if key.flag and getattr(args, key.name) is not None:
+            raw = getattr(args, key.name)
+        elif key.name in config:
+            raw = config[key.name]
+        elif key.bare:
+            raw = {b: config[b] for b in key.bare if b in config}
+        elif key.default is REQUIRED:
+            raise ConfigError(f"missing config key {key.name!r}")
+        else:
+            values[key.name] = key.default
+            continue
+        try:
+            value = values[key.name] = key.parse(raw)
+            if key.check is not None and not key.check[0](value):
+                raise ValueError(key.check[1])
+        except (ValueError, TypeError, LookupError) as exc:
+            raise ConfigError(f"{key.name!r}: {exc}") from exc
+    return values
+
+
+def _json_default(v):
+    """The JSON form of the exact objects a report holds (maps, measures...)."""
+    for kind, dump in (
+        (Fraction, rat),
+        (PiecewiseMap, piecewise_to_json),
+        (Itm, itm_to_json),
+        (Measure, measure_to_json),
+        (Relation, relation_to_json),
+    ):
+        if isinstance(v, kind):
+            return dump(v)
+    raise TypeError(f"{type(v).__name__} has no JSON form")
+
+
+# -- commands: each takes the resolved values and the --plot flag and returns
+# the report payload and the artifacts by file name.  A command that computes
+# a value its config left out (a drawn x0, the attractor measure) stores it
+# back, so that the report's config block holds every value the run used.
+
+
+def _cmd_validate(o, plot):
+    """Parse and validate a map config."""
+    t = o["map"]
+    if isinstance(t, PiecewiseMap):
+        hs = [rat(p) for p in t.discontinuities]
+        payload = {"kind": "piecewise", "pieces": len(t.pieces), "discontinuities": hs}
     else:
-        s = _build_itm(spec)
-        resolved = {"map": itm_to_json(s)}
-        payload = {
-            "valid": True,
-            "kind": "itm",
-            "pieces": s.n,
-            "commonDenominator": s.common_denominator(),
-        }
-    return resolved, payload, {}
+        payload = {"kind": "itm", "pieces": t.n}
+        payload["commonDenominator"] = t.common_denominator()
+    return {"valid": True, **payload}, {}
 
 
-def _cmd_attractor(config, args):
-    s = _build_itm(_map_config(config))
-    max_iter = _int_option(config, args, "maxIter", "max_iter", DEFAULT_MAX_ITER)
-    max_arcs = _int_option(config, args, "maxArcs", "max_arcs", DEFAULT_MAX_ARCS)
-    resolved = {"map": itm_to_json(s), "maxIter": max_iter, "maxArcs": max_arcs}
-    result = s.attractor(max_iter=max_iter, max_arcs=max_arcs)
+def _cmd_attractor(o, plot):
+    """Iterate forward images to exact stabilization."""
+    s, max_iter = o["map"], o["maxIter"]
+    result = s.attractor(max_iter=max_iter, max_arcs=o["maxArcs"])
     if result.finite_type is not FiniteType.YES:
         raise BudgetExceeded(
             f"no stabilization within {max_iter} iterations (itm.attractor)",
@@ -237,26 +274,16 @@ def _cmd_attractor(config, args):
         "arcCount": len(result.attractor.arcs),
     }
     artifacts = {}
-    if args.plot:
+    if plot:
         artifacts["attractor.svg"] = attractor_svg(result.iterates)
-    return resolved, payload, artifacts
+    return payload, artifacts
 
 
-def _cmd_measure(config, args):
-    s = _build_itm(_map_config(config))
-    max_iter = _int_option(config, args, "maxIter", "max_iter", DEFAULT_MAX_ITER)
-    max_arcs = _int_option(config, args, "maxArcs", "max_arcs", DEFAULT_MAX_ARCS)
-    cycle_budget = _int_option(
-        config, args, "cycleBudget", "_none", DEFAULT_CYCLE_BUDGET
-    )
-    resolved = {
-        "map": itm_to_json(s),
-        "maxIter": max_iter,
-        "maxArcs": max_arcs,
-        "cycleBudget": cycle_budget,
-    }
-    attr = s.attractor(max_iter=max_iter, max_arcs=max_arcs)
-    mu = attractor_measure(s, attr, cycle_budget=cycle_budget)
+def _cmd_measure(o, plot):
+    """Build the exactly invariant attractor measure."""
+    s = o["map"]
+    attr = s.attractor(max_iter=o["maxIter"], max_arcs=o["maxArcs"])
+    mu = attractor_measure(s, attr, cycle_budget=o["cycleBudget"])
     residual = invariance_residual_exact(s, mu)
     if residual != 0:
         raise VerificationFailure(
@@ -264,30 +291,20 @@ def _cmd_measure(config, args):
         )
     payload = {
         "stabilizedAt": attr.stabilized_at,
-        "measure": measure_to_json(mu),
+        "measure": mu,
         "invarianceResidualExact": rat(residual),
         "nonAtomic": mu.non_atomic,
     }
     artifacts = {"cdf.csv": cdf_csv(mu)}
-    if args.plot:
+    if plot:
         artifacts["density.svg"] = density_svg(mu)
         artifacts["cdf.svg"] = cdf_svg(mu)
-    return resolved, payload, artifacts
+    return payload, artifacts
 
 
-def _cmd_homtervals(config, args):
-    s = _build_itm(_map_config(config))
-    depth = _int_option(config, args, "depth", "depth", 8)
-    orbit_budget = _int_option(
-        config, args, "orbitBudget", "_none", DEFAULT_ORBIT_BUDGET
-    )
-    resolved = {"map": itm_to_json(s), "depth": depth, "orbitBudget": orbit_budget}
-    report = s.classify_homtervals(depth, orbit_budget=orbit_budget)
-    genericity = (
-        "not generic"
-        if any(h.resolved for h in report.homtervals)
-        else "no periodic domain found"
-    )
+def _cmd_homtervals(o, plot):
+    """Classify continuity gaps and periodic domains."""
+    report = o["map"].classify_homtervals(o["depth"], orbit_budget=o["orbitBudget"])
     payload = {
         "omegaSize": len(report.omega),
         "homtervals": [
@@ -300,71 +317,39 @@ def _cmd_homtervals(config, args):
             }
             for h in report.homtervals
         ],
-        "genericity": genericity,
+        "genericity": report.genericity.value,
     }
-    return resolved, payload, {}
+    return payload, {}
 
 
-def _cmd_relations(config, args):
-    s = _build_itm(_map_config(config))
-    depth = _int_option(config, args, "depth", "depth", 8)
-    resolved = {"map": itm_to_json(s), "depth": depth}
-    system = detect_relations(s, depth)
-    breakpoints = [b.value for b in s.breakpoints]
+def _cmd_relations(o, plot):
+    """Harvest exact breakpoint-orbit relations."""
+    s = o["map"]
+    system = detect_relations(s, o["depth"])
+    breakpoints, shifts = [b.value for b in s.breakpoints], list(s.shifts)
     payload = {
         "sourceDepth": system.source_depth,
         "relations": [
-            {
-                **relation_to_json(r),
-                "residual": rat(r.residual(breakpoints, list(s.shifts))),
-            }
+            {**relation_to_json(r), "residual": rat(r.residual(breakpoints, shifts))}
             for r in system.relations
         ],
     }
-    return resolved, payload, {}
+    return payload, {}
 
 
-def _cmd_approximate(config, args):
-    try:
-        parsed = parse_schedule_config(config)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    max_iter = _int_option(config, args, "maxIter", "max_iter", DEFAULT_MAX_ITER)
-    max_arcs = _int_option(config, args, "maxArcs", "max_arcs", DEFAULT_MAX_ARCS)
-    tol = _tol_option(config, args, "tol", Fraction(1, 1000))
+def _cmd_approximate(o, plot):
+    """Run a rational approximant schedule."""
+    schedule = generate_approximants(
+        o["target"], o["declaredRelations"], o["denominators"], o["precision"]
+    )
+    if o["levels"] is not None:
+        schedule = replace(schedule, levels=schedule.levels[: o["levels"]])
+    o["declaredRelations"] = list(schedule.relations)
+    o["denominators"] = [level.bound for level in schedule.levels]
 
-    try:
-        schedule = generate_approximants(
-            parsed["target"],
-            relations=parsed["relations"],
-            denominators=parsed["denominators"],
-            precision=parsed["precision"],
-        )
-    except InconsistentRelations as exc:
-        raise ConfigError(f"{exc} (approx.generate_approximants)") from exc
-    except OrderViolation as exc:
-        raise ConfigError(f"{exc} (approx.generate_approximants)") from exc
-
-    if args.levels is not None:
-        if args.levels < 1:
-            raise ConfigError("--levels must be positive")
-        schedule = type(schedule)(
-            target=schedule.target,
-            relations=schedule.relations,
-            levels=schedule.levels[: args.levels],
-        )
-
-    resolved = {
-        "target": itm_to_json(schedule.target),
-        "declaredRelations": [relation_to_json(r) for r in schedule.relations],
-        "denominators": [level.bound for level in schedule.levels],
-        "precision": rat(parsed["precision"]),
-        "maxIter": max_iter,
-        "maxArcs": max_arcs,
-        "tol": rat(tol),
-    }
-
-    level_measures = measure_sequence(schedule, max_iter=max_iter, max_arcs=max_arcs)
+    level_measures = measure_sequence(
+        schedule, max_iter=o["maxIter"], max_arcs=o["maxArcs"]
+    )
     if all(lm.error is not None for lm in level_measures):
         first = level_measures[0].error
         raise BudgetExceeded(
@@ -375,20 +360,16 @@ def _cmd_approximate(config, args):
 
     levels_payload = []
     for level, lm in zip(schedule.levels, level_measures):
-        entry = {
-            "bound": lm.bound,
-            "map": itm_to_json(lm.map),
-            "distanceToTarget": None if level.distance is None else rat(level.distance),
-        }
+        entry = {"bound": lm.bound, "map": lm.map, "distanceToTarget": level.distance}
         if lm.measure is not None:
             entry["stabilizedAt"] = lm.attractor.stabilized_at
-            entry["measure"] = measure_to_json(lm.measure)
+            entry["measure"] = lm.measure
         else:
             entry["error"] = str(lm.error)
         levels_payload.append(entry)
 
     mus = [lm.measure for lm in level_measures if lm.measure is not None]
-    convergence = detect_convergence(mus, tol) if len(mus) >= 2 else None
+    convergence = detect_convergence(mus, o["tol"]) if len(mus) >= 2 else None
     payload = {
         "levels": levels_payload,
         "convergence": None
@@ -397,36 +378,22 @@ def _cmd_approximate(config, args):
             "distances": [rat(d) for d in convergence.distances],
             "tol": rat(convergence.tol),
             "cauchyFrom": convergence.cauchy_from,
-            "limitCandidate": (
-                None
-                if convergence.limit_candidate is None
-                else measure_to_json(convergence.limit_candidate)
-            ),
+            "limitCandidate": convergence.limit_candidate,
         },
     }
     artifacts = {}
-    if args.plot and mus:
+    if plot and mus:
         artifacts["limit-cdf.svg"] = cdf_svg(mus[-1])
-    return resolved, payload, artifacts
+    return payload, artifacts
 
 
-def _cmd_conjugate(config, args):
-    s = _build_itm(_map_config(config))
-    samples = _int_option(config, args, "samples", "_none", 10**4)
-    if "measure" in config:
-        try:
-            mu = measure_from_json(config["measure"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"bad measure: {exc}") from exc
-    else:
-        mu = attractor_measure(s)
-    resolved = {
-        "map": itm_to_json(s),
-        "measure": measure_to_json(mu),
-        "samples": samples,
-    }
+def _cmd_conjugate(o, plot):
+    """Induce and verify the conjugate interval exchange."""
+    s = o["map"]
+    if o["measure"] is None:
+        o["measure"] = attractor_measure(s)
     try:
-        data = induce_iem(s, mu, samples=samples)
+        data = induce_iem(s, o["measure"], samples=o["samples"])
     except (NotInvariant, AtomicMeasure) as exc:
         raise VerificationFailure(f"{exc} (conjugacy.induce_iem)") from exc
     if data.report.failures or not data.clean_samples:
@@ -453,31 +420,22 @@ def _cmd_conjugate(config, args):
         },
     }
     artifacts = {"conjugacy.csv": conjugacy_csv(data)}
-    if args.plot:
+    if plot:
         artifacts["h.svg"] = conjugacy_svg(data)
-    return resolved, payload, artifacts
+    return payload, artifacts
 
 
-def _cmd_empirical(config, args):
-    spec = _map_config(config)
-    if _is_piecewise(spec):
-        t = _build_piecewise(spec)
-        resolved_map = piecewise_to_json(t)
-    else:
-        t = from_itm(_build_itm(spec))
-        resolved_map = piecewise_to_json(t)
-    m = _int_option(config, args, "m", "_none", 1000)
-    if "x0" in config:
-        x0 = parse_rational(config["x0"], "x0")
-    else:
-        rng = random.Random(args.seed if args.seed is not None else 0)
-        x0 = Fraction(rng.randrange(1, 2**20), 2**20)
-    resolved = {"map": resolved_map, "m": m, "x0": rat(x0)}
-    if args.seed is not None:
-        resolved["seed"] = args.seed
+def _cmd_empirical(o, plot):
+    """Orbit statistics and Birkhoff empirical measure."""
+    if isinstance(o["map"], Itm):
+        o["map"] = from_itm(o["map"])
+    t, m = o["map"], o["m"]
+    if o["x0"] is None:
+        rng = random.Random(o["seed"] or 0)
+        o["x0"] = Fraction(rng.randrange(1, 2**20), 2**20)
 
     try:
-        emp = empirical_measure(t, x0, m)
+        emp = empirical_measure(t, o["x0"], m)
     except HitDiscontinuity as exc:
         raise VerificationFailure(f"{exc} (piecewise.orbit)") from exc
     payload = {
@@ -489,21 +447,16 @@ def _cmd_empirical(config, args):
         "distinctAtoms": len(emp.measure.atoms),
     }
     if len(emp.measure.atoms) <= MEASURE_EMBED_LIMIT:
-        payload["measure"] = measure_to_json(emp.measure)
+        payload["measure"] = emp.measure
 
     artifacts = {}
-    if "epsilons" in config:
-        epsilons = [parse_rational(e, "epsilon") for e in config["epsilons"]]
-        ms = config.get("orbitLengths", m)
-        ms = [int(v) for v in ms] if isinstance(ms, list) else int(ms)
-        resolved["epsilons"] = [rat(e) for e in epsilons]
-        resolved["orbitLengths"] = ms if isinstance(ms, list) else [ms]
+    # orbit lengths serve the visit frequencies and are reported only beside them
+    ms = o["orbitLengths"] = (o["orbitLengths"] or [m]) if o["epsilons"] else None
+    if ms is not None:
         try:
-            table = visit_frequency(t, x0, ms, epsilons)
+            table = visit_frequency(t, o["x0"], ms, o["epsilons"])
         except (ValueError, HitDiscontinuity) as exc:
-            raise VerificationFailure(
-                f"{exc} (piecewise.visit_frequency)"
-            ) from exc
+            raise VerificationFailure(f"{exc} (piecewise.visit_frequency)") from exc
         payload["visitFrequency"] = {
             "entries": [
                 {"m": e.m, "eps": rat(e.eps), "f": rat(e.frequency)}
@@ -513,18 +466,9 @@ def _cmd_empirical(config, args):
         }
         artifacts["visit-frequency.csv"] = visit_frequency_csv(table)
 
-    if "wandering" in config:
-        wcfg = config["wandering"]
-        try:
-            radii = [parse_rational(r, "radius") for r in wcfg["radii"]]
-            horizon = int(wcfg["horizon"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad wandering config: {exc}") from exc
-        resolved["wandering"] = {
-            "radii": [rat(r) for r in radii],
-            "horizon": horizon,
-        }
-        probes = wandering_discontinuity_check(t, radii, horizon)
+    if o["wandering"] is not None:
+        w = o["wandering"]
+        probes = wandering_discontinuity_check(t, w["radii"], w["horizon"])
         payload["wandering"] = [
             {
                 "point": rat(p.point),
@@ -535,50 +479,21 @@ def _cmd_empirical(config, args):
             }
             for p in probes
         ]
-    if args.plot:
+    if plot:
         artifacts["empirical-cdf.svg"] = cdf_svg(emp.measure)
-    return resolved, payload, artifacts
+    return payload, artifacts
 
 
-def _cmd_verify_limit(config, args):
-    target = _load_any_map(config)
-    if "measure" not in config:
-        raise ConfigError("verify-limit needs a 'measure' entry")
-    try:
-        mu = measure_from_json(config["measure"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"bad measure: {exc}") from exc
-    tol_mass = _tol_option(config, args, "tolMass", Fraction(1, 100))
-    tol_res = float(config.get("tolResidual", 1e-6))
-    family_cfg = config.get("family", {"kind": "trig", "degree": 8})
-    kind = family_cfg.get("kind", "trig")
-    degree = int(family_cfg.get("degree", 8))
-    if kind == "trig":
-        family = TrigFamily(degree)
-    elif kind == "polynomial":
-        family = PolynomialFamily(degree)
-    else:
-        raise ConfigError(f"unknown family kind: {kind!r}")
-    deltas = None
-    if "deltas" in config:
-        deltas = [parse_rational(d, "delta") for d in config["deltas"]]
-
-    resolved = {
-        "map": (
-            piecewise_to_json(target)
-            if isinstance(target, PiecewiseMap)
-            else itm_to_json(target)
-        ),
-        "measure": measure_to_json(mu),
-        "tolMass": rat(tol_mass),
-        "tolResidual": tol_res,
-        "family": {"kind": kind, "degree": degree},
-    }
-    if deltas is not None:
-        resolved["deltas"] = [rat(d) for d in deltas]
-
+def _cmd_verify_limit(o, plot):
+    """Test a candidate limit measure against a map."""
+    kind, degree = o["family"]["kind"], o["family"]["degree"]
     report = verify_limit_measure(
-        target, mu, tol_mass=tol_mass, tol_res=tol_res, deltas=deltas, family=family
+        o["map"],
+        o["measure"],
+        tol_mass=o["tolMass"],
+        tol_res=o["tolResidual"],
+        deltas=o["deltas"],
+        family=FAMILIES[kind](degree),
     )
     payload = {
         "deltas": [rat(d) for d in report.deltas],
@@ -590,23 +505,99 @@ def _cmd_verify_limit(config, args):
     }
     if report.failures:
         message = "; ".join(report.failures)
-        raise VerificationFailure(
-            f"{message} (approx.verify_limit_measure)", payload
-        )
-    return resolved, payload, {}
+        raise VerificationFailure(f"{message} (approx.verify_limit_measure)", payload)
+    return payload, {}
 
 
-HANDLERS: dict[str, Callable] = {
-    "validate": _cmd_validate,
-    "attractor": _cmd_attractor,
-    "measure": _cmd_measure,
-    "homtervals": _cmd_homtervals,
-    "relations": _cmd_relations,
-    "approximate": _cmd_approximate,
-    "conjugate": _cmd_conjugate,
-    "empirical": _cmd_empirical,
-    "verify-limit": _cmd_verify_limit,
+COMMANDS: dict[str, tuple] = {
+    # name: (handler, the config keys it reads); the docstring is the help
+    "validate": (_cmd_validate, ANY_MAP),
+    "attractor": (_cmd_attractor, ITM_MAP, MAX_ITER, MAX_ARCS),
+    "measure": (_cmd_measure, ITM_MAP, MAX_ITER, MAX_ARCS, CYCLE_BUDGET),
+    "homtervals": (_cmd_homtervals, ITM_MAP, DEPTH, ORBIT_BUDGET),
+    "relations": (_cmd_relations, ITM_MAP, DEPTH),
+    "approximate": (
+        _cmd_approximate,
+        Key("target", _itm, bare=ITM_KEYS),
+        Key("declaredRelations", _list_of(relation_from_json)),
+        Key("denominators", _list_of(_integer)),
+        Key("precision", parse_rational, Fraction(0), NONNEGATIVE),
+        MAX_ITER,
+        MAX_ARCS,
+        Key("tol", parse_rational, Fraction(1, 1000), NONNEGATIVE, "--tol"),
+        Key("levels", _integer, None, POSITIVE, "--levels", flag_only=True),
+    ),
+    "conjugate": (
+        _cmd_conjugate,
+        ITM_MAP,
+        Key("measure", _measure),
+        Key("samples", _integer, 10**4, POSITIVE),
+    ),
+    "empirical": (
+        _cmd_empirical,
+        ANY_MAP,
+        Key("m", _integer, 1000, POSITIVE),
+        Key("x0", parse_rational),
+        Key("seed", _integer, flag="--seed"),
+        Key("epsilons", _list_of(parse_rational), check=ALL_POSITIVE),
+        Key("orbitLengths", _orbit_lengths, check=ALL_POSITIVE),
+        Key("wandering", _wandering),
+    ),
+    "verify-limit": (
+        _cmd_verify_limit,
+        ANY_MAP,
+        Key("measure", _measure, REQUIRED),
+        Key("tolMass", parse_rational, Fraction(1, 100), NONNEGATIVE, "--tol"),
+        Key("tolResidual", float, 1e-6, FINITE_NONNEGATIVE),
+        Key("family", _family, {"kind": "trig", "degree": 8}),
+        Key("deltas", _list_of(parse_rational)),
+    ),
 }
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse would exit 2, which here means a budget was exceeded
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _ArgumentParser(
+        prog="itmlib",
+        description="exact experiments with interval translation maps",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (run, *keys) in COMMANDS.items():
+        p = sub.add_parser(name, help=run.__doc__)
+        p.add_argument("--config", required=True, help="JSON config path")
+        p.add_argument("--out", help="directory for report and artifacts")
+        p.add_argument("--plot", action="store_true", help="emit SVG plots")
+        for key in keys:
+            if key.flag:
+                overrides = None if key.flag_only else f"overrides '{key.name}'"
+                p.add_argument(key.flag, dest=key.name, help=overrides)
+    return parser
+
+
+def _load_config(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            config = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    return config
+
+
+def _origin(exc: BaseException) -> str:
+    """module.function of the innermost itmlib frame that exc passed."""
+    frames = traceback.extract_tb(exc.__traceback__)
+    f = [f for f in frames if Path(f.filename).parent == Path(__file__).parent][-1]
+    return f"{Path(f.filename).stem}.{f.name}"
 
 
 def _emit(command: str, resolved: dict, payload: dict, artifacts: dict, args) -> None:
@@ -617,25 +608,28 @@ def _emit(command: str, resolved: dict, payload: dict, artifacts: dict, args) ->
         "config": resolved,
         **payload,
     }
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
+    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(text + "\n", encoding="utf-8")
         for name, content in artifacts.items():
             (out / name).write_text(content, encoding="utf-8")
+    print(text)
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = _parser().parse_args(argv)
-    command = args.command
+    command = "itmlib"
     try:
+        args = _parser().parse_args(argv)
+        command = args.command
         config = _load_config(args.config)
-        resolved, payload, artifacts = HANDLERS[command](config, args)
-    except ConfigError as exc:
-        print(f"{command}: {exc}", file=sys.stderr)
-        return 1
+        run, *keys = COMMANDS[command]
+        values = _resolve(keys, config, args)
+        payload, artifacts = run(values, args.plot)
+        echo = {k.name for k in keys if not k.flag_only}
+        resolved = {k: v for k, v in values.items() if k in echo and v is not None}
+        _emit(command, resolved, payload, artifacts, args)
     except (BudgetExceeded, NotFiniteType, CycleNotFound) as exc:
         print(f"{command}: {exc}", file=sys.stderr)
         return 2
@@ -644,7 +638,10 @@ def main(argv: Optional[list] = None) -> int:
         if len(exc.args) > 1 and isinstance(exc.args[1], dict):
             print(json.dumps(exc.args[1], indent=2, sort_keys=True))
         return 3
-    _emit(command, resolved, payload, artifacts, args)
+    except (ValueError, TypeError, LookupError, OSError) as exc:
+        where = "" if isinstance(exc, ConfigError) else f" ({_origin(exc)})"
+        print(f"{command}: {exc}{where}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -119,6 +119,17 @@ class HomtervalReport:
     def unresolved(self) -> tuple[Homterval, ...]:
         return tuple(h for h in self.homtervals if not h.resolved)
 
+    @property
+    def genericity(self) -> Genericity:
+        """NOT_GENERIC once any homterval is resolved as periodic.
+
+        Otherwise only NO_PERIODIC_DOMAIN_FOUND: genericity itself is never
+        certified by a finite computation.
+        """
+        if self.resolved:
+            return Genericity.NOT_GENERIC
+        return Genericity.NO_PERIODIC_DOMAIN_FOUND
+
 
 @dataclass(frozen=True)
 class Itm:
@@ -215,7 +226,8 @@ class Itm:
             (Fraction(counts[k]) * self.shifts[k] for k in range(self.n)), ZERO
         )
         winding = total - (points[-1].value - points[0].value)
-        assert winding.denominator == 1
+        if winding.denominator != 1:
+            raise AssertionError("endpoint orbit winding is not an integer")
         return EndpointOrbit(
             base=j,
             side=side,
@@ -377,10 +389,7 @@ class Itm:
         within the budget; genericity itself is never certified by a finite
         computation.
         """
-        report = self.classify_homtervals(depth, orbit_budget)
-        if any(h.resolved for h in report.homtervals):
-            return Genericity.NOT_GENERIC
-        return Genericity.NO_PERIODIC_DOMAIN_FOUND
+        return self.classify_homtervals(depth, orbit_budget).genericity
 
     def with_breakpoint(self, x: CirclePoint) -> "Itm":
         """The same map with x inserted as an (artificial) breakpoint."""

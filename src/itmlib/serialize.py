@@ -4,10 +4,13 @@ Rationals serialize as strings "p/q" in lowest terms (integers without
 the denominator).  Parsing accepts those strings, JSON integers, and
 decimal strings like "0.618", which are read exactly; an approximation
 target given as a decimal should carry its precision in the config.
+Decimal exponents are bounded by MAX_DECIMAL_EXPONENT, so that a short
+string cannot ask for an integer of millions of digits.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Any, Mapping, Optional, Sequence
 
@@ -24,6 +27,10 @@ from itmlib.piecewise import (
 )
 
 
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
+
+
 def rat(x) -> str:
     return str(frac(x))
 
@@ -31,6 +38,14 @@ def rat(x) -> str:
 def parse_rational(v: Any, what: str = "rational") -> Fraction:
     if isinstance(v, bool) or not isinstance(v, (int, str, Fraction)):
         raise ValueError(f"{what} must be an integer or a 'p/q' string: {v!r}")
+    exponent = _EXPONENT.search(v) if isinstance(v, str) else None
+    if exponent is not None:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        # the length test keeps int() off exponents of thousands of digits
+        if len(digits) > 6 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(
+                f"{what}: decimal exponent above {MAX_DECIMAL_EXPONENT}: {v!r}"
+            )
     try:
         return frac(v)
     except (ValueError, ZeroDivisionError) as exc:

@@ -1,11 +1,19 @@
 """End-to-end command runs: exit codes, report contents, artifacts."""
 
+import contextlib
+import io
 import json
+import re
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itmlib.catalog import golden_mean
-from itmlib.cli import main
+from itmlib.cli import COMMANDS, main
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -329,3 +337,247 @@ class TestVerifyLimit:
         code, _, err = run(capsys, "verify-limit", "--config", cfg)
         assert code == 1
         assert "family" in err
+
+
+LEBESGUE = {"density": [{"arc": {"start": "0", "length": "1"}, "weight": "1"}]}
+QUARTER_ROTATION_LIMIT = {
+    "map": {"breakpoints": ["0"], "shifts": ["1/4"]},
+    "measure": LEBESGUE,
+}
+HALVING_ORBIT = {"map": HALVING, "x0": "1", "m": 64}
+
+MALFORMED = {
+    # name: (command, config, the key or field the message must name)
+    "family-as-string": (
+        "verify-limit", {**QUARTER_ROTATION_LIMIT, "family": "trig"}, "family"
+    ),
+    "tol-residual-junk": (
+        "verify-limit", {**QUARTER_ROTATION_LIMIT, "tolResidual": "abc"}, "tolResidual"
+    ),
+    "tol-residual-inf": (
+        "verify-limit", {**QUARTER_ROTATION_LIMIT, "tolResidual": "inf"}, "tolResidual"
+    ),
+    "tol-residual-nan": (
+        "verify-limit", {**QUARTER_ROTATION_LIMIT, "tolResidual": "nan"}, "tolResidual"
+    ),
+    "tol-residual-negative": (
+        "verify-limit", {**QUARTER_ROTATION_LIMIT, "tolResidual": -1}, "tolResidual"
+    ),
+    "increasing-deltas": (
+        "verify-limit", {**QUARTER_ROTATION_LIMIT, "deltas": ["1/8", "1/4"]}, "deltas"
+    ),
+    "non-probability-measure": (
+        "conjugate",
+        {
+            "map": HALF_COLLAPSE,
+            "measure": {
+                "density": [{"arc": {"start": "0", "length": "1/2"}, "weight": "1"}]
+            },
+        },
+        "measure",
+    ),
+    "epsilons-as-string": (
+        "empirical", {**HALVING_ORBIT, "epsilons": "1/8"}, "epsilons"
+    ),
+    "zero-wandering-radius": (
+        "empirical",
+        {**HALVING_ORBIT, "wandering": {"radii": ["0"], "horizon": 3}},
+        "radii",
+    ),
+    "x0-junk": ("empirical", {**HALVING_ORBIT, "x0": "abc"}, "x0"),
+    "orbit-lengths-junk": (
+        "empirical",
+        {**HALVING_ORBIT, "epsilons": ["1/8"], "orbitLengths": "x"},
+        "orbitLengths",
+    ),
+    "breakpoints-as-string": (
+        "validate", {"breakpoints": "0", "shifts": ["0"]}, "breakpoints"
+    ),
+    "relations-for-declared-relations": (
+        "approximate",
+        {
+            "target": {"breakpoints": ["0"], "shifts": ["1/3"]},
+            "denominators": [2, 3],
+            "relations": [],
+        },
+        "relations",
+    ),
+    "unknown-key": ("attractor", {"map": HALF_COLLAPSE, "maxIters": 5}, "maxIters"),
+    "known-key-of-another-command": (
+        "validate", {"map": HALF_COLLAPSE, "depth": 3}, "depth"
+    ),
+    "missing-measure": ("verify-limit", {"map": HALVING}, "measure"),
+    "fractional-integer": (
+        "attractor", {"map": HALF_COLLAPSE, "maxIter": 1.5}, "maxIter"
+    ),
+    "boolean-integer": ("homtervals", {"map": HALF_COLLAPSE, "depth": True}, "depth"),
+    "null-x0": ("empirical", {**HALVING_ORBIT, "x0": None}, "x0"),
+}
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_config_exits_one_naming_the_key(self, name, tmp_path, capsys):
+        command, payload, key = MALFORMED[name]
+        cfg = write_config(tmp_path, payload)
+        code, report, err = run(capsys, command, "--config", cfg)
+        assert code == 1
+        assert report is None
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert key in err
+
+    def test_library_errors_exit_one_naming_their_origin(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "target": {"breakpoints": ["0"], "shifts": ["1/3"]},
+                "declaredRelations": [{"i": 5, "j": 0, "l": [1], "w": 0}],
+                "denominators": [2],
+            },
+        )
+        code, _, err = run(capsys, "approximate", "--config", cfg)
+        assert code == 1
+        assert "(approx." in err
+        assert "Traceback" not in err
+
+    def test_huge_decimal_exponent_is_refused_at_once(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"breakpoints": ["0"], "shifts": ["1e999999999"]})
+        start = time.perf_counter()
+        code, _, err = run(capsys, "validate", "--config", cfg)
+        assert code == 1
+        assert "'map': shift: decimal exponent" in err
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--config", "{cfg}", "--depth", "3"],
+            ["attractor", "--config", "{cfg}", "--levels", "2"],
+            ["verify-limit", "--config", "{cfg}", "--seed", "1"],
+            ["attractor"],
+            ["attractor", "--config", "{cfg}", "--max-iter", "abc"],
+            ["attractor", "--config", "{cfg}", "--max-iter", "0"],
+            ["approximate", "--config", "{cfg}", "--tol", "-1/2"],
+            ["no-such-command", "--config", "{cfg}"],
+            [],
+            ["validate", "--config", "{cfg}", "--out", "{cfg}"],
+        ],
+    )
+    def test_usage_errors_return_one(self, argv, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"map": HALF_COLLAPSE})
+        code, report, err = run(capsys, *(a.format(cfg=cfg) for a in argv))
+        assert code == 1
+        assert report is None
+        assert "Traceback" not in err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["attractor", "--help"])
+        assert exc.value.code == 0
+        assert "--max-iter" in capsys.readouterr().out
+
+    def test_each_subcommand_takes_only_the_flags_it_reads(self, capsys):
+        flags = {}
+        for name in COMMANDS:
+            with pytest.raises(SystemExit):
+                main([name, "--help"])
+            flags[name] = sorted(set(re.findall(r"--[a-z-]+", capsys.readouterr().out)))
+        common = ["--config", "--help", "--out", "--plot"]
+        reads = {
+            "validate": [],
+            "attractor": ["--max-arcs", "--max-iter"],
+            "measure": ["--max-arcs", "--max-iter"],
+            "homtervals": ["--depth"],
+            "relations": ["--depth"],
+            "approximate": ["--levels", "--max-arcs", "--max-iter", "--tol"],
+            "conjugate": [],
+            "empirical": ["--seed"],
+            "verify-limit": ["--tol"],
+        }
+        assert flags == {name: sorted(common + r) for name, r in reads.items()}
+
+    def test_tol_flag_overrides_tol_mass_for_verify_limit(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, QUARTER_ROTATION_LIMIT)
+        code, report, _ = run(capsys, "verify-limit", "--config", cfg, "--tol", "1/7")
+        assert code == 0
+        assert report["config"]["tolMass"] == "1/7"
+
+    def test_seed_is_read_from_the_config(self, tmp_path, capsys):
+        by_flag = write_config(tmp_path, {"map": HALVING, "m": 4}, "flag.json")
+        by_key = write_config(tmp_path, {"map": HALVING, "m": 4, "seed": 7}, "key.json")
+        _, flag_report, _ = run(capsys, "empirical", "--config", by_flag, "--seed", "7")
+        _, key_report, _ = run(capsys, "empirical", "--config", by_key)
+        assert key_report["config"] == flag_report["config"]
+        assert key_report["config"]["seed"] == 7
+
+    def test_conjugacy_failures_keep_exit_three(self, tmp_path, capsys):
+        atomic = {"density": [], "atoms": [{"point": "0", "mass": "1"}]}
+        cfg = write_config(tmp_path, {"map": HALF_COLLAPSE, "measure": atomic})
+        code, _, err = run(capsys, "conjugate", "--config", cfg)
+        assert code == 3
+        assert "non-atomic" in err
+
+
+VALID = {
+    "validate": HALVING,
+    "attractor": {"map": HALF_COLLAPSE, "maxIter": 8},
+    "measure": {"breakpoints": ["0", "1/2"], "shifts": ["1/3", "1/4"]},
+    "homtervals": {"breakpoints": ["0"], "shifts": ["1/3"], "depth": 3},
+    "relations": {"map": {"breakpoints": ["0"], "shifts": ["1/3"]}, "depth": 3},
+    "approximate": {
+        "breakpoints": ["0"],
+        "shifts": [str(golden_mean())],
+        "denominators": [2, 3, 5],
+    },
+    "conjugate": {"map": HALF_COLLAPSE, "samples": 64},
+    "empirical": {
+        "map": HALVING,
+        "m": 16,
+        "epsilons": ["1/4"],
+        "wandering": {"radii": ["1/8"], "horizon": 3},
+    },
+    "verify-limit": {**QUARTER_ROTATION_LIMIT, "deltas": ["1/512", "1/1024"]},
+}
+
+
+def without_timestamp(report):
+    return {k: v for k, v in report.items() if k != "generatedAt"}
+
+
+@pytest.mark.parametrize("command", sorted(VALID))
+def test_report_config_round_trips(command, tmp_path, capsys):
+    first = write_config(tmp_path, VALID[command], "first.json")
+    code, report, _ = run(capsys, command, "--config", first)
+    assert code == 0
+    again = write_config(tmp_path, report["config"], "again.json")
+    code_again, report_again, _ = run(capsys, command, "--config", again)
+    assert code_again == code
+    assert without_timestamp(report_again) == without_timestamp(report)
+
+
+MUTATIONS = [None, "", "x", "1/0", [], {}, -1, 0, True, 1.5]
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_mutated_configs_keep_the_exit_code_contract(data):
+    command = data.draw(st.sampled_from(sorted(VALID)))
+    config = dict(VALID[command])
+    table = {k.name for k in COMMANDS[command][1:] if not k.flag_only}
+    keys = sorted(set(config) | table)
+    action = data.draw(st.sampled_from(["drop", "add", "set"]))
+    if action == "drop":
+        config.pop(data.draw(st.sampled_from(sorted(config))))
+    elif action == "add":
+        config["notAKey"] = data.draw(st.sampled_from(MUTATIONS))
+    else:
+        config[data.draw(st.sampled_from(keys))] = data.draw(st.sampled_from(MUTATIONS))
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path)])
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err.getvalue()

@@ -308,6 +308,16 @@ class TestGenericity:
         verdict = rotation(F(377, 610)).is_generic_within_depth(3, orbit_budget=300)
         assert verdict is Genericity.NO_PERIODIC_DOMAIN_FOUND
 
+    def test_report_verdict_matches_the_map_verdict(self):
+        for s, depth, budget in (
+            (half_collapse(), 1, 64),
+            (rotation("1/3"), 2, 64),
+            (rotation("5/8"), 1, 4),
+        ):
+            report = s.classify_homtervals(depth, orbit_budget=budget)
+            verdict = s.is_generic_within_depth(depth, orbit_budget=budget)
+            assert report.genericity is verdict
+
 
 class TestPeriodicBall:
     def test_gap_around_periodic_point_is_periodic(self):

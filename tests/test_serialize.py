@@ -12,6 +12,7 @@ from itmlib.itm import Side
 from itmlib.measure import Measure, attractor_measure
 from itmlib.piecewise import Domain, GeneralPiece, PiecewiseMap, visit_frequency
 from itmlib.serialize import (
+    MAX_DECIMAL_EXPONENT,
     arcset_from_json,
     arcset_to_json,
     cdf_csv,
@@ -51,6 +52,26 @@ class TestRationals:
             parse_rational("1/0")
         with pytest.raises(ValueError):
             parse_rational(None)
+
+    def test_parse_accepts_exponents_up_to_the_bound(self):
+        assert parse_rational("2.5e-3") == F(1, 400)
+        bound = MAX_DECIMAL_EXPONENT
+        assert parse_rational(f"1e{bound}") == 10**bound
+        assert parse_rational(f"-1E-{bound}") == -F(1, 10**bound)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"1e{MAX_DECIMAL_EXPONENT + 1}",
+            f"1E-{MAX_DECIMAL_EXPONENT + 1}",
+            "1e999999999",
+            "1e1_000_000",
+            "1e" + "9" * 5000,
+        ],
+    )
+    def test_parse_rejects_exponents_past_the_bound_naming_the_field(self, text):
+        with pytest.raises(ValueError, match="^shift: decimal exponent"):
+            parse_rational(text, "shift")
 
 
 class TestMapRoundTrips:
