@@ -13,21 +13,22 @@ from fractions import Fraction
 
 from itmlib import attractor_measure, induce_iem, verify_iem
 from itmlib.catalog import half_collapse, random_itm, rotation
-from itmlib.conjugacy import Iem
 
 # A rotation is already an exchange of two arcs; the induced map is the
-# same rotation, because the invariant measure is Lebesgue.
+# same rotation, because the invariant measure is Lebesgue.  The induced
+# exchange is an Itm, and merged() is its canonical form.
 rot = rotation(Fraction(2, 7))
 data = induce_iem(rot, attractor_measure(rot))
 print("rotation induces:", data.induced)
-print("equals rotation by 2/7:", data.induced.same_map(Iem.rotation(Fraction(2, 7))))
+print("equals rotation by 2/7:",
+      data.induced.merged() == rotation(Fraction(2, 7)).merged())
 
 # The half-collapse map is injective on its support, so after the CDF
 # change of coordinates nothing moves at all.
 hc = half_collapse()
 hc_data = induce_iem(hc, attractor_measure(hc))
 print("\nhalf-collapse induces:", hc_data.induced)
-print("equals the identity:", hc_data.induced.same_map(Iem.identity()))
+print("equals the identity:", hc_data.induced.merged() == rotation(0).merged())
 
 # A random rational map: the support may be fragmented, but the induced
 # exchange still verifies exactly.

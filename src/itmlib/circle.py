@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
 
@@ -173,6 +173,9 @@ class ArcSet:
         segs: list[Segment] = []
         for a in arcs:
             segs.extend(a.segments())
+        self._canonicalize(segs)
+
+    def _canonicalize(self, segs: Iterable[Segment]) -> None:
         canonical = _segments_to_arcs(merge_segments(segs))
         object.__setattr__(self, "arcs", canonical)
         object.__setattr__(
@@ -186,10 +189,7 @@ class ArcSet:
     @classmethod
     def from_segments(cls, segs: Iterable[Segment]) -> "ArcSet":
         out = cls.__new__(cls)
-        canonical = _segments_to_arcs(merge_segments(segs))
-        object.__setattr__(out, "arcs", canonical)
-        object.__setattr__(out, "total_length", sum((a.length for a in canonical), ZERO))
-        object.__setattr__(out, "_starts", tuple(a.start.value for a in canonical))
+        out._canonicalize(segs)
         return out
 
     @classmethod
@@ -298,11 +298,6 @@ class ArcSet:
     def __repr__(self) -> str:
         inner = ", ".join(f"[{a.start.value},+{a.length})" for a in self.arcs)
         return f"ArcSet({inner})"
-
-
-def normalize(raw_arcs: Sequence[Arc]) -> ArcSet:
-    """Canonical ArcSet equal, as a point set, to the union of the inputs."""
-    return ArcSet(raw_arcs)
 
 
 def arc(start: Union[Rational, str], length: Union[Rational, str]) -> Arc:

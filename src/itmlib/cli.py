@@ -112,6 +112,12 @@ def _integer(v) -> int:
     return int(v)
 
 
+def _real(v) -> float:
+    if isinstance(v, bool):
+        raise TypeError(f"must be a number: {v!r}")
+    return float(v)
+
+
 def _list_of(item: Callable) -> Callable:
     def parse(v) -> list:
         if not isinstance(v, list):
@@ -402,10 +408,7 @@ def _cmd_conjugate(o, plot):
     exceptional = sum(1 for p in data.samples if p.exceptional)
     payload = {
         "tau": [rat(t) for t in data.tau],
-        "induced": {
-            "breakpoints": [rat(b) for b in data.induced.breakpoints],
-            "shifts": [rat(d) for d in data.induced.shifts],
-        },
+        "induced": itm_to_json(data.induced),
         "verification": {
             "lengthsOk": data.report.lengths_ok,
             "lebesgueOk": data.report.lebesgue_ok,
@@ -548,7 +551,7 @@ COMMANDS: dict[str, tuple] = {
         ANY_MAP,
         Key("measure", _measure, REQUIRED),
         Key("tolMass", parse_rational, Fraction(1, 100), NONNEGATIVE, "--tol"),
-        Key("tolResidual", float, 1e-6, FINITE_NONNEGATIVE),
+        Key("tolResidual", _real, 1e-6, FINITE_NONNEGATIVE),
         Key("family", _family, {"kind": "trig", "degree": 8}),
         Key("deltas", _list_of(parse_rational)),
     ),

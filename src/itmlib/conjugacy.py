@@ -2,19 +2,21 @@
 
 Given an exactly invariant non-atomic probability measure mu for a map S,
 the distribution function h(x) = mu([0, x]) transports mu to Lebesgue
-measure, and y -> h(S(hbar(y))) with hbar the rightmost inverse of h is an
-interval exchange on [0, 1).  Everything is exact: the induced shifts, the
-semi-conjugacy samples, and the verification that the result preserves
-Lebesgue measure and is injective up to measure zero.
+measure, and y -> h(S(hbar(y))) with hbar = h.rightmost_preimage the
+rightmost inverse of h is an interval exchange on [0, 1).  An interval
+exchange is an Itm whose piece images tile the circle, so the induced
+map is an Itm and verify_iem checks the tiling.  Everything is exact:
+the induced shifts, the semi-conjugacy samples, and the verification
+that the result preserves Lebesgue measure and is injective up to
+measure zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
 
-from itmlib.circle import ONE, ZERO, Arc, ArcSet, CirclePoint, Rational, frac
+from itmlib.circle import ONE, ZERO, CirclePoint, Rational, frac
 from itmlib.itm import Itm
 from itmlib.measure import (
     AtomicMeasure,
@@ -39,56 +41,6 @@ def build_h(mu: Measure) -> Cdf:
     return mu.cdf()
 
 
-def build_hbar(h: Cdf) -> Callable[[Rational], Fraction]:
-    """The rightmost inverse: hbar(y) = max{x : h(x) = y}, exact."""
-    return h.rightmost_preimage
-
-
-@dataclass(frozen=True)
-class Iem:
-    """Interval exchange data: piece starts tau_j and shifts d_j on [0, 1).
-
-    injective is the a.e.-injectivity verdict recorded by verification
-    (None when not yet verified).  as_itm() exposes the same map to the
-    arc/measure machinery.
-    """
-
-    breakpoints: tuple[Fraction, ...]
-    shifts: tuple[Fraction, ...]
-    injective: Optional[bool] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "breakpoints", tuple(frac(b) for b in self.breakpoints))
-        object.__setattr__(self, "shifts", tuple(frac(c) % 1 for c in self.shifts))
-
-    def as_itm(self) -> Itm:
-        return Itm(
-            tuple(CirclePoint(b) for b in self.breakpoints), self.shifts
-        )
-
-    def canonical(self) -> "Iem":
-        """Merge adjacent pieces with equal shifts; drops the verdict flag."""
-        m = self.as_itm().merged()
-        return Iem(
-            tuple(p.value for p in m.breakpoints), m.shifts, injective=self.injective
-        )
-
-    def evaluate(self, y: Rational) -> Fraction:
-        return self.as_itm().evaluate(CirclePoint(frac(y))).value
-
-    @classmethod
-    def identity(cls) -> "Iem":
-        return cls((ZERO,), (ZERO,), injective=True)
-
-    @classmethod
-    def rotation(cls, c: Rational) -> "Iem":
-        return cls((ZERO,), (frac(c),), injective=True)
-
-    def same_map(self, other: "Iem") -> bool:
-        a, b = self.canonical(), other.canonical()
-        return a.breakpoints == b.breakpoints and a.shifts == b.shifts
-
-
 @dataclass(frozen=True)
 class IemReport:
     """Verification outcome: exact length, measure, and injectivity checks."""
@@ -104,52 +56,49 @@ class IemReport:
         return self.lengths_ok and self.lebesgue_ok and self.injective
 
 
-def verify_iem(iem: Iem) -> IemReport:
+def verify_iem(t: Itm) -> IemReport:
     """Check (a) pieces translate isometrically, (b) Lebesgue measure is
     preserved on the refinement cut by all image endpoints, (c) images of
-    distinct pieces overlap only in zero length."""
-    m = iem.as_itm()
+    distinct pieces overlap only in zero length.
+
+    One sweep over the image endpoints (and 0) counts the piece images
+    covering each cell of the refinement.  A cell covered C times has a
+    preimage of C times its length and adds C(C-1)/2 times its length to
+    the pairwise overlap, so (b) fails exactly on the cells where C != 1.
+    """
     failures: list[str] = []
 
     lengths_ok = True
-    images: list[ArcSet] = []
     total = ZERO
-    for j in range(m.n):
-        piece = ArcSet([m.piece(j)])
-        img = piece.translate(m.shifts[j])
-        images.append(img)
+    coverage_change: dict[Fraction, int] = {ZERO: 0}
+    for j, piece in enumerate(t._piece_sets):
+        image = piece.translate(t.shifts[j])
         total += piece.total_length
-        if img.total_length != piece.total_length:
+        if image.total_length != piece.total_length:
             lengths_ok = False
             failures.append(f"piece {j} image length differs")
+        for lo, hi in image.segments():
+            coverage_change[lo] = coverage_change.get(lo, 0) + 1
+            coverage_change[hi] = coverage_change.get(hi, 0) - 1
     if total != 1:
         lengths_ok = False
         failures.append("piece lengths do not sum to 1")
 
+    coverage_change.pop(ONE, None)
+    cuts = sorted(coverage_change)
     overlap = ZERO
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            overlap += images[i].intersect(images[j]).total_length
+    coverage = 0
+    mass_changes: list[str] = []
+    for lo, hi in zip(cuts, cuts[1:] + [ONE]):
+        coverage += coverage_change[lo]
+        overlap += coverage * (coverage - 1) // 2 * (hi - lo)
+        if coverage != 1:
+            mass_changes.append(f"Lebesgue mass of [{lo},{hi}) changes under preimage")
     injective = overlap == 0
     if not injective:
         failures.append(f"piece images overlap in total length {overlap}")
-
-    cut_set = {ZERO}
-    for img in images:
-        for lo, hi in img.segments():
-            cut_set.add(lo)
-            if hi < ONE:
-                cut_set.add(hi)
-    cuts = sorted(cut_set)
-    lebesgue_ok = True
-    for i, lo in enumerate(cuts):
-        hi = cuts[i + 1] if i + 1 < len(cuts) else ONE
-        cell = ArcSet.from_segments([(lo, hi)])
-        pre = m.preimage(cell)
-        if pre.total_length != cell.total_length:
-            lebesgue_ok = False
-            failures.append(f"Lebesgue mass of [{lo},{hi}) changes under preimage")
-    return IemReport(lengths_ok, lebesgue_ok, injective, overlap, tuple(failures))
+    failures.extend(mass_changes)
+    return IemReport(lengths_ok, not mass_changes, injective, overlap, tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -169,7 +118,7 @@ class ConjugacyData:
     mu: Measure
     h: Cdf
     tau: tuple[Fraction, ...]
-    induced: Iem
+    induced: Itm
     report: IemReport
     samples: tuple[SemiConjugacySample, ...]
 
@@ -180,11 +129,11 @@ class ConjugacyData:
     def is_exceptional(self, x: Rational) -> bool:
         """Exact membership in the exceptional set: x outside the open
         interior of supp mu, where h is locally constant or kinks."""
-        x = frac(x)
-        for lo, hi, _ in self.mu.density:
-            if lo < x < hi:
-                return False
-        return True
+        return _exceptional(self.mu, frac(x))
+
+
+def _exceptional(mu: Measure, x: Fraction) -> bool:
+    return not any(lo < x < hi for lo, hi, _ in mu.density)
 
 
 def induce_iem(
@@ -219,7 +168,7 @@ def induce_iem(
     starts: list[Fraction] = []
     shifts: list[Fraction] = []
     for j in range(cut.n):
-        carried = supp & ArcSet((cut.piece(j),))
+        carried = supp & cut._piece_sets[j]
         for lo, hi in carried.segments():
             mid = (lo + hi) / 2
             image = h.at(cut.evaluate(CirclePoint(mid)).value)
@@ -228,28 +177,19 @@ def induce_iem(
     if not starts:
         starts, shifts = [ZERO], [ZERO]
 
-    induced_raw = Iem(tuple(starts), tuple(shifts))
-    report = verify_iem(induced_raw)
-    induced = Iem(induced_raw.breakpoints, induced_raw.shifts, report.injective)
-
-    t_of = induced.as_itm()
+    induced = Itm(tuple(starts), tuple(shifts))
     sample_list = []
     for i in range(samples):
         x = Fraction(2 * i + 1, 2 * samples)
-        exceptional = True
-        for lo, hi, _ in mu.density:
-            if lo < x < hi:
-                exceptional = False
-                break
         lhs = h.at(s.evaluate(CirclePoint(x)).value)
-        rhs = t_of.evaluate(CirclePoint(h.at(x))).value
-        sample_list.append(SemiConjugacySample(x, exceptional, lhs == rhs))
+        rhs = induced.evaluate(CirclePoint(h.at(x))).value
+        sample_list.append(SemiConjugacySample(x, _exceptional(mu, x), lhs == rhs))
     return ConjugacyData(
         source_map=s,
         mu=mu,
         h=h,
         tau=tau,
         induced=induced,
-        report=report,
+        report=verify_iem(induced),
         samples=tuple(sample_list),
     )

@@ -303,8 +303,8 @@ def pushforward(s: Itm, mu: Measure) -> Measure:
     density: list[tuple[Fraction, Fraction, Fraction]] = []
     for lo, hi, w in mu.density:
         chunk = ArcSet.from_segments([(lo, hi)])
-        for j in range(s.n):
-            hit = chunk.intersect(ArcSet([s.piece(j)]))
+        for j, piece in enumerate(s._piece_sets):
+            hit = chunk.intersect(piece)
             if hit:
                 for a, b in hit.translate(s.shifts[j]).segments():
                     density.append((a, b, w))

@@ -1,9 +1,8 @@
 """Piecewise continuous maps of the segment or circle and empirical measures.
 
-Pieces are affine with exact rational coefficients (a black-box float
-piece kind exists for exploration, without exactness guarantees).
-Boundary values may override the piece formula at finitely many points,
-which is how a map like x -> x/2 with the reset value 1 at 0 is encoded.
+Pieces are affine with exact rational coefficients.  Boundary values
+may override the piece formula at finitely many points, which is how a
+map like x -> x/2 with the reset value 1 at 0 is encoded.
 The discontinuity set contains the piece edges where the one-sided
 values genuinely differ, so a rotation split into two affine charts has
 none.  Orbits, visit frequencies of discontinuity neighbourhoods, the
@@ -17,13 +16,12 @@ import bisect
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from itmlib.circle import ONE, ZERO, Rational, circle_distance, frac
 from itmlib.itm import Itm
 from itmlib.measure import Measure, tv_distance
 
-DEFAULT_FLOAT_TOLERANCE = 1e-12
 VERDICT_RATIO = Fraction(1, 2)
 
 
@@ -61,25 +59,6 @@ class AffinePiece:
 
 
 @dataclass(frozen=True)
-class GeneralPiece:
-    """Black-box continuous piece, evaluated in floating point only."""
-
-    lo: Fraction
-    hi: Fraction
-    fn: Callable[[float], float]
-    modulus_hint: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", frac(self.lo))
-        object.__setattr__(self, "hi", frac(self.hi))
-        if not self.lo < self.hi:
-            raise ValueError("piece interval is empty")
-
-
-Piece = Union[AffinePiece, GeneralPiece]
-
-
-@dataclass(frozen=True)
 class PiecewiseMap:
     """A piecewise continuous self-map of [0, 1] or of the circle.
 
@@ -92,7 +71,7 @@ class PiecewiseMap:
     """
 
     domain: Domain
-    pieces: tuple[Piece, ...]
+    pieces: tuple[AffinePiece, ...]
     boundary_values: tuple[tuple[Fraction, Fraction], ...] = ()
     discontinuities: Optional[tuple[Fraction, ...]] = None
     _starts: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
@@ -103,6 +82,9 @@ class PiecewiseMap:
         pieces = tuple(self.pieces)
         if not pieces:
             raise ValueError("at least one piece required")
+        for piece in pieces:
+            if not isinstance(piece, AffinePiece):
+                raise TypeError(f"not an AffinePiece: {piece!r}")
         if pieces[0].lo != 0 or pieces[-1].hi != 1:
             raise ValueError("pieces must cover [0, 1)")
         for left, right in zip(pieces, pieces[1:]):
@@ -123,13 +105,10 @@ class PiecewiseMap:
 
         if self.domain is Domain.SEGMENT:
             for piece in pieces:
-                if isinstance(piece, AffinePiece):
-                    for x in (piece.lo, piece.hi):
-                        v = piece.value(x)
-                        if not 0 <= v <= 1:
-                            raise ValueError(
-                                f"affine piece leaves [0, 1] at {x}: {v}"
-                            )
+                for x in (piece.lo, piece.hi):
+                    v = piece.value(x)
+                    if not 0 <= v <= 1:
+                        raise ValueError(f"affine piece leaves [0, 1] at {x}: {v}")
 
         object.__setattr__(self, "_starts", tuple(p.lo for p in pieces))
         if self.discontinuities is None:
@@ -145,22 +124,15 @@ class PiecewiseMap:
         if not inside:
             raise ValueError(f"{what} outside the domain: {p}")
 
-    @property
-    def is_affine(self) -> bool:
-        return all(isinstance(p, AffinePiece) for p in self.pieces)
-
     def _reduce(self, v: Fraction) -> Fraction:
         return v % 1 if self.domain is Domain.CIRCLE else v
 
-    def _piece_at(self, x: Fraction) -> Piece:
+    def _piece_at(self, x: Fraction) -> AffinePiece:
         idx = bisect.bisect_right(self._starts, x) - 1
         return self.pieces[idx]
 
     def _formula_value(self, x: Fraction) -> Fraction:
-        piece = self._piece_at(x)
-        if not isinstance(piece, AffinePiece):
-            raise TypeError("exact evaluation needs affine pieces")
-        return self._reduce(piece.value(x))
+        return self._reduce(self._piece_at(x).value(x))
 
     def _one_sided_values(self, e: Fraction) -> tuple[Optional[Fraction], Fraction]:
         """(left limit, right value) at an edge, None when x=0 on the segment."""
@@ -168,20 +140,12 @@ class PiecewiseMap:
         if e == 0:
             if self.domain is Domain.SEGMENT:
                 return None, right
-            last = self.pieces[-1]
-            if not isinstance(last, AffinePiece):
-                raise TypeError("exact evaluation needs affine pieces")
-            return self._reduce(last.value(ONE)), right
+            return self._reduce(self.pieces[-1].value(ONE)), right
         idx = bisect.bisect_right(self._starts, e) - 1
         prev = self.pieces[idx - 1] if self._starts[idx] == e else self.pieces[idx]
-        if not isinstance(prev, AffinePiece):
-            raise TypeError("exact evaluation needs affine pieces")
         return self._reduce(prev.value(e)), right
 
     def _genuine_jumps(self) -> tuple[Fraction, ...]:
-        if not self.is_affine:
-            edges = [p.lo for p in self.pieces] + [p for p, _ in self.boundary_values]
-            return tuple(sorted(set(edges)))
         points = {p.lo for p in self.pieces} | set(self._overrides)
         if self.domain is Domain.SEGMENT:
             points.discard(ZERO)
@@ -207,21 +171,6 @@ class PiecewiseMap:
             return self._overrides[x]
         return self._formula_value(x)
 
-    def evaluate_float(self, x: float, tol: float = DEFAULT_FLOAT_TOLERANCE) -> float:
-        """Floating value at x for maps with black-box pieces."""
-        if self.domain is Domain.CIRCLE:
-            x = x % 1.0
-        elif not -tol <= x <= 1 + tol:
-            raise ValueError(f"point outside the segment: {x}")
-        # Fraction-float comparisons are exact, so bisect needs no rounding.
-        idx = bisect.bisect_right(self._starts, x) - 1
-        piece = self.pieces[max(idx, 0)]
-        if isinstance(piece, AffinePiece):
-            v = float(piece.a) * x + float(piece.b)
-        else:
-            v = piece.fn(x)
-        return v % 1.0 if self.domain is Domain.CIRCLE else v
-
     def distance_to(self, x: Fraction, points: Sequence[Fraction]) -> Fraction:
         """Distance from x to a point set in the domain metric."""
         if self.domain is Domain.CIRCLE:
@@ -236,8 +185,6 @@ class PiecewiseMap:
         """
         out = []
         for piece in self.pieces:
-            if not isinstance(piece, AffinePiece):
-                raise TypeError("affine charts need affine pieces")
             lo, hi, a, b = piece.lo, piece.hi, piece.a, piece.b
             if self.domain is Domain.SEGMENT or a == 0:
                 out.append((lo, hi, a, self._reduce(a * lo + b) - a * lo))
@@ -291,8 +238,6 @@ def orbit(t: PiecewiseMap, x0: Rational, m: int) -> tuple[Fraction, ...]:
     """
     if m < 1:
         raise ValueError("orbit length must be positive")
-    if not t.is_affine:
-        raise TypeError("exact orbits need affine pieces")
     h = t.discontinuities
     x = t._reduce(frac(x0))
     points = []
@@ -302,23 +247,6 @@ def orbit(t: PiecewiseMap, x0: Rational, m: int) -> tuple[Fraction, ...]:
         points.append(x)
         if step + 1 < m:
             x = t.evaluate(x)
-    return tuple(points)
-
-
-def orbit_float(
-    t: PiecewiseMap, x0: float, m: int, tol: float = DEFAULT_FLOAT_TOLERANCE
-) -> tuple[float, ...]:
-    """Floating forward orbit for maps with black-box pieces."""
-    if m < 1:
-        raise ValueError("orbit length must be positive")
-    x = float(x0)
-    points = []
-    for step in range(m):
-        if any(abs(x - float(p)) <= tol for p in t.discontinuities):
-            raise HitDiscontinuity(x, step)
-        points.append(x)
-        if step + 1 < m:
-            x = t.evaluate_float(x, tol)
     return tuple(points)
 
 

@@ -149,8 +149,8 @@ def conjugacy_svg(data: ConjugacyData, title: str = "conjugating map h") -> str:
     """Graph of h(x) = mu([0, x]) with the induced piece starts marked."""
     doc = cdf_svg(data.mu, title=title)
     marks = []
-    for t in data.induced.breakpoints:
-        x = _fmt(_x_pixel(data.h.quantile(t) if t else Fraction(0)))
+    for p in data.induced.breakpoints:
+        x = _fmt(_x_pixel(data.h.quantile(p.value)))
         marks.append(
             f'<line x1="{x}" y1="{MARGIN}" x2="{x}" y2="{HEIGHT - MARGIN}" '
             f'stroke="{_ATOM}" stroke-width="0.5" stroke-dasharray="3 3"/>'

@@ -120,19 +120,15 @@ def measure_from_json(d: Mapping) -> Measure:
 
 
 def piecewise_to_json(t: PiecewiseMap) -> dict:
-    pieces = []
-    for p in t.pieces:
-        if not isinstance(p, AffinePiece):
-            raise ValueError("black-box pieces have no serial form")
-        pieces.append(
+    return {
+        "domain": t.domain.value,
+        "pieces": [
             {
                 "interval": [rat(p.lo), rat(p.hi)],
                 "affine": {"a": rat(p.a), "b": rat(p.b)},
             }
-        )
-    return {
-        "domain": t.domain.value,
-        "pieces": pieces,
+            for p in t.pieces
+        ],
         "boundaryValues": {rat(p): rat(v) for p, v in t.boundary_values},
         "discontinuities": [rat(p) for p in t.discontinuities],
     }

@@ -30,7 +30,7 @@ from itmlib.catalog import (
     rotation,
 )
 from itmlib.circle import Arc, ArcSet
-from itmlib.conjugacy import Iem, induce_iem
+from itmlib.conjugacy import induce_iem
 from itmlib.families import PolynomialFamily, TrigFamily, invariance_residual_functional
 from itmlib.itm import FiniteType
 from itmlib.measure import (
@@ -152,12 +152,12 @@ def test_criterion_04_metric_conjugacy(sweep_maps, sweep_measures):
 
     hc = half_collapse()
     hc_data = induce_iem(hc, attractor_measure(hc))
-    assert hc_data.induced.same_map(Iem.identity())
+    assert hc_data.induced.merged() == rotation(0).merged()
 
     for c in (F(2, 7), golden_mean()):
         rot = rotation(c)
         rot_data = induce_iem(rot, attractor_measure(rot))
-        assert rot_data.induced.same_map(Iem.rotation(c))
+        assert rot_data.induced.merged() == rotation(c).merged()
     print(
         f"criterion 4: {SWEEP_SIZE} induced exchanges verified exactly "
         "(lengths, Lebesgue, injectivity); half-collapse gives the identity, "

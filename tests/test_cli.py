@@ -363,6 +363,9 @@ MALFORMED = {
     "tol-residual-negative": (
         "verify-limit", {**QUARTER_ROTATION_LIMIT, "tolResidual": -1}, "tolResidual"
     ),
+    "tol-residual-boolean": (
+        "verify-limit", {**QUARTER_ROTATION_LIMIT, "tolResidual": True}, "tolResidual"
+    ),
     "increasing-deltas": (
         "verify-limit", {**QUARTER_ROTATION_LIMIT, "deltas": ["1/8", "1/4"]}, "deltas"
     ),

@@ -6,17 +6,15 @@ from fractions import Fraction
 import pytest
 
 from itmlib.catalog import half_collapse, random_itm, rotation
-from itmlib.circle import CirclePoint
+from itmlib.circle import ONE, ZERO, ArcSet, CirclePoint
 from itmlib.conjugacy import (
-    ConjugacyData,
-    Iem,
+    IemReport,
     NotInvariant,
     build_h,
-    build_hbar,
     induce_iem,
     verify_iem,
 )
-from itmlib.itm import itm
+from itmlib.itm import Itm, itm
 from itmlib.measure import AtomicMeasure, Measure, attractor_measure
 
 F = Fraction
@@ -25,6 +23,15 @@ F = Fraction
 def three_exchange():
     # genuine 3-interval exchange: lengths (1/2, 1/3, 1/6) in reversed order
     return itm(["0", "1/2", "5/6"], ["1/2", "2/3", "1/6"])
+
+
+def corrupted_three_exchange():
+    # forcing d_1 = 0 makes images [1/2,1) and [1/2,5/6) collide
+    return itm(["0", "1/2", "5/6"], ["1/2", "0", "1/6"])
+
+
+def same_map(a: Itm, b: Itm) -> bool:
+    return a.merged() == b.merged()
 
 
 class TestBuildH:
@@ -54,18 +61,18 @@ class TestBuildH:
 
 class TestBuildHbar:
     def test_identity(self):
-        hbar = build_hbar(build_h(Measure.lebesgue()))
+        hbar = build_h(Measure.lebesgue()).rightmost_preimage
         assert hbar(F(2, 7)) == F(2, 7)
 
     def test_half_density_right_inverse(self):
         h = build_h(Measure(((F(0), F(1, 2), F(2)),)))
-        hbar = build_hbar(h)
+        hbar = h.rightmost_preimage
         assert hbar(F(1, 2)) == F(1, 4)
         assert hbar(F(1)) == F(1)
 
     def test_round_trip(self):
         h = build_h(Measure(((F(1, 8), F(5, 8), F(2)),)))
-        hbar = build_hbar(h)
+        hbar = h.rightmost_preimage
         for k in range(8):
             y = F(k, 8)
             assert h.at(hbar(y)) == y
@@ -75,22 +82,20 @@ class TestInduceIem:
     def test_half_collapse_gives_identity(self):
         s = half_collapse()
         data = induce_iem(s, attractor_measure(s))
-        assert data.induced.same_map(Iem.identity())
+        assert same_map(data.induced, rotation(0))
         assert data.report.all_ok
         assert data.clean_samples
 
     def test_rotation_gives_rotation(self):
         s = rotation("2/7")
         data = induce_iem(s, Measure.lebesgue())
-        assert data.induced.same_map(Iem.rotation(F(2, 7)))
+        assert same_map(data.induced, rotation(F(2, 7)))
         assert data.report.all_ok
 
     def test_exchange_is_its_own_conjugate(self):
         s = three_exchange()
         data = induce_iem(s, Measure.lebesgue())
-        assert data.induced.same_map(
-            Iem((F(0), F(1, 2), F(5, 6)), (F(1, 2), F(2, 3), F(1, 6)))
-        )
+        assert same_map(data.induced, three_exchange())
         assert data.report.all_ok
         assert data.clean_samples
 
@@ -100,7 +105,7 @@ class TestInduceIem:
         mu = attractor_measure(s)
         data = induce_iem(s, mu)
         assert data.tau == (F(0), F(1), F(1), F(1))
-        assert data.induced.same_map(Iem.identity())
+        assert same_map(data.induced, rotation(0))
 
     def test_tau_monotone(self):
         s = three_exchange()
@@ -130,17 +135,18 @@ class TestInduceIem:
         data = induce_iem(s, attractor_measure(s))
         assert data.report.all_ok
         assert data.clean_samples
-        expected = Iem(
+        expected = itm(
             (F(0), F(3, 20), F(3, 10), F(7, 20), F(1, 2)),
             (F(7, 10), F(17, 20), F(7, 20), F(1, 2), F(13, 20)),
         )
-        assert data.induced.same_map(expected)
+        assert same_map(data.induced, expected)
         assert F(3, 20) not in data.tau
 
     def test_full_support_measure_uses_tau_pieces(self):
         s = three_exchange()
         data = induce_iem(s, Measure.lebesgue())
-        assert data.induced.breakpoints == (F(0), F(1, 2), F(5, 6))
+        starts = tuple(p.value for p in data.induced.breakpoints)
+        assert starts == (F(0), F(1, 2), F(5, 6))
 
     def test_random_rational_sweep(self):
         rng = random.Random(29)
@@ -154,19 +160,18 @@ class TestInduceIem:
 
 class TestVerifyIem:
     def test_identity(self):
-        assert verify_iem(Iem.identity()).all_ok
+        assert verify_iem(rotation(0)).all_ok
 
     def test_rotation(self):
-        assert verify_iem(Iem.rotation(F(3, 8))).all_ok
+        assert verify_iem(rotation(F(3, 8))).all_ok
 
     def test_three_exchange(self):
-        report = verify_iem(Iem((F(0), F(1, 2), F(5, 6)), (F(1, 2), F(2, 3), F(1, 6))))
+        report = verify_iem(three_exchange())
         assert report.all_ok
         assert report.overlap_length == 0
 
     def test_corrupted_shift_fails(self):
-        # forcing d_1 = 0 makes images [1/2,1) and [1/2,5/6) collide
-        report = verify_iem(Iem((F(0), F(1, 2), F(5, 6)), (F(1, 2), F(0), F(1, 6))))
+        report = verify_iem(corrupted_three_exchange())
         assert report.lengths_ok
         assert not report.injective
         assert not report.lebesgue_ok
@@ -175,15 +180,98 @@ class TestVerifyIem:
 
 
 class TestIemType:
+    """An interval exchange is an Itm; merged() is its canonical form."""
+
     def test_canonical_merges(self):
-        e = Iem((F(0), F(1, 2)), (F(1, 4), F(1, 4)))
-        assert e.canonical().same_map(Iem.rotation(F(1, 4)))
+        e = itm((F(0), F(1, 2)), (F(1, 4), F(1, 4)))
+        assert same_map(e.merged(), rotation(F(1, 4)))
 
     def test_evaluate(self):
-        e = Iem((F(0), F(1, 2), F(5, 6)), (F(1, 2), F(2, 3), F(1, 6)))
-        assert e.evaluate(F(0)) == F(1, 2)
-        assert e.evaluate(F(1, 2)) == F(7, 6) % 1
-        assert e.evaluate(F(11, 12)) == F(1, 12)
+        e = three_exchange()
+        assert e.evaluate(CirclePoint(F(0))).value == F(1, 2)
+        assert e.evaluate(CirclePoint(F(1, 2))).value == F(7, 6) % 1
+        assert e.evaluate(CirclePoint(F(11, 12))).value == F(1, 12)
 
     def test_same_map_distinguishes(self):
-        assert not Iem.identity().same_map(Iem.rotation(F(1, 3)))
+        assert not same_map(rotation(0), rotation(F(1, 3)))
+
+
+def reference_verify_iem(m: Itm) -> IemReport:
+    """verify_iem as pairwise intersections and one preimage per cell."""
+    failures: list[str] = []
+
+    lengths_ok = True
+    images: list[ArcSet] = []
+    total = ZERO
+    for j in range(m.n):
+        piece = ArcSet([m.piece(j)])
+        img = piece.translate(m.shifts[j])
+        images.append(img)
+        total += piece.total_length
+        if img.total_length != piece.total_length:
+            lengths_ok = False
+            failures.append(f"piece {j} image length differs")
+    if total != 1:
+        lengths_ok = False
+        failures.append("piece lengths do not sum to 1")
+
+    overlap = ZERO
+    for i in range(len(images)):
+        for j in range(i + 1, len(images)):
+            overlap += images[i].intersect(images[j]).total_length
+    injective = overlap == 0
+    if not injective:
+        failures.append(f"piece images overlap in total length {overlap}")
+
+    cut_set = {ZERO}
+    for img in images:
+        for lo, hi in img.segments():
+            cut_set.add(lo)
+            if hi < ONE:
+                cut_set.add(hi)
+    cuts = sorted(cut_set)
+    lebesgue_ok = True
+    for i, lo in enumerate(cuts):
+        hi = cuts[i + 1] if i + 1 < len(cuts) else ONE
+        cell = ArcSet.from_segments([(lo, hi)])
+        pre = m.preimage(cell)
+        if pre.total_length != cell.total_length:
+            lebesgue_ok = False
+            failures.append(f"Lebesgue mass of [{lo},{hi}) changes under preimage")
+    return IemReport(lengths_ok, lebesgue_ok, injective, overlap, tuple(failures))
+
+
+class TestVerifyIemAgainstReference:
+    """The coverage sweep gives the whole report of the per-cell reference."""
+
+    def test_random_maps(self):
+        rng = random.Random(4)
+        failing = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            t = random_itm(rng, n, rng.randint(n, 96))
+            report = verify_iem(t)
+            assert report == reference_verify_iem(t)
+            failing += not report.all_ok
+        assert failing > 200
+
+    def test_induced_exchanges_of_the_acceptance_sweep(self):
+        # the first maps of the acceptance sweep, drawn as tests/test_acceptance.py does
+        rng = random.Random(20260824)
+        for _ in range(30):
+            n = rng.randint(2, 5)
+            s = random_itm(rng, n, rng.randint(2 * n, 512))
+            induced = induce_iem(s, attractor_measure(s), samples=1).induced
+            report = verify_iem(induced)
+            assert report.all_ok
+            assert report == reference_verify_iem(induced)
+
+    def test_corrupted_three_exchange(self):
+        t = corrupted_three_exchange()
+        report = verify_iem(t)
+        assert report == reference_verify_iem(t)
+        assert report.failures == (
+            "piece images overlap in total length 1/3",
+            "Lebesgue mass of [1/6,1/2) changes under preimage",
+            "Lebesgue mass of [1/2,5/6) changes under preimage",
+        )

@@ -10,14 +10,12 @@ from itmlib.measure import Measure, tv_distance
 from itmlib.piecewise import (
     AffinePiece,
     Domain,
-    GeneralPiece,
     HitDiscontinuity,
     PiecewiseMap,
     Verdict,
     empirical_measure,
     from_itm,
     orbit,
-    orbit_float,
     visit_frequency,
     wandering_discontinuity_check,
 )
@@ -114,22 +112,9 @@ class TestPiecewiseMapType:
         ]
         assert t.evaluate(F(3, 4)) == F(1, 2)
 
-    def test_general_piece_blocks_exact_paths(self):
-        t = PiecewiseMap(
-            domain=Domain.SEGMENT,
-            pieces=(GeneralPiece(F(0), F(1), lambda x: x * x),),
-        )
-        assert not t.is_affine
+    def test_non_affine_piece_is_refused(self):
         with pytest.raises(TypeError):
-            orbit(t, F(1, 2), 3)
-
-    def test_general_piece_float_orbit(self):
-        t = PiecewiseMap(
-            domain=Domain.SEGMENT,
-            pieces=(GeneralPiece(F(0), F(1), lambda x: x * x),),
-        )
-        pts = orbit_float(t, 0.5, 3)
-        assert pts == (0.5, 0.25, 0.0625)
+            PiecewiseMap(domain=Domain.SEGMENT, pieces=((F(0), F(1), F(1), F(0)),))
 
 
 class TestOrbit:

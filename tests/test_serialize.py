@@ -10,7 +10,7 @@ from itmlib.circle import arcset
 from itmlib.conjugacy import induce_iem
 from itmlib.itm import Side
 from itmlib.measure import Measure, attractor_measure
-from itmlib.piecewise import Domain, GeneralPiece, PiecewiseMap, visit_frequency
+from itmlib.piecewise import visit_frequency
 from itmlib.serialize import (
     MAX_DECIMAL_EXPONENT,
     arcset_from_json,
@@ -118,14 +118,6 @@ class TestMapRoundTrips:
         d = piecewise_to_json(t)
         d["discontinuities"] = []
         assert piecewise_from_json(d).discontinuities == ()
-
-    def test_black_box_pieces_have_no_serial_form(self):
-        t = PiecewiseMap(
-            domain=Domain.SEGMENT,
-            pieces=(GeneralPiece(F(0), F(1), lambda x: x),),
-        )
-        with pytest.raises(ValueError):
-            piecewise_to_json(t)
 
 
 class TestRelations:
