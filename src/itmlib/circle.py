@@ -9,6 +9,7 @@ identical representations, so ``==`` decides set equality exactly.
 from __future__ import annotations
 
 import bisect
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -173,10 +174,11 @@ class ArcSet:
         segs: list[Segment] = []
         for a in arcs:
             segs.extend(a.segments())
-        self._canonicalize(segs)
+        self._canonicalize(merge_segments(segs))
 
-    def _canonicalize(self, segs: Iterable[Segment]) -> None:
-        canonical = _segments_to_arcs(merge_segments(segs))
+    def _canonicalize(self, merged: list[Segment]) -> None:
+        # merged: sorted, disjoint, non-adjacent segments on the cut line
+        canonical = _segments_to_arcs(merged)
         object.__setattr__(self, "arcs", canonical)
         object.__setattr__(
             self, "total_length", sum((a.length for a in canonical), ZERO)
@@ -189,7 +191,22 @@ class ArcSet:
     @classmethod
     def from_segments(cls, segs: Iterable[Segment]) -> "ArcSet":
         out = cls.__new__(cls)
-        out._canonicalize(segs)
+        out._canonicalize(merge_segments(segs))
+        return out
+
+    @classmethod
+    def _from_grid(cls, cells: int, q: int) -> "ArcSet":
+        """The union of the cells [i/q, (i+1)/q) for the set bits i of cells.
+
+        Maximal runs of set bits, read in order, are already merged
+        segments, so no sort is needed.
+        """
+        bits = format(cells, "b")[::-1]  # bit i at index i
+        runs = re.finditer("1+", bits)
+        out = cls.__new__(cls)
+        out._canonicalize(
+            [(Fraction(m.start(), q), Fraction(m.end(), q)) for m in runs]
+        )
         return out
 
     @classmethod

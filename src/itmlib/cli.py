@@ -83,6 +83,9 @@ from itmlib.serialize import (
 )
 
 MEASURE_EMBED_LIMIT = 256
+# Most orbit steps or sample points one config may ask for (m, orbitLengths,
+# samples, wandering.horizon): an orbit of 10**5 steps already takes seconds.
+_MAX_STEPS = 10**5
 FAMILIES = {"trig": TrigFamily, "polynomial": PolynomialFamily}
 
 
@@ -110,6 +113,10 @@ def _integer(v) -> int:
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise TypeError(f"must be an integer: {v!r}")
     return int(v)
+
+
+def _within_steps(v: int) -> bool:
+    return 0 < v <= _MAX_STEPS
 
 
 def _real(v) -> float:
@@ -151,9 +158,12 @@ def _orbit_lengths(v) -> list:
 
 def _wandering(v) -> dict:
     _shape(v, radii=list)
+    horizon = _integer(v["horizon"])
+    if not _within_steps(horizon):
+        raise ValueError(f"'horizon' must be between 1 and {_MAX_STEPS}")
     return {
         "radii": [parse_rational(r, "radius") for r in v["radii"]],
-        "horizon": _integer(v["horizon"]),
+        "horizon": horizon,
     }
 
 
@@ -166,6 +176,11 @@ def _family(v) -> dict:
 
 
 POSITIVE = (lambda v: v > 0, "must be positive")
+_STEPS = (_within_steps, f"must be between 1 and {_MAX_STEPS}")
+_ALL_STEPS = (
+    lambda vs: vs and all(map(_within_steps, vs)),
+    f"must list values between 1 and {_MAX_STEPS}",
+)
 NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
 FINITE_NONNEGATIVE = (lambda v: 0 <= v < math.inf, "must be finite and nonnegative")
 ALL_POSITIVE = (lambda vs: vs and all(v > 0 for v in vs), "must list positive values")
@@ -534,16 +549,16 @@ COMMANDS: dict[str, tuple] = {
         _cmd_conjugate,
         ITM_MAP,
         Key("measure", _measure),
-        Key("samples", _integer, 10**4, POSITIVE),
+        Key("samples", _integer, 10**4, _STEPS),
     ),
     "empirical": (
         _cmd_empirical,
         ANY_MAP,
-        Key("m", _integer, 1000, POSITIVE),
+        Key("m", _integer, 1000, _STEPS),
         Key("x0", parse_rational),
         Key("seed", _integer, flag="--seed"),
         Key("epsilons", _list_of(parse_rational), check=ALL_POSITIVE),
-        Key("orbitLengths", _orbit_lengths, check=ALL_POSITIVE),
+        Key("orbitLengths", _orbit_lengths, check=_ALL_STEPS),
         Key("wandering", _wandering),
     ),
     "verify-limit": (

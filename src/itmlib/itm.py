@@ -22,6 +22,8 @@ from itmlib.circle import ONE, ZERO, Arc, ArcSet, CirclePoint, Rational, frac, m
 DEFAULT_MAX_ITER = 4096
 DEFAULT_MAX_ARCS = 2**16
 DEFAULT_ORBIT_BUDGET = 2**16
+# Largest common denominator whose attractor is iterated as q-bit ints.
+_GRID_LIMIT = 2**16
 
 
 class BudgetExceeded(RuntimeError):
@@ -31,6 +33,14 @@ class BudgetExceeded(RuntimeError):
         super().__init__(message)
         self.budget = budget
         self.value = value
+
+
+def _too_many_arcs(k: int, arcs: int, max_arcs: int) -> BudgetExceeded:
+    return BudgetExceeded(
+        f"iterate {k} needs {arcs} arcs (max_arcs={max_arcs})",
+        budget="max_arcs",
+        value=max_arcs,
+    )
 
 
 class FiniteType(Enum):
@@ -263,22 +273,30 @@ class Itm:
 
         Stabilization at m means A_{m+1} = A_m, which makes A_m the
         intersection of all forward images.  Nesting A_{k+1} within A_k is
-        asserted at every step.  Raises BudgetExceeded when an iterate needs
+        checked at every step.  Raises BudgetExceeded when an iterate needs
         more than max_arcs arcs; returns NO_WITHIN_BUDGET after max_iter
         steps without stabilization.
+
+        S maps the grid of cells [i/q, (i+1)/q), q the common denominator,
+        onto itself, so every A_k is a union of cells.  Up to a fixed grid
+        size each A_k is iterated as a q-bit int and turned into an ArcSet
+        only once the iteration ends; larger maps iterate ArcSets with
+        image().  Both give the same exact result.
         """
         if max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        q = self.common_denominator()
+        if q > _GRID_LIMIT:
+            return self._attractor_of_arcs(max_iter, max_arcs)
+        return self._attractor_on_grid(q, max_iter, max_arcs)
+
+    def _attractor_of_arcs(self, max_iter: int, max_arcs: int) -> AttractorResult:
         current = ArcSet.full()
         iterates = [current]
         for k in range(max_iter):
             nxt = self.image(current)
             if len(nxt) > max_arcs:
-                raise BudgetExceeded(
-                    f"iterate {k + 1} needs {len(nxt)} arcs (max_arcs={max_arcs})",
-                    budget="max_arcs",
-                    value=max_arcs,
-                )
+                raise _too_many_arcs(k + 1, len(nxt), max_arcs)
             if not nxt.is_subset_of(current):
                 raise AssertionError("forward images failed to nest")
             if nxt == current:
@@ -288,6 +306,44 @@ class Itm:
         return AttractorResult(
             tuple(iterates), None, current, FiniteType.NO_WITHIN_BUDGET
         )
+
+    def _attractor_on_grid(
+        self, q: int, max_iter: int, max_arcs: int
+    ) -> AttractorResult:
+        # bit i of an iterate is the cell [i/q, (i+1)/q); one step is
+        # S(A) = OR_j rotl(A & P_j, q*c_j) with P_j the cells of piece j
+        full = (1 << q) - 1
+
+        def rotl(cells: int, k: int) -> int:
+            return ((cells << k) | (cells >> (q - k))) & full
+
+        starts, shifts = self._on_grid(q)
+        ends = starts[1:] + [starts[0] + q]
+        pieces = [
+            (rotl((1 << (e - b)) - 1, b), c) for b, e, c in zip(starts, ends, shifts)
+        ]
+        current = full
+        iterates = [current]
+        stabilized_at = None
+        for k in range(max_iter):
+            nxt = 0
+            for mask, c in pieces:
+                nxt |= rotl(current & mask, c)
+            # arcs are circular runs of cells: count the cells starting one
+            arcs = 1 if nxt == full else (nxt & ~rotl(nxt, 1)).bit_count()
+            if arcs > max_arcs:
+                raise _too_many_arcs(k + 1, arcs, max_arcs)
+            if nxt & ~current:
+                raise AssertionError("forward images failed to nest")
+            if nxt == current:
+                stabilized_at = k
+                break
+            iterates.append(nxt)
+            current = nxt
+        sets = tuple(ArcSet._from_grid(cells, q) for cells in iterates)
+        if stabilized_at is None:
+            return AttractorResult(sets, None, sets[-1], FiniteType.NO_WITHIN_BUDGET)
+        return AttractorResult(sets, stabilized_at, sets[-1], FiniteType.YES)
 
     def point_preimages(self, y: CirclePoint) -> list[CirclePoint]:
         """All x with S(x) = y, solved piece by piece."""
@@ -425,6 +481,16 @@ class Itm:
         dens = [p.value.denominator for p in self.breakpoints]
         dens += [c.denominator for c in self.shifts]
         return lcm(*dens)
+
+    def _on_grid(self, Q: int) -> tuple[list[int], list[int]]:
+        """Breakpoints and shifts as integers counted in units of 1/Q.
+
+        Q must be a multiple of common_denominator(), so that every value
+        is a whole number of units.
+        """
+        starts = [v.numerator * (Q // v.denominator) for v in self._values]
+        shifts = [c.numerator * (Q // c.denominator) for c in self.shifts]
+        return starts, shifts
 
     def affine_segments(self) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
         """The map as affine charts (lo, hi, a, b): x -> a*x + b on [lo, hi).

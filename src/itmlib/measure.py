@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from itmlib.circle import ONE, ZERO, Arc, ArcSet, CirclePoint, Rational, frac
@@ -479,6 +480,10 @@ def find_recurrent_points(
     random quantile levels when an rng is supplied.  The orbit walk aborts
     early once it revisits a point without having come eps-close, since
     everything after that repeats.
+
+    A sample x of denominator d never leaves the grid of multiples of 1/Q,
+    Q = lcm(q, d) with q the map's common denominator, so its orbit is
+    walked exactly as integers mod Q.
     """
     eps = frac(eps)
     if eps <= 0:
@@ -491,20 +496,28 @@ def find_recurrent_points(
         else total * Fraction(2 * i + 1, 2 * samples)
         for i in range(samples)
     ]
+    q = s.common_denominator()
     out = []
     for y in levels:
-        x = CirclePoint(cdf.quantile(y) % 1)
-        found = None
-        cur = x
+        x = cdf.quantile(y) % 1
+        Q = lcm(q, x.denominator)
+        starts, shifts = s._on_grid(Q)
+        home = x.numerator * (Q // x.denominator)
+        # d/Q < eps, cleared of denominators
+        below = eps.numerator * Q
+        time = distance = None
+        cur = home
         visited = {cur}
         for m in range(1, horizon + 1):
-            cur = s.evaluate(cur)
-            d = cur.distance_to(x)
-            if d < eps:
-                found = Recurrence(x, m, d)
+            # a point before the first breakpoint gets index -1: the last piece
+            cur = (cur + shifts[bisect.bisect_right(starts, cur) - 1]) % Q
+            d = abs(cur - home)
+            d = min(d, Q - d)
+            if d * eps.denominator < below:
+                time, distance = m, Fraction(d, Q)
                 break
             if cur in visited:
                 break
             visited.add(cur)
-        out.append(found if found is not None else Recurrence(x, None, None))
+        out.append(Recurrence(CirclePoint(x), time, distance))
     return out

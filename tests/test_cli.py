@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from itmlib.catalog import golden_mean
-from itmlib.cli import COMMANDS, main
+from itmlib.cli import _MAX_STEPS, COMMANDS, main
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -415,6 +415,20 @@ MALFORMED = {
     ),
     "boolean-integer": ("homtervals", {"map": HALF_COLLAPSE, "depth": True}, "depth"),
     "null-x0": ("empirical", {**HALVING_ORBIT, "x0": None}, "x0"),
+    "m-over-budget": ("empirical", {**HALVING_ORBIT, "m": _MAX_STEPS + 1}, "'m'"),
+    "orbit-length-over-budget": (
+        "empirical",
+        {**HALVING_ORBIT, "epsilons": ["1/8"], "orbitLengths": [4, _MAX_STEPS + 1]},
+        "orbitLengths",
+    ),
+    "samples-over-budget": (
+        "conjugate", {"map": HALF_COLLAPSE, "samples": _MAX_STEPS + 1}, "samples"
+    ),
+    "wandering-horizon-over-budget": (
+        "empirical",
+        {**HALVING_ORBIT, "wandering": {"radii": ["1/8"], "horizon": _MAX_STEPS + 1}},
+        "horizon",
+    ),
 }
 
 

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion against the library in src/."""
+"""Each demo script runs to completion against the library in src/ and
+leaves its temporary directory empty."""
 
 import os
 import subprocess
@@ -18,7 +19,6 @@ def test_demo_exits_zero(demo, tmp_path):
     env = {
         **os.environ,
         "PYTHONPATH": src if not path else src + os.pathsep + path,
-        # 07_command_line_reports.py never removes its temporary directory
         "TMPDIR": str(tmp_path),
     }
     done = subprocess.run(
@@ -30,3 +30,4 @@ def test_demo_exits_zero(demo, tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 from itmlib.catalog import half_collapse, random_itm, rotation, two_shift_example
 from itmlib.circle import Arc, ArcSet, CirclePoint, arc, arcset
 from itmlib.itm import (
+    _GRID_LIMIT,
+    DEFAULT_MAX_ARCS,
+    DEFAULT_MAX_ITER,
+    AttractorResult,
     BudgetExceeded,
     FiniteType,
     Genericity,
@@ -234,6 +238,143 @@ class TestAttractor:
     def test_attractor_invariant_under_map(self, s):
         res = s.attractor()
         assert s.image(res.attractor) == res.attractor
+
+
+def reference_attractor(
+    s: Itm, max_iter: int = DEFAULT_MAX_ITER, max_arcs: int = DEFAULT_MAX_ARCS
+) -> AttractorResult:
+    """Forward images of the circle iterated as ArcSets through image()."""
+    current = ArcSet.full()
+    iterates = [current]
+    for k in range(max_iter):
+        nxt = s.image(current)
+        if len(nxt) > max_arcs:
+            raise BudgetExceeded(
+                f"iterate {k + 1} needs {len(nxt)} arcs (max_arcs={max_arcs})",
+                budget="max_arcs",
+                value=max_arcs,
+            )
+        if not nxt.is_subset_of(current):
+            raise AssertionError("forward images failed to nest")
+        if nxt == current:
+            return AttractorResult(tuple(iterates), k, current, FiniteType.YES)
+        iterates.append(nxt)
+        current = nxt
+    return AttractorResult(tuple(iterates), None, current, FiniteType.NO_WITHIN_BUDGET)
+
+
+def outcome(run):
+    """The result of run(), or the message and budget of its BudgetExceeded."""
+    try:
+        return run()
+    except BudgetExceeded as e:
+        return ("BudgetExceeded", str(e), e.budget, e.value)
+
+
+def rotated(s: Itm, r: Fraction) -> Itm:
+    """The conjugate x -> S(x - r) + r: breakpoints move by r, shifts stay."""
+    moved = sorted(((p.value + r) % 1, c) for p, c in zip(s.breakpoints, s.shifts))
+    return Itm(tuple(p for p, _ in moved), tuple(c for _, c in moved))
+
+
+@pytest.fixture
+def image_calls(monkeypatch):
+    """Counts calls of Itm.image, the ArcSet step of the attractor."""
+    calls = []
+    image = Itm.image
+
+    def counted(self, a):
+        calls.append(a)
+        return image(self, a)
+
+    monkeypatch.setattr(Itm, "image", counted)
+    return calls
+
+
+class TestAttractorAgainstReference:
+    """The grid iteration gives the whole AttractorResult of the ArcSet loop."""
+
+    def test_acceptance_sweep(self, acceptance_sweep_maps, image_calls):
+        for s in acceptance_sweep_maps:
+            res = s.attractor()
+            assert not image_calls
+            assert res == reference_attractor(s)
+            image_calls.clear()
+
+    def test_random_maps(self):
+        rng = random.Random(11)
+        raised = limited = 0
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            s = random_itm(rng, n, rng.randint(n, 96))
+            max_iter = rng.choice([1, 2, 5, DEFAULT_MAX_ITER])
+            max_arcs = rng.choice([0, 1, 2, 4, DEFAULT_MAX_ARCS])
+            res = outcome(lambda: s.attractor(max_iter, max_arcs))
+            assert res == outcome(lambda: reference_attractor(s, max_iter, max_arcs))
+            raised += isinstance(res, tuple)
+            limited += not isinstance(res, tuple) and res.stabilized_at is None
+        assert raised > 20 and limited > 20
+
+    def test_max_iter_limited(self):
+        s = two_shift_example()
+        assert s.attractor().stabilized_at > 2
+        res = s.attractor(max_iter=2)
+        assert res.finite_type is FiniteType.NO_WITHIN_BUDGET
+        assert len(res.iterates) == 3
+        assert res == reference_attractor(s, max_iter=2)
+
+    def test_max_arcs_budget(self):
+        s = two_shift_example()
+        with pytest.raises(BudgetExceeded) as grid:
+            s.attractor(max_arcs=2)
+        with pytest.raises(BudgetExceeded) as arcs:
+            reference_attractor(s, max_arcs=2)
+        assert str(grid.value) == str(arcs.value)
+        assert (grid.value.budget, grid.value.value) == ("max_arcs", 2)
+        assert (arcs.value.budget, arcs.value.value) == ("max_arcs", 2)
+
+    def test_integer_map(self):
+        s = rotation(0)
+        assert s.common_denominator() == 1
+        assert s.attractor() == reference_attractor(s)
+
+    def test_full_circle_counts_as_one_arc(self):
+        s = rotation("1/3")
+        with pytest.raises(BudgetExceeded, match="iterate 1 needs 1 arcs"):
+            s.attractor(max_arcs=0)
+        assert s.attractor(max_arcs=1) == reference_attractor(s, max_arcs=1)
+
+
+class TestAttractorMetamorphic:
+    def test_grid_rotation_rotates_the_attractor(self, acceptance_sweep_maps):
+        rng = random.Random(12)
+        for s in acceptance_sweep_maps[:40]:
+            q = s.common_denominator()
+            r = F(rng.randrange(1, q), q)
+            res, moved = s.attractor(), rotated(s, r).attractor()
+            assert moved.iterates == tuple(a.translate(r) for a in res.iterates)
+            assert moved.attractor == res.attractor.translate(r)
+            assert moved.stabilized_at == res.stabilized_at
+            assert moved.finite_type is res.finite_type
+
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_refining_the_grid_changes_nothing(self, acceptance_sweep_maps, k):
+        for s in acceptance_sweep_maps[:40]:
+            q = s.common_denominator()
+            refined = s.with_breakpoint(F(1, k * q))
+            assert refined.common_denominator() == k * q
+            assert refined.attractor() == s.attractor()
+
+    def test_grid_above_the_limit_falls_back_to_arcsets(
+        self, acceptance_sweep_maps, image_calls
+    ):
+        for s in acceptance_sweep_maps[:20]:
+            fine = s.with_breakpoint(F(1, _GRID_LIMIT + 1))
+            assert fine.common_denominator() > _GRID_LIMIT
+            res = fine.attractor()
+            assert image_calls
+            assert res == s.attractor()
+            image_calls.clear()
 
 
 class TestOmega:

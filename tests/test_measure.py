@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from itmlib.catalog import half_collapse, random_itm, rotation, two_shift_example
-from itmlib.circle import Arc, ArcSet, CirclePoint, arc, arcset
+from itmlib.circle import Arc, ArcSet, CirclePoint, arc, arcset, frac
 from itmlib.families import (
     PolynomialFamily,
     TrigFamily,
@@ -17,6 +17,7 @@ from itmlib.families import (
 from itmlib.itm import FiniteType
 from itmlib.measure import (
     AtomicMeasure,
+    Recurrence,
     Cdf,
     CycleNotFound,
     Measure,
@@ -412,6 +413,75 @@ class TestRecurrence:
         )
         assert len(res) == 6
         assert all(r.found for r in res)
+
+
+def reference_find_recurrent_points(s, mu, eps, horizon, samples, rng=None):
+    """The orbit walk on CirclePoints with evaluate() and distance_to()."""
+    eps = frac(eps)
+    cdf = mu.cdf()
+    total = mu.total_mass
+    levels = [
+        (total * frac(rng.random()).limit_denominator(2**40))
+        if rng is not None
+        else total * Fraction(2 * i + 1, 2 * samples)
+        for i in range(samples)
+    ]
+    out = []
+    for y in levels:
+        x = CirclePoint(cdf.quantile(y) % 1)
+        found = None
+        cur = x
+        visited = {cur}
+        for m in range(1, horizon + 1):
+            cur = s.evaluate(cur)
+            d = cur.distance_to(x)
+            if d < eps:
+                found = Recurrence(x, m, d)
+                break
+            if cur in visited:
+                break
+            visited.add(cur)
+        out.append(found if found is not None else Recurrence(x, None, None))
+    return out
+
+
+class TestRecurrenceAgainstReference:
+    """The walk mod Q gives the Recurrence list of the CirclePoint walk."""
+
+    @pytest.mark.parametrize("seeded", [False, True], ids=["grid", "rng"])
+    @pytest.mark.parametrize(
+        "off_grid_eps", [False, True], ids=["eps-1/q", "eps-1/(3q+1)"]
+    )
+    def test_acceptance_sweep(self, acceptance_sweep_maps, seeded, off_grid_eps):
+        for i, s in enumerate(acceptance_sweep_maps[:30]):
+            q = s.common_denominator()
+            eps = F(1, 3 * q + 1) if off_grid_eps else F(1, q)
+            mu = attractor_measure(s)
+            args = (s, mu, eps, q * q, 8)
+            # each walk gets its own rng in the same state
+            fresh_rng = (lambda: random.Random(i)) if seeded else (lambda: None)
+            fast = find_recurrent_points(*args, rng=fresh_rng())
+            assert fast == reference_find_recurrent_points(*args, rng=fresh_rng())
+
+    def test_visited_early_exit(self, acceptance_sweep_maps):
+        # Lebesgue quantiles (2i+1)/16 keep Q = lcm(q, den x) <= 16q below the
+        # horizon, so a sample that never comes eps-close stops on a revisit
+        misses = 0
+        for s in acceptance_sweep_maps[:30]:
+            q = s.common_denominator()
+            args = (s, Measure.lebesgue(), F(1, 10**6), 16 * q + 1, 8)
+            fast = find_recurrent_points(*args)
+            assert fast == reference_find_recurrent_points(*args)
+            misses += sum(not r.found for r in fast)
+        assert misses > 20
+
+    def test_return_across_zero(self):
+        # 1/200 steps back to 199/200, at circle distance 1/100
+        args = (rotation(F(-1, 100)), Measure.lebesgue(), F(1, 50), 200, 100)
+        fast = find_recurrent_points(*args)
+        assert fast == reference_find_recurrent_points(*args)
+        assert fast[0].point == CirclePoint(F(1, 200))
+        assert (fast[0].time, fast[0].distance) == (1, F(1, 100))
 
 
 class TestFunctionalResidual:
