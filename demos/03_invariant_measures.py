@@ -9,6 +9,7 @@ its CDF, and shows which arcs keep their mass under the map.
 """
 
 import random
+import tempfile
 from pathlib import Path
 
 from itmlib import (
@@ -61,7 +62,8 @@ print("F(1/4) =", f.at("1/4"), " F(3/4) =", f.at("3/4"),
       " quantile(1/2) =", f.quantile("1/2"))
 
 # Plots are generated as standalone SVG text.
-here = Path(__file__).parent
-(here / "03_density.svg").write_text(density_svg(nu), encoding="utf-8")
-(here / "03_cdf.svg").write_text(cdf_svg(mu), encoding="utf-8")
-print("\nwrote 03_density.svg and 03_cdf.svg next to this script")
+with tempfile.TemporaryDirectory(prefix="itmlib-demo-") as tmp:
+    work = Path(tmp)
+    (work / "03_density.svg").write_text(density_svg(nu), encoding="utf-8")
+    (work / "03_cdf.svg").write_text(cdf_svg(mu), encoding="utf-8")
+    print("\nwrote", ", ".join(sorted(p.name for p in work.iterdir())))

@@ -9,7 +9,6 @@ identical representations, so ``==`` decides set equality exactly.
 from __future__ import annotations
 
 import bisect
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -138,6 +137,21 @@ def merge_segments(raw: Iterable[Segment]) -> list[Segment]:
     return merged
 
 
+def segments_within(inner: list[Segment], outer: list[Segment]) -> bool:
+    """Whether every segment of inner lies in one segment of outer.
+
+    Both lists must be merged, as merge_segments leaves them; one walk
+    over the two decides it.
+    """
+    j = 0
+    for lo, hi in inner:
+        while j < len(outer) and outer[j][1] < hi:
+            j += 1
+        if j >= len(outer) or not (outer[j][0] <= lo and hi <= outer[j][1]):
+            return False
+    return True
+
+
 def _segments_to_arcs(segs: list[Segment]) -> tuple[Arc, ...]:
     """Canonical arc tuple from disjoint, merged cut-line segments.
 
@@ -195,18 +209,14 @@ class ArcSet:
         return out
 
     @classmethod
-    def _from_grid(cls, cells: int, q: int) -> "ArcSet":
-        """The union of the cells [i/q, (i+1)/q) for the set bits i of cells.
+    def _from_runs(cls, runs: list[tuple[int, int]], q: int) -> "ArcSet":
+        """The union of the segments [a/q, b/q) for the int runs (a, b).
 
-        Maximal runs of set bits, read in order, are already merged
-        segments, so no sort is needed.
+        The runs must already be merged, as merge_segments leaves them, so
+        no sort is needed.
         """
-        bits = format(cells, "b")[::-1]  # bit i at index i
-        runs = re.finditer("1+", bits)
         out = cls.__new__(cls)
-        out._canonicalize(
-            [(Fraction(m.start(), q), Fraction(m.end(), q)) for m in runs]
-        )
+        out._canonicalize([(Fraction(a, q), Fraction(b, q)) for a, b in runs])
         return out
 
     @classmethod
@@ -271,14 +281,7 @@ class ArcSet:
         return self.arcs[-1].wraps and self.arcs[-1].contains(p)
 
     def is_subset_of(self, other: "ArcSet") -> bool:
-        b = other.segments()
-        j = 0
-        for lo, hi in self.segments():
-            while j < len(b) and b[j][1] < hi:
-                j += 1
-            if j >= len(b) or not (b[j][0] <= lo and hi <= b[j][1]):
-                return False
-        return True
+        return segments_within(self.segments(), other.segments())
 
     # -- dunder sugar -----------------------------------------------------
 

@@ -18,12 +18,11 @@ from math import lcm
 from typing import Optional, Sequence, Union
 
 from itmlib.circle import ONE, ZERO, Arc, ArcSet, CirclePoint, Rational, frac, mod1
+from itmlib.circle import merge_segments, segments_within
 
 DEFAULT_MAX_ITER = 4096
 DEFAULT_MAX_ARCS = 2**16
 DEFAULT_ORBIT_BUDGET = 2**16
-# Largest common denominator whose attractor is iterated as q-bit ints.
-_GRID_LIMIT = 2**16
 
 
 class BudgetExceeded(RuntimeError):
@@ -278,69 +277,54 @@ class Itm:
         steps without stabilization.
 
         S maps the grid of cells [i/q, (i+1)/q), q the common denominator,
-        onto itself, so every A_k is a union of cells.  Up to a fixed grid
-        size each A_k is iterated as a q-bit int and turned into an ArcSet
-        only once the iteration ends; larger maps iterate ArcSets with
-        image().  Both give the same exact result.
+        onto itself, so every A_k is a union of cells.  Each A_k is iterated
+        as its merged runs [a, b) of cells on the cut-open line [0, q): one
+        step cuts the runs at the piece starts, shifts each part by its
+        piece's whole number of cells, wraps at q and merges.  The iterates
+        become ArcSets once the iteration ends.
         """
         if max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         q = self.common_denominator()
-        if q > _GRID_LIMIT:
-            return self._attractor_of_arcs(max_iter, max_arcs)
-        return self._attractor_on_grid(q, max_iter, max_arcs)
-
-    def _attractor_of_arcs(self, max_iter: int, max_arcs: int) -> AttractorResult:
-        current = ArcSet.full()
-        iterates = [current]
-        for k in range(max_iter):
-            nxt = self.image(current)
-            if len(nxt) > max_arcs:
-                raise _too_many_arcs(k + 1, len(nxt), max_arcs)
-            if not nxt.is_subset_of(current):
-                raise AssertionError("forward images failed to nest")
-            if nxt == current:
-                return AttractorResult(tuple(iterates), k, current, FiniteType.YES)
-            iterates.append(nxt)
-            current = nxt
-        return AttractorResult(
-            tuple(iterates), None, current, FiniteType.NO_WITHIN_BUDGET
-        )
-
-    def _attractor_on_grid(
-        self, q: int, max_iter: int, max_arcs: int
-    ) -> AttractorResult:
-        # bit i of an iterate is the cell [i/q, (i+1)/q); one step is
-        # S(A) = OR_j rotl(A & P_j, q*c_j) with P_j the cells of piece j
-        full = (1 << q) - 1
-
-        def rotl(cells: int, k: int) -> int:
-            return ((cells << k) | (cells >> (q - k))) & full
-
         starts, shifts = self._on_grid(q)
-        ends = starts[1:] + [starts[0] + q]
-        pieces = [
-            (rotl((1 << (e - b)) - 1, b), c) for b, e, c in zip(starts, ends, shifts)
-        ]
-        current = full
+        # the pieces as cut-line segments with their shifts; the last piece
+        # runs on from its start through q to the first start
+        cuts = list(zip(starts, starts[1:] + [q], shifts))
+        if starts[0] > 0:
+            cuts.insert(0, (0, starts[0], shifts[-1]))
+        current = [(0, q)]
         iterates = [current]
         stabilized_at = None
         for k in range(max_iter):
-            nxt = 0
-            for mask, c in pieces:
-                nxt |= rotl(current & mask, c)
-            # arcs are circular runs of cells: count the cells starting one
-            arcs = 1 if nxt == full else (nxt & ~rotl(nxt, 1)).bit_count()
+            moved = []
+            j = 0
+            for lo, hi in current:
+                while cuts[j][1] <= lo:
+                    j += 1
+                i = j
+                while i < len(cuts) and cuts[i][0] < hi:
+                    b, e, c = cuts[i]
+                    a, z = max(lo, b) + c, min(hi, e) + c
+                    if a >= q:
+                        moved.append((a - q, z - q))
+                    elif z > q:
+                        moved += [(a, q), (0, z - q)]
+                    else:
+                        moved.append((a, z))
+                    i += 1
+            nxt = merge_segments(moved)
+            # a run from 0 and a run to q are one arc through 0
+            arcs = len(nxt) - (len(nxt) > 1 and nxt[0][0] == 0 and nxt[-1][1] == q)
             if arcs > max_arcs:
                 raise _too_many_arcs(k + 1, arcs, max_arcs)
-            if nxt & ~current:
+            if not segments_within(nxt, current):
                 raise AssertionError("forward images failed to nest")
             if nxt == current:
                 stabilized_at = k
                 break
             iterates.append(nxt)
             current = nxt
-        sets = tuple(ArcSet._from_grid(cells, q) for cells in iterates)
+        sets = tuple(ArcSet._from_runs(runs, q) for runs in iterates)
         if stabilized_at is None:
             return AttractorResult(sets, None, sets[-1], FiniteType.NO_WITHIN_BUDGET)
         return AttractorResult(sets, stabilized_at, sets[-1], FiniteType.YES)

@@ -111,6 +111,11 @@ def measure_from_json(d: Mapping) -> Measure:
     for e in d.get("density", ()):
         lo = parse_rational(e["arc"]["start"], "density start")
         length = parse_rational(e["arc"]["length"], "density length")
+        # a Measure lives on [0, 1] and its density pieces never wrap
+        if not 0 <= lo < 1:
+            raise ValueError(f"density start outside [0, 1): {e['arc']['start']!r}")
+        if lo + length > 1:
+            raise ValueError(f"density length runs past 1: {e['arc']['length']!r}")
         density.append((lo, lo + length, parse_rational(e["weight"], "weight")))
     atoms = [
         (parse_rational(e["point"], "atom point"), parse_rational(e["mass"], "atom mass"))

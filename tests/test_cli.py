@@ -1,6 +1,7 @@
 """End-to-end command runs: exit codes, report contents, artifacts."""
 
 import contextlib
+import copy
 import io
 import json
 import re
@@ -339,7 +340,11 @@ class TestVerifyLimit:
         assert "family" in err
 
 
-LEBESGUE = {"density": [{"arc": {"start": "0", "length": "1"}, "weight": "1"}]}
+def density_of(start, length, weight) -> dict:
+    return {"density": [{"arc": {"start": start, "length": length}, "weight": weight}]}
+
+
+LEBESGUE = density_of("0", "1", "1")
 QUARTER_ROTATION_LIMIT = {
     "map": {"breakpoints": ["0"], "shifts": ["1/4"]},
     "measure": LEBESGUE,
@@ -365,6 +370,29 @@ MALFORMED = {
     ),
     "tol-residual-boolean": (
         "verify-limit", {**QUARTER_ROTATION_LIMIT, "tolResidual": True}, "tolResidual"
+    ),
+    "density-start-overflow": (
+        "verify-limit",
+        {**QUARTER_ROTATION_LIMIT, "measure": density_of("1e999", "1", "1")},
+        "density start",
+    ),
+    "density-length-overflow": (
+        "verify-limit",
+        {**QUARTER_ROTATION_LIMIT, "measure": density_of("0", "1e999", "1")},
+        "density length",
+    ),
+    "density-weight-overflow": (
+        "verify-limit",
+        {**QUARTER_ROTATION_LIMIT, "measure": density_of("0", "1", "1e999")},
+        "measure",
+    ),
+    "density-weight-beyond-floats": (
+        "verify-limit",
+        {
+            **QUARTER_ROTATION_LIMIT,
+            "measure": density_of("0", "1/1" + "0" * 400, "1" + "0" * 400),
+        },
+        "float range",
     ),
     "increasing-deltas": (
         "verify-limit", {**QUARTER_ROTATION_LIMIT, "deltas": ["1/8", "1/4"]}, "deltas"
@@ -573,23 +601,43 @@ def test_report_config_round_trips(command, tmp_path, capsys):
     assert without_timestamp(report_again) == without_timestamp(report)
 
 
-MUTATIONS = [None, "", "x", "1/0", [], {}, -1, 0, True, 1.5]
+MUTATIONS = [None, "", "x", "1/0", "1e999", [], {}, -1, 0, True, 1.5]
+NESTED = ("map", "measure", "wandering", "family", "target")
+
+
+def leaf_paths(value, path=()) -> list:
+    """The key paths to every leaf inside nested dicts and lists."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return [path]
+    return [p for k, v in items for p in leaf_paths(v, path + (k,))]
 
 
 @settings(max_examples=200)
 @given(data=st.data())
 def test_mutated_configs_keep_the_exit_code_contract(data):
     command = data.draw(st.sampled_from(sorted(VALID)))
-    config = dict(VALID[command])
+    config = copy.deepcopy(VALID[command])
     table = {k.name for k in COMMANDS[command][1:] if not k.flag_only}
     keys = sorted(set(config) | table)
-    action = data.draw(st.sampled_from(["drop", "add", "set"]))
+    nested = [p for k in NESTED if k in config for p in leaf_paths(config[k], (k,))]
+    actions = ["drop", "add", "set"] + (["nest"] if nested else [])
+    action = data.draw(st.sampled_from(actions))
     if action == "drop":
         config.pop(data.draw(st.sampled_from(sorted(config))))
     elif action == "add":
         config["notAKey"] = data.draw(st.sampled_from(MUTATIONS))
-    else:
+    elif action == "set":
         config[data.draw(st.sampled_from(keys))] = data.draw(st.sampled_from(MUTATIONS))
+    else:
+        *parents, leaf = data.draw(st.sampled_from(nested))
+        inner = config
+        for k in parents:
+            inner = inner[k]
+        inner[leaf] = data.draw(st.sampled_from(MUTATIONS))
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")

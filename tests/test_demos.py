@@ -1,5 +1,5 @@
-"""Each demo script runs to completion against the library in src/ and
-leaves its temporary directory empty."""
+"""Each demo script runs to completion against the library in src/, leaves
+its temporary directory empty and writes nothing into demos/."""
 
 import os
 import subprocess
@@ -12,8 +12,14 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def snapshot(directory: Path) -> dict:
+    """Each file's name with its modification time, so rewrites show too."""
+    return {p.name: p.stat().st_mtime_ns for p in directory.iterdir()}
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_zero(demo, tmp_path):
+    before = snapshot(demo.parent)
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = {
@@ -31,3 +37,4 @@ def test_demo_exits_zero(demo, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert list(tmp_path.iterdir()) == []
+    assert snapshot(demo.parent) == before
