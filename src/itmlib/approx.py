@@ -13,6 +13,7 @@ small functional residual).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -514,7 +515,15 @@ def verify_limit_measure(
     discontinuity keeps the mass bounded away from zero and fails (a).
     Masses are summed over the points, an upper bound for the union
     when neighbourhoods overlap.
+
+    The candidate must be a probability measure, since tol_mass is an
+    absolute bound, and its density weights must lie within the float
+    range, since trig families integrate in floats; ValueError otherwise.
     """
+    if not mu_star.is_probability:
+        raise ValueError("the candidate limit measure must be a probability measure")
+    if any(w > sys.float_info.max for _, _, w in mu_star.density):
+        raise ValueError("candidate measure has a density weight above the float range")
     if points is None:
         points = s_target.discontinuity_points()
     domain = getattr(s_target, "domain", "circle")

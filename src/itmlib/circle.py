@@ -2,8 +2,14 @@
 
 Positions are arbitrary-precision rationals reduced into [0, 1).  Arcs are
 half-open [start, start + length) and may wrap through 0.  An ArcSet is a
-canonical finite union of arcs: two sets that are equal as point sets have
-identical representations, so ``==`` decides set equality exactly.
+finite union of arcs stored as its merged segments on the line [0, 1] cut
+open at 0.  That form is canonical: two sets that are equal as point sets
+have identical segments, so ``==`` decides set equality exactly.
+
+Maps move segments through charts (lo, hi, b): the part of a segment inside
+[lo, hi) moves by b.  _affine_charts builds the charts of affine pieces read
+mod 1 and _walk carries segments through them; with Arc.segments, they are
+the only code that knows how a set meets the cut at 0.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor
 from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
@@ -152,52 +159,82 @@ def segments_within(inner: list[Segment], outer: list[Segment]) -> bool:
     return True
 
 
-def _segments_to_arcs(segs: list[Segment]) -> tuple[Arc, ...]:
-    """Canonical arc tuple from disjoint, merged cut-line segments.
+def _affine_charts(pieces: Iterable[tuple]) -> list[tuple]:
+    """Charts (lo, hi, a, b) of affine pieces x -> a*x + b on [lo, hi), read mod 1.
 
-    Segments touching both 0 and 1 are rejoined into a single wrapping arc;
-    a lone (0, 1) segment becomes the full circle.
+    Each piece is cut where a*x + b crosses an integer and each part is
+    shifted back by its integer, so every chart maps into [0, 1].  The
+    charts come back sorted by lo.
     """
-    if not segs:
-        return ()
-    if len(segs) == 1 and segs[0] == (ZERO, ONE):
-        return (Arc(CirclePoint(ZERO), ONE),)
-    if len(segs) >= 2 and segs[0][0] == ZERO and segs[-1][1] == ONE:
-        first, last = segs[0], segs[-1]
-        wrap = Arc(CirclePoint(last[0]), (ONE - last[0]) + first[1])
-        inner = [Arc(CirclePoint(lo), hi - lo) for lo, hi in segs[1:-1]]
-        return tuple(inner + [wrap])
-    return tuple(Arc(CirclePoint(lo), hi - lo) for lo, hi in segs)
+    out = []
+    for lo, hi, a, b in pieces:
+        first, last = sorted((a * lo + b, a * hi + b))
+        crossings = [(k - b) / a for k in range(floor(first) + 1, ceil(last))]
+        xs = sorted([lo, hi] + crossings)
+        for left, right in zip(xs, xs[1:]):
+            window = floor(a * (left + right) / 2 + b)
+            out.append((left, right, a, b - window))
+    out.sort()
+    return out
+
+
+def _walk(segs: Iterable[tuple], charts: list[tuple]) -> list[tuple]:
+    """The parts of segments (lo, hi, *rest) moved through charts (lo, hi, b).
+
+    Both lists must be sorted by lo; charts may overlap or leave gaps.  The
+    part of a segment inside a chart moves by the chart's b and keeps the
+    segment's rest (a weight, say).  Fractions and ints work alike.
+    """
+    out = []
+    j = 0
+    for lo, hi, *rest in segs:
+        while j < len(charts) and charts[j][1] <= lo:
+            j += 1
+        i = j
+        while i < len(charts) and charts[i][0] < hi:
+            c_lo, c_hi, b = charts[i]
+            left, right = max(lo, c_lo), min(hi, c_hi)
+            if left < right:
+                out.append((left + b, right + b, *rest))
+            i += 1
+    return out
+
+
+def _joins_at_zero(segs, top) -> bool:
+    """Whether merged segments of [0, top] hold a run from 0 and a run to top,
+    which are one arc through 0."""
+    return len(segs) > 1 and segs[0][0] == 0 and segs[-1][1] == top
+
+
+def _segments_to_arcs(segs: tuple[Segment, ...]) -> tuple[Arc, ...]:
+    """Canonical arc tuple from disjoint, merged cut-line segments."""
+    arcs = [Arc(CirclePoint(lo), hi - lo) for lo, hi in segs]
+    if _joins_at_zero(segs, ONE):
+        first = arcs.pop(0)
+        arcs[-1] = Arc(arcs[-1].start, arcs[-1].length + first.length)
+    return tuple(arcs)
 
 
 class ArcSet:
     """Canonical finite union of half-open arcs on the circle.
 
-    The constructor accepts arcs in any state (overlapping, adjacent,
-    wrapping, unsorted) and normalizes them.  Canonical form: arcs pairwise
-    disjoint, non-adjacent, sorted by start, at most one arc wrapping
-    through 0 (stored last), full circle as the single arc [0, 1).
+    The set is stored as its segments on the line [0, 1] cut open at 0:
+    sorted, disjoint and non-adjacent, so an arc wrapping through 0 is a
+    segment from 0 and one to 1.  The constructor accepts arcs in any state
+    (overlapping, adjacent, wrapping, unsorted).  ``arcs`` is a view built
+    on first read, in canonical form: arcs sorted by start, at most one arc
+    wrapping through 0 (stored last), full circle as the single arc [0, 1).
     """
 
-    __slots__ = ("arcs", "total_length", "_starts")
-
-    arcs: tuple[Arc, ...]
-    total_length: Fraction
+    __slots__ = ("_segments", "_arcs")
 
     def __init__(self, arcs: Iterable[Arc] = ()):
-        segs: list[Segment] = []
-        for a in arcs:
-            segs.extend(a.segments())
-        self._canonicalize(merge_segments(segs))
+        self._canonicalize(merge_segments(seg for a in arcs for seg in a.segments()))
 
     def _canonicalize(self, merged: list[Segment]) -> None:
         # merged: sorted, disjoint, non-adjacent segments on the cut line
-        canonical = _segments_to_arcs(merged)
-        object.__setattr__(self, "arcs", canonical)
-        object.__setattr__(
-            self, "total_length", sum((a.length for a in canonical), ZERO)
-        )
-        object.__setattr__(self, "_starts", tuple(a.start.value for a in canonical))
+        object.__setattr__(self, "_segments", tuple(merged))
+        object.__setattr__(self, "_arcs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ArcSet is immutable")
@@ -209,17 +246,6 @@ class ArcSet:
         return out
 
     @classmethod
-    def _from_runs(cls, runs: list[tuple[int, int]], q: int) -> "ArcSet":
-        """The union of the segments [a/q, b/q) for the int runs (a, b).
-
-        The runs must already be merged, as merge_segments leaves them, so
-        no sort is needed.
-        """
-        out = cls.__new__(cls)
-        out._canonicalize([(Fraction(a, q), Fraction(b, q)) for a, b in runs])
-        return out
-
-    @classmethod
     def full(cls) -> "ArcSet":
         return cls([Arc(CirclePoint(ZERO), ONE)])
 
@@ -227,18 +253,24 @@ class ArcSet:
     def empty(cls) -> "ArcSet":
         return cls(())
 
-    def segments(self) -> list[Segment]:
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        if self._arcs is None:
+            object.__setattr__(self, "_arcs", _segments_to_arcs(self._segments))
+        return self._arcs
+
+    @property
+    def total_length(self) -> Fraction:
+        return sum((hi - lo for lo, hi in self._segments), ZERO)
+
+    def segments(self) -> tuple[Segment, ...]:
         """Disjoint intervals on the cut-open line [0, 1], sorted."""
-        segs: list[Segment] = []
-        for a in self.arcs:
-            segs.extend(a.segments())
-        segs.sort()
-        return segs
+        return self._segments
 
     # -- set algebra ------------------------------------------------------
 
     def intersect(self, other: "ArcSet") -> "ArcSet":
-        a, b = self.segments(), other.segments()
+        a, b = self._segments, other._segments
         out: list[Segment] = []
         i = j = 0
         while i < len(a) and j < len(b):
@@ -253,12 +285,12 @@ class ArcSet:
         return ArcSet.from_segments(out)
 
     def union(self, other: "ArcSet") -> "ArcSet":
-        return ArcSet(self.arcs + other.arcs)
+        return ArcSet.from_segments(self._segments + other._segments)
 
     def complement(self) -> "ArcSet":
         out: list[Segment] = []
         cursor = ZERO
-        for lo, hi in self.segments():
+        for lo, hi in self._segments:
             if lo > cursor:
                 out.append((cursor, lo))
             cursor = hi
@@ -270,18 +302,17 @@ class ArcSet:
         return self.intersect(other.complement())
 
     def translate(self, c: Rational) -> "ArcSet":
-        return ArcSet([a.translate(c) for a in self.arcs])
+        charts = _affine_charts([(ZERO, ONE, ONE, frac(c))])
+        moved = _walk(self._segments, [(lo, hi, b) for lo, hi, _, b in charts])
+        return ArcSet.from_segments(moved)
 
     def contains(self, p: CirclePoint) -> bool:
-        if not self.arcs:
-            return False
-        i = bisect.bisect_right(self._starts, p.value) - 1
-        if i >= 0 and self.arcs[i].contains(p):
-            return True
-        return self.arcs[-1].wraps and self.arcs[-1].contains(p)
+        # the last segment starting at or before p; 2 sorts after every end
+        i = bisect.bisect_right(self._segments, (p.value, 2)) - 1
+        return i >= 0 and p.value < self._segments[i][1]
 
     def is_subset_of(self, other: "ArcSet") -> bool:
-        return segments_within(self.segments(), other.segments())
+        return segments_within(self._segments, other._segments)
 
     # -- dunder sugar -----------------------------------------------------
 
@@ -301,16 +332,16 @@ class ArcSet:
         return self.contains(p)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ArcSet) and self.arcs == other.arcs
+        return isinstance(other, ArcSet) and self._segments == other._segments
 
     def __hash__(self) -> int:
-        return hash(self.arcs)
+        return hash(self._segments)
 
     def __bool__(self) -> bool:
-        return bool(self.arcs)
+        return bool(self._segments)
 
     def __len__(self) -> int:
-        return len(self.arcs)
+        return len(self._segments) - _joins_at_zero(self._segments, ONE)
 
     def __iter__(self):
         return iter(self.arcs)

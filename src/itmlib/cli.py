@@ -152,17 +152,6 @@ def _measure(d):
     return measure_from_json(d)
 
 
-def _limit_measure(d) -> Measure:
-    # the mass tolerances are absolute and the trig family integrates in
-    # floats, so a candidate limit is a probability measure with float weights
-    mu = _measure(d)
-    if not mu.is_probability:
-        raise ValueError("must be a probability measure")
-    if any(w > sys.float_info.max for _, _, w in mu.density):
-        raise ValueError("density weight above the float range")
-    return mu
-
-
 def _orbit_lengths(v) -> list:
     return _list_of(_integer)(v) if isinstance(v, list) else [_integer(v)]
 
@@ -575,7 +564,7 @@ COMMANDS: dict[str, tuple] = {
     "verify-limit": (
         _cmd_verify_limit,
         ANY_MAP,
-        Key("measure", _limit_measure, REQUIRED),
+        Key("measure", _measure, REQUIRED),
         Key("tolMass", parse_rational, Fraction(1, 100), NONNEGATIVE, "--tol"),
         Key("tolResidual", _real, 1e-6, FINITE_NONNEGATIVE),
         Key("family", _family, {"kind": "trig", "degree": 8}),

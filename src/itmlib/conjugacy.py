@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from itmlib.circle import ONE, ZERO, CirclePoint, Rational, frac
+from itmlib.circle import ONE, ZERO, ArcSet, CirclePoint, Rational, frac
 from itmlib.itm import Itm
 from itmlib.measure import (
     AtomicMeasure,
@@ -73,8 +73,8 @@ def verify_iem(t: Itm) -> IemReport:
     """
     failures: list[str] = []
     coverage_change: dict[Fraction, int] = {ZERO: 0}
-    for j, piece in enumerate(t._piece_sets):
-        for lo, hi in piece.translate(t.shifts[j]).segments():
+    for j in range(t.n):
+        for lo, hi in t.piece(j).translate(t.shifts[j]).segments():
             coverage_change[lo] = coverage_change.get(lo, 0) + 1
             coverage_change[hi] = coverage_change.get(hi, 0) - 1
     coverage_change.pop(ONE, None)
@@ -161,7 +161,7 @@ def induce_iem(
     starts: list[Fraction] = []
     shifts: list[Fraction] = []
     for j in range(cut.n):
-        carried = supp & cut._piece_sets[j]
+        carried = supp & ArcSet([cut.piece(j)])
         for lo, hi in carried.segments():
             mid = (lo + hi) / 2
             image = h.at(cut.evaluate(CirclePoint(mid)).value)

@@ -14,11 +14,13 @@ import bisect
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Optional, Sequence, Union
 
 from itmlib.circle import ONE, ZERO, Arc, ArcSet, CirclePoint, Rational, frac, mod1
-from itmlib.circle import merge_segments, segments_within
+from itmlib.circle import _affine_charts, _joins_at_zero, _walk, merge_segments
+from itmlib.circle import segments_within
 
 DEFAULT_MAX_ITER = 4096
 DEFAULT_MAX_ARCS = 2**16
@@ -152,7 +154,6 @@ class Itm:
     breakpoints: tuple[CirclePoint, ...]
     shifts: tuple[Fraction, ...]
     _values: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
-    _piece_sets: tuple[ArcSet, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bps = tuple(
@@ -170,9 +171,16 @@ class Itm:
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "shifts", shs)
         object.__setattr__(self, "_values", tuple(p.value for p in bps))
-        object.__setattr__(
-            self, "_piece_sets", tuple(ArcSet([self.piece(j)]) for j in range(len(bps)))
-        )
+
+    @cached_property
+    def _charts(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+        """The map as charts (lo, hi, b): x -> x + b on [lo, hi), into [0, 1]."""
+        pieces = [
+            (lo, hi, ONE, c)
+            for j, c in enumerate(self.shifts)
+            for lo, hi in self.piece(j).segments()
+        ]
+        return tuple((lo, hi, b) for lo, hi, _, b in _affine_charts(pieces))
 
     @property
     def n(self) -> int:
@@ -247,21 +255,13 @@ class Itm:
         )
 
     def image(self, a: ArcSet) -> ArcSet:
-        """Exact forward image S(A): split at breakpoints, translate, renormalize."""
-        parts: list[Arc] = []
-        for j in range(self.n):
-            hit = a.intersect(self._piece_sets[j])
-            if hit:
-                parts.extend(hit.translate(self.shifts[j]).arcs)
-        return ArcSet(parts)
+        """Exact forward image S(A): A's segments walked through the charts."""
+        return ArcSet.from_segments(_walk(a.segments(), self._charts))
 
     def preimage(self, a: ArcSet) -> ArcSet:
         """Exact S^{-1}(A): x lies in the result iff evaluate(x) lies in A."""
-        parts: list[Arc] = []
-        for j in range(self.n):
-            hit = a.translate(-self.shifts[j]).intersect(self._piece_sets[j])
-            parts.extend(hit.arcs)
-        return ArcSet(parts)
+        back = sorted((lo + b, hi + b, -b) for lo, hi, b in self._charts)
+        return ArcSet.from_segments(_walk(a.segments(), back))
 
     def attractor(
         self,
@@ -279,42 +279,20 @@ class Itm:
         S maps the grid of cells [i/q, (i+1)/q), q the common denominator,
         onto itself, so every A_k is a union of cells.  Each A_k is iterated
         as its merged runs [a, b) of cells on the cut-open line [0, q): one
-        step cuts the runs at the piece starts, shifts each part by its
-        piece's whole number of cells, wraps at q and merges.  The iterates
-        become ArcSets once the iteration ends.
+        step walks the runs through the map's charts on that grid, each part
+        moving by its chart's whole number of cells, and merges.  The
+        iterates become ArcSets once the iteration ends.
         """
         if max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         q = self.common_denominator()
-        starts, shifts = self._on_grid(q)
-        # the pieces as cut-line segments with their shifts; the last piece
-        # runs on from its start through q to the first start
-        cuts = list(zip(starts, starts[1:] + [q], shifts))
-        if starts[0] > 0:
-            cuts.insert(0, (0, starts[0], shifts[-1]))
+        charts = self._on_grid(q)
         current = [(0, q)]
         iterates = [current]
         stabilized_at = None
         for k in range(max_iter):
-            moved = []
-            j = 0
-            for lo, hi in current:
-                while cuts[j][1] <= lo:
-                    j += 1
-                i = j
-                while i < len(cuts) and cuts[i][0] < hi:
-                    b, e, c = cuts[i]
-                    a, z = max(lo, b) + c, min(hi, e) + c
-                    if a >= q:
-                        moved.append((a - q, z - q))
-                    elif z > q:
-                        moved += [(a, q), (0, z - q)]
-                    else:
-                        moved.append((a, z))
-                    i += 1
-            nxt = merge_segments(moved)
-            # a run from 0 and a run to q are one arc through 0
-            arcs = len(nxt) - (len(nxt) > 1 and nxt[0][0] == 0 and nxt[-1][1] == q)
+            nxt = merge_segments(_walk(current, charts))
+            arcs = len(nxt) - _joins_at_zero(nxt, q)
             if arcs > max_arcs:
                 raise _too_many_arcs(k + 1, arcs, max_arcs)
             if not segments_within(nxt, current):
@@ -324,7 +302,10 @@ class Itm:
                 break
             iterates.append(nxt)
             current = nxt
-        sets = tuple(ArcSet._from_runs(runs, q) for runs in iterates)
+        sets = tuple(
+            ArcSet.from_segments((Fraction(a, q), Fraction(b, q)) for a, b in runs)
+            for runs in iterates
+        )
         if stabilized_at is None:
             return AttractorResult(sets, None, sets[-1], FiniteType.NO_WITHIN_BUDGET)
         return AttractorResult(sets, stabilized_at, sets[-1], FiniteType.YES)
@@ -466,15 +447,16 @@ class Itm:
         dens += [c.denominator for c in self.shifts]
         return lcm(*dens)
 
-    def _on_grid(self, Q: int) -> tuple[list[int], list[int]]:
-        """Breakpoints and shifts as integers counted in units of 1/Q.
+    def _on_grid(self, Q: int) -> list[tuple[int, int, int]]:
+        """The charts (lo, hi, b) as integers counted in units of 1/Q.
 
         Q must be a multiple of common_denominator(), so that every value
         is a whole number of units.
         """
-        starts = [v.numerator * (Q // v.denominator) for v in self._values]
-        shifts = [c.numerator * (Q // c.denominator) for c in self.shifts]
-        return starts, shifts
+        return [
+            tuple(v.numerator * (Q // v.denominator) for v in chart)
+            for chart in self._charts
+        ]
 
     def affine_segments(self) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
         """The map as affine charts (lo, hi, a, b): x -> a*x + b on [lo, hi).
@@ -483,20 +465,7 @@ class Itm:
         so non-periodic test functions can be integrated against them; a is
         always 1 here, with b the shift adjusted for the wrap.
         """
-        out: list[tuple[Fraction, Fraction, Fraction, Fraction]] = []
-        for j in range(self.n):
-            c = self.shifts[j]
-            for lo, hi in self.piece(j).segments():
-                cut = ONE - c
-                if c == 0 or hi <= cut:
-                    out.append((lo, hi, ONE, c))
-                elif lo >= cut:
-                    out.append((lo, hi, ONE, c - ONE))
-                else:
-                    out.append((lo, cut, ONE, c))
-                    out.append((cut, hi, ONE, c - ONE))
-        out.sort()
-        return out
+        return [(lo, hi, ONE, b) for lo, hi, b in self._charts]
 
     def discontinuity_points(self) -> tuple[CirclePoint, ...]:
         return self.breakpoints

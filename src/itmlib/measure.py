@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from itmlib.circle import ONE, ZERO, Arc, ArcSet, CirclePoint, Rational, frac
+from itmlib.circle import ONE, ZERO, Arc, ArcSet, CirclePoint, Rational, _walk, frac
 from itmlib.itm import AttractorResult, FiniteType, Itm
 
 DEFAULT_CYCLE_BUDGET = 4096
@@ -42,6 +42,8 @@ def _merge_density(
     for lo, hi, w in raw:
         if w < 0:
             raise ValueError("density weights must be nonnegative")
+        if not (ZERO <= lo and hi <= ONE):
+            raise ValueError(f"density piece [{lo}, {hi}) outside [0, 1]")
         if hi > lo and w > 0:
             events.append((lo, w))
             events.append((hi, -w))
@@ -300,19 +302,11 @@ class Cdf:
 
 
 def pushforward(s: Itm, mu: Measure) -> Measure:
-    """Exact image measure S#mu: weights ride along with translated pieces."""
-    density: list[tuple[Fraction, Fraction, Fraction]] = []
-    for lo, hi, w in mu.density:
-        chunk = ArcSet.from_segments([(lo, hi)])
-        for j, piece in enumerate(s._piece_sets):
-            hit = chunk.intersect(piece)
-            if hit:
-                for a, b in hit.translate(s.shifts[j]).segments():
-                    density.append((a, b, w))
+    """Exact image measure S#mu: weights ride along through the map's charts."""
     atoms = tuple(
         (s.evaluate(CirclePoint(p)).value, m) for p, m in mu.atoms
     )
-    return Measure(tuple(density), atoms)
+    return Measure(tuple(_walk(mu.density, s._charts)), atoms)
 
 
 def tv_distance(mu: Measure, nu: Measure) -> Fraction:
@@ -483,7 +477,8 @@ def find_recurrent_points(
 
     A sample x of denominator d never leaves the grid of multiples of 1/Q,
     Q = lcm(q, d) with q the map's common denominator, so its orbit is
-    walked exactly as integers mod Q.
+    walked exactly as integers in [0, Q), through the map's charts on that
+    grid.
     """
     eps = frac(eps)
     if eps <= 0:
@@ -501,7 +496,8 @@ def find_recurrent_points(
     for y in levels:
         x = cdf.quantile(y) % 1
         Q = lcm(q, x.denominator)
-        starts, shifts = s._on_grid(Q)
+        charts = s._on_grid(Q)
+        starts = [lo for lo, _, _ in charts]
         home = x.numerator * (Q // x.denominator)
         # d/Q < eps, cleared of denominators
         below = eps.numerator * Q
@@ -509,8 +505,7 @@ def find_recurrent_points(
         cur = home
         visited = {cur}
         for m in range(1, horizon + 1):
-            # a point before the first breakpoint gets index -1: the last piece
-            cur = (cur + shifts[bisect.bisect_right(starts, cur) - 1]) % Q
+            cur += charts[bisect.bisect_right(starts, cur) - 1][2]
             d = abs(cur - home)
             d = min(d, Q - d)
             if d * eps.denominator < below:

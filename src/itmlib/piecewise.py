@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from itmlib.circle import ONE, ZERO, Rational, circle_distance, frac
+from itmlib.circle import ONE, ZERO, Rational, _affine_charts, circle_distance, frac
 from itmlib.itm import Itm
 from itmlib.measure import Measure, tv_distance
 
@@ -178,32 +178,15 @@ class PiecewiseMap:
         return min(abs(frac(x) - frac(p)) for p in points)
 
     def affine_segments(self) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
-        """Charts (lo, hi, a, b) with a*x + b inside one unit window each.
+        """Charts (lo, hi, a, b) with a*x + b inside [0, 1] on each.
 
-        Circle pieces are split at the points where a*x + b crosses an
-        integer, so every chart maps into [k, k+1) and is shifted back.
+        Segment pieces are their own charts.  Circle pieces are cut where
+        a*x + b crosses an integer and each part is shifted back.
         """
-        out = []
-        for piece in self.pieces:
-            lo, hi, a, b = piece.lo, piece.hi, piece.a, piece.b
-            if self.domain is Domain.SEGMENT or a == 0:
-                out.append((lo, hi, a, self._reduce(a * lo + b) - a * lo))
-                continue
-            v_lo, v_hi = a * lo + b, a * hi + b
-            cuts = [lo]
-            first = min(v_lo, v_hi)
-            last = max(v_lo, v_hi)
-            k = first.__floor__() + 1
-            while k < last:
-                cuts.append((Fraction(k) - b) / a)
-                k += 1
-            cuts.append(hi)
-            cuts = sorted(set(cuts))
-            for seg_lo, seg_hi in zip(cuts, cuts[1:]):
-                mid = (seg_lo + seg_hi) / 2
-                window = (a * mid + b).__floor__()
-                out.append((seg_lo, seg_hi, a, b - window))
-        return out
+        pieces = [(p.lo, p.hi, p.a, p.b) for p in self.pieces]
+        if self.domain is Domain.SEGMENT:
+            return pieces
+        return _affine_charts(pieces)
 
     def discontinuity_points(self) -> tuple[Fraction, ...]:
         return self.discontinuities

@@ -320,6 +320,18 @@ class TestVerifyLimitMeasure:
                 rotation("1/3"), Measure.lebesgue(), deltas=(F(1, 8), F(1, 4))
             )
 
+    def test_non_probability_candidate_is_refused(self):
+        with pytest.raises(ValueError, match="probability measure"):
+            verify_limit_measure(rotation("1/4"), Measure(((F(0), F(1, 2), F(1)),)))
+
+    def test_weight_above_the_float_range_is_refused(self):
+        # a probability measure, but the trig family integrates in floats
+        tiny = F(1, 10**400)
+        mu = Measure(((F(0), tiny, 1 / tiny),))
+        assert mu.is_probability
+        with pytest.raises(ValueError, match="float range"):
+            verify_limit_measure(rotation("1/4"), mu)
+
 
 class TestMassProfile:
     def test_rotation_profile_shrinks_with_delta(self):

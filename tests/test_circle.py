@@ -27,6 +27,15 @@ def arc_strategy():
 
 arcsets = st.builds(ArcSet, st.lists(arc_strategy(), max_size=8))
 
+# arc sets with an arc through 0 (unless it merges into the full circle),
+# the empty set and the full circle, besides arbitrary ones
+stored_sets = st.one_of(
+    st.just(ArcSet.empty()),
+    st.just(ArcSet.full()),
+    st.builds(lambda a: ArcSet([a, arc("7/8", "1/4")]), arc_strategy()),
+    arcsets,
+)
+
 
 class TestCirclePoint:
     def test_reduces_mod_one(self):
@@ -89,6 +98,38 @@ class TestNormalize:
         assert len(wrapping) <= 1
         if wrapping:
             assert s.arcs[-1].wraps
+
+
+class TestStorage:
+    """An ArcSet keeps its cut-line segments; the arc view is built from them."""
+
+    @given(stored_sets)
+    def test_segments_are_stored_not_rebuilt(self, s):
+        assert s.segments() is s.segments()
+
+    @given(stored_sets)
+    def test_arc_view_rebuilds_the_set(self, s):
+        assert ArcSet(s.arcs) == s
+        assert len(s) == len(s.arcs)
+        assert s.total_length == sum((a.length for a in s.arcs), F(0))
+
+    @given(stored_sets, stored_sets)
+    def test_equality_and_hash_follow_the_arcs(self, a, b):
+        assert (a == b) == (a.arcs == b.arcs)
+        assert hash(a) == hash(ArcSet(a.arcs))
+
+    @given(stored_sets, rational(512))
+    def test_contains_follows_the_arcs(self, s, x):
+        ends = [v % 1 for seg in s.segments() for v in seg]
+        for v in [x, F(0)] + ends:
+            p = CirclePoint(v)
+            assert s.contains(p) == any(a.contains(p) for a in s.arcs)
+
+    def test_wrapping_set_is_two_segments_and_one_arc(self):
+        s = arcset(("7/8", "1/4"), ("1/4", "1/8"))
+        assert s.segments() == ((0, F(1, 8)), (F(1, 4), F(3, 8)), (F(7, 8), 1))
+        assert s.arcs == (arc("1/4", "1/8"), arc("7/8", "1/4"))
+        assert len(s) == 2
 
 
 class TestIntersect:

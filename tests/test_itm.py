@@ -241,14 +241,69 @@ class TestAttractor:
         assert s.image(res.attractor) == res.attractor
 
 
+def reference_image(s: Itm, a: ArcSet) -> ArcSet:
+    """S(A) piece by piece: intersect with each piece, translate its arcs."""
+    parts: list[Arc] = []
+    for j in range(s.n):
+        hit = a.intersect(ArcSet([s.piece(j)]))
+        parts.extend(arc.translate(s.shifts[j]) for arc in hit.arcs)
+    return ArcSet(parts)
+
+
+def reference_preimage(s: Itm, a: ArcSet) -> ArcSet:
+    """S^{-1}(A) piece by piece: translate A's arcs back, intersect with the piece."""
+    parts: list[Arc] = []
+    for j in range(s.n):
+        back = ArcSet([arc.translate(-s.shifts[j]) for arc in a.arcs])
+        parts.extend(back.intersect(ArcSet([s.piece(j)])).arcs)
+    return ArcSet(parts)
+
+
+def random_arcset(rng: random.Random, q: int) -> ArcSet:
+    """Up to four arcs with ends on the grid of multiples of 1/q."""
+    return ArcSet(
+        [
+            Arc(CirclePoint(F(rng.randrange(q), q)), F(rng.randint(1, q), q))
+            for _ in range(rng.randint(0, 4))
+        ]
+    )
+
+
+class TestImageAgainstReference:
+    """image and preimage walk the map's charts; the references cut per piece."""
+
+    def test_acceptance_sweep(self, acceptance_sweep_maps):
+        for s in acceptance_sweep_maps:
+            res = s.attractor()
+            for a in res.iterates[:3] + (res.attractor, res.attractor.complement()):
+                assert s.image(a) == reference_image(s, a)
+                assert s.preimage(a) == reference_preimage(s, a)
+
+    def test_random_maps(self):
+        rng = random.Random(14)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            s = random_itm(rng, n, rng.randint(n, 96))
+            # arcs on the map's grid, or on one unrelated to it
+            q = rng.choice([s.common_denominator(), rng.randint(2, 97)])
+            a = random_arcset(rng, q)
+            assert s.image(a) == reference_image(s, a)
+            assert s.preimage(a) == reference_preimage(s, a)
+
+    @given(itms(), small_arcsets())
+    def test_hypothesis_maps(self, s, a):
+        assert s.image(a) == reference_image(s, a)
+        assert s.preimage(a) == reference_preimage(s, a)
+
+
 def reference_attractor(
     s: Itm, max_iter: int = DEFAULT_MAX_ITER, max_arcs: int = DEFAULT_MAX_ARCS
 ) -> AttractorResult:
-    """Forward images of the circle iterated as ArcSets through image()."""
+    """Forward images of the circle iterated as ArcSets through reference_image()."""
     current = ArcSet.full()
     iterates = [current]
     for k in range(max_iter):
-        nxt = s.image(current)
+        nxt = reference_image(s, current)
         if len(nxt) > max_arcs:
             raise BudgetExceeded(
                 f"iterate {k + 1} needs {len(nxt)} arcs (max_arcs={max_arcs})",

@@ -92,6 +92,14 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             Measure.point_mass(F(1, 2), -1)
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(F(-1, 4), F(1, 2)), (F(1, 2), F(5, 4)), (F(0), F(10**999 + 1)), (F(2), F(3))],
+    )
+    def test_density_outside_the_unit_interval_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            Measure(((lo, hi, F(1)),))
+
     def test_from_arcs_splits_wrap(self):
         mu = Measure.from_arcs([(arc("3/4", "1/2"), F(1))])
         assert mu.density == ((F(0), F(1, 4), F(1)), (F(3, 4), F(1), F(1)))
@@ -158,6 +166,63 @@ class TestPushforward:
     def test_non_atomic_preserved(self, mu):
         if mu.non_atomic:
             assert pushforward(two_shift_example(), mu).non_atomic
+
+
+def reference_pushforward(s, mu: Measure) -> Measure:
+    """S#mu piece by piece: each density piece meets each map piece, and the
+    hit's arcs are translated with the weight riding along."""
+    density = []
+    for lo, hi, w in mu.density:
+        chunk = ArcSet.from_segments([(lo, hi)])
+        for j in range(s.n):
+            hit = chunk.intersect(ArcSet([s.piece(j)]))
+            moved = ArcSet([a.translate(s.shifts[j]) for a in hit.arcs])
+            density.extend((a, b, w) for a, b in moved.segments())
+    atoms = tuple((s.evaluate(CirclePoint(p)).value, m) for p, m in mu.atoms)
+    return Measure(tuple(density), atoms)
+
+
+def random_measure(rng: random.Random, q: int) -> Measure:
+    """Weighted arcs and atoms on the grid of multiples of 1/q."""
+    weighted = [
+        (
+            Arc(CirclePoint(F(rng.randrange(q), q)), F(rng.randint(1, q), q)),
+            F(rng.randint(1, 5), 3),
+        )
+        for _ in range(rng.randint(0, 4))
+    ]
+    atoms = [
+        (F(rng.randint(0, q), q), F(1, rng.randint(1, 4)))
+        for _ in range(rng.randint(0, 2))
+    ]
+    return Measure.from_arcs(weighted, atoms)
+
+
+class TestPushforwardAgainstReference:
+    """pushforward walks the map's charts; the reference cuts per piece."""
+
+    def test_acceptance_sweep(self, acceptance_sweep_maps):
+        for s in acceptance_sweep_maps:
+            att = s.attractor()
+            mu = attractor_measure(s, att)
+            for nu in (mu, Measure.uniform_on(att.attractor), Measure.lebesgue()):
+                assert pushforward(s, nu) == reference_pushforward(s, nu)
+
+    def test_random_maps(self):
+        rng = random.Random(15)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            s = random_itm(rng, n, rng.randint(n, 96))
+            q = rng.choice([s.common_denominator(), rng.randint(2, 97)])
+            mu = random_measure(rng, q)
+            assert pushforward(s, mu) == reference_pushforward(s, mu)
+
+    @given(measures(), st.integers(0, 2**32))
+    def test_hypothesis_measures(self, mu, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        s = random_itm(rng, n, rng.randint(n, 48))
+        assert pushforward(s, mu) == reference_pushforward(s, mu)
 
 
 class TestTvDistance:

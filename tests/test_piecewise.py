@@ -1,10 +1,11 @@
 """Piecewise maps, orbits, empirical measures, and discontinuity probes."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from itmlib.catalog import half_collapse, halving_map, rotation
+from itmlib.catalog import half_collapse, halving_map, random_itm, rotation
 from itmlib.circle import CirclePoint
 from itmlib.measure import Measure, tv_distance
 from itmlib.piecewise import (
@@ -115,6 +116,85 @@ class TestPiecewiseMapType:
     def test_non_affine_piece_is_refused(self):
         with pytest.raises(TypeError):
             PiecewiseMap(domain=Domain.SEGMENT, pieces=((F(0), F(1), F(1), F(0)),))
+
+
+def reference_affine_segments(t: PiecewiseMap) -> list:
+    """Charts cut piece by piece at the integers a*x + b crosses."""
+    out = []
+    for piece in t.pieces:
+        lo, hi, a, b = piece.lo, piece.hi, piece.a, piece.b
+        if t.domain is Domain.SEGMENT or a == 0:
+            out.append((lo, hi, a, t._reduce(a * lo + b) - a * lo))
+            continue
+        v_lo, v_hi = a * lo + b, a * hi + b
+        cuts = [lo]
+        first = min(v_lo, v_hi)
+        last = max(v_lo, v_hi)
+        k = first.__floor__() + 1
+        while k < last:
+            cuts.append((Fraction(k) - b) / a)
+            k += 1
+        cuts.append(hi)
+        cuts = sorted(set(cuts))
+        for seg_lo, seg_hi in zip(cuts, cuts[1:]):
+            mid = (seg_lo + seg_hi) / 2
+            window = (a * mid + b).__floor__()
+            out.append((seg_lo, seg_hi, a, b - window))
+    return out
+
+
+def random_circle_map(rng: random.Random) -> PiecewiseMap:
+    """Affine circle pieces with slopes 2, -3, 1/2, 0 or 7 and offsets in [-4, 4]."""
+    edges = sorted({F(0), F(1)} | {F(rng.randrange(1, 24), 24) for _ in range(3)})
+    pieces = tuple(
+        AffinePiece(
+            lo,
+            hi,
+            rng.choice([F(2), F(-3), F(1, 2), F(0), F(7)]),
+            F(rng.randint(-96, 96), rng.choice([1, 3, 8, 24])) / 3,
+        )
+        for lo, hi in zip(edges, edges[1:])
+    )
+    return PiecewiseMap(domain=Domain.CIRCLE, pieces=pieces)
+
+
+class TestAffineCharts:
+    """Circle charts come from circle._affine_charts, Itm charts too."""
+
+    def test_charts_equal_the_piece_by_piece_builder(self):
+        rng = random.Random(16)
+        crossings = 0
+        for _ in range(200):
+            t = random_circle_map(rng)
+            charts = t.affine_segments()
+            assert charts == reference_affine_segments(t)
+            crossings += len(charts) - len(t.pieces)
+        assert crossings > 400
+
+    def test_every_chart_maps_into_the_unit_interval(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            t = random_circle_map(rng)
+            charts = t.affine_segments()
+            assert charts[0][0] == 0 and charts[-1][1] == 1
+            for lo, hi, a, b in charts:
+                assert lo < hi
+                assert 0 <= a * lo + b <= 1 and 0 <= a * hi + b <= 1
+                mid = (lo + hi) / 2
+                assert a * mid + b == t.evaluate(mid)
+
+    def test_a_cast_itm_keeps_its_charts(self):
+        rng = random.Random(18)
+        for _ in range(100):
+            n = rng.randint(1, 5)
+            s = random_itm(rng, n, rng.randint(n, 64))
+            assert from_itm(s).affine_segments() == s.affine_segments()
+
+    def test_segment_pieces_are_their_own_charts(self):
+        t = trapping_map()
+        assert t.affine_segments() == reference_affine_segments(t) == [
+            (p.lo, p.hi, p.a, p.b) for p in t.pieces
+        ]
 
 
 class TestOrbit:
