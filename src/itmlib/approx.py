@@ -30,7 +30,6 @@ from itmlib.itm import (
 )
 from itmlib.families import invariance_residual_functional
 from itmlib.measure import (
-    DEFAULT_CYCLE_BUDGET,
     Measure,
     NotFiniteType,
     attractor_measure,
@@ -417,14 +416,13 @@ def measure_sequence(
     schedule: ApproximantSchedule,
     max_iter: int = DEFAULT_MAX_ITER,
     max_arcs: int = DEFAULT_MAX_ARCS,
-    cycle_budget: int = DEFAULT_CYCLE_BUDGET,
 ) -> tuple[LevelMeasure, ...]:
     """Attractor and invariant measure per level; failures do not abort."""
     out = []
     for level in schedule.levels:
         try:
             att = level.map.attractor(max_iter=max_iter, max_arcs=max_arcs)
-            mu = attractor_measure(level.map, att, cycle_budget=cycle_budget)
+            mu = attractor_measure(level.map, att)
             out.append(
                 LevelMeasure(
                     bound=level.bound, map=level.map, attractor=att, measure=mu

@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import isqrt
-from typing import Optional
 
 from itmlib.circle import CirclePoint, frac
 from itmlib.itm import Itm

@@ -49,8 +49,6 @@ from itmlib.itm import (
     Itm,
 )
 from itmlib.measure import (
-    DEFAULT_CYCLE_BUDGET,
-    CycleNotFound,
     Measure,
     NotFiniteType,
     attractor_measure,
@@ -212,7 +210,6 @@ ANY_MAP = Key("map", _any_map, bare=MAP_KEYS)
 MAX_ITER = Key("maxIter", _integer, DEFAULT_MAX_ITER, POSITIVE, "--max-iter")
 MAX_ARCS = Key("maxArcs", _integer, DEFAULT_MAX_ARCS, POSITIVE, "--max-arcs")
 DEPTH = Key("depth", _integer, 8, POSITIVE, "--depth")
-CYCLE_BUDGET = Key("cycleBudget", _integer, DEFAULT_CYCLE_BUDGET, POSITIVE)
 ORBIT_BUDGET = Key("orbitBudget", _integer, DEFAULT_ORBIT_BUDGET, POSITIVE)
 
 
@@ -304,7 +301,7 @@ def _cmd_measure(o, plot):
     """Build the exactly invariant attractor measure."""
     s = o["map"]
     attr = s.attractor(max_iter=o["maxIter"], max_arcs=o["maxArcs"])
-    mu = attractor_measure(s, attr, cycle_budget=o["cycleBudget"])
+    mu = attractor_measure(s, attr)
     residual = invariance_residual_exact(s, mu)
     if residual != 0:
         raise VerificationFailure(
@@ -531,7 +528,7 @@ COMMANDS: dict[str, tuple] = {
     # name: (handler, the config keys it reads); the docstring is the help
     "validate": (_cmd_validate, ANY_MAP),
     "attractor": (_cmd_attractor, ITM_MAP, MAX_ITER, MAX_ARCS),
-    "measure": (_cmd_measure, ITM_MAP, MAX_ITER, MAX_ARCS, CYCLE_BUDGET),
+    "measure": (_cmd_measure, ITM_MAP, MAX_ITER, MAX_ARCS),
     "homtervals": (_cmd_homtervals, ITM_MAP, DEPTH, ORBIT_BUDGET),
     "relations": (_cmd_relations, ITM_MAP, DEPTH),
     "approximate": (
@@ -648,7 +645,7 @@ def main(argv: Optional[list] = None) -> int:
         echo = {k.name for k in keys if not k.flag_only}
         resolved = {k: v for k, v in values.items() if k in echo and v is not None}
         _emit(command, resolved, payload, artifacts, args)
-    except (BudgetExceeded, NotFiniteType, CycleNotFound) as exc:
+    except (BudgetExceeded, NotFiniteType) as exc:
         print(f"{command}: {exc}", file=sys.stderr)
         return 2
     except VerificationFailure as exc:

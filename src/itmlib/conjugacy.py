@@ -13,6 +13,7 @@ measure zero.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -126,7 +127,9 @@ class ConjugacyData:
 
 
 def _exceptional(mu: Measure, x: Fraction) -> bool:
-    return not any(lo < x < hi for lo, hi, _ in mu.density)
+    # only the last density piece starting before x can contain x
+    i = bisect.bisect_left(mu.density, (x,))
+    return i == 0 or mu.density[i - 1][1] <= x
 
 
 def induce_iem(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Union
 
 from itmlib.circle import ONE, ZERO, CirclePoint, Rational, frac
 from itmlib.itm import Itm

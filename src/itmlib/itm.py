@@ -18,7 +18,7 @@ from functools import cached_property
 from math import lcm
 from typing import Optional, Sequence, Union
 
-from itmlib.circle import ONE, ZERO, Arc, ArcSet, CirclePoint, Rational, frac, mod1
+from itmlib.circle import ONE, ZERO, Arc, ArcSet, CirclePoint, frac, mod1
 from itmlib.circle import _affine_charts, _joins_at_zero, _walk, merge_segments
 from itmlib.circle import segments_within
 

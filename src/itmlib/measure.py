@@ -10,23 +10,17 @@ measures and exact invariance residuals decidable.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional
 
 from itmlib.circle import ONE, ZERO, Arc, ArcSet, CirclePoint, Rational, _walk, frac
 from itmlib.itm import AttractorResult, FiniteType, Itm
 
-DEFAULT_CYCLE_BUDGET = 4096
-
 
 class NotFiniteType(ValueError):
     """The attractor did not stabilize, so no exact invariant measure exists here."""
-
-
-class CycleNotFound(RuntimeError):
-    """Pushforward iteration failed to cycle within the budget."""
 
 
 class AtomicMeasure(ValueError):
@@ -36,8 +30,6 @@ class AtomicMeasure(ValueError):
 def _merge_density(
     raw: Iterable[tuple[Fraction, Fraction, Fraction]]
 ) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
-    # sweep-sum overlapping weighted segments on the cut-open line, then
-    # merge adjacent runs of equal weight; zero-weight runs are dropped
     events: list[tuple[Fraction, Fraction]] = []
     for lo, hi, w in raw:
         if w < 0:
@@ -47,6 +39,15 @@ def _merge_density(
         if hi > lo and w > 0:
             events.append((lo, w))
             events.append((hi, -w))
+    return _sweep(events)
+
+
+def _sweep(
+    events: list[tuple[Fraction, Fraction]]
+) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+    # sum (position, weight change) events along the cut-open line into
+    # runs of constant level, merging adjacent runs of equal level;
+    # zero-level runs are dropped
     if not events:
         return ()
     events.sort(key=lambda e: e[0])
@@ -56,7 +57,7 @@ def _merge_density(
     i = 0
     while i < len(events):
         x = events[i][0]
-        if x > prev and level > 0:
+        if x > prev and level != 0:
             if out and out[-1][1] == prev and out[-1][2] == level:
                 out[-1][1] = x
             else:
@@ -310,18 +311,10 @@ def pushforward(s: Itm, mu: Measure) -> Measure:
 
 
 def tv_distance(mu: Measure, nu: Measure) -> Fraction:
-    """Exact total variation of mu - nu over the common refinement."""
-    cuts = sorted(
-        {lo for lo, _, _ in mu.density}
-        | {hi for _, hi, _ in mu.density}
-        | {lo for lo, _, _ in nu.density}
-        | {hi for _, hi, _ in nu.density}
-    )
-    total = ZERO
-    for lo, hi in zip(cuts, cuts[1:]):
-        wm = _weight_at(mu, lo, hi)
-        wn = _weight_at(nu, lo, hi)
-        total += abs(wm - wn) * (hi - lo)
+    """Exact total variation of mu - nu: one sweep of the signed densities."""
+    events = [e for lo, hi, w in mu.density for e in ((lo, w), (hi, -w))]
+    events += [e for lo, hi, w in nu.density for e in ((lo, -w), (hi, w))]
+    total = sum((abs(w) * (hi - lo) for lo, hi, w in _sweep(events)), ZERO)
     mu_atoms = dict(mu.atoms)
     nu_atoms = dict(nu.atoms)
     for p in mu_atoms.keys() | nu_atoms.keys():
@@ -329,56 +322,32 @@ def tv_distance(mu: Measure, nu: Measure) -> Fraction:
     return total
 
 
-def _weight_at(mu: Measure, lo: Fraction, hi: Fraction) -> Fraction:
-    i = bisect.bisect_right(mu.density, (lo, ONE + 1, ZERO)) - 1
-    if i >= 0:
-        a, b, w = mu.density[i]
-        if a <= lo and hi <= b:
-            return w
-    return ZERO
-
-
 def invariance_residual_exact(s: Itm, mu: Measure) -> Fraction:
     """Exact ||S#mu - mu||; zero if and only if mu is S-invariant."""
     return tv_distance(pushforward(s, mu), mu)
 
 
-def attractor_measure(
-    s: Itm,
-    attr: Optional[AttractorResult] = None,
-    cycle_budget: int = DEFAULT_CYCLE_BUDGET,
-) -> Measure:
-    """Exactly invariant measure carried by a stabilized attractor.
+def attractor_measure(s: Itm, attr: Optional[AttractorResult] = None) -> Measure:
+    """Normalized Lebesgue measure on a stabilized attractor, verified exactly.
 
-    Starts from normalized Lebesgue measure on the attractor; if that is
-    not already invariant, averages the pushforward cycle it settles into.
-    The result is verified exactly before being returned.
+    It is invariant.  Let q be the map's common denominator.  Every cell
+    [i/q, (i+1)/q) lies inside one piece and moves rigidly onto another
+    cell, so S acts on the cells as a function f.  A stabilized attractor
+    is A = f^m(C) = f^(m+1)(C) with C the set of all cells, so f maps the
+    finite set A onto itself, hence bijectively, and S carries Lebesgue
+    measure on A onto itself.
+
+    The exact residual check can therefore fail only when attr is not the
+    attractor of s; that raises ValueError.
     """
     if attr is None:
         attr = s.attractor()
     if attr.finite_type is not FiniteType.YES:
         raise NotFiniteType("attractor did not stabilize within budget")
     mu = Measure.uniform_on(attr.attractor)
-    if invariance_residual_exact(s, mu) == 0:
-        return mu
-    seen = {mu: 0}
-    seq = [mu]
-    cur = mu
-    for k in range(1, cycle_budget + 1):
-        cur = pushforward(s, cur)
-        if cur in seen:
-            start = seen[cur]
-            period = k - start
-            avg = seq[start]
-            for m in seq[start + 1 : start + period]:
-                avg = avg.add(m)
-            avg = avg.scale(Fraction(1, period))
-            if invariance_residual_exact(s, avg) != 0:
-                raise CycleNotFound("cycle average failed exact verification")
-            return avg
-        seen[cur] = k
-        seq.append(cur)
-    raise CycleNotFound(f"no pushforward cycle within {cycle_budget} steps")
+    if invariance_residual_exact(s, mu) != 0:
+        raise ValueError("attr is not the attractor of this map")
+    return mu
 
 
 def cdf_distance(mu: Measure, nu: Measure) -> Fraction:

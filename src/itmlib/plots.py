@@ -8,7 +8,7 @@ inputs produce identical bytes.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from itmlib.circle import ArcSet
 from itmlib.conjugacy import ConjugacyData

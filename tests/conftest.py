@@ -1,9 +1,13 @@
 import random
+from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+from itmlib.approx import OrderViolation, generate_approximants
 from itmlib.catalog import random_itm
+from itmlib.itm import Itm
 
 settings.register_profile(
     "exact",
@@ -21,4 +25,36 @@ def acceptance_sweep_maps():
     for _ in range(100):
         n = rng.randint(2, 5)
         maps.append(random_itm(rng, n, rng.randint(2 * n, 512)))
+    return maps
+
+
+def sqrt_digits(rng: random.Random) -> Fraction:
+    """The fractional part of the square root of a random non-square, to 30 digits."""
+    while True:
+        k = rng.randrange(2, 10**6)
+        if isqrt(k) ** 2 != k:
+            return Fraction(isqrt(k * 10**60), 10**30) % 1
+
+
+@pytest.fixture(scope="session")
+def approximant_level_maps():
+    """Level maps of 2-3 piece irrational targets on Fibonacci bounds 21..377.
+
+    Their common denominators run to tens of bits.
+    """
+    rng = random.Random(13)
+    maps = []
+    for i in range(24):
+        n = 2 + i % 2
+        target = Itm(
+            tuple(sorted({sqrt_digits(rng) for _ in range(n)})),
+            tuple(sqrt_digits(rng) for _ in range(n)),
+        )
+        try:
+            schedule = generate_approximants(
+                target, denominators=(21, 34, 55, 89, 144, 233, 377)
+            )
+        except OrderViolation:
+            continue
+        maps.extend(level.map for level in schedule.levels)
     return maps

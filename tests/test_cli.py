@@ -421,6 +421,9 @@ MALFORMED = {
         {**HALVING_ORBIT, "epsilons": ["1/8"], "orbitLengths": "x"},
         "orbitLengths",
     ),
+    "retired-cycle-budget": (
+        "measure", {"map": HALF_COLLAPSE, "cycleBudget": 4096}, "cycleBudget"
+    ),
     "breakpoints-as-string": (
         "validate", {"breakpoints": "0", "shifts": ["0"]}, "breakpoints"
     ),

@@ -8,8 +8,10 @@ import pytest
 from itmlib.catalog import half_collapse, random_itm, rotation
 from itmlib.circle import ONE, ZERO, ArcSet, CirclePoint
 from itmlib.conjugacy import (
+    DEFAULT_SEMICONJUGACY_SAMPLES,
     IemReport,
     NotInvariant,
+    _exceptional,
     build_h,
     induce_iem,
     verify_iem,
@@ -126,6 +128,18 @@ class TestInduceIem:
         assert not data.is_exceptional(F(1, 4))
         assert data.is_exceptional(F(3, 4))
         assert data.is_exceptional(F(1, 2))
+
+    def test_exceptional_set_against_reference(self, acceptance_sweep_maps):
+        # the bisect lookup agrees with scanning every density piece, on the
+        # semi-conjugacy sample grid and at 0, 1 and every piece endpoint
+        n = DEFAULT_SEMICONJUGACY_SAMPLES
+        grid = [F(2 * i + 1, 2 * n) for i in range(n)]
+        for s in acceptance_sweep_maps:
+            mu = attractor_measure(s)
+            ends = [x for lo, hi, _ in mu.density for x in (lo, hi)]
+            for x in grid + ends + [ZERO, ONE]:
+                expected = not any(lo < x < hi for lo, hi, _ in mu.density)
+                assert _exceptional(mu, x) == expected
 
     def test_support_gaps_refine_the_exchange(self):
         # the support gap (3/94,28/94) inside the cut piece [0,35/94) maps

@@ -2,13 +2,11 @@
 
 import random
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itmlib.approx import OrderViolation, generate_approximants
 from itmlib.catalog import half_collapse, random_itm, rotation, two_shift_example
 from itmlib.circle import Arc, ArcSet, CirclePoint, arc, arcset
 from itmlib.itm import (
@@ -319,14 +317,6 @@ def reference_attractor(
     return AttractorResult(tuple(iterates), None, current, FiniteType.NO_WITHIN_BUDGET)
 
 
-def sqrt_digits(rng: random.Random) -> Fraction:
-    """The fractional part of the square root of a random non-square, to 30 digits."""
-    while True:
-        k = rng.randrange(2, 10**6)
-        if isqrt(k) ** 2 != k:
-            return Fraction(isqrt(k * 10**60), 10**30) % 1
-
-
 def outcome(run):
     """The result of run(), or the message and budget of its BudgetExceeded."""
     try:
@@ -408,29 +398,15 @@ class TestAttractorAgainstReference:
             s.attractor(max_arcs=0)
         assert s.attractor(max_arcs=1) == reference_attractor(s, max_arcs=1)
 
-    def test_approximant_levels(self):
+    def test_approximant_levels(self, approximant_level_maps):
         # level maps of irrational targets have denominators of tens of bits,
         # and these budgets end some of their runs, on either budget
-        rng = random.Random(13)
         counts = {"yes": 0, "no-within-budget": 0, "raised": 0}
-        for i in range(24):
-            n = 2 + i % 2
-            target = Itm(
-                tuple(sorted({sqrt_digits(rng) for _ in range(n)})),
-                tuple(sqrt_digits(rng) for _ in range(n)),
-            )
-            try:
-                schedule = generate_approximants(
-                    target, denominators=(21, 34, 55, 89, 144, 233, 377)
-                )
-            except OrderViolation:
-                continue
-            for level in schedule.levels:
-                s = level.map
-                res = outcome(lambda: s.attractor(48, 24))
-                assert res == outcome(lambda: reference_attractor(s, 48, 24))
-                kind = "raised" if isinstance(res, tuple) else res.finite_type.value
-                counts[kind] += 1
+        for s in approximant_level_maps:
+            res = outcome(lambda: s.attractor(48, 24))
+            assert res == outcome(lambda: reference_attractor(s, 48, 24))
+            kind = "raised" if isinstance(res, tuple) else res.finite_type.value
+            counts[kind] += 1
         assert all(counts.values()), counts
 
 

@@ -14,12 +14,11 @@ from itmlib.families import (
     TrigFamily,
     invariance_residual_functional,
 )
-from itmlib.itm import FiniteType
+from itmlib.itm import BudgetExceeded, FiniteType
 from itmlib.measure import (
     AtomicMeasure,
     Recurrence,
     Cdf,
-    CycleNotFound,
     Measure,
     NotFiniteType,
     attractor_measure,
@@ -250,6 +249,51 @@ class TestTvDistance:
         assert tv_distance(mu, mu) == 0
 
 
+def reference_tv_distance(mu: Measure, nu: Measure) -> Fraction:
+    """Total variation cell by cell over the common refinement of both
+    densities' endpoints, looking up each density's weight per cell."""
+
+    def weight_at(m: Measure, lo: Fraction, hi: Fraction) -> Fraction:
+        for a, b, w in m.density:
+            if a <= lo and hi <= b:
+                return w
+        return F(0)
+
+    cuts = sorted({x for m in (mu, nu) for lo, hi, _ in m.density for x in (lo, hi)})
+    total = sum(
+        (abs(weight_at(mu, lo, hi) - weight_at(nu, lo, hi)) * (hi - lo)
+         for lo, hi in zip(cuts, cuts[1:])),
+        F(0),
+    )
+    mu_atoms, nu_atoms = dict(mu.atoms), dict(nu.atoms)
+    for p in mu_atoms.keys() | nu_atoms.keys():
+        total += abs(mu_atoms.get(p, F(0)) - nu_atoms.get(p, F(0)))
+    return total
+
+
+class TestTvDistanceAgainstReference:
+    """tv_distance sweeps the signed densities once; the reference walks
+    the common refinement."""
+
+    def test_acceptance_sweep_pushforwards(self, acceptance_sweep_maps):
+        for s in acceptance_sweep_maps:
+            att = s.attractor()
+            for nu in (Measure.uniform_on(att.attractor), Measure.lebesgue()):
+                pushed = pushforward(s, nu)
+                assert tv_distance(pushed, nu) == reference_tv_distance(pushed, nu)
+
+    def test_random_measures_with_atoms(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            q = rng.randint(2, 97)
+            mu, nu = random_measure(rng, q), random_measure(rng, rng.choice([q, 60]))
+            assert tv_distance(mu, nu) == reference_tv_distance(mu, nu)
+
+    @given(measures(), measures())
+    def test_hypothesis_measures(self, mu, nu):
+        assert tv_distance(mu, nu) == reference_tv_distance(mu, nu)
+
+
 class TestInvarianceResidual:
     def test_half_collapse_invariant(self):
         assert invariance_residual_exact(half_collapse(), half_density()) == 0
@@ -278,6 +322,35 @@ class TestAttractorMeasure:
         assert attr.finite_type is FiniteType.NO_WITHIN_BUDGET
         with pytest.raises(NotFiniteType):
             attractor_measure(half_collapse(), attr)
+
+    def test_uniform_on_the_acceptance_sweep(self, acceptance_sweep_maps):
+        for s in acceptance_sweep_maps:
+            att = s.attractor()
+            assert attractor_measure(s, att) == Measure.uniform_on(att.attractor)
+
+    def test_uniform_on_approximant_levels(self, approximant_level_maps):
+        measured = 0
+        for s in approximant_level_maps:
+            try:
+                att = s.attractor(48, 24)
+            except BudgetExceeded:
+                continue
+            if att.finite_type is FiniteType.YES:
+                assert attractor_measure(s, att) == Measure.uniform_on(att.attractor)
+                measured += 1
+        assert measured
+
+    @given(st.integers(0, 2**32))
+    def test_uniform_on_random_maps(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        s = random_itm(rng, n, rng.randint(n, 600))
+        att = s.attractor()
+        assert attractor_measure(s, att) == Measure.uniform_on(att.attractor)
+
+    def test_another_maps_attractor_is_refused(self):
+        with pytest.raises(ValueError, match="not the attractor"):
+            attractor_measure(half_collapse(), rotation("1/3").attractor())
 
     def test_random_rational_sweep(self):
         # scaled version of the acceptance sweep: exact invariance, no atoms

@@ -48,3 +48,32 @@ def test_pyproject_declares_no_dependencies():
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
     assert project["dependencies"] == []
+
+
+def test_library_has_no_unused_imports():
+    # an import that no expression reads is dead weight; a name listed in
+    # __all__ is a re-export and counts as read
+    root = Path(itmlib.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif (
+                isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            ):
+                used.update(ast.literal_eval(node.value))
+        found += [
+            f"{path.relative_to(root)}:{line}: {name}"
+            for name, line in sorted(imported.items())
+            if name not in used and name != "annotations"
+        ]
+    assert found == []
