@@ -8,6 +8,14 @@ values genuinely differ, so a rotation split into two affine charts has
 none.  Orbits, visit frequencies of discontinuity neighbourhoods, the
 Birkhoff empirical measure with its exact pushforward defect, and a
 sampled wandering check for discontinuity points all live here.
+
+An orbit is walked only until it revisits a point.  T is a function, so
+once x_n equals an earlier x_i the orbit repeats the cycle x_i, ...,
+x_{n-1} forever.  A slope-1 map with rational shifts, such as every
+`from_itm` map, keeps the orbit of a rational x0 inside x0 + (1/q)Z mod
+1, so it closes within q steps however long the orbit asked for; the
+walk finds the repeat by Brent's cycle finding within 3q steps.  Orbit
+tails, empirical weights and visit counts follow from the cycle.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import bisect
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from itmlib.circle import ONE, ZERO, Rational, _affine_charts, circle_distance, frac
 from itmlib.itm import Itm
@@ -213,24 +221,80 @@ def from_itm(s: Itm, discontinuities: Optional[Sequence[Rational]] = None) -> Pi
     )
 
 
-def orbit(t: PiecewiseMap, x0: Rational, m: int) -> tuple[Fraction, ...]:
-    """Exact forward orbit (x0, T(x0), ..., T^{m-1}(x0)).
+class _Walk(NamedTuple):
+    """The points x_0, ..., x_{n-1} of an orbit, and where its cycle starts.
 
-    Every returned point must avoid the discontinuity set, else
-    HitDiscontinuity names the offending step.
+    When the orbit closed, points are its distinct points and start is the
+    index i with x_n = x_i, so x_k = x_{k + period} for every k >= i with
+    period = n - i.  start is None when the walk reached its length before
+    it found a repeat; points are then the whole orbit.
+    """
+
+    points: list[Fraction]
+    start: Optional[int]
+
+    def unroll(self, m: int) -> list[Fraction]:
+        """(x_0, ..., x_{m-1}): the cycle repeated after the distinct points."""
+        if self.start is None:
+            return self.points
+        cycle = self.points[self.start:]
+        reps, rest = divmod(m - len(self.points), len(cycle))
+        return self.points + cycle * reps + cycle[:rest]
+
+    def visits(self, length: int) -> list[int]:
+        """How often each entry of points recurs among x_0, ..., x_{length-1}."""
+        i = len(self.points) if self.start is None else self.start
+        period = len(self.points) - i
+        return [
+            0 if j >= length else 1 if j < i else (length - 1 - j) // period + 1
+            for j in range(len(self.points))
+        ]
+
+
+def _walk(t: PiecewiseMap, x0: Rational, m: int) -> _Walk:
+    """Walk the length-m orbit from x0 until it finds a repeated point.
+
+    Brent's cycle finding: each point is compared with the one saved at
+    the last step 2^j - 1.  The first match comes exactly one period after
+    that step, and the walk stops there, within 3n steps for an orbit of
+    n distinct points.  It only tests points for equality: the hash of a
+    Fraction takes one of 61 values on the powers of 1/2, so a dict of
+    the halving map's orbit fills quadratically.  Every point is tested
+    against the discontinuity set on its first visit; a revisited point
+    already passed that test.
     """
     if m < 1:
         raise ValueError("orbit length must be positive")
     h = t.discontinuities
     x = t._reduce(frac(x0))
-    points = []
+    points: list[Fraction] = []
+    saved = 0
     for step in range(m):
+        if points and x == points[saved]:
+            points.append(x)
+            period = step - saved
+            i = next(i for i in range(saved + 1) if points[i] == points[i + period])
+            return _Walk(points[: i + period], i)
         if h and x in h:
             raise HitDiscontinuity(x, step)
         points.append(x)
+        if step & (step + 1) == 0:
+            saved = step
         if step + 1 < m:
             x = t.evaluate(x)
-    return tuple(points)
+    return _Walk(points, None)
+
+
+def orbit(t: PiecewiseMap, x0: Rational, m: int) -> tuple[Fraction, ...]:
+    """Exact forward orbit (x0, T(x0), ..., T^{m-1}(x0)).
+
+    The walk stops once it finds a repeated point and fills the rest of
+    the orbit by repeating the cycle, so a rational orbit of a slope-1 map
+    costs at most 3q evaluations for any m.  Every returned point must
+    avoid the discontinuity set, else HitDiscontinuity names the
+    offending step.
+    """
+    return tuple(_walk(t, x0, m).unroll(m))
 
 
 @dataclass(frozen=True)
@@ -300,12 +364,14 @@ def visit_frequency(
     if not h:
         raise ValueError("the map has no discontinuity points to visit")
     x0 = frac(x0)
-    points = orbit(t, x0, ms[-1] + 1)
+    walk = _walk(t, x0, ms[-1] + 1)
+    dists = [t.distance_to(p, h) for p in walk.points]
     entries = []
-    dists = [t.distance_to(p, h) for p in points[1:]]
     for m in ms:
+        visits = walk.visits(m + 1)
+        visits[0] -= 1  # the count starts at T(x0)
         for eps in epsilons:
-            count = sum(1 for d in dists[:m] if d < eps)
+            count = sum(v for v, d in zip(visits, dists) if d < eps)
             entries.append(VisitFrequencyEntry(m=m, eps=eps, count=count))
     return VisitFrequencyTable(base_point=x0, entries=tuple(entries))
 
@@ -314,15 +380,18 @@ def visit_frequency(
 class EmpiricalMeasure:
     """Uniform atoms on the first m orbit points, with the exact defect.
 
-    next_point is T^m(x0); the pushforward moves 1/m of mass from the
-    base point to it, so the defect in total variation is 2/m exactly
-    unless the orbit closed up.
+    next_point is T^m(x0) and map is T.  The pushforward moves 1/m of
+    mass from the base point to next_point, so the defect in total
+    variation is 2/m exactly unless the orbit closed up.  An orbit that
+    revisits a point repeats its cycle, so measure holds one atom per
+    distinct point, weighted by its visit count.
     """
 
     base_point: Fraction
     points: tuple[Fraction, ...]
     next_point: Fraction
     measure: Measure
+    map: PiecewiseMap
 
     @property
     def m(self) -> int:
@@ -335,15 +404,40 @@ class EmpiricalMeasure:
         return Fraction(2, self.m)
 
     def pushforward_measure(self) -> Measure:
-        """Atoms moved one step: the empirical measure of (T x0, ..., T^m x0)."""
-        weight = Fraction(1, self.m)
+        """T#mu: each distinct atom moved once through the map."""
         return Measure(
-            (), [(p, weight) for p in self.points[1:] + (self.next_point,)]
+            (), [(self.map.evaluate(p), w) for p, w in self.measure.atoms]
         )
 
     def verify_defect(self) -> bool:
-        """Check T#mu - mu = (delta(T^m x0) - delta(x0)) / m exactly."""
-        pushed = self.pushforward_measure()
+        """Check T#mu - mu = (delta(T^m x0) - delta(x0)) / m exactly.
+
+        T#mu applies the map to the atoms, met on a walk from x0 that must
+        reach every atom, and mu must be a probability measure.  Two
+        solutions of the identity differ by a T-invariant signed measure.
+        On the forward orbit of x0 that is a multiple of the uniform
+        measure on its cycle, and total mass 1 makes the multiple 0.  So
+        the check holds for the empirical measure of x0's orbit under T,
+        with next_point = T^m(x0), and for no other measure or next_point.
+        """
+        # Fraction's hash takes one of 61 values on a/2^k for a fixed a, so
+        # the key carries the denominator's length as well.
+        index = {
+            (p.denominator.bit_length(), p): j
+            for j, (p, _) in enumerate(self.measure.atoms)
+        }
+        images: list[Optional[Fraction]] = [None] * len(index)
+        reached, x = 0, self.base_point
+        j = index.get((x.denominator.bit_length(), x))
+        while j is not None and images[j] is None:
+            x = images[j] = self.map.evaluate(x)
+            reached += 1
+            j = index.get((x.denominator.bit_length(), x))
+        if reached < len(images) or not self.measure.is_probability:
+            return False
+        pushed = Measure(
+            (), [(q, w) for q, (_, w) in zip(images, self.measure.atoms)]
+        )
         weight = Fraction(1, self.m)
         expected = self.measure.add(
             Measure((), [(self.next_point, weight)])
@@ -353,13 +447,27 @@ class EmpiricalMeasure:
 
 
 def empirical_measure(t: PiecewiseMap, x0: Rational, m: int) -> EmpiricalMeasure:
-    """The Birkhoff empirical measure of the length-m orbit from x0."""
-    points = orbit(t, x0, m)
-    next_point = t.evaluate(points[-1])
-    weight = Fraction(1, m)
-    mu = Measure((), [(p, weight) for p in points])
+    """The Birkhoff empirical measure of the length-m orbit from x0.
+
+    Each pre-period point has mass 1/m; a cycle point visited c times
+    among the m orbit points has mass c/m.
+    """
+    walk = _walk(t, x0, m)
+    if walk.start is None:
+        next_point = t.evaluate(walk.points[-1])
+    else:
+        cycle = walk.points[walk.start:]
+        next_point = cycle[(m - walk.start) % len(cycle)]
+    mu = Measure(
+        (),
+        [(p, Fraction(c, m)) for p, c in zip(walk.points, walk.visits(m))],
+    )
     return EmpiricalMeasure(
-        base_point=points[0], points=points, next_point=next_point, measure=mu
+        base_point=walk.points[0],
+        points=tuple(walk.unroll(m)),
+        next_point=next_point,
+        measure=mu,
+        map=t,
     )
 
 
@@ -414,13 +522,17 @@ def wandering_discontinuity_check(
                     elif not 0 <= start <= 1:
                         continue
                     try:
-                        pts = orbit(t, start, horizon + 1)
+                        walk = _walk(t, start, horizon + 1)
                     except HitDiscontinuity:
                         continue
+                    # Steps 1..n-1 visit the distinct points after x0 and
+                    # step n revisits x_start; later steps repeat the cycle.
+                    pts = walk.points
+                    returns = pts[1:] + pts[:1] if walk.start == 0 else pts[1:]
                     hit = next(
                         (
                             step
-                            for step, p in enumerate(pts[1:], start=1)
+                            for step, p in enumerate(returns, start=1)
                             if t.distance_to(p, (h,)) < r
                         ),
                         None,

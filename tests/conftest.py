@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, settings
 from itmlib.approx import OrderViolation, generate_approximants
 from itmlib.catalog import random_itm
 from itmlib.itm import Itm
+from itmlib.piecewise import from_itm
 
 settings.register_profile(
     "exact",
@@ -26,6 +27,23 @@ def acceptance_sweep_maps():
         n = rng.randint(2, 5)
         maps.append(random_itm(rng, n, rng.randint(2 * n, 512)))
     return maps
+
+
+@pytest.fixture(scope="session")
+def criterion_8_orbits():
+    """The 50 (map, start) pairs of acceptance criterion 8, in its order.
+
+    Each map is a cast random_itm with 2-4 pieces and q <= 64; each start
+    has the prime denominator 999983.
+    """
+    rng = random.Random(20260824 + 8)
+    prime = 999983
+    pairs = []
+    for _ in range(50):
+        n = rng.randint(2, 4)
+        t = from_itm(random_itm(rng, n, rng.randint(n, 64)))
+        pairs.append((t, Fraction(rng.randrange(1, prime), prime)))
+    return pairs
 
 
 def sqrt_digits(rng: random.Random) -> Fraction:

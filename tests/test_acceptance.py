@@ -270,15 +270,10 @@ def test_criterion_07_negative_control_no_invariant_measure():
     )
 
 
-def test_criterion_08_empirical_defect_identity():
-    rng = random.Random(SWEEP_SEED + 8)
-    prime = 999983
-    lengths = (10, 100, 1000, 10000)
+def test_criterion_08_empirical_defect_identity(criterion_8_orbits):
+    lengths = (10, 100, 1000, 10000, 100000)
     open_orbits = closed_orbits = 0
-    for _ in range(50):
-        n = rng.randint(2, 4)
-        t = from_itm(random_itm(rng, n, rng.randint(n, 64)))
-        x0 = F(rng.randrange(1, prime), prime)
+    for t, x0 in criterion_8_orbits:
         for m in lengths:
             emp = empirical_measure(t, x0, m)
             assert emp.verify_defect()

@@ -1,9 +1,13 @@
 """Piecewise maps, orbits, empirical measures, and discontinuity probes."""
 
+import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from itmlib.catalog import half_collapse, halving_map, random_itm, rotation
 from itmlib.circle import CirclePoint
@@ -337,3 +341,283 @@ class TestWanderingCheck:
             (F(1, 2), F(1, 8)),
             (F(1, 2), F(1, 32)),
         ]
+
+
+def reference_orbit(t: PiecewiseMap, x0, m: int) -> tuple:
+    """The stepping orbit: one evaluation per step, never closing up."""
+    if m < 1:
+        raise ValueError("orbit length must be positive")
+    h = t.discontinuities
+    x = t._reduce(F(x0))
+    points = []
+    for step in range(m):
+        if h and x in h:
+            raise HitDiscontinuity(x, step)
+        points.append(x)
+        if step + 1 < m:
+            x = t.evaluate(x)
+    return tuple(points)
+
+
+def reference_from_orbit(points: tuple, next_point) -> tuple:
+    """(points, measure, next_point, pushforward) with an atom of 1/m per step.
+
+    Each point's atoms are tallied before the Measure is built, which gives
+    the measure that merging m atoms of 1/m gives, at a fraction of the
+    cost.  The pushforward relabels the orbit one step on instead of
+    applying T.
+    """
+    m = len(points)
+
+    def tallied(steps):
+        return Measure((), [(p, F(c, m)) for p, c in Counter(steps).items()])
+
+    return points, tallied(points), next_point, tallied(points[1:] + (next_point,))
+
+
+def reference_empirical(t: PiecewiseMap, x0, m: int) -> tuple:
+    points = reference_orbit(t, x0, m)
+    return reference_from_orbit(points, t.evaluate(points[-1]))
+
+
+def outcome(f, *args):
+    """("ok", result) or ("hit", step, point) when the orbit meets H."""
+    try:
+        return "ok", f(*args)
+    except HitDiscontinuity as err:
+        return "hit", err.step, err.point
+
+
+def assert_matches_reference(t: PiecewiseMap, x0, m: int, expected=None) -> None:
+    """Compare with the stepping reference, or with its given outcome."""
+    if expected is None:
+        expected = outcome(reference_empirical, t, x0, m)
+    assert outcome(orbit, t, x0, m) == (
+        ("ok", expected[1][0]) if expected[0] == "ok" else expected
+    )
+    got = outcome(empirical_measure, t, x0, m)
+    if expected[0] == "hit":
+        assert got == expected
+        return
+    points, mu, next_point, pushed = expected[1]
+    emp = got[1]
+    assert emp.points == points
+    assert emp.base_point == points[0]
+    assert emp.measure == mu
+    assert emp.next_point == next_point
+    assert emp.pushforward_measure() == pushed
+    assert emp.verify_defect()
+
+
+@st.composite
+def piecewise_maps(draw) -> PiecewiseMap:
+    """Circle or segment maps on a 1/d grid with overrides and declared jumps.
+
+    Circle slopes include 1 (orbits close on the grid), 2 and -1 (they
+    close later) and 1/2 (denominators grow, so orbits never close).
+    """
+    domain = draw(st.sampled_from(Domain))
+    d = draw(st.sampled_from([2, 3, 4, 6, 12]))
+    top = d if domain is Domain.SEGMENT else d - 1
+    cuts = draw(st.sets(st.integers(1, d - 1), max_size=3))
+    edges = [F(0)] + [F(c, d) for c in sorted(cuts)] + [F(1)]
+    pieces = []
+    for lo, hi in zip(edges, edges[1:]):
+        if domain is Domain.CIRCLE:
+            a = draw(st.sampled_from([F(1), F(1), F(2), F(-1), F(1, 2), F(0)]))
+            b = F(draw(st.integers(-2 * d, 2 * d)), d)
+        else:
+            v_lo, v_hi = (F(draw(st.integers(0, d)), d) for _ in range(2))
+            a = (v_hi - v_lo) / (hi - lo)
+            b = v_lo - a * lo
+        pieces.append(AffinePiece(lo, hi, a, b))
+    override_points = draw(st.sets(st.integers(0, top), max_size=2))
+    overrides = tuple(
+        (F(p, d), F(draw(st.integers(0, top)), d)) for p in sorted(override_points)
+    )
+    declared = draw(
+        st.none()
+        | st.sets(st.integers(0, top), max_size=2).map(
+            lambda ps: tuple(F(p, d) for p in ps)
+        )
+    )
+    return PiecewiseMap(
+        domain=domain, pieces=tuple(pieces), boundary_values=overrides,
+        discontinuities=declared,
+    )
+
+
+starts = st.fractions(min_value=0, max_value=1, max_denominator=24)
+
+
+def reference_first_return(t: PiecewiseMap, probe, horizon: int):
+    """The probe's return time from stepping every start's full orbit."""
+    h, r = probe.point, probe.radius
+    for k in (1, 2):
+        offset = r * k / 3
+        for start in (h + offset, h - offset):
+            if t.domain is Domain.CIRCLE:
+                start = start % 1
+            elif not 0 <= start <= 1:
+                continue
+            try:
+                pts = reference_orbit(t, start, horizon + 1)
+            except HitDiscontinuity:
+                continue
+            for step, p in enumerate(pts[1:], start=1):
+                if t.distance_to(p, (h,)) < r:
+                    return step
+    return None
+
+
+class TestClosedOrbitAgainstReference:
+    """The closing walk gives the stepping orbit's points, atoms and pushforward."""
+
+    def test_criterion_8_maps(self, criterion_8_orbits):
+        # One stepped orbit per map; the shorter lengths are its prefixes.
+        longest = 10000
+        for t, x0 in criterion_8_orbits:
+            points = reference_orbit(t, x0, longest)
+            ahead = points + (t.evaluate(points[-1]),)
+            for m in (10, 100, 1000, longest):
+                expected = ("ok", reference_from_orbit(points[:m], ahead[m]))
+                assert_matches_reference(t, x0, m, expected)
+
+    @given(piecewise_maps(), starts, st.integers(1, 60))
+    def test_hypothesis_maps(self, t, x0, m):
+        assert_matches_reference(t, x0, m)
+
+    def test_halving_orbit_never_closes(self):
+        points = orbit(halving_map(), F(1), 300)
+        assert len(set(points)) == 300
+        assert_matches_reference(halving_map(), F(1), 300)
+        assert_matches_reference(halving_map(), F(3, 7), 300)
+
+    def test_a_closed_orbit_costs_at_most_three_steps_per_point(
+        self, criterion_8_orbits, monkeypatch
+    ):
+        calls = []
+        evaluate = PiecewiseMap.evaluate
+
+        def counted(self, x):
+            calls.append(x)
+            return evaluate(self, x)
+
+        monkeypatch.setattr(PiecewiseMap, "evaluate", counted)
+        for t, x0 in criterion_8_orbits:
+            calls.clear()
+            orbit(t, x0, 10**5)
+            steps = len(calls)
+            distinct = len(set(orbit(t, x0, 1000)))  # q <= 64 points
+            assert distinct <= steps <= 3 * distinct
+
+    @given(piecewise_maps(), starts, st.integers(1, 40), st.integers(1, 40))
+    def test_an_orbit_is_a_prefix_of_a_longer_one(self, t, x0, m, k):
+        short = outcome(orbit, t, x0, m)
+        longer = outcome(orbit, t, x0, m + k)
+        if short[0] == "hit":
+            assert longer == short
+        elif longer[0] == "hit":
+            assert longer[1] >= m
+        else:
+            assert longer[1][:m] == short[1]
+
+    @given(piecewise_maps(), starts, st.integers(1, 40))
+    def test_visit_counts_and_returns_follow_the_stepping_orbit(self, t, x0, m):
+        h = t.discontinuities
+        epsilons = (F(1, 3), F(1, 12), F(1, 48))
+        if h:
+            expected = outcome(reference_orbit, t, x0, m + 1)
+            got = outcome(visit_frequency, t, x0, (1, m), epsilons)
+            if expected[0] == "hit":
+                assert got == expected
+            else:
+                dists = [t.distance_to(p, h) for p in expected[1][1:]]
+                for n in (1, m):
+                    for eps in epsilons:
+                        count = sum(1 for dist in dists[:n] if dist < eps)
+                        assert got[1].frequency(eps, n) == F(count, n)
+        for probe in wandering_discontinuity_check(
+            t, radii=(F(1, 5),), horizon=m, points=(x0 % 1,), samples=2
+        ):
+            assert probe.return_time == reference_first_return(t, probe, m)
+
+
+class TestVerifyDefectAppliesTheMap:
+    """A tampered EmpiricalMeasure fails: the check is not the orbit restated."""
+
+    cases = [
+        (from_itm(rotation("3/5")), F(0), 10),  # closed, defect 0
+        (halving_map(), F(1), 4),  # open, defect 1/2
+        (from_itm(half_collapse()), F(3, 4), 10),  # one step to a fixed point
+        (from_itm(random_itm(random.Random(8), 3, 40)), F(1, 999983), 100),
+    ]
+
+    @pytest.mark.parametrize("t, x0, m", cases)
+    def test_untampered_measure_verifies(self, t, x0, m):
+        assert empirical_measure(t, x0, m).verify_defect()
+
+    @pytest.mark.parametrize("t, x0, m", cases)
+    def test_wrong_next_point_fails(self, t, x0, m):
+        emp = empirical_measure(t, x0, m)
+        wrong = (emp.next_point + F(1, 10)) % 1
+        assert not dataclasses.replace(emp, next_point=wrong).verify_defect()
+
+    @pytest.mark.parametrize("t, x0, m", cases)
+    def test_moved_atom_fails(self, t, x0, m):
+        emp = empirical_measure(t, x0, m)
+        (p, w), *rest = emp.measure.atoms
+        moved = Measure((), [((p + F(1, 10)) % 1, w)] + rest)
+        assert moved.atoms != emp.measure.atoms
+        assert not dataclasses.replace(emp, measure=moved).verify_defect()
+
+    @pytest.mark.parametrize("t, x0, m", cases)
+    def test_another_map_fails(self, t, x0, m):
+        emp = empirical_measure(t, x0, m)
+        other = from_itm(rotation("1/7"))
+        assert not dataclasses.replace(emp, map=other).verify_defect()
+
+    @pytest.mark.parametrize("t, x0, m", cases)
+    def test_doubled_first_atom_fails(self, t, x0, m):
+        emp = empirical_measure(t, x0, m)
+        (p, w), *rest = emp.measure.atoms
+        doubled = Measure((), [(p, 2 * w)] + rest)
+        assert not dataclasses.replace(emp, measure=doubled).verify_defect()
+
+    @pytest.mark.parametrize(
+        "t, x0, m",
+        [
+            (from_itm(rotation(0)), F(1, 3), 5),
+            (trapping_map(), F(1), 5),
+            (from_itm(half_collapse()), F(3, 4), 10),
+        ],
+    )
+    def test_rescaled_fixed_point_atom_fails(self, t, x0, m):
+        # T#(c delta(p)) = c delta(p) at a fixed point p: the identity alone
+        # accepts every c, total mass 1 does not.
+        emp = empirical_measure(t, x0, m)
+        p = next(p for p, _ in emp.measure.atoms if t.evaluate(p) == p)
+        for c in (2, F(1, 2)):
+            scaled = Measure((), [(q, c * w if q == p else w) for q, w in emp.measure.atoms])
+            assert not dataclasses.replace(emp, measure=scaled).verify_defect()
+
+    @pytest.mark.parametrize(
+        "t, x0, m, elsewhere",
+        [
+            (from_itm(rotation(0)), F(1, 3), 5, [(F(2, 3), F(1))]),
+            (from_itm(rotation("1/2")), F(0), 6, [(F(1, 4), F(1, 2)), (F(3, 4), F(1, 2))]),
+        ],
+    )
+    def test_invariant_measure_off_the_orbit_fails(self, t, x0, m, elsewhere):
+        # The identity holds for the orbit's measure plus any T-invariant
+        # signed measure of mass 0; only the walk from x0 tells them apart.
+        emp = empirical_measure(t, x0, m)
+        assert emp.defect == 0
+        moved = dataclasses.replace(emp, measure=Measure((), elsewhere))
+        assert moved.measure.is_probability
+        assert moved.pushforward_measure() == moved.measure
+        assert not moved.verify_defect()
+
+    def test_the_measure_carries_its_map(self):
+        t = from_itm(rotation("3/5"))
+        assert empirical_measure(t, F(0), 10).map is t
