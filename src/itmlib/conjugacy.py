@@ -146,15 +146,11 @@ def induce_iem(
     semi-conjugacy is then sampled on a grid and the exchange is
     verified exactly.
     """
-    if mu.atoms:
-        raise AtomicMeasure("conjugacy requires a non-atomic measure")
-    if mu.total_mass != 1:
-        raise ValueError("conjugacy requires a probability measure")
+    h = build_h(mu)
     if invariance_residual_exact(s, mu) != 0:
         raise NotInvariant("measure is not exactly invariant under the map")
 
     cut = s.with_breakpoint(CirclePoint(ZERO))
-    h = build_h(mu)
     tau = tuple(h.at(t.value) for t in cut.breakpoints) + (ONE,)
 
     # One exchange piece per connected component of supp mu within a piece

@@ -5,6 +5,11 @@ A Measure lives on [0, 1] cut open at 0: density pieces never wrap through
 rationals in [0, 1], so segment maps can keep an atom at 1 distinct from
 one at 0.  The representation is canonical, which makes equality of
 measures and exact invariance residuals decidable.
+
+Every mass query reads one cumulative table: the rows (x, F(x-), F(x),
+slope) of F(x) = mass of [0, x] at each cut.  ``Cdf`` stores the table of
+a measure, ``mass_between`` is two lookups in it, and ``cdf_distance``
+scans the table of the signed difference that ``tv_distance`` also sums.
 """
 
 from __future__ import annotations
@@ -72,15 +77,59 @@ def _sweep(
 def _merge_atoms(
     raw: Iterable[tuple[Fraction, Fraction]]
 ) -> tuple[tuple[Fraction, Fraction], ...]:
-    acc: dict[Fraction, Fraction] = {}
+    atoms = []
     for pos, mass in raw:
         if mass < 0:
             raise ValueError("atom masses must be nonnegative")
         if not ZERO <= pos <= ONE:
             raise ValueError(f"atom position {pos} outside [0, 1]")
         if mass > 0:
-            acc[pos] = acc.get(pos, ZERO) + mass
-    return tuple(sorted(acc.items()))
+            atoms.append((pos, mass))
+    return _add_neighbours(atoms)
+
+
+def _add_neighbours(
+    atoms: Iterable[tuple[Fraction, Fraction]]
+) -> tuple[tuple[Fraction, Fraction], ...]:
+    # sort (position, mass) pairs and add up equal neighbours, dropping zero
+    # sums; no position is hashed, since Fraction's hash repeats with period
+    # 61 along x_k = c + d/2^k and a dict of such atoms fills quadratically.
+    # The tuple is built from a list: CPython sizes a tuple built from a
+    # generator by guessing, and the spare tuples pile up on its free lists.
+    out: list[tuple[Fraction, Fraction]] = []
+    for p, m in sorted(atoms, key=lambda a: a[0]):
+        if out and out[-1][0] == p:
+            out[-1] = (p, out[-1][1] + m)
+        else:
+            out.append((p, m))
+    return tuple([a for a in out if a[1] != 0])
+
+
+def _cumulative(
+    density: Iterable[tuple[Fraction, Fraction, Fraction]],
+    atoms: Iterable[tuple[Fraction, Fraction]],
+) -> list[list[Fraction]]:
+    """Rows [x, F(x-), F(x), slope of F on [x, next cut)] at every cut.
+
+    F(x) is the mass of [0, x], for density pieces and atoms of either
+    sign.  The cuts are 0, 1, the density endpoints and the atom positions,
+    in increasing order.  Between two cuts F is linear, so every query on
+    the cut line reads one row.
+    """
+    events = [e for lo, hi, w in density for e in ((lo, w, ZERO), (hi, -w, ZERO))]
+    events += [(p, ZERO, m) for p, m in atoms]
+    events.append((ONE, ZERO, ZERO))
+    events.sort(key=lambda e: e[0])
+    rows = [[ZERO, ZERO, ZERO, ZERO]]
+    for x, dw, m in events:
+        row = rows[-1]
+        if x != row[0]:
+            left = row[2] + row[3] * (x - row[0])
+            row = [x, left, left, row[3]]
+            rows.append(row)
+        row[2] += m
+        row[3] += dw
+    return rows
 
 
 @dataclass(frozen=True)
@@ -155,32 +204,15 @@ class Measure:
         return self.add(other)
 
     def mass_between(
-        self,
-        lo: Fraction,
-        hi: Fraction,
-        include_lo: bool = True,
-        include_hi: bool = False,
+        self, lo: Fraction, hi: Fraction, include_lo: bool = True, include_hi: bool = False
     ) -> Fraction:
         """Mass of the interval from lo to hi on the cut-open line."""
-        if hi < lo:
-            raise ValueError("need lo <= hi")
-        total = ZERO
-        for a, b, w in self.density:
-            left, right = max(a, lo), min(b, hi)
-            if right > left:
-                total += w * (right - left)
-        for p, m in self.atoms:
-            if (lo < p < hi) or (p == lo and include_lo) or (p == hi and include_hi):
-                if p == lo == hi and not (include_lo and include_hi):
-                    continue
-                total += m
-        return total
+        return self.cdf().mass_between(lo, hi, include_lo, include_hi)
 
     def mass_of(self, support: ArcSet) -> Fraction:
         """Mass of an arc union (arcs half-open, wraps handled)."""
-        return sum(
-            (self.mass_between(lo, hi) for lo, hi in support.segments()), ZERO
-        )
+        cdf = self.cdf()
+        return sum((cdf.mass_between(lo, hi) for lo, hi in support.segments()), ZERO)
 
     def support(self) -> ArcSet:
         """Smallest canonical arc union carrying all density mass (atoms excluded)."""
@@ -200,71 +232,43 @@ class Cdf:
 
     F is piecewise linear with jumps at atoms; ``at`` gives the
     right-continuous value including the atom at x, ``left_limit`` the
-    value just below x.
+    value just below x.  Each query reads one row of the cumulative table
+    (cuts, value_left, value_at, slopes): F has slope slopes[i] on
+    [cuts[i], cuts[i + 1]).
     """
 
-    __slots__ = ("measure", "cuts", "value_at", "value_left")
+    __slots__ = ("measure", "cuts", "value_left", "value_at", "slopes")
 
     def __init__(self, measure: Measure):
-        cuts = {ZERO, ONE}
-        for lo, hi, _ in measure.density:
-            cuts.add(lo)
-            cuts.add(hi)
-        for p, _ in measure.atoms:
-            cuts.add(p)
         self.measure = measure
-        self.cuts = tuple(sorted(cuts))
-        # One cumulative pass: every density endpoint is a cut, so each
-        # gap [prev, x) lies inside a single constant-weight segment.
-        atom_at = dict(measure.atoms)
-        value_at = []
-        value_left = []
-        running = ZERO
-        seg_idx = 0
-        density = measure.density
-        prev = ZERO
-        for x in self.cuts:
-            gap = ZERO
-            while seg_idx < len(density) and density[seg_idx][1] <= prev:
-                seg_idx += 1
-            if x > prev and seg_idx < len(density):
-                lo, hi, w = density[seg_idx]
-                if lo <= prev < hi:
-                    gap = w * (x - prev)
-            left = running + gap
-            at = left + atom_at.get(x, ZERO)
-            value_left.append(left)
-            value_at.append(at)
-            running = at
-            prev = x
-        self.value_at = tuple(value_at)
-        self.value_left = tuple(value_left)
+        self.cuts, self.value_left, self.value_at, self.slopes = zip(
+            *_cumulative(measure.density, measure.atoms)
+        )
 
     def at(self, x: Rational) -> Fraction:
         x = frac(x)
         if x < 0:
             return ZERO
-        if x >= 1:
-            return self.value_at[-1]
         i = bisect.bisect_right(self.cuts, x) - 1
-        if self.cuts[i] == x:
-            return self.value_at[i]
-        lo, hi = self.cuts[i], self.cuts[i + 1]
-        slope = (self.value_left[i + 1] - self.value_at[i]) / (hi - lo)
-        return self.value_at[i] + slope * (x - lo)
+        return self.value_at[i] + self.slopes[i] * (x - self.cuts[i])
 
     def left_limit(self, x: Rational) -> Fraction:
         x = frac(x)
         if x <= 0:
             return ZERO
-        if x > 1:
-            return self.value_at[-1]
-        i = bisect.bisect_left(self.cuts, x)
-        if i < len(self.cuts) and self.cuts[i] == x:
-            return self.value_left[i]
-        lo = self.cuts[i - 1]
-        slope = (self.value_left[i] - self.value_at[i - 1]) / (self.cuts[i] - lo)
-        return self.value_at[i - 1] + slope * (x - lo)
+        i = bisect.bisect_left(self.cuts, x) - 1
+        return self.value_at[i] + self.slopes[i] * (x - self.cuts[i])
+
+    def mass_between(
+        self, lo: Rational, hi: Rational, include_lo: bool = True, include_hi: bool = False
+    ) -> Fraction:
+        """Mass of the interval from lo to hi on the cut-open line."""
+        if hi < lo:
+            raise ValueError("need lo <= hi")
+        if hi == lo and not (include_lo and include_hi):
+            return ZERO
+        upper = self.at(hi) if include_hi else self.left_limit(hi)
+        return upper - (self.left_limit(lo) if include_lo else self.at(lo))
 
     def quantile(self, y: Rational) -> Fraction:
         """Smallest x with F(x) >= y (generalized inverse, for sampling)."""
@@ -274,12 +278,10 @@ class Cdf:
         i = bisect.bisect_left(self.value_at, y)
         if i >= len(self.cuts):
             return ONE
-        if self.value_left[i] >= y and i > 0:
-            # the level is reached strictly inside (cuts[i-1], cuts[i])
-            lo, hi = self.cuts[i - 1], self.cuts[i]
-            slope = (self.value_left[i] - self.value_at[i - 1]) / (hi - lo)
-            if slope > 0:
-                return lo + (y - self.value_at[i - 1]) / slope
+        if i > 0 and self.value_left[i] >= y:
+            # the level is reached strictly inside (cuts[i-1], cuts[i]),
+            # where F rises from value_at[i-1] < y, so the slope is positive
+            return self.cuts[i - 1] + (y - self.value_at[i - 1]) / self.slopes[i - 1]
         return self.cuts[i]
 
     def rightmost_preimage(self, y: Rational) -> Fraction:
@@ -297,9 +299,7 @@ class Cdf:
         i = bisect.bisect_right(v, y) - 1
         if v[i] == y:
             return self.cuts[i]
-        lo, hi = self.cuts[i], self.cuts[i + 1]
-        slope = (v[i + 1] - v[i]) / (hi - lo)
-        return lo + (y - v[i]) / slope
+        return self.cuts[i] + (y - v[i]) / self.slopes[i]
 
 
 def pushforward(s: Itm, mu: Measure) -> Measure:
@@ -310,16 +310,19 @@ def pushforward(s: Itm, mu: Measure) -> Measure:
     return Measure(tuple(_walk(mu.density, s._charts)), atoms)
 
 
-def tv_distance(mu: Measure, nu: Measure) -> Fraction:
-    """Exact total variation of mu - nu: one sweep of the signed densities."""
+def _difference(mu: Measure, nu: Measure) -> tuple[tuple, tuple]:
+    """The signed measure mu - nu as canonical (density, atoms)."""
     events = [e for lo, hi, w in mu.density for e in ((lo, w), (hi, -w))]
     events += [e for lo, hi, w in nu.density for e in ((lo, -w), (hi, w))]
-    total = sum((abs(w) * (hi - lo) for lo, hi, w in _sweep(events)), ZERO)
-    mu_atoms = dict(mu.atoms)
-    nu_atoms = dict(nu.atoms)
-    for p in mu_atoms.keys() | nu_atoms.keys():
-        total += abs(mu_atoms.get(p, ZERO) - nu_atoms.get(p, ZERO))
-    return total
+    atoms = [*mu.atoms, *[(p, -m) for p, m in nu.atoms]]
+    return _sweep(events), _add_neighbours(atoms)
+
+
+def tv_distance(mu: Measure, nu: Measure) -> Fraction:
+    """Exact total variation of mu - nu."""
+    density, atoms = _difference(mu, nu)
+    total = sum((abs(w) * (hi - lo) for lo, hi, w in density), ZERO)
+    return total + sum((abs(m) for _, m in atoms), ZERO)
 
 
 def invariance_residual_exact(s: Itm, mu: Measure) -> Fraction:
@@ -353,20 +356,14 @@ def attractor_measure(s: Itm, attr: Optional[AttractorResult] = None) -> Measure
 def cdf_distance(mu: Measure, nu: Measure) -> Fraction:
     """sup over x of |F_mu(x) - F_nu(x)|, exact.
 
-    Both measures must be probability measures.  The sup of the piecewise
-    linear difference is attained at a cut of either CDF or just below one.
+    Both measures must be probability measures.  F_mu - F_nu is the
+    distribution function of mu - nu, linear between its cuts, so the sup
+    is its largest value at a cut or just below one.
     """
     if mu.total_mass != 1 or nu.total_mass != 1:
         raise ValueError("cdf distance requires probability measures")
-    fm, fn = mu.cdf(), nu.cdf()
-    best = ZERO
-    for x in sorted(set(fm.cuts) | set(fn.cuts)):
-        best = max(
-            best,
-            abs(fm.at(x) - fn.at(x)),
-            abs(fm.left_limit(x) - fn.left_limit(x)),
-        )
-    return best
+    rows = _cumulative(*_difference(mu, nu))
+    return max(max(abs(left), abs(at)) for _, left, at, _ in rows)
 
 
 def mass_near_points(
@@ -384,13 +381,14 @@ def mass_near_points(
     delta = frac(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
+    cdf = mu.cdf()
     out = []
     for p in points:
         t = frac(p)
         if not wrap:
             lo, hi = t - delta, t + delta
             out.append(
-                mu.mass_between(
+                cdf.mass_between(
                     max(lo, ZERO),
                     min(hi, ONE),
                     include_lo=lo < 0,
@@ -403,10 +401,10 @@ def mass_near_points(
         if delta > Fraction(1, 2):
             out.append(mu.total_mass)
         elif lo < hi:
-            out.append(mu.mass_between(lo, hi, include_lo=False, include_hi=False))
+            out.append(cdf.mass_between(lo, hi, include_lo=False, include_hi=False))
         else:
-            total = mu.mass_between(lo, ONE, include_lo=False, include_hi=True)
-            total += mu.mass_between(ZERO, hi, include_lo=True, include_hi=False)
+            total = cdf.mass_between(lo, ONE, include_lo=False, include_hi=True)
+            total += cdf.mass_between(ZERO, hi, include_lo=True, include_hi=False)
             out.append(total)
     return out
 

@@ -420,19 +420,19 @@ class EmpiricalMeasure:
         the check holds for the empirical measure of x0's orbit under T,
         with next_point = T^m(x0), and for no other measure or next_point.
         """
-        # Fraction's hash takes one of 61 values on a/2^k for a fixed a, so
-        # the key carries the denominator's length as well.
-        index = {
-            (p.denominator.bit_length(), p): j
-            for j, (p, _) in enumerate(self.measure.atoms)
-        }
-        images: list[Optional[Fraction]] = [None] * len(index)
+        positions = [p for p, _ in self.measure.atoms]
+
+        def index(x: Fraction) -> Optional[int]:
+            j = bisect.bisect_left(positions, x)
+            return j if j < len(positions) and positions[j] == x else None
+
+        images: list[Optional[Fraction]] = [None] * len(positions)
         reached, x = 0, self.base_point
-        j = index.get((x.denominator.bit_length(), x))
+        j = index(x)
         while j is not None and images[j] is None:
             x = images[j] = self.map.evaluate(x)
             reached += 1
-            j = index.get((x.denominator.bit_length(), x))
+            j = index(x)
         if reached < len(images) or not self.measure.is_probability:
             return False
         pushed = Measure(

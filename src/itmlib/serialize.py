@@ -188,32 +188,6 @@ def relation_from_json(d: Mapping) -> Relation:
         raise ValueError(f"bad relation entry: {d!r}") from exc
 
 
-def parse_schedule_config(d: Mapping) -> dict:
-    """Read an approximation schedule config into constructor arguments.
-
-    Returns target (Itm), relations (list or None), denominators (list or
-    None), and precision (Fraction).  Decimal coordinate strings parse
-    exactly; the precision field widens the declared-relation residual
-    check accordingly.
-    """
-    target = itm_from_json(d.get("target", d))
-    relations = None
-    if "declaredRelations" in d:
-        relations = [relation_from_json(e) for e in d["declaredRelations"]]
-    denominators = None
-    if "denominators" in d:
-        denominators = [int(q) for q in d["denominators"]]
-        if any(q < 1 for q in denominators):
-            raise ValueError("denominators must be positive")
-    precision = parse_rational(d.get("precision", 0), "precision")
-    return {
-        "target": target,
-        "relations": relations,
-        "denominators": denominators,
-        "precision": precision,
-    }
-
-
 def cdf_csv(mu: Measure, points: Optional[Sequence] = None) -> str:
     """CSV with columns x,F(x), exact, at the CDF breaklist by default."""
     cdf = Cdf(mu)

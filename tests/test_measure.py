@@ -1,5 +1,6 @@
 """Measures: canonical form, pushforward, residuals, CDFs, recurrence."""
 
+import bisect
 import random
 from fractions import Fraction
 
@@ -478,6 +479,181 @@ class TestCdfDistance:
     @given(measures(probability=True), measures(probability=True), measures(probability=True))
     def test_triangle(self, mu, nu, rho):
         assert cdf_distance(mu, rho) <= cdf_distance(mu, nu) + cdf_distance(nu, rho)
+
+
+class ReferenceCdf:
+    """F(x) = mu([0, x]) from a set of cuts, an atom dict and one pass over
+    the density; every lookup bisects and divides out a fresh slope."""
+
+    def __init__(self, measure: Measure):
+        cuts = {F(0), F(1)}
+        for lo, hi, _ in measure.density:
+            cuts.update((lo, hi))
+        cuts.update(p for p, _ in measure.atoms)
+        self.measure = measure
+        self.cuts = tuple(sorted(cuts))
+        atom_at = dict(measure.atoms)
+        value_at, value_left = [], []
+        running, seg_idx, prev = F(0), 0, F(0)
+        density = measure.density
+        for x in self.cuts:
+            gap = F(0)
+            while seg_idx < len(density) and density[seg_idx][1] <= prev:
+                seg_idx += 1
+            if x > prev and seg_idx < len(density):
+                lo, hi, w = density[seg_idx]
+                if lo <= prev < hi:
+                    gap = w * (x - prev)
+            left = running + gap
+            running = left + atom_at.get(x, F(0))
+            value_left.append(left)
+            value_at.append(running)
+            prev = x
+        self.value_at = tuple(value_at)
+        self.value_left = tuple(value_left)
+
+    def slope(self, i: int) -> Fraction:
+        lo, hi = self.cuts[i], self.cuts[i + 1]
+        return (self.value_left[i + 1] - self.value_at[i]) / (hi - lo)
+
+    def at(self, x: Fraction) -> Fraction:
+        if x < 0:
+            return F(0)
+        if x >= 1:
+            return self.value_at[-1]
+        i = bisect.bisect_right(self.cuts, x) - 1
+        if self.cuts[i] == x:
+            return self.value_at[i]
+        return self.value_at[i] + self.slope(i) * (x - self.cuts[i])
+
+    def left_limit(self, x: Fraction) -> Fraction:
+        if x <= 0:
+            return F(0)
+        if x > 1:
+            return self.value_at[-1]
+        i = bisect.bisect_left(self.cuts, x)
+        if i < len(self.cuts) and self.cuts[i] == x:
+            return self.value_left[i]
+        return self.value_at[i - 1] + self.slope(i - 1) * (x - self.cuts[i - 1])
+
+    def quantile(self, y: Fraction) -> Fraction:
+        if y <= 0:
+            return F(0)
+        i = bisect.bisect_left(self.value_at, y)
+        if i >= len(self.cuts):
+            return F(1)
+        if self.value_left[i] >= y and i > 0:
+            slope = self.slope(i - 1)
+            if slope > 0:
+                return self.cuts[i - 1] + (y - self.value_at[i - 1]) / slope
+        return self.cuts[i]
+
+    def rightmost_preimage(self, y: Fraction) -> Fraction:
+        v = self.value_at
+        i = bisect.bisect_right(v, y) - 1
+        if v[i] == y:
+            return self.cuts[i]
+        return self.cuts[i] + (y - v[i]) / self.slope(i)
+
+
+def reference_cdf_distance(mu: Measure, nu: Measure) -> Fraction:
+    """Both CDFs looked up at every cut of either, and just below it."""
+    fm, fn = ReferenceCdf(mu), ReferenceCdf(nu)
+    return max(
+        max(abs(fm.at(x) - fn.at(x)), abs(fm.left_limit(x) - fn.left_limit(x)))
+        for x in sorted(set(fm.cuts) | set(fn.cuts))
+    )
+
+
+def reference_mass_between(mu, lo, hi, include_lo=True, include_hi=False) -> Fraction:
+    """Each density piece clipped to [lo, hi], plus the atoms inside."""
+    total = sum((w * (min(b, hi) - max(a, lo)) for a, b, w in mu.density
+                 if min(b, hi) > max(a, lo)), F(0))
+    for p, m in mu.atoms:
+        if lo < p < hi or (p == lo and include_lo) or (p == hi and include_hi):
+            if not (p == lo == hi and not (include_lo and include_hi)):
+                total += m
+    return total
+
+
+def probability(mu: Measure) -> Measure:
+    total = mu.total_mass
+    return mu.scale(1 / total) if total else Measure.lebesgue()
+
+
+def assert_cdf_matches_reference(mu: Measure, rng: random.Random) -> None:
+    fast, ref = mu.cdf(), ReferenceCdf(mu)
+    assert fast.cuts == ref.cuts
+    assert (fast.value_left, fast.value_at) == (ref.value_left, ref.value_at)
+    mids = [(a + b) / 2 for a, b in zip(ref.cuts, ref.cuts[1:])]
+    xs = [F(-1), F(2), F(rng.randrange(193), 192), *ref.cuts, *mids]
+    for x in xs:
+        assert fast.at(x) == ref.at(x)
+        assert fast.left_limit(x) == ref.left_limit(x)
+    total = ref.value_at[-1]
+    levels = [F(-1), F(0), total, total + 1, *ref.value_at, *ref.value_left]
+    levels += [total * F(rng.randrange(1, 64), 64) for _ in range(4)]
+    for y in levels:
+        assert fast.quantile(y) == ref.quantile(y)
+        if mu.non_atomic and 0 <= y <= total:
+            assert fast.rightmost_preimage(y) == ref.rightmost_preimage(y)
+    for _ in range(8):
+        lo, hi = sorted(rng.sample(xs, 2) if rng.random() < 0.8 else [rng.choice(xs)] * 2)
+        for include_lo in (False, True):
+            for include_hi in (False, True):
+                args = (lo, hi, include_lo, include_hi)
+                assert mu.mass_between(*args) == reference_mass_between(mu, *args)
+
+
+class TestCumulativeTableAgainstReference:
+    """Cdf, mass_between and cdf_distance read one cumulative table; the
+    references rebuild each lookup from the cuts, an atom dict and a
+    fresh slope division."""
+
+    def test_random_measures(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            q = rng.randint(2, 97)
+            mu, nu = random_measure(rng, q), random_measure(rng, rng.choice([q, 60]))
+            assert_cdf_matches_reference(mu, rng)
+            mu, nu = probability(mu), probability(nu)
+            assert cdf_distance(mu, nu) == reference_cdf_distance(mu, nu)
+
+    @given(measures(), measures(probability=True), st.integers(0, 2**32))
+    def test_hypothesis_measures(self, mu, nu, seed):
+        assert_cdf_matches_reference(mu, random.Random(seed))
+        mu = probability(mu)
+        assert cdf_distance(mu, nu) == reference_cdf_distance(mu, nu)
+
+    def test_acceptance_sweep_against_lebesgue(self, acceptance_sweep_maps):
+        rng = random.Random(37)
+        lebesgue = Measure.lebesgue()
+        for s in acceptance_sweep_maps:
+            mu = attractor_measure(s)
+            assert_cdf_matches_reference(mu, rng)
+            assert cdf_distance(mu, lebesgue) == reference_cdf_distance(mu, lebesgue)
+
+
+def test_no_position_is_hashed(monkeypatch):
+    # Fraction's hash repeats with period 61 along x -> x/2 + 1/3, so a dict
+    # of these orbit points fills quadratically; no measure path may hash
+    x, points = F(1, 7), []
+    for _ in range(1000):
+        points.append(x)
+        x = x / 2 + F(1, 3)
+    atoms = tuple((p, F(1, 1000)) for p in points)
+    lebesgue = Measure.lebesgue()
+    expected = reference_cdf_distance(Measure((), atoms), lebesgue)
+
+    def refuse(self):
+        raise AssertionError("a Fraction was hashed")
+
+    monkeypatch.setattr(Fraction, "__hash__", refuse)
+    mu = Measure((), atoms)
+    assert len(mu.atoms) == 1000
+    assert Cdf(mu).at(F(1)) == 1
+    assert tv_distance(mu, lebesgue) == 2
+    assert cdf_distance(mu, lebesgue) == expected
 
 
 class TestMassNearBreakpoints:

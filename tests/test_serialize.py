@@ -22,7 +22,6 @@ from itmlib.serialize import (
     measure_from_json,
     measure_to_json,
     parse_rational,
-    parse_schedule_config,
     piecewise_from_json,
     piecewise_to_json,
     rat,
@@ -137,39 +136,6 @@ class TestRelations:
     def test_bad_relation_entry(self):
         with pytest.raises(ValueError):
             relation_from_json({"i": 0, "j": 0})
-
-
-class TestScheduleConfig:
-    def test_full_config(self):
-        parsed = parse_schedule_config(
-            {
-                "target": {"breakpoints": ["0", "1/2"], "shifts": ["0", "1/2"]},
-                "declaredRelations": [{"i": 1, "j": 0, "l": [1, 0], "w": 0}],
-                "denominators": [2, 4, 8],
-                "precision": "1/100",
-            }
-        )
-        assert parsed["target"] == half_collapse()
-        assert parsed["relations"] == [Relation(i=1, j=0, l=(1, 0), w=0)]
-        assert parsed["denominators"] == [2, 4, 8]
-        assert parsed["precision"] == F(1, 100)
-
-    def test_decimal_target_parses_exactly(self):
-        parsed = parse_schedule_config(
-            {"target": {"breakpoints": ["0"], "shifts": ["0.625"]}}
-        )
-        assert parsed["target"].shifts == (F(5, 8),)
-        assert parsed["relations"] is None
-        assert parsed["precision"] == 0
-
-    def test_bad_denominators(self):
-        with pytest.raises(ValueError):
-            parse_schedule_config(
-                {
-                    "target": {"breakpoints": ["0"], "shifts": ["1/2"]},
-                    "denominators": [0],
-                }
-            )
 
 
 class TestCsv:

@@ -2,6 +2,7 @@
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -76,4 +77,34 @@ def test_library_has_no_unused_imports():
             for name, line in sorted(imported.items())
             if name not in used and name != "annotations"
         ]
+    assert found == []
+
+
+def test_every_private_helper_is_read_in_the_library():
+    # a private module-level function or class that no other code in the
+    # package reads was orphaned by a refactor; reads inside its own body
+    # (recursion) do not count
+    root = Path(itmlib.__file__).parent
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(root.rglob("*.py"))
+    }
+
+    def reads(tree) -> Counter:
+        return Counter(
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        )
+
+    everywhere = sum((reads(tree) for tree in trees.values()), Counter())
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}: {node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and everywhere[node.name] == reads(node)[node.name]
+    ]
     assert found == []
