@@ -6,10 +6,11 @@ finite union of arcs stored as its merged segments on the line [0, 1] cut
 open at 0.  That form is canonical: two sets that are equal as point sets
 have identical segments, so ``==`` decides set equality exactly.
 
-Maps move segments through charts (lo, hi, b): the part of a segment inside
-[lo, hi) moves by b.  _affine_charts builds the charts of affine pieces read
-mod 1 and _walk carries segments through them; with Arc.segments, they are
-the only code that knows how a set meets the cut at 0.
+Maps move segments through charts (lo, hi, a, b): the part of a segment
+inside [lo, hi) goes to its image under x -> a*x + b.  _affine_charts builds
+the charts of affine pieces read mod 1 and _walk carries segments through
+them; with Arc.segments, they are the only code that knows how a set meets
+the cut at 0.
 """
 
 from __future__ import annotations
@@ -179,24 +180,36 @@ def _affine_charts(pieces: Iterable[tuple]) -> list[tuple]:
 
 
 def _walk(segs: Iterable[tuple], charts: list[tuple]) -> list[tuple]:
-    """The parts of segments (lo, hi, *rest) moved through charts (lo, hi, b).
+    """The parts of segments (lo, hi, *weight) moved through charts (lo, hi, a, b).
 
     Both lists must be sorted by lo; charts may overlap or leave gaps.  The
-    part of a segment inside a chart moves by the chart's b and keeps the
-    segment's rest (a weight, say).  Fractions and ints work alike.
+    part [left, right) of a segment inside a chart goes to its image under
+    x -> a*x + b, with the ends swapped when a < 0.  A segment may carry
+    one weight per unit length; it becomes weight/|a|, so mass is kept.  A
+    flat chart (a = 0) gives the empty segment [b, b), whose weight is the
+    mass weight*(right - left) gathered at b.  Fractions and ints work
+    alike.
     """
     out = []
     j = 0
-    for lo, hi, *rest in segs:
+    for lo, hi, *weight in segs:
         while j < len(charts) and charts[j][1] <= lo:
             j += 1
         i = j
         while i < len(charts) and charts[i][0] < hi:
-            c_lo, c_hi, b = charts[i]
+            c_lo, c_hi, a, b = charts[i]
             left, right = max(lo, c_lo), min(hi, c_hi)
-            if left < right:
-                out.append((left + b, right + b, *rest))
             i += 1
+            if left >= right:
+                continue
+            if a == 1:
+                out.append((left + b, right + b, *weight))
+            elif a > 0:
+                out.append((a * left + b, a * right + b, *(w / a for w in weight)))
+            elif a < 0:
+                out.append((a * right + b, a * left + b, *(w / -a for w in weight)))
+            else:
+                out.append((b, b, *(w * (right - left) for w in weight)))
     return out
 
 
@@ -302,9 +315,8 @@ class ArcSet:
         return self.intersect(other.complement())
 
     def translate(self, c: Rational) -> "ArcSet":
-        charts = _affine_charts([(ZERO, ONE, ONE, frac(c))])
-        moved = _walk(self._segments, [(lo, hi, b) for lo, hi, _, b in charts])
-        return ArcSet.from_segments(moved)
+        charts = _affine_charts([(ZERO, ONE, 1, frac(c))])
+        return ArcSet.from_segments(_walk(self._segments, charts))
 
     def contains(self, p: CirclePoint) -> bool:
         # the last segment starting at or before p; 2 sorts after every end

@@ -26,6 +26,7 @@ import traceback
 from dataclasses import replace
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -577,7 +578,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    # built on the first main call and reused: parsing leaves it unchanged
     parser = _ArgumentParser(
         prog="itmlib",
         description="exact experiments with interval translation maps",

@@ -173,14 +173,13 @@ class Itm:
         object.__setattr__(self, "_values", tuple(p.value for p in bps))
 
     @cached_property
-    def _charts(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
-        """The map as charts (lo, hi, b): x -> x + b on [lo, hi), into [0, 1]."""
-        pieces = [
-            (lo, hi, ONE, c)
+    def _charts(self) -> tuple[tuple, ...]:
+        """The map as charts (lo, hi, 1, b): x -> x + b on [lo, hi), into [0, 1]."""
+        return tuple(_affine_charts(
+            (lo, hi, 1, c)
             for j, c in enumerate(self.shifts)
             for lo, hi in self.piece(j).segments()
-        ]
-        return tuple((lo, hi, b) for lo, hi, _, b in _affine_charts(pieces))
+        ))
 
     @property
     def n(self) -> int:
@@ -201,7 +200,10 @@ class Itm:
         i = bisect.bisect_right(self._values, x.value) - 1
         return i if i >= 0 else self.n - 1
 
-    def evaluate(self, x: CirclePoint) -> CirclePoint:
+    def evaluate(self, x: Union[CirclePoint, Fraction]) -> CirclePoint:
+        """S(x) for a CirclePoint or a rational, which is read mod 1."""
+        if not isinstance(x, CirclePoint):
+            x = CirclePoint(x)
         return x + self.shifts[self.piece_index(x)]
 
     def iterate(self, x: CirclePoint, k: int) -> CirclePoint:
@@ -260,7 +262,7 @@ class Itm:
 
     def preimage(self, a: ArcSet) -> ArcSet:
         """Exact S^{-1}(A): x lies in the result iff evaluate(x) lies in A."""
-        back = sorted((lo + b, hi + b, -b) for lo, hi, b in self._charts)
+        back = sorted((lo + b, hi + b, 1, -b) for lo, hi, _, b in self._charts)
         return ArcSet.from_segments(_walk(a.segments(), back))
 
     def attractor(
@@ -447,25 +449,24 @@ class Itm:
         dens += [c.denominator for c in self.shifts]
         return lcm(*dens)
 
-    def _on_grid(self, Q: int) -> list[tuple[int, int, int]]:
-        """The charts (lo, hi, b) as integers counted in units of 1/Q.
+    def _on_grid(self, Q: int) -> list[tuple[int, int, int, int]]:
+        """The charts (lo, hi, 1, b) with lo, hi and b counted in units of 1/Q.
 
         Q must be a multiple of common_denominator(), so that every value
         is a whole number of units.
         """
-        return [
-            tuple(v.numerator * (Q // v.denominator) for v in chart)
-            for chart in self._charts
-        ]
+        def units(v: Fraction) -> int:
+            return v.numerator * (Q // v.denominator)
 
-    def affine_segments(self) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
+        return [(units(lo), units(hi), a, units(b)) for lo, hi, a, b in self._charts]
+
+    def affine_segments(self) -> list[tuple]:
         """The map as affine charts (lo, hi, a, b): x -> a*x + b on [lo, hi).
 
-        Charts cover [0, 1) cut open at 0 and their values stay in [0, 1),
-        so non-periodic test functions can be integrated against them; a is
-        always 1 here, with b the shift adjusted for the wrap.
+        Charts cover [0, 1) cut open at 0 and their values stay in [0, 1];
+        a is always 1 here, with b the shift adjusted for the wrap.
         """
-        return [(lo, hi, ONE, b) for lo, hi, b in self._charts]
+        return list(self._charts)
 
     def discontinuity_points(self) -> tuple[CirclePoint, ...]:
         return self.breakpoints

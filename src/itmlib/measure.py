@@ -302,12 +302,19 @@ class Cdf:
         return self.cuts[i] + (y - v[i]) / self.slopes[i]
 
 
-def pushforward(s: Itm, mu: Measure) -> Measure:
-    """Exact image measure S#mu: weights ride along through the map's charts."""
-    atoms = tuple(
-        (s.evaluate(CirclePoint(p)).value, m) for p, m in mu.atoms
-    )
-    return Measure(tuple(_walk(mu.density, s._charts)), atoms)
+def pushforward(t, mu: Measure) -> Measure:
+    """Exact image measure T#mu of an Itm or a PiecewiseMap.
+
+    The density walks through the map's affine charts, each piece's weight
+    divided by |a|, so every chart keeps its mass; a flat chart gathers the
+    mass it covers into one atom at its value b, and the empty segment it
+    leaves in the density is dropped by Measure.  Atoms move by the map's
+    own evaluate, so boundary values apply.
+    """
+    moved = _walk(mu.density, t.affine_segments())
+    atoms = [(lo, m) for lo, hi, m in moved if lo == hi]
+    atoms += [(frac(t.evaluate(p)), m) for p, m in mu.atoms]
+    return Measure(tuple(moved), tuple(atoms))
 
 
 def _difference(mu: Measure, nu: Measure) -> tuple[tuple, tuple]:
@@ -325,9 +332,10 @@ def tv_distance(mu: Measure, nu: Measure) -> Fraction:
     return total + sum((abs(m) for _, m in atoms), ZERO)
 
 
-def invariance_residual_exact(s: Itm, mu: Measure) -> Fraction:
-    """Exact ||S#mu - mu||; zero if and only if mu is S-invariant."""
-    return tv_distance(pushforward(s, mu), mu)
+def invariance_residual_exact(t, mu: Measure) -> Fraction:
+    """Exact ||T#mu - mu|| for an Itm or a PiecewiseMap; zero if and only
+    if mu is T-invariant."""
+    return tv_distance(pushforward(t, mu), mu)
 
 
 def attractor_measure(s: Itm, attr: Optional[AttractorResult] = None) -> Measure:
@@ -464,7 +472,7 @@ def find_recurrent_points(
         x = cdf.quantile(y) % 1
         Q = lcm(q, x.denominator)
         charts = s._on_grid(Q)
-        starts = [lo for lo, _, _ in charts]
+        starts = [lo for lo, *_ in charts]
         home = x.numerator * (Q // x.denominator)
         # d/Q < eps, cleared of denominators
         below = eps.numerator * Q
@@ -472,7 +480,7 @@ def find_recurrent_points(
         cur = home
         visited = {cur}
         for m in range(1, horizon + 1):
-            cur += charts[bisect.bisect_right(starts, cur) - 1][2]
+            cur += charts[bisect.bisect_right(starts, cur) - 1][3]
             d = abs(cur - home)
             d = min(d, Q - d)
             if d * eps.denominator < below:

@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from itmlib.circle import ONE, ZERO, Rational, _affine_charts, circle_distance, frac
 from itmlib.itm import Itm
-from itmlib.measure import Measure, tv_distance
+from itmlib.measure import Measure, _difference
 
 VERDICT_RATIO = Fraction(1, 2)
 
@@ -403,17 +403,12 @@ class EmpiricalMeasure:
             return ZERO
         return Fraction(2, self.m)
 
-    def pushforward_measure(self) -> Measure:
-        """T#mu: each distinct atom moved once through the map."""
-        return Measure(
-            (), [(self.map.evaluate(p), w) for p, w in self.measure.atoms]
-        )
-
     def verify_defect(self) -> bool:
         """Check T#mu - mu = (delta(T^m x0) - delta(x0)) / m exactly.
 
         T#mu applies the map to the atoms, met on a walk from x0 that must
-        reach every atom, and mu must be a probability measure.  Two
+        reach every atom, and mu must be a probability measure; T#mu - mu
+        must then be those two atoms, or nothing when the orbit closed.  Two
         solutions of the identity differ by a T-invariant signed measure.
         On the forward orbit of x0 that is a multiple of the uniform
         measure on its cycle, and total mass 1 makes the multiple 0.  So
@@ -435,15 +430,11 @@ class EmpiricalMeasure:
             j = index(x)
         if reached < len(images) or not self.measure.is_probability:
             return False
-        pushed = Measure(
-            (), [(q, w) for q, (_, w) in zip(images, self.measure.atoms)]
-        )
+        pushed = Measure((), [(q, w) for q, (_, w) in zip(images, self.measure.atoms)])
         weight = Fraction(1, self.m)
-        expected = self.measure.add(
-            Measure((), [(self.next_point, weight)])
-        )
-        actual = pushed.add(Measure((), [(self.base_point, weight)]))
-        return expected == actual and tv_distance(pushed, self.measure) == self.defect
+        moved = sorted([(self.base_point, -weight), (self.next_point, weight)])
+        expected = () if self.defect == 0 else tuple(moved)
+        return _difference(pushed, self.measure) == ((), expected)
 
 
 def empirical_measure(t: PiecewiseMap, x0: Rational, m: int) -> EmpiricalMeasure:

@@ -1,5 +1,6 @@
 """Relation harvesting, approximant schedules, and convergence checks."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from itmlib.approx import (
     orbit_collision_preservation,
     verify_limit_measure,
 )
-from itmlib.catalog import golden_mean, half_collapse, root2_minus_one, rotation
+from itmlib.catalog import golden_mean, half_collapse, halving_map, root2_minus_one, rotation
 from itmlib.itm import Itm, Side, itm
 from itmlib.measure import Measure
 
@@ -331,6 +332,14 @@ class TestVerifyLimitMeasure:
         assert mu.is_probability
         with pytest.raises(ValueError, match="float range"):
             verify_limit_measure(rotation("1/4"), mu)
+
+    def test_image_weight_above_the_float_range_is_refused(self):
+        # x -> x/2 doubles the weight, which then leaves the float range
+        w = F(int(sys.float_info.max))
+        mu = Measure(((F(0), 1 / w, w),))
+        assert mu.is_probability
+        with pytest.raises(ValueError, match="float range"):
+            verify_limit_measure(halving_map(), mu)
 
 
 class TestMassProfile:

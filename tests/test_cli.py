@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import re
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from itmlib import cli
 from itmlib.catalog import golden_mean
 from itmlib.cli import _MAX_STEPS, COMMANDS, main
 
@@ -326,6 +328,43 @@ class TestVerifyLimit:
         assert code == 3
         assert "verify_limit_measure" in err
 
+    def test_lebesgue_under_the_tent_map_has_zero_residual(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "map": {
+                    "domain": "segment",
+                    "pieces": [
+                        {"interval": ["0", "1/2"], "affine": {"a": "2", "b": "0"}},
+                        {"interval": ["1/2", "1"], "affine": {"a": "-2", "b": "2"}},
+                    ],
+                },
+                "measure": LEBESGUE,
+            },
+        )
+        code, report, _ = run(capsys, "verify-limit", "--config", cfg)
+        assert code == 0
+        assert report["residual"] == 0.0
+        assert report["failures"] == []
+
+    def test_a_flat_piece_is_exit_three(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "map": {
+                    "domain": "segment",
+                    "pieces": [
+                        {"interval": ["0", "1/2"], "affine": {"a": "0", "b": "1/4"}},
+                        {"interval": ["1/2", "1"], "affine": {"a": "1", "b": "0"}},
+                    ],
+                },
+                "measure": LEBESGUE,
+            },
+        )
+        code, _, err = run(capsys, "verify-limit", "--config", cfg)
+        assert code == 3
+        assert "residual exceeds tolerance" in err
+
     def test_unknown_family_kind_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -338,6 +377,9 @@ class TestVerifyLimit:
         code, _, err = run(capsys, "verify-limit", "--config", cfg)
         assert code == 1
         assert "family" in err
+
+
+FLOAT_MAX = int(sys.float_info.max)
 
 
 def density_of(start, length, weight) -> dict:
@@ -392,6 +434,12 @@ MALFORMED = {
             **QUARTER_ROTATION_LIMIT,
             "measure": density_of("0", "1/1" + "0" * 400, "1" + "0" * 400),
         },
+        "float range",
+    ),
+    # x -> x/2 doubles the weight, which then leaves the float range
+    "image-weight-beyond-floats": (
+        "verify-limit",
+        {"map": HALVING, "measure": density_of("0", f"1/{FLOAT_MAX}", str(FLOAT_MAX))},
         "float range",
     ),
     "increasing-deltas": (
@@ -461,6 +509,21 @@ MALFORMED = {
         "horizon",
     ),
 }
+
+
+class TestParserReuse:
+    def test_one_parser_serves_successive_calls(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"map": HALF_COLLAPSE})
+        codes = [
+            main(["validate", "--config", cfg]),
+            main(["attractor", "--config", cfg]),
+        ]
+        capsys.readouterr()
+        codes.append(main([]))
+        err = capsys.readouterr().err
+        assert codes == [0, 0, 1]
+        assert cli._parser() is cli._parser()
+        assert err.startswith(cli._parser.__wrapped__().format_usage())
 
 
 class TestExitCodeContract:

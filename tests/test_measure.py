@@ -802,13 +802,13 @@ class TestFunctionalResidual:
     def test_invariant_measures_have_tiny_trig_residual(self):
         s = half_collapse()
         mu = attractor_measure(s)
-        assert invariance_residual_functional(s, mu, TrigFamily(8)) <= 1e-12
+        assert invariance_residual_functional(s, mu, TrigFamily(8)) == 0.0
 
     def test_lebesgue_under_rotation(self):
         r = invariance_residual_functional(
             rotation("3/7"), Measure.lebesgue(), TrigFamily(8)
         )
-        assert r <= 1e-12
+        assert r == 0.0
 
     def test_non_invariant_is_visible(self):
         r = invariance_residual_functional(

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from itmlib.catalog import half_collapse, halving_map, random_itm, rotation
 from itmlib.circle import CirclePoint
-from itmlib.measure import Measure, tv_distance
+from itmlib.families import (
+    PolynomialBasis,
+    TrigFamily,
+    integral,
+    invariance_residual_functional,
+)
+from itmlib.measure import Measure, invariance_residual_exact, pushforward, tv_distance
 from itmlib.piecewise import (
     AffinePiece,
     Domain,
@@ -201,6 +207,107 @@ class TestAffineCharts:
         ]
 
 
+def reference_integral_composed(d: int, t: PiecewiseMap, mu: Measure) -> Fraction:
+    """Integral of T(x)^d d(mu): each density piece meets each chart and
+    (a*x + b)^d is integrated there in closed form; atoms are evaluated."""
+    total = F(0)
+    e = d + 1
+    for lo, hi, w in mu.density:
+        for c_lo, c_hi, a, b in t.affine_segments():
+            left, right = max(lo, c_lo), min(hi, c_hi)
+            if right <= left:
+                continue
+            if a == 0:
+                total += w * b**d * (right - left)
+            else:
+                total += w * ((a * right + b) ** e - (a * left + b) ** e) / (a * e)
+    for p, mass in mu.atoms:
+        total += mass * t.evaluate(p) ** d
+    return total
+
+
+def mixed_measure(rng: random.Random) -> Measure:
+    """Density pieces and atoms (0 and 1 included) on the grid of 1/48."""
+    density = []
+    for _ in range(rng.randint(1, 4)):
+        lo, hi = sorted(rng.sample(range(49), 2))
+        density.append((F(lo, 48), F(hi, 48), F(rng.randint(1, 9), 4)))
+    atoms = [(F(rng.randint(0, 48), 48), F(1, rng.randint(1, 5))) for _ in range(3)]
+    return Measure(tuple(density), tuple(atoms))
+
+
+def segment_map(*pieces, boundary_values=()) -> PiecewiseMap:
+    return PiecewiseMap(
+        domain=Domain.SEGMENT,
+        pieces=tuple(AffinePiece(*p) for p in pieces),
+        boundary_values=boundary_values,
+    )
+
+
+def tent_map() -> PiecewiseMap:
+    return segment_map((F(0), F(1, 2), F(2), F(0)), (F(1, 2), F(1), F(-2), F(2)))
+
+
+def doubling_map() -> PiecewiseMap:
+    return PiecewiseMap(
+        domain=Domain.CIRCLE, pieces=(AffinePiece(F(0), F(1), F(2), F(0)),)
+    )
+
+
+class TestPushforwardThroughCharts:
+    """pushforward walks any map's charts, whatever their slopes."""
+
+    def test_polynomial_integrals_equal_the_chart_by_chart_reference(self):
+        rng = random.Random(20)
+        maps = [random_circle_map(rng) for _ in range(200)]
+        maps += [trapping_map(), halving_map()]
+        slopes = Counter()
+        for t in maps:
+            slopes.update(a for _, _, a, _ in t.affine_segments())
+            mu = mixed_measure(rng)
+            pushed = pushforward(t, mu)
+            for d in range(4):
+                assert integral(PolynomialBasis(d), pushed) == reference_integral_composed(
+                    d, t, mu
+                )
+        assert all(slopes[a] > 50 for a in (F(2), F(-3), F(1, 2), F(0), F(7)))
+
+    def test_doubling_and_tent_maps_keep_lebesgue(self):
+        for t in (doubling_map(), tent_map()):
+            assert invariance_residual_exact(t, Measure.lebesgue()) == 0
+            trig = invariance_residual_functional(t, Measure.lebesgue(), TrigFamily(8))
+            assert trig == 0.0
+
+    def test_reflection_keeps_lebesgue_and_reflects_atoms(self):
+        t = segment_map((F(0), F(1), F(-1), F(1)))
+        assert invariance_residual_exact(t, Measure.lebesgue()) == 0
+        assert pushforward(t, Measure.point_mass(F(1, 4))) == Measure.point_mass(F(3, 4))
+
+    def test_halving_map_doubles_the_density_on_the_lower_half(self):
+        pushed = pushforward(halving_map(), Measure.lebesgue())
+        assert pushed == Measure(((F(0), F(1, 2), F(2)),))
+
+    def test_boundary_values_move_atoms(self):
+        pushed = pushforward(halving_map(), Measure.point_mass(F(0)))
+        assert pushed == Measure.point_mass(F(1))
+
+    def test_a_flat_piece_gathers_its_mass_into_one_atom(self):
+        t = segment_map((F(0), F(1, 2), F(0), F(1, 3)), (F(1, 2), F(1), F(1), F(0)))
+        assert pushforward(t, Measure.lebesgue()) == Measure(
+            ((F(1, 2), F(1), F(1)),), ((F(1, 3), F(1, 2)),)
+        )
+        circle = PiecewiseMap(
+            domain=Domain.CIRCLE,
+            pieces=(
+                AffinePiece(F(0), F(1, 4), F(0), F(7, 3)),
+                AffinePiece(F(1, 4), F(1), F(1), F(0)),
+            ),
+        )
+        assert pushforward(circle, Measure.lebesgue()) == Measure(
+            ((F(1, 4), F(1), F(1)),), ((F(1, 3), F(1, 4)),)
+        )
+
+
 class TestOrbit:
     def test_halving_orbit_from_one(self):
         assert orbit(halving_map(), F(1), 4) == (F(1), F(1, 2), F(1, 4), F(1, 8))
@@ -253,7 +360,7 @@ class TestEmpiricalMeasure:
         assert emp.next_point == F(1, 16)
         assert emp.defect == F(1, 2)
         assert emp.verify_defect()
-        assert tv_distance(emp.pushforward_measure(), emp.measure) == F(1, 2)
+        assert tv_distance(pushforward(emp.map, emp.measure), emp.measure) == F(1, 2)
 
     def test_total_mass_is_one(self):
         emp = empirical_measure(trapping_map(), F(1, 8), 7)
@@ -405,7 +512,7 @@ def assert_matches_reference(t: PiecewiseMap, x0, m: int, expected=None) -> None
     assert emp.base_point == points[0]
     assert emp.measure == mu
     assert emp.next_point == next_point
-    assert emp.pushforward_measure() == pushed
+    assert pushforward(emp.map, emp.measure) == pushed
     assert emp.verify_defect()
 
 
@@ -615,7 +722,7 @@ class TestVerifyDefectAppliesTheMap:
         assert emp.defect == 0
         moved = dataclasses.replace(emp, measure=Measure((), elsewhere))
         assert moved.measure.is_probability
-        assert moved.pushforward_measure() == moved.measure
+        assert pushforward(moved.map, moved.measure) == moved.measure
         assert not moved.verify_defect()
 
     def test_the_measure_carries_its_map(self):
