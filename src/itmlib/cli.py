@@ -415,9 +415,15 @@ def _cmd_conjugate(o, plot):
         data = induce_iem(s, o["measure"], samples=o["samples"])
     except (NotInvariant, AtomicMeasure) as exc:
         raise VerificationFailure(f"{exc} (conjugacy.induce_iem)") from exc
-    if data.report.failures or not data.clean_samples:
-        problems = ", ".join(data.report.failures) or "semi-conjugacy samples failed"
+    if data.report.failures:
+        problems = ", ".join(data.report.failures)
         raise VerificationFailure(f"{problems} (conjugacy.verify_iem)")
+    if data.failing_cell is not None:
+        lo, hi = data.failing_cell
+        raise VerificationFailure(
+            f"h(S(x)) != T(h(x)) on the cell ({lo},{hi}) "
+            "(conjugacy.semiconjugacy_failure)"
+        )
     exceptional = sum(1 for p in data.samples if p.exceptional)
     payload = {
         "tau": [rat(t) for t in data.tau],

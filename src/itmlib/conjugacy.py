@@ -6,9 +6,12 @@ measure, and y -> h(S(hbar(y))) with hbar = h.rightmost_preimage the
 rightmost inverse of h is an interval exchange on [0, 1).  An interval
 exchange is an Itm whose piece images tile the circle, so the induced
 map is an Itm and verify_iem checks the tiling.  Everything is exact:
-the induced shifts, the semi-conjugacy samples, and the verification
-that the result preserves Lebesgue measure and is injective up to
-measure zero.
+the induced shifts, the verification that the result preserves Lebesgue
+measure and is injective up to measure zero, and the certificate that
+h(S(x)) = T(h(x)) for mu-almost every x.  Both sides of that identity
+are piecewise affine with rational data, so semiconjugacy_failure cuts
+the circle into finitely many cells on which both are affine and
+compares them there exactly.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Optional
 
 from itmlib.circle import ONE, ZERO, ArcSet, CirclePoint, Rational, frac
 from itmlib.itm import Itm
@@ -95,18 +100,76 @@ def verify_iem(t: Itm) -> IemReport:
     return IemReport(not mass_changes, injective, overlap, tuple(failures))
 
 
+def semiconjugacy_cells(
+    s: Itm, h: Cdf, t: Itm
+) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """Cells (u, v, b) of [0, 1) on which h(S(x)) and T(h(x)) are both affine.
+
+    Each chart (lo, hi, 1, b) of S, which moves x to x + b, is cut at h's
+    cuts, at the S-preimages y - b of h's cuts y in [lo + b, hi + b), and
+    at the rightmost h-preimages of T's chart ends.  Inside a cell, x and
+    x + b each stay within one piece of h, and where h increases, h(x)
+    stays within one chart of T.
+    """
+    cuts = h.cuts
+    ends = sorted(e for lo, hi, _, _ in t.affine_segments() for e in (lo, hi))
+    pulled = [h.rightmost_preimage(y) for y in ends]
+    cells = []
+    for lo, hi, _, b in s.affine_segments():
+        edges = sorted([
+            lo,
+            hi,
+            *cuts[bisect.bisect_right(cuts, lo):bisect.bisect_left(cuts, hi)],
+            *(y - b for y in cuts[bisect.bisect_right(cuts, lo + b):
+                                   bisect.bisect_left(cuts, hi + b)]),
+            *pulled[bisect.bisect_right(pulled, lo):bisect.bisect_left(pulled, hi)],
+        ])
+        cells.extend((u, v, b) for u, v in zip(edges, edges[1:]) if u < v)
+    return cells
+
+
+def semiconjugacy_failure(
+    s: Itm, h: Cdf, t: Itm
+) -> Optional[tuple[Fraction, Fraction]]:
+    """The first cell (u, v) on which h(S(x)) = T(h(x)) fails, or None.
+
+    An exact certificate of the semi-conjugacy mu-almost everywhere.  On a
+    cell of ``semiconjugacy_cells`` where h has slope zero, mu has no mass:
+    these cells make up the exceptional set and are skipped.  Elsewhere
+    both sides are affine on the open cell: h(S(x)) = h(x + b) has h's
+    slope at x + b, and T(h(x)) has h's slope at x.  Two affine functions
+    that agree at two interior points agree on the whole cell;
+    equivalently, as checked here, they have equal slopes and agree at
+    the midpoint.  What remains unchecked is the finite set of cell ends,
+    which is mu-null.
+    """
+    for u, v, b in semiconjugacy_cells(s, h, t):
+        x = (u + v) / 2
+        slope = h.slope_at(x)
+        if slope == 0:
+            continue
+        if h.slope_at(x + b) != slope or h.at(x + b) != t.evaluate(h.at(x)).value:
+            return (u, v)
+    return None
+
+
 @dataclass(frozen=True)
 class SemiConjugacySample:
-    """One sampled x with its exact check of h(S(x)) = T(h(x))."""
+    """One grid point x of the h(x) table, and whether it is exceptional."""
 
     x: Fraction
     exceptional: bool
-    ok: bool
 
 
 @dataclass(frozen=True)
 class ConjugacyData:
-    """The full conjugacy package: h, tau, the induced exchange, verification."""
+    """The full conjugacy package: h, tau, the induced exchange, verification.
+
+    failing_cell is the first cell on which the certificate
+    ``semiconjugacy_failure`` found h(S(x)) != T(h(x)), or None.  The
+    sample_count grid points x = (2i + 1) / (2 * sample_count) only feed
+    the h(x) table and plot; ``samples`` builds them on first read.
+    """
 
     source_map: Itm
     mu: Measure
@@ -114,11 +177,21 @@ class ConjugacyData:
     tau: tuple[Fraction, ...]
     induced: Itm
     report: IemReport
-    samples: tuple[SemiConjugacySample, ...]
+    failing_cell: Optional[tuple[Fraction, Fraction]]
+    sample_count: int
 
     @property
     def clean_samples(self) -> bool:
-        return all(s.ok for s in self.samples if not s.exceptional)
+        """The certificate found no failing cell: h(S(x)) = T(h(x)) mu-a.e."""
+        return self.failing_cell is None
+
+    @cached_property
+    def samples(self) -> tuple[SemiConjugacySample, ...]:
+        n = self.sample_count
+        return tuple(
+            SemiConjugacySample(x, _exceptional(self.mu, x))
+            for x in (Fraction(2 * i + 1, 2 * n) for i in range(n))
+        )
 
     def is_exceptional(self, x: Rational) -> bool:
         """Exact membership in the exceptional set: x outside the open
@@ -137,19 +210,29 @@ def induce_iem(
     mu: Measure,
     samples: int = DEFAULT_SEMICONJUGACY_SAMPLES,
 ) -> ConjugacyData:
-    """Build the interval exchange metrically conjugate to (S, mu).
+    """Build the interval exchange metrically conjugate to (S, mu) and
+    certify it exactly.
 
     The circle is cut at 0 (adding 0 as an artificial breakpoint if
     needed); pieces of zero mu-mass collapse and vanish.  Each connected
     component of the support within a piece becomes one exchange piece,
-    with its shift computed exactly at the component midpoint; the
-    semi-conjugacy is then sampled on a grid and the exchange is
-    verified exactly.
+    with its shift computed exactly at the component midpoint.  Then
+    ``verify_iem`` checks that the exchange T preserves Lebesgue measure,
+    and ``semiconjugacy_failure`` checks h(S(x)) = T(h(x)) cell by cell.
+    ``samples`` sets only the grid of the h(x) table and plot.
+
+    When both checks pass, mu is S-invariant, so no residual is computed.
+    h(S(x)) = T(h(x)) holds mu-a.e., T#Leb = Leb and h#mu = Leb, hence
+    h#(S#mu) = T#(h#mu) = Leb = h#mu.  As h^{-1}([0, y]) = [0, r] with r
+    the rightmost preimage of y, S#mu agrees with mu on every [0, r] with
+    r a rightmost level point; and h maps each flat gap of h to a single
+    level, which Leb does not charge, so S#mu puts no mass there, nor does
+    mu.  The two distribution functions therefore agree everywhere, and
+    S#mu = mu.  When a check fails, the exact residual ||S#mu - mu|| tells
+    a non-invariant measure (NotInvariant) from a failure of the exchange
+    itself, which is returned in ``report`` and ``failing_cell``.
     """
     h = build_h(mu)
-    if invariance_residual_exact(s, mu) != 0:
-        raise NotInvariant("measure is not exactly invariant under the map")
-
     cut = s.with_breakpoint(CirclePoint(ZERO))
     tau = tuple(h.at(t.value) for t in cut.breakpoints) + (ONE,)
 
@@ -170,18 +253,18 @@ def induce_iem(
         starts, shifts = [ZERO], [ZERO]
 
     induced = Itm(tuple(starts), tuple(shifts))
-    sample_list = []
-    for i in range(samples):
-        x = Fraction(2 * i + 1, 2 * samples)
-        lhs = h.at(s.evaluate(CirclePoint(x)).value)
-        rhs = induced.evaluate(CirclePoint(h.at(x))).value
-        sample_list.append(SemiConjugacySample(x, _exceptional(mu, x), lhs == rhs))
+    report = verify_iem(induced)
+    failing_cell = semiconjugacy_failure(s, h, induced)
+    certified = failing_cell is None and report.all_ok
+    if not certified and invariance_residual_exact(s, mu) != 0:
+        raise NotInvariant("measure is not exactly invariant under the map")
     return ConjugacyData(
         source_map=s,
         mu=mu,
         h=h,
         tau=tau,
         induced=induced,
-        report=verify_iem(induced),
-        samples=tuple(sample_list),
+        report=report,
+        failing_cell=failing_cell,
+        sample_count=samples,
     )

@@ -252,6 +252,10 @@ class Cdf:
         i = bisect.bisect_right(self.cuts, x) - 1
         return self.value_at[i] + self.slopes[i] * (x - self.cuts[i])
 
+    def slope_at(self, x: Rational) -> Fraction:
+        """The slope of F just right of x: the density of mu there."""
+        return self.slopes[bisect.bisect_right(self.cuts, frac(x)) - 1]
+
     def left_limit(self, x: Rational) -> Fraction:
         x = frac(x)
         if x <= 0:

@@ -207,7 +207,7 @@ def visit_frequency_csv(table: VisitFrequencyTable) -> str:
 
 
 def conjugacy_csv(data: ConjugacyData) -> str:
-    """CSV with columns x,h(x) at the sampled semi-conjugacy points."""
+    """CSV with columns x,h(x) at the grid points of ``data.samples``."""
     lines = ["x,h(x)"]
     for s in data.samples:
         lines.append(f"{rat(s.x)},{rat(data.h.at(s.x))}")

@@ -8,13 +8,14 @@ import re
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itmlib import cli
+from itmlib import cli, conjugacy
 from itmlib.catalog import golden_mean
 from itmlib.cli import _MAX_STEPS, COMMANDS, main
 
@@ -34,6 +35,7 @@ def run(capsys, *argv):
     return code, report, captured.err
 
 
+DATA = Path(__file__).resolve().parent / "data"
 HALF_COLLAPSE = {"breakpoints": ["0", "1/2"], "shifts": ["0", "1/2"]}
 HALVING = {
     "domain": "segment",
@@ -229,6 +231,39 @@ class TestConjugate:
         assert report["semiConjugacy"]["clean"] is True
         assert (out / "conjugacy.csv").read_text().startswith("x,h(x)\n")
         assert (out / "h.svg").exists()
+
+    def test_failing_certificate_is_exit_three_naming_the_cell(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cell = (Fraction(1, 8), Fraction(1, 4))
+        monkeypatch.setattr(conjugacy, "semiconjugacy_failure", lambda *_: cell)
+        cfg = write_config(tmp_path, {"map": HALF_COLLAPSE})
+        code, report, err = run(capsys, "conjugate", "--config", cfg)
+        assert code == 3
+        assert report is None
+        assert err.count("\n") == 1
+        assert "(1/8,1/4)" in err
+        assert "semiconjugacy_failure" in err
+
+    def test_report_and_artifacts_match_the_stored_ones(self, tmp_path, capsys):
+        # report.json, conjugacy.csv and h.svg as the sampled check wrote
+        # them, before the certificate gave the verdict; the report is
+        # compared without its generatedAt line
+        stored = DATA / "conjugate_gaps"
+        out = tmp_path / "out"
+        code, _, _ = run(
+            capsys, "conjugate", "--config", str(stored / "config.json"),
+            "--out", str(out), "--plot",
+        )
+        assert code == 0
+
+        def undated(path):
+            lines = path.read_bytes().split(b"\n")
+            return [line for line in lines if b'"generatedAt"' not in line]
+
+        assert undated(out / "report.json") == undated(stored / "report.json")
+        for name in ("conjugacy.csv", "h.svg"):
+            assert (out / name).read_bytes() == (stored / name).read_bytes()
 
     def test_non_invariant_supplied_measure_is_exit_three(self, tmp_path, capsys):
         cfg = write_config(

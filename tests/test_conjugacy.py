@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from itmlib import conjugacy
 from itmlib.catalog import half_collapse, random_itm, rotation
 from itmlib.circle import ONE, ZERO, ArcSet, CirclePoint
 from itmlib.conjugacy import (
@@ -14,10 +17,17 @@ from itmlib.conjugacy import (
     _exceptional,
     build_h,
     induce_iem,
+    semiconjugacy_cells,
+    semiconjugacy_failure,
     verify_iem,
 )
 from itmlib.itm import Itm, itm
-from itmlib.measure import AtomicMeasure, Measure, attractor_measure
+from itmlib.measure import (
+    AtomicMeasure,
+    Measure,
+    attractor_measure,
+    invariance_residual_exact,
+)
 
 F = Fraction
 
@@ -131,15 +141,20 @@ class TestInduceIem:
 
     def test_exceptional_set_against_reference(self, acceptance_sweep_maps):
         # the bisect lookup agrees with scanning every density piece, on the
-        # semi-conjugacy sample grid and at 0, 1 and every piece endpoint
+        # semi-conjugacy sample grid and at 0, 1 and every piece endpoint,
+        # and the samples are built from it on the grid
         n = DEFAULT_SEMICONJUGACY_SAMPLES
         grid = [F(2 * i + 1, 2 * n) for i in range(n)]
         for s in acceptance_sweep_maps:
             mu = attractor_measure(s)
             ends = [x for lo, hi, _ in mu.density for x in (lo, hi)]
-            for x in grid + ends + [ZERO, ONE]:
-                expected = not any(lo < x < hi for lo, hi, _ in mu.density)
-                assert _exceptional(mu, x) == expected
+            points = grid + ends + [ZERO, ONE]
+            expected = [
+                not any(lo < x < hi for lo, hi, _ in mu.density) for x in points
+            ]
+            assert [_exceptional(mu, x) for x in points] == expected
+            samples = induce_iem(s, mu, samples=n).samples
+            assert [(p.x, p.exceptional) for p in samples] == list(zip(grid, expected))
 
     def test_support_gaps_refine_the_exchange(self):
         # the support gap (3/94,28/94) inside the cut piece [0,35/94) maps
@@ -285,3 +300,275 @@ class TestVerifyIemAgainstReference:
             "Lebesgue mass of [1/6,1/2) changes under preimage",
             "Lebesgue mass of [1/2,5/6) changes under preimage",
         )
+
+
+def reference_clean_samples(s: Itm, mu: Measure, t: Itm, n: int) -> bool:
+    """The sampled semi-conjugacy check the certificate replaced: h(S(x)) =
+    T(h(x)) at the n grid points x = (2i + 1) / 2n off the exceptional set."""
+    h = build_h(mu)
+    for i in range(n):
+        x = F(2 * i + 1, 2 * n)
+        if _exceptional(mu, x):
+            continue
+        lhs = h.at(s.evaluate(CirclePoint(x)).value)
+        if lhs != t.evaluate(CirclePoint(h.at(x))).value:
+            return False
+    return True
+
+
+def rotated(s: Itm, r: Fraction) -> Itm:
+    """The conjugate x -> S(x - r) + r: breakpoints move by r, shifts stay."""
+    moved = sorted(((p.value + r) % 1, c) for p, c in zip(s.breakpoints, s.shifts))
+    return Itm(tuple(p for p, _ in moved), tuple(c for _, c in moved))
+
+
+def with_start(t: Itm, j: int, start: Fraction) -> Itm:
+    starts = [p.value for p in t.breakpoints]
+    starts[j] = start
+    return Itm(tuple(starts), t.shifts)
+
+
+def with_shift(t: Itm, j: int, shift: Fraction) -> Itm:
+    shifts = list(t.shifts)
+    shifts[j] = shift
+    return Itm(t.breakpoints, tuple(shifts))
+
+
+def certified(s: Itm, data, t: Itm) -> bool:
+    return semiconjugacy_failure(s, data.h, t) is None
+
+
+@st.composite
+def grid_maps(draw, max_pieces=5, max_q=128):
+    n = draw(st.integers(1, max_pieces))
+    q = draw(st.integers(max(n, 2), max_q))
+    return random_itm(random.Random(draw(st.integers(0, 2**32))), n, q)
+
+
+EPS = F(1, 10**6)
+
+
+class TestCertificateAgainstSamples:
+    """The cell-by-cell certificate against the sampled check it replaced."""
+
+    def test_acceptance_sweep(self, acceptance_sweep_maps):
+        for s in acceptance_sweep_maps:
+            data = induce_iem(s, attractor_measure(s), samples=0)
+            assert data.clean_samples
+            assert reference_clean_samples(s, data.mu, data.induced, 1024)
+
+    @settings(max_examples=60)
+    @given(grid_maps())
+    def test_random_maps(self, s):
+        data = induce_iem(s, attractor_measure(s), samples=0)
+        reference = reference_clean_samples(s, data.mu, data.induced, 1024)
+        assert data.clean_samples == reference
+        assert data.clean_samples and data.report.all_ok
+
+    def test_cells_keep_both_sides_affine(self, acceptance_sweep_maps):
+        # the cells tile [0, 1); inside one, neither x nor x + b meets a cut
+        # of h, and h(x) meets no chart end of T
+        for s in acceptance_sweep_maps[:30]:
+            data = induce_iem(s, attractor_measure(s), samples=0)
+            h, t = data.h, data.induced
+            ends = [e for lo, hi, _, _ in t.affine_segments() for e in (lo, hi)]
+            cells = semiconjugacy_cells(s, h, t)
+            assert cells[0][0] == 0 and cells[-1][1] == 1
+            assert all(a[1] == b[0] for a, b in zip(cells, cells[1:]))
+            for u, v, b in cells:
+                assert u < v
+                assert not any(u < c < v or u + b < c < v + b for c in h.cuts)
+                assert not any(h.at(u) < y < h.at(v) for y in ends)
+
+    def test_failure_past_a_cut_of_h_under_s(self):
+        # S = rotation by 1/2 carries [0, 1/2) across the cut 5/8 of h at
+        # x = 1/8.  On (1/8, 1/2) both sides are x/2 + 3/4; on (0, 1/8)
+        # h(S(x)) has slope 9/2 and T(h(x)) slope 1/2
+        mu = Measure(((F(0), F(1, 2), F(1, 2)), (F(1, 2), F(5, 8), F(9, 2)),
+                      (F(5, 8), F(1), F(1, 2))))
+        t = itm(["0", "1/4"], ["3/4", "0"])
+        assert semiconjugacy_failure(rotation("1/2"), build_h(mu), t) == (F(0), F(1, 8))
+
+    def test_failure_with_equal_values_at_the_midpoint(self):
+        # on (0, 1/2) h(S(x)) = 1/4 + 3x/2 and T(h(x)) = x/2 + 1/2 meet at
+        # the midpoint 1/4 but differ in slope
+        mu = Measure(((F(0), F(1, 2), F(1, 2)), (F(1, 2), F(1), F(3, 2))))
+        t = itm(["0", "1/4"], ["1/2", "0"])
+        assert semiconjugacy_failure(rotation("1/2"), build_h(mu), t) == (F(0), F(1, 2))
+
+    def test_failing_cell_is_named(self):
+        s = three_exchange()
+        data = induce_iem(s, Measure.lebesgue())
+        t = with_shift(data.induced, 1, data.induced.shifts[1] + EPS)
+        assert semiconjugacy_failure(s, data.h, t) == (F(1, 2), F(5, 6))
+
+
+class TestCertificateMutants:
+    """Exchanges that differ from the induced one on a set of positive
+    Lebesgue measure are rejected; equal maps are accepted."""
+
+    def test_moved_shift_is_rejected(self, acceptance_sweep_maps):
+        mutants = 0
+        for s in acceptance_sweep_maps[:40]:
+            data = induce_iem(s, attractor_measure(s), samples=0)
+            t = data.induced
+            for j in range(t.n):
+                assert not certified(s, data, with_shift(t, j, t.shifts[j] + EPS))
+                mutants += 1
+        assert mutants > 300
+
+    def test_moved_start_is_rejected(self, acceptance_sweep_maps):
+        mutants = 0
+        for s in acceptance_sweep_maps[:40]:
+            data = induce_iem(s, attractor_measure(s), samples=0)
+            t = data.induced
+            for j in range(1, t.n):
+                if t.shifts[j] == t.shifts[j - 1]:
+                    continue
+                start = t.breakpoints[j].value
+                assert not certified(s, data, with_start(t, j, start + EPS))
+                assert not certified(s, data, with_start(t, j, start - EPS))
+                mutants += 1
+        assert mutants > 50
+
+    def test_swapped_pieces_are_rejected(self, acceptance_sweep_maps):
+        mutants = 0
+        for s in acceptance_sweep_maps[:40]:
+            data = induce_iem(s, attractor_measure(s), samples=0)
+            t = data.induced
+            for j in range(1, t.n):
+                if t.shifts[j] == t.shifts[j - 1]:
+                    continue
+                swapped = with_shift(t, j, t.shifts[j - 1])
+                swapped = with_shift(swapped, j - 1, t.shifts[j])
+                assert not certified(s, data, swapped)
+                mutants += 1
+        assert mutants > 50
+
+    def test_start_mutant_that_samples_miss(self, acceptance_sweep_maps):
+        # a start moved by 1e-6 changes T on a set of Lebesgue measure 1e-6,
+        # which holds none of the 2048 grid points
+        s = acceptance_sweep_maps[1]
+        data = induce_iem(s, attractor_measure(s), samples=0)
+        t = data.induced
+        assert t.breakpoints[1].value == F(1, 44)
+        assert t.shifts[0] != t.shifts[1]
+        mutant = with_start(t, 1, F(1, 44) + EPS)
+        assert not certified(s, data, mutant)
+        assert reference_clean_samples(s, data.mu, mutant, 2048)
+
+    def test_start_between_equal_shifts_is_accepted(self, acceptance_sweep_maps):
+        rng = random.Random(3)
+        for s in acceptance_sweep_maps[:40]:
+            data = induce_iem(s, attractor_measure(s), samples=0)
+            t = data.induced
+            j = rng.randrange(t.n)
+            piece = t.piece(j)
+            cut = piece.start + piece.length / 3
+            refined = t.with_breakpoint(cut)
+            i = refined.breakpoints.index(cut)
+            moved = with_start(refined, i, (cut + piece.length / 3).value)
+            assert same_map(moved, t)
+            assert certified(s, data, refined)
+            assert certified(s, data, moved)
+
+
+class TestCertificateMetamorphic:
+    def test_grid_rotation(self, acceptance_sweep_maps):
+        # x -> x + r carries mu to mu_r and h to h_r = h(x - r) - c with
+        # c = mu([0, 1 - r]), so T_r(y) = T(y + c) - c
+        rng = random.Random(12)
+        for s in acceptance_sweep_maps[:30]:
+            q = s.common_denominator()
+            r = F(rng.randrange(1, q), q)
+            data = induce_iem(s, attractor_measure(s), samples=0)
+            moved_map = rotated(s, r)
+            moved = induce_iem(moved_map, attractor_measure(moved_map), samples=0)
+            assert moved.clean_samples == data.clean_samples
+            c = data.h.at(1 - r)
+            assert same_map(moved.induced, rotated(data.induced, -c))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_refining_at_a_grid_point(self, acceptance_sweep_maps, k):
+        rng = random.Random(k)
+        for s in acceptance_sweep_maps[:30]:
+            q = s.common_denominator()
+            data = induce_iem(s, attractor_measure(s), samples=0)
+            refined = s.with_breakpoint(F(rng.randrange(k * q), k * q))
+            again = induce_iem(refined, data.mu, samples=0)
+            assert again.clean_samples == data.clean_samples
+            assert same_map(again.induced, data.induced)
+
+
+def invariant_cells(s: Itm) -> list[list[int]]:
+    """The cycles of the cell map: S moves each cell [i/q, (i+1)/q) of its
+    grid rigidly onto another, and a measure uniform on each cycle is
+    invariant."""
+    q = s.common_denominator()
+    image = [
+        (i + s.shifts[s.piece_index(CirclePoint(F(i, q)))] * q) % q for i in range(q)
+    ]
+    cycles, seen = [], set()
+    for i in range(q):
+        path = []
+        while i not in seen:
+            seen.add(i)
+            path.append(i)
+            i = int(image[i])
+        if i in path:
+            cycles.append(path[path.index(i):])
+    return cycles
+
+
+@st.composite
+def map_with_measure(draw):
+    s = draw(grid_maps(max_pieces=4, max_q=48))
+    q = s.common_denominator()
+    if draw(st.booleans()):
+        cycles = invariant_cells(s)
+        chosen = draw(st.lists(st.sampled_from(cycles), min_size=1, max_size=3))
+        cells = {}
+        for cycle in chosen:
+            w = draw(st.integers(1, 3))
+            cells.update((i, w) for i in cycle)
+    else:
+        picked = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=6))
+        cells = {i: draw(st.integers(1, 3)) for i in picked}
+    raw = Measure(tuple((F(i, q), F(i + 1, q), F(w)) for i, w in cells.items()))
+    return s, raw.scale(1 / raw.total_mass)
+
+
+class TestInvarianceFromTheCertificate:
+    """Certificate and verify_iem passing prove invariance, so induce_iem
+    computes no residual on an invariant measure and still rejects every
+    non-invariant one."""
+
+    @settings(max_examples=150)
+    @given(map_with_measure())
+    def test_non_invariant_measures_raise(self, pair):
+        s, mu = pair
+        if invariance_residual_exact(s, mu) != 0:
+            with pytest.raises(NotInvariant):
+                induce_iem(s, mu, samples=0)
+        else:
+            data = induce_iem(s, mu, samples=0)
+            assert data.clean_samples and data.report.all_ok
+
+    def test_invariant_measure_computes_no_residual(
+        self, acceptance_sweep_maps, monkeypatch
+    ):
+        def residual(*_):
+            raise AssertionError("residual computed for an invariant measure")
+
+        measures = [attractor_measure(s) for s in acceptance_sweep_maps[:30]]
+        monkeypatch.setattr(conjugacy, "invariance_residual_exact", residual)
+        for s, mu in zip(acceptance_sweep_maps, measures):
+            data = induce_iem(s, mu, samples=0)
+            assert data.clean_samples and data.report.all_ok
+
+    def test_failing_check_on_an_invariant_measure_is_returned(self, monkeypatch):
+        cell = (F(1, 4), F(1, 2))
+        monkeypatch.setattr(conjugacy, "semiconjugacy_failure", lambda *_: cell)
+        data = induce_iem(rotation("1/3"), Measure.lebesgue())
+        assert data.failing_cell == (F(1, 4), F(1, 2))
+        assert not data.clean_samples

@@ -419,6 +419,12 @@ class TestCdf:
         assert f.at(F(3, 8)) == F(1, 2)
         assert f.at(F(1, 2)) == 1
 
+    def test_slope_is_the_density_just_right_of_x(self):
+        f = Measure(((F(1, 4), F(1, 2), F(4)),)).cdf()
+        assert [f.slope_at(x) for x in [F(0), F(1, 8), F(1, 4), F(3, 8), F(1, 2), F(3, 4)]] == [
+            0, 0, 4, 4, 0, 0,
+        ]
+
     def test_atom_jump(self):
         f = Measure.point_mass(F(1, 2)).cdf()
         assert f.left_limit(F(1, 2)) == 0
