@@ -51,6 +51,6 @@ print("random map over 97ths stabilized at", res.stabilized_at,
 # the classifier resolves each homterval to its exact preperiod and period.
 ts = two_shift_example()
 report = ts.classify_homtervals(depth=8)
-print("\ntwo-shift example:", ts.is_generic_within_depth(8).value)
+print("\ntwo-shift example:", report.genericity.value)
 for h in report.homtervals[:3]:
     print("  homterval", h.arc, "preperiod", h.preperiod, "period", h.period)

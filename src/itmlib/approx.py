@@ -216,9 +216,6 @@ class ApproximantSchedule:
         if any(b > a for a, b in zip(distances, distances[1:])):
             raise ValueError("level distances to the target must not increase")
 
-    def maps(self) -> tuple[Itm, ...]:
-        return tuple(level.map for level in self.levels)
-
 
 def _solve_relation_system(
     relations: RelationSystem, n: int

@@ -2,9 +2,10 @@
 
 Positions are arbitrary-precision rationals reduced into [0, 1).  Arcs are
 half-open [start, start + length) and may wrap through 0.  An ArcSet is a
-finite union of arcs stored as its merged segments on the line [0, 1] cut
-open at 0.  That form is canonical: two sets that are equal as point sets
-have identical segments, so ``==`` decides set equality exactly.
+finite union of arcs stored as its merged runs [a, b) of cells of width
+1/q on the line [0, q] cut open at 0, for a common denominator q of its
+ends.  Two sets meet on the grid lcm(q, q'), so set operations are integer
+arithmetic, and ``==`` decides set equality exactly across grids.
 
 Maps move segments through charts (lo, hi, a, b): the part of a segment
 inside [lo, hi) goes to its image under x -> a*x + b.  _affine_charts builds
@@ -18,8 +19,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
-from typing import Iterable, Union
+from math import ceil, floor, lcm
+from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -213,6 +214,11 @@ def _walk(segs: Iterable[tuple], charts: list[tuple]) -> list[tuple]:
     return out
 
 
+def _units(v: Rational, q: int) -> int:
+    """v counted in units of 1/q; q must be a multiple of v's denominator."""
+    return v.numerator * (q // v.denominator)
+
+
 def _joins_at_zero(segs, top) -> bool:
     """Whether merged segments of [0, top] hold a run from 0 and a run to top,
     which are one arc through 0."""
@@ -228,35 +234,59 @@ def _segments_to_arcs(segs: tuple[Segment, ...]) -> tuple[Arc, ...]:
     return tuple(arcs)
 
 
+def _on_grid(charts: Iterable[tuple], q: int) -> list[tuple]:
+    """Charts (lo, hi, a, b) with lo, hi and b counted in units of 1/q.
+
+    q must be a multiple of every denominator of lo, hi and b, so that
+    every value is a whole number of units.
+    """
+    return [(_units(lo, q), _units(hi, q), a, _units(b, q)) for lo, hi, a, b in charts]
+
+
+def _grid_of(segs: Iterable[Segment]) -> tuple[int, list[tuple[int, int]]]:
+    """The lcm q of the segments' end denominators, and their merged runs on 1/q."""
+    segs = [(lo, hi) for lo, hi in segs if hi > lo]
+    q = lcm(*(v.denominator for seg in segs for v in seg))
+    return q, merge_segments((_units(lo, q), _units(hi, q)) for lo, hi in segs)
+
+
 class ArcSet:
     """Canonical finite union of half-open arcs on the circle.
 
-    The set is stored as its segments on the line [0, 1] cut open at 0:
-    sorted, disjoint and non-adjacent, so an arc wrapping through 0 is a
-    segment from 0 and one to 1.  The constructor accepts arcs in any state
-    (overlapping, adjacent, wrapping, unsorted).  ``arcs`` is a view built
-    on first read, in canonical form: arcs sorted by start, at most one arc
+    The set is stored as its runs [a, b) of cells [i/q, (i+1)/q) on the
+    line [0, q] cut open at 0: sorted, disjoint and non-adjacent, so an arc
+    wrapping through 0 is a run from 0 and one to q.  The constructor
+    accepts arcs in any state (overlapping, adjacent, wrapping, unsorted).
+    ``segments()`` and ``arcs`` are Fraction views built on first read,
+    ``arcs`` in canonical form: arcs sorted by start, at most one arc
     wrapping through 0 (stored last), full circle as the single arc [0, 1).
     """
 
-    __slots__ = ("_segments", "_arcs")
+    __slots__ = ("_q", "_runs", "_segments", "_arcs")
 
     def __init__(self, arcs: Iterable[Arc] = ()):
-        self._canonicalize(merge_segments(seg for a in arcs for seg in a.segments()))
+        self._store(*_grid_of(seg for a in arcs for seg in a.segments()))
 
-    def _canonicalize(self, merged: list[Segment]) -> None:
-        # merged: sorted, disjoint, non-adjacent segments on the cut line
-        object.__setattr__(self, "_segments", tuple(merged))
+    def _store(self, q: int, runs: list[tuple[int, int]]) -> None:
+        # runs: sorted, disjoint, non-adjacent runs of cells on [0, q]
+        object.__setattr__(self, "_q", q)
+        object.__setattr__(self, "_runs", runs)
+        object.__setattr__(self, "_segments", None)
         object.__setattr__(self, "_arcs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ArcSet is immutable")
 
     @classmethod
-    def from_segments(cls, segs: Iterable[Segment]) -> "ArcSet":
+    def _from_runs(cls, q: int, runs: list[tuple[int, int]]) -> "ArcSet":
+        """The set of merged runs of cells on the grid of 1/q."""
         out = cls.__new__(cls)
-        out._canonicalize(merge_segments(segs))
+        out._store(q, runs)
         return out
+
+    @classmethod
+    def from_segments(cls, segs: Iterable[Segment]) -> "ArcSet":
+        return cls._from_runs(*_grid_of(segs))
 
     @classmethod
     def full(cls) -> "ArcSet":
@@ -266,25 +296,49 @@ class ArcSet:
     def empty(cls) -> "ArcSet":
         return cls(())
 
+    def _scaled(self, q: int) -> list[tuple[int, int]]:
+        """The runs on the grid of 1/q, a multiple of the set's own grid."""
+        k = q // self._q
+        return self._runs if k == 1 else [(a * k, b * k) for a, b in self._runs]
+
+    def _meet(self, other: "ArcSet") -> tuple[int, list, list]:
+        """The grid lcm(q, q') and the runs of both sets on it."""
+        q = lcm(self._q, other._q)
+        return q, self._scaled(q), other._scaled(q)
+
+    def _moved(self, charts: Sequence[tuple]) -> "ArcSet":
+        """The set walked through rational charts (lo, hi, 1, b), sorted by lo.
+
+        On the grid of lcm(q, the charts' denominators) each chart moves
+        whole cells, so the walk runs on integers.
+        """
+        q = lcm(self._q, *(v.denominator for lo, hi, _, b in charts for v in (lo, hi, b)))
+        moved = _walk(self._scaled(q), _on_grid(charts, q))
+        return ArcSet._from_runs(q, merge_segments(moved))
+
     @property
     def arcs(self) -> tuple[Arc, ...]:
         if self._arcs is None:
-            object.__setattr__(self, "_arcs", _segments_to_arcs(self._segments))
+            object.__setattr__(self, "_arcs", _segments_to_arcs(self.segments()))
         return self._arcs
 
     @property
     def total_length(self) -> Fraction:
-        return sum((hi - lo for lo, hi in self._segments), ZERO)
+        return Fraction(sum(b - a for a, b in self._runs), self._q)
 
     def segments(self) -> tuple[Segment, ...]:
         """Disjoint intervals on the cut-open line [0, 1], sorted."""
+        if self._segments is None:
+            q = self._q
+            segs = tuple((Fraction(a, q), Fraction(b, q)) for a, b in self._runs)
+            object.__setattr__(self, "_segments", segs)
         return self._segments
 
     # -- set algebra ------------------------------------------------------
 
     def intersect(self, other: "ArcSet") -> "ArcSet":
-        a, b = self._segments, other._segments
-        out: list[Segment] = []
+        q, a, b = self._meet(other)
+        out: list[tuple[int, int]] = []
         i = j = 0
         while i < len(a) and j < len(b):
             lo = max(a[i][0], b[j][0])
@@ -295,36 +349,38 @@ class ArcSet:
                 i += 1
             else:
                 j += 1
-        return ArcSet.from_segments(out)
+        # parts of non-adjacent runs are themselves sorted and non-adjacent
+        return ArcSet._from_runs(q, out)
 
     def union(self, other: "ArcSet") -> "ArcSet":
-        return ArcSet.from_segments(self._segments + other._segments)
+        q, a, b = self._meet(other)
+        return ArcSet._from_runs(q, merge_segments(a + b))
 
     def complement(self) -> "ArcSet":
-        out: list[Segment] = []
-        cursor = ZERO
-        for lo, hi in self._segments:
+        out: list[tuple[int, int]] = []
+        cursor = 0
+        for lo, hi in self._runs:
             if lo > cursor:
                 out.append((cursor, lo))
             cursor = hi
-        if cursor < ONE:
-            out.append((cursor, ONE))
-        return ArcSet.from_segments(out)
+        if cursor < self._q:
+            out.append((cursor, self._q))
+        return ArcSet._from_runs(self._q, out)
 
     def difference(self, other: "ArcSet") -> "ArcSet":
         return self.intersect(other.complement())
 
     def translate(self, c: Rational) -> "ArcSet":
-        charts = _affine_charts([(ZERO, ONE, 1, frac(c))])
-        return ArcSet.from_segments(_walk(self._segments, charts))
+        return self._moved(_affine_charts([(ZERO, ONE, 1, frac(c))]))
 
     def contains(self, p: CirclePoint) -> bool:
-        # the last segment starting at or before p; 2 sorts after every end
-        i = bisect.bisect_right(self._segments, (p.value, 2)) - 1
-        return i >= 0 and p.value < self._segments[i][1]
+        # the last run starting at or before p's cell x; q + 1 sorts after every end
+        x = p.value.numerator * self._q // p.value.denominator
+        i = bisect.bisect_right(self._runs, (x, self._q + 1)) - 1
+        return i >= 0 and x < self._runs[i][1]
 
     def is_subset_of(self, other: "ArcSet") -> bool:
-        return segments_within(self._segments, other._segments)
+        return segments_within(*self._meet(other)[1:])
 
     # -- dunder sugar -----------------------------------------------------
 
@@ -344,16 +400,20 @@ class ArcSet:
         return self.contains(p)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ArcSet) and self._segments == other._segments
+        if not isinstance(other, ArcSet):
+            return False
+        _, a, b = self._meet(other)
+        return a == b
 
     def __hash__(self) -> int:
-        return hash(self._segments)
+        # the Fraction view is the same for equal sets on any grid
+        return hash(self.segments())
 
     def __bool__(self) -> bool:
-        return bool(self._segments)
+        return bool(self._runs)
 
     def __len__(self) -> int:
-        return len(self._segments) - _joins_at_zero(self._segments, ONE)
+        return len(self._runs) - _joins_at_zero(self._runs, self._q)
 
     def __iter__(self):
         return iter(self.arcs)

@@ -83,7 +83,8 @@ from itmlib.serialize import (
 
 MEASURE_EMBED_LIMIT = 256
 # Most orbit steps or sample points one config may ask for (m, orbitLengths,
-# samples, wandering.horizon): an orbit of 10**5 steps already takes seconds.
+# samples, depth, wandering.horizon): an orbit of 10**5 steps already takes
+# seconds.
 _MAX_STEPS = 10**5
 FAMILIES = {"trig": TrigFamily, "polynomial": PolynomialFamily}
 
@@ -210,7 +211,7 @@ ITM_MAP = Key("map", _itm, bare=ITM_KEYS)
 ANY_MAP = Key("map", _any_map, bare=MAP_KEYS)
 MAX_ITER = Key("maxIter", _integer, DEFAULT_MAX_ITER, POSITIVE, "--max-iter")
 MAX_ARCS = Key("maxArcs", _integer, DEFAULT_MAX_ARCS, POSITIVE, "--max-arcs")
-DEPTH = Key("depth", _integer, 8, POSITIVE, "--depth")
+DEPTH = Key("depth", _integer, 8, _STEPS, "--depth")
 ORBIT_BUDGET = Key("orbitBudget", _integer, DEFAULT_ORBIT_BUDGET, POSITIVE)
 
 

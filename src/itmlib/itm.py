@@ -6,6 +6,8 @@ t -> t + c_j mod 1 (indices circular, t_n = t_0).  Everything here is
 exact: images and preimages of arc unions, the attractor as a nested
 intersection of forward images, backward orbits of the discontinuity
 set, and whole-arc tracking of the continuity intervals in between.
+Images and preimages walk an ArcSet's runs of cells through the map's
+charts (ArcSet._moved), so the attractor's iterates stay on integers.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from math import lcm
 from typing import Optional, Sequence, Union
 
 from itmlib.circle import ONE, ZERO, Arc, ArcSet, CirclePoint, frac, mod1
-from itmlib.circle import _affine_charts, _joins_at_zero, _walk, merge_segments
-from itmlib.circle import segments_within
+from itmlib.circle import _affine_charts
 
 DEFAULT_MAX_ITER = 4096
 DEFAULT_MAX_ARCS = 2**16
@@ -34,14 +35,6 @@ class BudgetExceeded(RuntimeError):
         super().__init__(message)
         self.budget = budget
         self.value = value
-
-
-def _too_many_arcs(k: int, arcs: int, max_arcs: int) -> BudgetExceeded:
-    return BudgetExceeded(
-        f"iterate {k} needs {arcs} arcs (max_arcs={max_arcs})",
-        budget="max_arcs",
-        value=max_arcs,
-    )
 
 
 class FiniteType(Enum):
@@ -192,9 +185,6 @@ class Itm:
         nxt = self.breakpoints[(j + 1) % self.n]
         return Arc(self.breakpoints[j], self.breakpoints[j].gap_to(nxt))
 
-    def pieces(self) -> tuple[Arc, ...]:
-        return tuple(self.piece(j) for j in range(self.n))
-
     def piece_index(self, x: CirclePoint) -> int:
         """Index j with x in [t_j, t_{j+1}); breakpoints belong to their right piece."""
         i = bisect.bisect_right(self._values, x.value) - 1
@@ -205,11 +195,6 @@ class Itm:
         if not isinstance(x, CirclePoint):
             x = CirclePoint(x)
         return x + self.shifts[self.piece_index(x)]
-
-    def iterate(self, x: CirclePoint, k: int) -> CirclePoint:
-        for _ in range(k):
-            x = self.evaluate(x)
-        return x
 
     def _limit_piece(self, x: CirclePoint, side: Side) -> int:
         # a left limit sitting exactly on a breakpoint belongs to the piece before it
@@ -257,13 +242,12 @@ class Itm:
         )
 
     def image(self, a: ArcSet) -> ArcSet:
-        """Exact forward image S(A): A's segments walked through the charts."""
-        return ArcSet.from_segments(_walk(a.segments(), self._charts))
+        """Exact forward image S(A): A's runs walked through the charts."""
+        return a._moved(self._charts)
 
     def preimage(self, a: ArcSet) -> ArcSet:
         """Exact S^{-1}(A): x lies in the result iff evaluate(x) lies in A."""
-        back = sorted((lo + b, hi + b, 1, -b) for lo, hi, _, b in self._charts)
-        return ArcSet.from_segments(_walk(a.segments(), back))
+        return a._moved(sorted((lo + b, hi + b, 1, -b) for lo, hi, _, b in self._charts))
 
     def attractor(
         self,
@@ -279,38 +263,29 @@ class Itm:
         steps without stabilization.
 
         S maps the grid of cells [i/q, (i+1)/q), q the common denominator,
-        onto itself, so every A_k is a union of cells.  Each A_k is iterated
-        as its merged runs [a, b) of cells on the cut-open line [0, q): one
-        step walks the runs through the map's charts on that grid, each part
-        moving by its chart's whole number of cells, and merges.  The
-        iterates become ArcSets once the iteration ends.
+        onto itself, so every A_k is a union of cells.  Each step is
+        image(): A_k is kept as its runs of cells on that grid, and the
+        runs move by whole cells, so no iterate builds a Fraction.
         """
         if max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        q = self.common_denominator()
-        charts = self._on_grid(q)
-        current = [(0, q)]
+        current = ArcSet.full()
         iterates = [current]
-        stabilized_at = None
         for k in range(max_iter):
-            nxt = merge_segments(_walk(current, charts))
-            arcs = len(nxt) - _joins_at_zero(nxt, q)
-            if arcs > max_arcs:
-                raise _too_many_arcs(k + 1, arcs, max_arcs)
-            if not segments_within(nxt, current):
+            nxt = self.image(current)
+            if len(nxt) > max_arcs:
+                raise BudgetExceeded(
+                    f"iterate {k + 1} needs {len(nxt)} arcs (max_arcs={max_arcs})",
+                    budget="max_arcs",
+                    value=max_arcs,
+                )
+            if not nxt.is_subset_of(current):
                 raise AssertionError("forward images failed to nest")
             if nxt == current:
-                stabilized_at = k
-                break
+                return AttractorResult(tuple(iterates), k, current, FiniteType.YES)
             iterates.append(nxt)
             current = nxt
-        sets = tuple(
-            ArcSet.from_segments((Fraction(a, q), Fraction(b, q)) for a, b in runs)
-            for runs in iterates
-        )
-        if stabilized_at is None:
-            return AttractorResult(sets, None, sets[-1], FiniteType.NO_WITHIN_BUDGET)
-        return AttractorResult(sets, stabilized_at, sets[-1], FiniteType.YES)
+        return AttractorResult(tuple(iterates), None, current, FiniteType.NO_WITHIN_BUDGET)
 
     def point_preimages(self, y: CirclePoint) -> list[CirclePoint]:
         """All x with S(x) = y, solved piece by piece."""
@@ -402,18 +377,6 @@ class Itm:
             )
         return HomtervalReport(tuple(omega), tuple(homtervals))
 
-    def is_generic_within_depth(
-        self, depth: int, orbit_budget: int = DEFAULT_ORBIT_BUDGET
-    ) -> Genericity:
-        """Detect periodic continuity domains up to a depth and budget.
-
-        A resolved periodic homterval refutes genericity outright.  The
-        complementary verdict only reports that no periodic domain was found
-        within the budget; genericity itself is never certified by a finite
-        computation.
-        """
-        return self.classify_homtervals(depth, orbit_budget).genericity
-
     def with_breakpoint(self, x: CirclePoint) -> "Itm":
         """The same map with x inserted as an (artificial) breakpoint."""
         if not isinstance(x, CirclePoint):
@@ -448,17 +411,6 @@ class Itm:
         dens = [p.value.denominator for p in self.breakpoints]
         dens += [c.denominator for c in self.shifts]
         return lcm(*dens)
-
-    def _on_grid(self, Q: int) -> list[tuple[int, int, int, int]]:
-        """The charts (lo, hi, 1, b) with lo, hi and b counted in units of 1/Q.
-
-        Q must be a multiple of common_denominator(), so that every value
-        is a whole number of units.
-        """
-        def units(v: Fraction) -> int:
-            return v.numerator * (Q // v.denominator)
-
-        return [(units(lo), units(hi), a, units(b)) for lo, hi, a, b in self._charts]
 
     def affine_segments(self) -> list[tuple]:
         """The map as affine charts (lo, hi, a, b): x -> a*x + b on [lo, hi).

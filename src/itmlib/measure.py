@@ -20,7 +20,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional
 
-from itmlib.circle import ONE, ZERO, Arc, ArcSet, CirclePoint, Rational, _walk, frac
+from itmlib.circle import ONE, ZERO, Arc, ArcSet, CirclePoint, Rational, frac
+from itmlib.circle import _on_grid, _walk
 from itmlib.itm import AttractorResult, FiniteType, Itm
 
 
@@ -202,12 +203,6 @@ class Measure:
 
     def __add__(self, other: "Measure") -> "Measure":
         return self.add(other)
-
-    def mass_between(
-        self, lo: Fraction, hi: Fraction, include_lo: bool = True, include_hi: bool = False
-    ) -> Fraction:
-        """Mass of the interval from lo to hi on the cut-open line."""
-        return self.cdf().mass_between(lo, hi, include_lo, include_hi)
 
     def mass_of(self, support: ArcSet) -> Fraction:
         """Mass of an arc union (arcs half-open, wraps handled)."""
@@ -421,11 +416,6 @@ def mass_near_points(
     return out
 
 
-def mass_near_breakpoints(mu: Measure, s: Itm, delta: Rational) -> list[Fraction]:
-    """Exact mu((t_k - delta, t_k + delta)) for each breakpoint, wrap-aware."""
-    return mass_near_points(mu, s.breakpoints, delta, wrap=True)
-
-
 @dataclass(frozen=True)
 class Recurrence:
     """One sampled point with its first eps-return time, if any was found."""
@@ -475,7 +465,7 @@ def find_recurrent_points(
     for y in levels:
         x = cdf.quantile(y) % 1
         Q = lcm(q, x.denominator)
-        charts = s._on_grid(Q)
+        charts = _on_grid(s.affine_segments(), Q)
         starts = [lo for lo, *_ in charts]
         home = x.numerator * (Q // x.denominator)
         # d/Q < eps, cleared of denominators

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from itmlib.approx import OrderViolation, generate_approximants
 from itmlib.catalog import random_itm
+from itmlib.circle import Arc, CirclePoint
 from itmlib.itm import Itm
 from itmlib.piecewise import from_itm
 
@@ -76,3 +78,36 @@ def approximant_level_maps():
             continue
         maps.extend(level.map for level in schedule.levels)
     return maps
+
+
+def arcs_on(q: int):
+    """A strategy for up to five arcs with ends on the grid of 1/q."""
+    return st.lists(
+        st.builds(
+            lambda start, length: Arc(CirclePoint(Fraction(start, q)), Fraction(length, q)),
+            st.integers(0, q - 1),
+            st.integers(1, q),
+        ),
+        max_size=5,
+    )
+
+
+@pytest.fixture(scope="session")
+def grid_pair_arcs(approximant_level_maps):
+    """A strategy for (q, q', arcs on the grid of 1/q, arcs on that of 1/q').
+
+    Sets on the two grids meet on lcm(q, q').  The grids are coprime, or
+    one divides the other, or one lies above 2**16, or both are common
+    denominators of approximant_level_maps, which run to tens of bits.
+    """
+    small = st.integers(2, 600)
+    levels = sorted({s.common_denominator() for s in approximant_level_maps})
+    pairs = st.one_of(
+        st.tuples(small, small).filter(lambda p: gcd(*p) == 1),
+        st.builds(lambda q, k: (q, k * q), small, st.integers(2, 64)),
+        st.tuples(st.integers(2**16 + 1, 2**24), small),
+        st.tuples(st.sampled_from(levels), st.sampled_from(levels)),
+    )
+    return pairs.flatmap(
+        lambda p: st.tuples(st.just(p[0]), st.just(p[1]), arcs_on(p[0]), arcs_on(p[1]))
+    )

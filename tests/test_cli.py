@@ -535,6 +535,12 @@ MALFORMED = {
         {**HALVING_ORBIT, "epsilons": ["1/8"], "orbitLengths": [4, _MAX_STEPS + 1]},
         "orbitLengths",
     ),
+    "depth-over-budget-relations": (
+        "relations", {"map": HALF_COLLAPSE, "depth": _MAX_STEPS + 1}, "'depth'"
+    ),
+    "depth-over-budget-homtervals": (
+        "homtervals", {"map": HALF_COLLAPSE, "depth": _MAX_STEPS + 1}, "'depth'"
+    ),
     "samples-over-budget": (
         "conjugate", {"map": HALF_COLLAPSE, "samples": _MAX_STEPS + 1}, "samples"
     ),

@@ -293,6 +293,17 @@ class TestImageAgainstReference:
         assert s.image(a) == reference_image(s, a)
         assert s.preimage(a) == reference_preimage(s, a)
 
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_sets_on_other_grids(self, grid_pair_arcs, data):
+        # a map on the grid of 1/q moves a set on that of 1/q2
+        q, q2, _, arcs = data.draw(grid_pair_arcs)
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        s = random_itm(rng, rng.randint(1, min(q, 5)), q)
+        a = ArcSet(arcs)
+        assert s.image(a) == reference_image(s, a)
+        assert s.preimage(a) == reference_preimage(s, a)
+
 
 def reference_attractor(
     s: Itm, max_iter: int = DEFAULT_MAX_ITER, max_arcs: int = DEFAULT_MAX_ARCS
@@ -331,29 +342,24 @@ def rotated(s: Itm, r: Fraction) -> Itm:
     return Itm(tuple(p for p, _ in moved), tuple(c for _, c in moved))
 
 
-@pytest.fixture
-def image_calls(monkeypatch):
-    """Counts calls of Itm.image, the ArcSet step the attractor does not take."""
-    calls = []
-    image = Itm.image
-
-    def counted(self, a):
-        calls.append(a)
-        return image(self, a)
-
-    monkeypatch.setattr(Itm, "image", counted)
-    return calls
+def fraction_views(res: AttractorResult) -> list[ArcSet]:
+    """The iterates that have built their Fraction view (segments or arcs)."""
+    return [
+        a for a in res.iterates + (res.attractor,)
+        if a._segments is not None or a._arcs is not None
+    ]
 
 
 class TestAttractorAgainstReference:
-    """The grid iteration gives the whole AttractorResult of the ArcSet loop."""
+    """image() iterated on the grid gives the whole AttractorResult of the
+    loop over reference_image()."""
 
-    def test_acceptance_sweep(self, acceptance_sweep_maps, image_calls):
+    def test_acceptance_sweep(self, acceptance_sweep_maps):
         for s in acceptance_sweep_maps:
             res = s.attractor()
-            assert not image_calls
+            # the iteration never leaves the integers
+            assert not fraction_views(res)
             assert res == reference_attractor(s)
-            image_calls.clear()
 
     def test_random_maps(self):
         rng = random.Random(11)
@@ -430,17 +436,14 @@ class TestAttractorMetamorphic:
             assert refined.common_denominator() == k * q
             assert refined.attractor() == s.attractor()
 
-    def test_denominator_above_2_16_takes_the_same_kernel(
-        self, acceptance_sweep_maps, image_calls
-    ):
+    def test_denominator_above_2_16_takes_the_same_kernel(self, acceptance_sweep_maps):
         for s in acceptance_sweep_maps[:20]:
             fine = s.with_breakpoint(F(1, 2**16 + 1))
             assert fine.common_denominator() > 2**16
             res = fine.attractor()
-            assert not image_calls
+            assert not fraction_views(res)
             assert res == reference_attractor(fine)
             assert res == s.attractor()
-            image_calls.clear()
 
 
 class TestOmega:
@@ -503,27 +506,28 @@ class TestHomtervals:
 
 class TestGenericity:
     def test_rational_maps_not_generic(self):
-        assert half_collapse().is_generic_within_depth(1) is Genericity.NOT_GENERIC
-        assert rotation("1/3").is_generic_within_depth(2) is Genericity.NOT_GENERIC
+        assert half_collapse().classify_homtervals(1).genericity is Genericity.NOT_GENERIC
+        assert rotation("1/3").classify_homtervals(2).genericity is Genericity.NOT_GENERIC
 
     def test_budget_starved_verdict(self):
-        verdict = rotation("5/8").is_generic_within_depth(1, orbit_budget=4)
+        verdict = rotation("5/8").classify_homtervals(1, orbit_budget=4).genericity
         assert verdict is Genericity.NO_PERIODIC_DOMAIN_FOUND
 
     def test_large_denominator_convergent_within_small_budget(self):
         # stand-in for an irrational rotation: period exceeds the budget
-        verdict = rotation(F(377, 610)).is_generic_within_depth(3, orbit_budget=300)
-        assert verdict is Genericity.NO_PERIODIC_DOMAIN_FOUND
+        report = rotation(F(377, 610)).classify_homtervals(3, orbit_budget=300)
+        assert report.genericity is Genericity.NO_PERIODIC_DOMAIN_FOUND
 
     def test_report_verdict_matches_the_map_verdict(self):
-        for s, depth, budget in (
-            (half_collapse(), 1, 64),
-            (rotation("1/3"), 2, 64),
-            (rotation("5/8"), 1, 4),
+        # the map's verdict is NOT_GENERIC exactly when a homterval resolved
+        for s, depth, budget, verdict in (
+            (half_collapse(), 1, 64, Genericity.NOT_GENERIC),
+            (rotation("1/3"), 2, 64, Genericity.NOT_GENERIC),
+            (rotation("5/8"), 1, 4, Genericity.NO_PERIODIC_DOMAIN_FOUND),
         ):
             report = s.classify_homtervals(depth, orbit_budget=budget)
-            verdict = s.is_generic_within_depth(depth, orbit_budget=budget)
             assert report.genericity is verdict
+            assert bool(report.resolved) == (verdict is Genericity.NOT_GENERIC)
 
 
 class TestPeriodicBall:

@@ -26,7 +26,7 @@ from itmlib.measure import (
     cdf_distance,
     find_recurrent_points,
     invariance_residual_exact,
-    mass_near_breakpoints,
+    mass_near_points,
     pushforward,
     tv_distance,
 )
@@ -122,14 +122,14 @@ class TestCanonicalForm:
 class TestMass:
     def test_mass_between_density(self):
         mu = half_density()
-        assert mu.mass_between(F(1, 4), F(3, 4)) == F(1, 2)
+        assert mu.cdf().mass_between(F(1, 4), F(3, 4)) == F(1, 2)
 
     def test_mass_between_atom_endpoints(self):
         mu = Measure.point_mass(F(1, 2))
-        assert mu.mass_between(F(1, 2), F(3, 4)) == 1
-        assert mu.mass_between(F(1, 2), F(3, 4), include_lo=False) == 0
-        assert mu.mass_between(F(1, 4), F(1, 2)) == 0
-        assert mu.mass_between(F(1, 4), F(1, 2), include_hi=True) == 1
+        assert mu.cdf().mass_between(F(1, 2), F(3, 4)) == 1
+        assert mu.cdf().mass_between(F(1, 2), F(3, 4), include_lo=False) == 0
+        assert mu.cdf().mass_between(F(1, 4), F(1, 2)) == 0
+        assert mu.cdf().mass_between(F(1, 4), F(1, 2), include_hi=True) == 1
 
     def test_mass_of_wrapping_arcset(self):
         mu = Measure.lebesgue()
@@ -608,7 +608,7 @@ def assert_cdf_matches_reference(mu: Measure, rng: random.Random) -> None:
         for include_lo in (False, True):
             for include_hi in (False, True):
                 args = (lo, hi, include_lo, include_hi)
-                assert mu.mass_between(*args) == reference_mass_between(mu, *args)
+                assert fast.mass_between(*args) == reference_mass_between(mu, *args)
 
 
 class TestCumulativeTableAgainstReference:
@@ -664,26 +664,28 @@ def test_no_position_is_hashed(monkeypatch):
 
 class TestMassNearBreakpoints:
     def test_lebesgue_gives_two_delta(self):
-        out = mass_near_breakpoints(Measure.lebesgue(), two_shift_example(), F(1, 8))
+        s = two_shift_example()
+        out = mass_near_points(Measure.lebesgue(), s.breakpoints, F(1, 8), wrap=True)
         assert out == [F(1, 4), F(1, 4)]
 
     def test_half_density_at_half(self):
-        out = mass_near_breakpoints(half_density(), half_collapse(), F(1, 8))
+        s = half_collapse()
+        out = mass_near_points(half_density(), s.breakpoints, F(1, 8), wrap=True)
         assert out == [F(1, 4), F(1, 4)]
 
     def test_supported_away(self):
         mu = Measure(((F(1, 4), F(1, 2), F(4)),))
-        out = mass_near_breakpoints(mu, rotation("1/3"), F(1, 8))
+        out = mass_near_points(mu, rotation("1/3").breakpoints, F(1, 8), wrap=True)
         assert out == [F(0)]
 
     def test_wrap_interval(self):
         mu = Measure(((F(7, 8), F(1), F(4)),))
-        out = mass_near_breakpoints(mu, rotation("1/3"), F(1, 16))
+        out = mass_near_points(mu, rotation("1/3").breakpoints, F(1, 16), wrap=True)
         assert out == [F(1, 4)]
 
     def test_open_interval_excludes_boundary_atoms(self):
         mu = Measure.point_mass(F(1, 8))
-        out = mass_near_breakpoints(mu, rotation(0), F(1, 8))
+        out = mass_near_points(mu, rotation(0).breakpoints, F(1, 8), wrap=True)
         assert out == [F(0)]
 
     @given(measures(), st.fractions(min_value=0, max_value="1/4", max_denominator=32))
@@ -691,8 +693,8 @@ class TestMassNearBreakpoints:
         if d == 0:
             return
         s = two_shift_example()
-        small = mass_near_breakpoints(mu, s, d)
-        large = mass_near_breakpoints(mu, s, 2 * d)
+        small = mass_near_points(mu, s.breakpoints, d, wrap=True)
+        large = mass_near_points(mu, s.breakpoints, 2 * d, wrap=True)
         assert all(a <= b for a, b in zip(small, large))
 
 

@@ -108,3 +108,32 @@ def test_every_private_helper_is_read_in_the_library():
         and everywhere[node.name] == reads(node)[node.name]
     ]
     assert found == []
+
+
+def test_only_circle_reads_arcset_storage():
+    # an ArcSet's grid and runs are circle.py's business: other modules use
+    # the public algebra, and move sets through charts with ArcSet._moved
+    root = Path(itmlib.__file__).parent
+    circle = ast.parse((root / "circle.py").read_text(encoding="utf-8"))
+    arcset = next(
+        node for node in circle.body
+        if isinstance(node, ast.ClassDef) and node.name == "ArcSet"
+    )
+    names = set()
+    for node in arcset.body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign) and node.targets[0].id == "__slots__":
+            names.update(ast.literal_eval(node.value))
+    private = {
+        name for name in names if name.startswith("_") and not name.startswith("__")
+    } - {"_moved"}
+    assert {"_q", "_runs", "_from_runs"} <= private
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}: {node.attr}"
+        for path in sorted(root.rglob("*.py"))
+        if path.name != "circle.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    ]
+    assert found == []
