@@ -7,10 +7,11 @@ finite union of arcs stored as its merged runs [a, b) of cells of width
 ends.  Two sets meet on the grid lcm(q, q'), so set operations are integer
 arithmetic, and ``==`` decides set equality exactly across grids.
 
-Maps move segments through charts (lo, hi, a, b): the part of a segment
-inside [lo, hi) goes to its image under x -> a*x + b.  _affine_charts builds
-the charts of affine pieces read mod 1 and _walk carries segments through
-them; with Arc.segments, they are the only code that knows how a set meets
+Maps move runs through charts (lo, hi, a, b): the part of a run inside
+[lo, hi) goes to its image under x -> a*x + b.  _affine_charts builds the
+charts of affine pieces read mod 1, and _walk carries runs of cells through
+rational charts of any slope on integers, for sets and measure densities
+alike; with Arc.segments, they are the only code that knows how a set meets
 the cut at 0.
 """
 
@@ -180,20 +181,30 @@ def _affine_charts(pieces: Iterable[tuple]) -> list[tuple]:
     return out
 
 
-def _walk(segs: Iterable[tuple], charts: list[tuple]) -> list[tuple]:
-    """The parts of segments (lo, hi, *weight) moved through charts (lo, hi, a, b).
+def _walk(q: int, runs: Iterable[tuple], charts: Sequence[tuple]) -> tuple[int, list[tuple]]:
+    """Runs (a, b, *weight) of cells on the grid of 1/q moved through rational charts.
 
-    Both lists must be sorted by lo; charts may overlap or leave gaps.  The
-    part [left, right) of a segment inside a chart goes to its image under
-    x -> a*x + b, with the ends swapped when a < 0.  A segment may carry
-    one weight per unit length; it becomes weight/|a|, so mass is kept.  A
-    flat chart (a = 0) gives the empty segment [b, b), whose weight is the
-    mass weight*(right - left) gathered at b.  Fractions and ints work
-    alike.
+    Let Q be the lcm of q and every denominator of the charts' lo, hi and b,
+    and R that of their slopes a.  On the grid of 1/Q each chart (lo, hi, a,
+    b) holds whole cells, and x -> a*x + b sends them onto the grid of
+    1/(QR), so the walk runs on integers; it returns QR and the moved runs
+    on that grid.  Runs and charts must be sorted by lo; charts may overlap
+    or leave gaps.  The part [left, right) of a run inside a chart goes to
+    its image, with the ends swapped when a < 0.  A run may carry one
+    weight per unit length; it becomes weight/|a|, so mass is kept.  A flat
+    chart (a = 0) gives the empty run [b, b), whose weight is QR times the
+    mass gathered at b.
     """
+    grid = lcm(q, *(v.denominator for lo, hi, _, b in charts for v in (lo, hi, b)))
+    r = lcm(*(a.denominator for _, _, a, _ in charts))
+    k = grid // q
+    if k != 1 or r != 1:
+        # the walk divides weights by the integer slope a*R, so scale them by R
+        runs = [(lo * k, hi * k, *(w * r for w in weight)) for lo, hi, *weight in runs]
+    charts = _on_grid(charts, grid, r)
     out = []
     j = 0
-    for lo, hi, *weight in segs:
+    for lo, hi, *weight in runs:
         while j < len(charts) and charts[j][1] <= lo:
             j += 1
         i = j
@@ -211,7 +222,7 @@ def _walk(segs: Iterable[tuple], charts: list[tuple]) -> list[tuple]:
                 out.append((a * right + b, a * left + b, *(w / -a for w in weight)))
             else:
                 out.append((b, b, *(w * (right - left) for w in weight)))
-    return out
+    return grid * r, out
 
 
 def _units(v: Rational, q: int) -> int:
@@ -234,13 +245,18 @@ def _segments_to_arcs(segs: tuple[Segment, ...]) -> tuple[Arc, ...]:
     return tuple(arcs)
 
 
-def _on_grid(charts: Iterable[tuple], q: int) -> list[tuple]:
-    """Charts (lo, hi, a, b) with lo, hi and b counted in units of 1/q.
+def _on_grid(charts: Iterable[tuple], q: int, r: int) -> list[tuple]:
+    """Charts (lo, hi, a, b) as integer charts from the grid of 1/q to that of 1/(qr).
 
-    q must be a multiple of every denominator of lo, hi and b, so that
-    every value is a whole number of units.
+    lo and hi count units of 1/q, b units of 1/(qr), and a becomes a*r, so
+    that x -> a*x + b reads n -> a*r*n + b*q*r on cell indices.  q must be
+    a multiple of every denominator of lo, hi and b, and r of every
+    denominator of a.
     """
-    return [(_units(lo, q), _units(hi, q), a, _units(b, q)) for lo, hi, a, b in charts]
+    return [
+        (_units(lo, q), _units(hi, q), _units(a, r), _units(b, q * r))
+        for lo, hi, a, b in charts
+    ]
 
 
 def _grid_of(segs: Iterable[Segment]) -> tuple[int, list[tuple[int, int]]]:
@@ -307,13 +323,8 @@ class ArcSet:
         return q, self._scaled(q), other._scaled(q)
 
     def _moved(self, charts: Sequence[tuple]) -> "ArcSet":
-        """The set walked through rational charts (lo, hi, 1, b), sorted by lo.
-
-        On the grid of lcm(q, the charts' denominators) each chart moves
-        whole cells, so the walk runs on integers.
-        """
-        q = lcm(self._q, *(v.denominator for lo, hi, _, b in charts for v in (lo, hi, b)))
-        moved = _walk(self._scaled(q), _on_grid(charts, q))
+        """The set walked through rational charts (lo, hi, a, b), sorted by lo."""
+        q, moved = _walk(self._q, self._runs, charts)
         return ArcSet._from_runs(q, merge_segments(moved))
 
     @property
@@ -421,6 +432,16 @@ class ArcSet:
     def __repr__(self) -> str:
         inner = ", ".join(f"[{a.start.value},+{a.length})" for a in self.arcs)
         return f"ArcSet({inner})"
+
+
+def _runs_of(s: ArcSet) -> tuple[int, list[tuple[int, int]]]:
+    """A set's grid q and its merged runs of cells on 1/q."""
+    return s._q, s._runs
+
+
+def _set_of_runs(q: int, runs: list[tuple[int, int]]) -> ArcSet:
+    """The set of sorted, disjoint and non-adjacent runs of cells on 1/q."""
+    return ArcSet._from_runs(q, runs)
 
 
 def arc(start: Union[Rational, str], length: Union[Rational, str]) -> Arc:

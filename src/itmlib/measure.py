@@ -1,15 +1,23 @@
-"""Measures with piecewise-constant densities and finitely many atoms.
+"""Measures with piecewise-constant densities and finitely many atoms, on integer grids.
 
 A Measure lives on [0, 1] cut open at 0: density pieces never wrap through
 0 (wrapping arcs are split on construction) and atom positions are exact
 rationals in [0, 1], so segment maps can keep an atom at 1 distinct from
-one at 0.  The representation is canonical, which makes equality of
-measures and exact invariance residuals decidable.
+one at 0.  The density is stored as merged runs (a, b, w) of cells
+[i/q, (i+1)/q) on the measure's own grid q: weight w per unit length on
+[a/q, b/q).  q is the lcm of the merged ends' denominators, so the
+representation is canonical, which makes equality of measures and exact
+invariance residuals decidable.  Two measures meet on the grid lcm(q, q'),
+a map's charts move the runs on integers (``circle._walk``), and the
+``density`` tuples of Fractions are a view built on first read.  Atoms are
+sorted (position, mass) pairs of Fractions.
 
 Every mass query reads one cumulative table: the rows (x, F(x-), F(x),
-slope) of F(x) = mass of [0, x] at each cut.  ``Cdf`` stores the table of
-a measure, ``mass_between`` is two lookups in it, and ``cdf_distance``
-scans the table of the signed difference that ``tv_distance`` also sums.
+slope) of F(x) = mass of [0, x] at each cut, with the cuts counted in
+units of 1/Q for Q the lcm of the grid and the atoms' denominators.
+``Cdf`` stores the table of a measure and bisects its integer cuts,
+``mass_between`` is two lookups in it, and ``cdf_distance`` scans the table
+of the signed difference that ``tv_distance`` also sums.
 """
 
 from __future__ import annotations
@@ -17,11 +25,12 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Optional
 
-from itmlib.circle import ONE, ZERO, Arc, ArcSet, CirclePoint, Rational, frac
-from itmlib.circle import _on_grid, _walk
+from itmlib.circle import ONE, ZERO, Arc, ArcSet, CirclePoint, Rational, frac, merge_segments
+from itmlib.circle import _on_grid, _runs_of, _set_of_runs, _units, _walk
 from itmlib.itm import AttractorResult, FiniteType, Itm
 
 
@@ -33,31 +42,14 @@ class AtomicMeasure(ValueError):
     """A non-atomic measure was required."""
 
 
-def _merge_density(
-    raw: Iterable[tuple[Fraction, Fraction, Fraction]]
-) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
-    events: list[tuple[Fraction, Fraction]] = []
-    for lo, hi, w in raw:
-        if w < 0:
-            raise ValueError("density weights must be nonnegative")
-        if not (ZERO <= lo and hi <= ONE):
-            raise ValueError(f"density piece [{lo}, {hi}) outside [0, 1]")
-        if hi > lo and w > 0:
-            events.append((lo, w))
-            events.append((hi, -w))
-    return _sweep(events)
-
-
-def _sweep(
-    events: list[tuple[Fraction, Fraction]]
-) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
-    # sum (position, weight change) events along the cut-open line into
-    # runs of constant level, merging adjacent runs of equal level;
-    # zero-level runs are dropped
+def _sweep(events: list[tuple[int, Fraction]]) -> tuple[tuple[int, int, Fraction], ...]:
+    # sum (cell, weight change) events along the cut-open line into runs of
+    # constant level, merging adjacent runs of equal level; zero-level runs
+    # are dropped
     if not events:
         return ()
-    events.sort(key=lambda e: e[0])
-    out: list[list[Fraction]] = []
+    events.sort(key=itemgetter(0))
+    out: list[list] = []
     level = ZERO
     prev = events[0][0]
     i = 0
@@ -72,7 +64,15 @@ def _sweep(
             level += events[i][1]
             i += 1
         prev = x
-    return tuple((lo, hi, w) for lo, hi, w in out)
+    return tuple([(lo, hi, w) for lo, hi, w in out])
+
+
+def _own_grid(q: int, runs: tuple) -> tuple[int, tuple[tuple[int, int, Fraction], ...]]:
+    """Merged runs on the grid of 1/q moved to the coarsest grid holding their ends."""
+    g = gcd(q, *(e for a, b, _ in runs for e in (a, b)))
+    if g == 1:
+        return q, runs
+    return q // g, tuple([(a // g, b // g, w) for a, b, w in runs])
 
 
 def _merge_atoms(
@@ -107,47 +107,89 @@ def _add_neighbours(
 
 
 def _cumulative(
-    density: Iterable[tuple[Fraction, Fraction, Fraction]],
-    atoms: Iterable[tuple[Fraction, Fraction]],
-) -> list[list[Fraction]]:
-    """Rows [x, F(x-), F(x), slope of F on [x, next cut)] at every cut.
+    q: int,
+    runs: tuple[tuple[int, int, Fraction], ...],
+    atoms: tuple[tuple[Fraction, Fraction], ...],
+) -> tuple[int, list[list]]:
+    """The grid Q and the rows [x, F(x-), F(x), slope of F on [x, next cut)].
 
-    F(x) is the mass of [0, x], for density pieces and atoms of either
-    sign.  The cuts are 0, 1, the density endpoints and the atom positions,
-    in increasing order.  Between two cuts F is linear, so every query on
-    the cut line reads one row.
+    F(x) is the mass of [0, x], for density runs on the grid of 1/q and
+    atoms of either sign; slopes are per unit length.  Q is the lcm of q
+    and the atoms' denominators, and each row's cut x counts units of 1/Q.
+    The cuts are 0, Q, the run ends and the atom positions, in increasing
+    order.  Between two cuts F is linear, so every query on the cut line
+    reads one row.
     """
-    events = [e for lo, hi, w in density for e in ((lo, w, ZERO), (hi, -w, ZERO))]
-    events += [(p, ZERO, m) for p, m in atoms]
-    events.append((ONE, ZERO, ZERO))
-    events.sort(key=lambda e: e[0])
-    rows = [[ZERO, ZERO, ZERO, ZERO]]
+    grid = lcm(q, *(p.denominator for p, _ in atoms))
+    k = grid // q
+    events = [e for a, b, w in runs for e in ((a * k, w, 0), (b * k, -w, 0))]
+    events += [(_units(p, grid), 0, m) for p, m in atoms]
+    events.append((grid, 0, 0))
+    events.sort(key=itemgetter(0))
+    rows = [[0, ZERO, ZERO, ZERO]]
     for x, dw, m in events:
         row = rows[-1]
         if x != row[0]:
-            left = row[2] + row[3] * (x - row[0])
+            left = row[2] + row[3] * Fraction(x - row[0], grid) if row[3] else row[2]
             row = [x, left, left, row[3]]
             rows.append(row)
-        row[2] += m
-        row[3] += dw
-    return rows
+        if m:
+            row[2] += m
+        if dw:
+            row[3] += dw
+    return grid, rows
 
 
-@dataclass(frozen=True)
 class Measure:
-    """density: disjoint (lo, hi, weight-per-unit-length) pieces, sorted,
-    never wrapping through 0; atoms: sorted (position, mass) pairs.
+    """A density on [0, 1] plus atoms, stored canonically on a grid.
 
-    Construction canonicalizes arbitrary input, so equal measures have
-    equal representations and ``==`` decides measure equality.
+    ``Measure(density, atoms)`` takes density pieces (lo, hi,
+    weight-per-unit-length), which may overlap and sum, and (position,
+    mass) atoms.  ``density`` reads back disjoint, sorted pieces that never
+    wrap through 0, and ``atoms`` sorted (position, mass) pairs.  The
+    pieces are stored as merged runs of cells on the coarsest grid of 1/q
+    holding their ends, so equal measures store equal data and ``==`` and
+    ``hash`` decide measure equality.
     """
 
-    density: tuple[tuple[Fraction, Fraction, Fraction], ...] = ()
-    atoms: tuple[tuple[Fraction, Fraction], ...] = ()
+    __slots__ = ("_grid", "_cells", "atoms", "_density")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "density", _merge_density(self.density))
-        object.__setattr__(self, "atoms", _merge_atoms(self.atoms))
+    def __init__(
+        self,
+        density: Iterable[tuple[Rational, Rational, Rational]] = (),
+        atoms: Iterable[tuple[Rational, Rational]] = (),
+    ):
+        pieces = []
+        for lo, hi, w in density:
+            if w < 0:
+                raise ValueError("density weights must be nonnegative")
+            if not (ZERO <= lo and hi <= ONE):
+                raise ValueError(f"density piece [{lo}, {hi}) outside [0, 1]")
+            if hi > lo and w > 0:
+                pieces.append((lo, hi, w))
+        q = lcm(*(v.denominator for lo, hi, _ in pieces for v in (lo, hi)))
+        events = [
+            e for lo, hi, w in pieces for e in ((_units(lo, q), w), (_units(hi, q), -w))
+        ]
+        self._keep(*_own_grid(q, _sweep(events)), _merge_atoms(atoms))
+
+    def _keep(self, grid: int, cells: tuple, atoms: tuple) -> None:
+        # cells: merged runs (a, b, w) on the grid of 1/grid, grid reduced;
+        # atoms: sorted, merged (position, mass) pairs with nonzero mass
+        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "_density", None)
+
+    @classmethod
+    def _on_cells(cls, grid: int, cells: tuple, atoms: tuple) -> "Measure":
+        """The measure of canonical cells and atoms, as ``_keep`` takes them."""
+        out = cls.__new__(cls)
+        out._keep(grid, cells, atoms)
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Measure is immutable")
 
     @classmethod
     def from_arcs(
@@ -173,14 +215,26 @@ class Measure:
     @classmethod
     def uniform_on(cls, support: ArcSet) -> "Measure":
         """Normalized Lebesgue measure restricted to an arc union."""
-        if support.total_length == 0:
+        q, runs = _runs_of(support)
+        cells = sum(b - a for a, b in runs)
+        if cells == 0:
             raise ValueError("cannot normalize Lebesgue measure on a null set")
-        w = 1 / support.total_length
-        return cls(tuple((lo, hi, w) for lo, hi in support.segments()))
+        # the set's runs are sorted, disjoint and non-adjacent: merged cells
+        w = Fraction(q, cells)
+        return cls._on_cells(*_own_grid(q, tuple([(a, b, w) for a, b in runs])), ())
+
+    @property
+    def density(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+        """Disjoint (lo, hi, weight-per-unit-length) pieces, sorted."""
+        if self._density is None:
+            q = self._grid
+            pieces = tuple((Fraction(a, q), Fraction(b, q), w) for a, b, w in self._cells)
+            object.__setattr__(self, "_density", pieces)
+        return self._density
 
     @property
     def total_mass(self) -> Fraction:
-        dens = sum((w * (hi - lo) for lo, hi, w in self.density), ZERO)
+        dens = sum((w * (b - a) for a, b, w in self._cells), ZERO) / self._grid
         return dens + sum((m for _, m in self.atoms), ZERO)
 
     @property
@@ -211,10 +265,20 @@ class Measure:
 
     def support(self) -> ArcSet:
         """Smallest canonical arc union carrying all density mass (atoms excluded)."""
-        return ArcSet.from_segments((lo, hi) for lo, hi, _ in self.density)
+        return _set_of_runs(self._grid, merge_segments((a, b) for a, b, _ in self._cells))
 
     def cdf(self) -> "Cdf":
         return Cdf(self)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Measure):
+            return NotImplemented
+        return (self._grid, self._cells, self.atoms) == (
+            other._grid, other._cells, other.atoms
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._grid, self._cells, self.atoms))
 
     def __repr__(self) -> str:
         d = ", ".join(f"[{lo},{hi})x{w}" for lo, hi, w in self.density)
@@ -229,34 +293,54 @@ class Cdf:
     right-continuous value including the atom at x, ``left_limit`` the
     value just below x.  Each query reads one row of the cumulative table
     (cuts, value_left, value_at, slopes): F has slope slopes[i] on
-    [cuts[i], cuts[i + 1]).
+    [cuts[i], cuts[i + 1]).  The cuts are kept as integers on a grid, which
+    ``at``, ``slope_at`` and ``left_limit`` bisect; ``cuts`` is their
+    Fraction view, built on first read.
     """
 
-    __slots__ = ("measure", "cuts", "value_left", "value_at", "slopes")
+    __slots__ = ("measure", "_grid", "_ticks", "_cuts", "value_left", "value_at", "slopes")
 
     def __init__(self, measure: Measure):
         self.measure = measure
-        self.cuts, self.value_left, self.value_at, self.slopes = zip(
-            *_cumulative(measure.density, measure.atoms)
+        self._grid, rows = _cumulative(measure._grid, measure._cells, measure.atoms)
+        self._ticks, self.value_left, self.value_at, self.slopes = zip(*rows)
+        self._cuts = None
+
+    @property
+    def cuts(self) -> tuple[Fraction, ...]:
+        if self._cuts is None:
+            self._cuts = tuple(Fraction(x, self._grid) for x in self._ticks)
+        return self._cuts
+
+    def _offset(self, x: Fraction, i: int) -> Fraction:
+        """x - cuts[i]."""
+        return Fraction(
+            x.numerator * self._grid - self._ticks[i] * x.denominator,
+            x.denominator * self._grid,
         )
 
     def at(self, x: Rational) -> Fraction:
         x = frac(x)
         if x < 0:
             return ZERO
-        i = bisect.bisect_right(self.cuts, x) - 1
-        return self.value_at[i] + self.slopes[i] * (x - self.cuts[i])
+        # a cut c/Q lies at or below x iff c <= floor(x * Q)
+        i = bisect.bisect_right(self._ticks, x.numerator * self._grid // x.denominator) - 1
+        return self.value_at[i] + self.slopes[i] * self._offset(x, i)
 
     def slope_at(self, x: Rational) -> Fraction:
         """The slope of F just right of x: the density of mu there."""
-        return self.slopes[bisect.bisect_right(self.cuts, frac(x)) - 1]
+        x = frac(x)
+        return self.slopes[
+            bisect.bisect_right(self._ticks, x.numerator * self._grid // x.denominator) - 1
+        ]
 
     def left_limit(self, x: Rational) -> Fraction:
         x = frac(x)
         if x <= 0:
             return ZERO
-        i = bisect.bisect_left(self.cuts, x) - 1
-        return self.value_at[i] + self.slopes[i] * (x - self.cuts[i])
+        # a cut c/Q lies below x iff c < ceil(x * Q)
+        i = bisect.bisect_left(self._ticks, -(-x.numerator * self._grid // x.denominator)) - 1
+        return self.value_at[i] + self.slopes[i] * self._offset(x, i)
 
     def mass_between(
         self, lo: Rational, hi: Rational, include_lo: bool = True, include_hi: bool = False
@@ -275,7 +359,7 @@ class Cdf:
         if y <= 0:
             return ZERO
         i = bisect.bisect_left(self.value_at, y)
-        if i >= len(self.cuts):
+        if i >= len(self._ticks):
             return ONE
         if i > 0 and self.value_left[i] >= y:
             # the level is reached strictly inside (cuts[i-1], cuts[i]),
@@ -304,30 +388,37 @@ class Cdf:
 def pushforward(t, mu: Measure) -> Measure:
     """Exact image measure T#mu of an Itm or a PiecewiseMap.
 
-    The density walks through the map's affine charts, each piece's weight
-    divided by |a|, so every chart keeps its mass; a flat chart gathers the
-    mass it covers into one atom at its value b, and the empty segment it
-    leaves in the density is dropped by Measure.  Atoms move by the map's
-    own evaluate, so boundary values apply.
+    The density runs walk through the map's affine charts on integers
+    (``circle._walk``), each run's weight divided by |a|, so every chart
+    keeps its mass; a flat chart gathers the mass it covers into one atom
+    at its value b.  Atoms move by the map's own evaluate, so boundary
+    values apply.
     """
-    moved = _walk(mu.density, t.affine_segments())
-    atoms = [(lo, m) for lo, hi, m in moved if lo == hi]
+    q, moved = _walk(mu._grid, mu._cells, t.affine_segments())
+    events = [e for a, b, w in moved if a < b for e in ((a, w), (b, -w))]
+    atoms = [(Fraction(a, q), w / q) for a, b, w in moved if a == b]
     atoms += [(frac(t.evaluate(p)), m) for p, m in mu.atoms]
-    return Measure(tuple(moved), tuple(atoms))
+    return Measure._on_cells(*_own_grid(q, _sweep(events)), _add_neighbours(atoms))
 
 
-def _difference(mu: Measure, nu: Measure) -> tuple[tuple, tuple]:
-    """The signed measure mu - nu as canonical (density, atoms)."""
-    events = [e for lo, hi, w in mu.density for e in ((lo, w), (hi, -w))]
-    events += [e for lo, hi, w in nu.density for e in ((lo, -w), (hi, w))]
+def _difference(mu: Measure, nu: Measure) -> tuple[int, tuple, tuple]:
+    """The signed measure mu - nu as (q, merged runs on 1/q, atoms), on the
+    grid q = lcm of both grids."""
+    q = lcm(mu._grid, nu._grid)
+    events = []
+    for m, sign in ((mu, 1), (nu, -1)):
+        k = q // m._grid
+        events += [e for a, b, w in m._cells for e in ((a * k, sign * w), (b * k, -sign * w))]
     atoms = [*mu.atoms, *[(p, -m) for p, m in nu.atoms]]
-    return _sweep(events), _add_neighbours(atoms)
+    return q, _sweep(events), _add_neighbours(atoms)
 
 
 def tv_distance(mu: Measure, nu: Measure) -> Fraction:
     """Exact total variation of mu - nu."""
-    density, atoms = _difference(mu, nu)
-    total = sum((abs(w) * (hi - lo) for lo, hi, w in density), ZERO)
+    if mu == nu:
+        return ZERO
+    q, runs, atoms = _difference(mu, nu)
+    total = sum((abs(w) * (b - a) for a, b, w in runs), ZERO) / q
     return total + sum((abs(m) for _, m in atoms), ZERO)
 
 
@@ -369,7 +460,7 @@ def cdf_distance(mu: Measure, nu: Measure) -> Fraction:
     """
     if mu.total_mass != 1 or nu.total_mass != 1:
         raise ValueError("cdf distance requires probability measures")
-    rows = _cumulative(*_difference(mu, nu))
+    _, rows = _cumulative(*_difference(mu, nu))
     return max(max(abs(left), abs(at)) for _, left, at, _ in rows)
 
 
@@ -429,6 +520,12 @@ class Recurrence:
         return self.time is not None
 
 
+def _gap(a: int, b: int, q: int) -> int:
+    """Circle distance of cells a and b, counted in cells of 1/q."""
+    d = abs(a - b)
+    return min(d, q - d)
+
+
 def find_recurrent_points(
     s: Itm,
     mu: Measure,
@@ -440,20 +537,33 @@ def find_recurrent_points(
     """Search for eps-recurrence from points sampled across supp mu.
 
     Sample positions are CDF quantiles of mu (a density-weighted grid), or
-    random quantile levels when an rng is supplied.  The orbit walk aborts
-    early once it revisits a point without having come eps-close, since
-    everything after that repeats.
+    random quantile levels when an rng is supplied.  A sample x reports the
+    first time m <= horizon with S^m(x) eps-close to x, unless the orbit
+    revisited a point before, since everything after that repeats.
 
-    A sample x of denominator d never leaves the grid of multiples of 1/Q,
-    Q = lcm(q, d) with q the map's common denominator, so its orbit is
-    walked exactly as integers in [0, Q), through the map's charts on that
-    grid.
+    The search runs on cells.  With q the map's common denominator, S
+    moves every cell [i/q, (i+1)/q) rigidly onto a cell, so S acts on the
+    cells as a function f and a point keeps its offset inside its cell:
+    S^m(x) is as far from x as the cell f^m(c) is from x's cell c, a whole
+    number of cells of 1/q, and the orbit of x repeats exactly when that
+    of c does.  A walk of c stops at its first eps-return, at the horizon,
+    on a repeated cell, which closes a cycle of f, or on a cell of a cycle
+    met before.  Each cycle is recorded the first time a walk closes it,
+    and a later walk that meets it reads its remaining steps from the
+    record instead of the charts, so each cycle is walked through the
+    charts once and memory grows only with the cells walked.
     """
     eps = frac(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    cdf = mu.cdf()
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     total = mu.total_mass
+    if total == 0:
+        raise ValueError("a measure of zero mass has no support to sample")
+    cdf = mu.cdf()
     levels = [
         (total * frac(rng.random()).limit_denominator(2**40))
         if rng is not None
@@ -461,27 +571,49 @@ def find_recurrent_points(
         for i in range(samples)
     ]
     q = s.common_denominator()
+    charts = _on_grid(s.affine_segments(), q, 1)
+    starts = [lo for lo, *_ in charts]
+    # d cells are eps-close iff d/q < eps, iff d <= reach
+    reach = (eps.numerator * q - 1) // eps.denominator
+    recorded: dict[int, tuple[list, int]] = {}  # cell -> (its cycle, its place)
     out = []
     for y in levels:
         x = cdf.quantile(y) % 1
-        Q = lcm(q, x.denominator)
-        charts = _on_grid(s.affine_segments(), Q)
-        starts = [lo for lo, *_ in charts]
-        home = x.numerator * (Q // x.denominator)
-        # d/Q < eps, cleared of denominators
-        below = eps.numerator * Q
-        time = distance = None
+        home = x.numerator * q // x.denominator
+        time = near = None
+        met = recorded.get(home)
+        steps = {home: 0}  # cell -> step, in walk order
         cur = home
-        visited = {cur}
-        for m in range(1, horizon + 1):
+        while met is None and len(steps) <= horizon:
             cur += charts[bisect.bisect_right(starts, cur) - 1][3]
+            m = len(steps)
+            first = steps.get(cur)
+            if first is not None:
+                # a repeated cell closes a cycle; it is eps-close only if it
+                # is home, since every other cell of the walk was checked
+                cycle = list(steps)[first:]
+                for place, cell in enumerate(cycle):
+                    recorded[cell] = (cycle, place)
+                if first == 0:
+                    time, near = m, home
+                break
             d = abs(cur - home)
-            d = min(d, Q - d)
-            if d * eps.denominator < below:
-                time, distance = m, Fraction(d, Q)
+            if min(d, q - d) <= reach:
+                time, near = m, cur
                 break
-            if cur in visited:
-                break
-            visited.add(cur)
+            steps[cur] = m
+            met = recorded.get(cur)
+        if met is not None:
+            # the walk goes on around a recorded cycle, whose cells are all
+            # new to it until the full turn brings back the cell it met; that
+            # cell is eps-close only if it is home
+            cycle, place = met
+            n, walked = len(cycle), len(steps) - 1
+            for t in range(1, min(n, horizon - walked) + 1):
+                cell = cycle[(place + t) % n]
+                if _gap(cell, home, q) <= reach:
+                    time, near = walked + t, cell
+                    break
+        distance = None if time is None else Fraction(_gap(near, home, q), q)
         out.append(Recurrence(CirclePoint(x), time, distance))
     return out

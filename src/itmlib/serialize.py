@@ -114,6 +114,8 @@ def measure_from_json(d: Mapping) -> Measure:
         # a Measure lives on [0, 1] and its density pieces never wrap
         if not 0 <= lo < 1:
             raise ValueError(f"density start outside [0, 1): {e['arc']['start']!r}")
+        if length <= 0:
+            raise ValueError(f"density length must be positive: {e['arc']['length']!r}")
         if lo + length > 1:
             raise ValueError(f"density length runs past 1: {e['arc']['length']!r}")
         density.append((lo, lo + length, parse_rational(e["weight"], "weight")))

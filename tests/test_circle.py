@@ -391,3 +391,27 @@ class TestHelpers:
 
     def test_repr_round_readable(self):
         assert "3/4" in repr(arc(0, "3/4"))
+
+
+class TestChartsOfAnySlope:
+    """The integer walk moves sets through charts of any rational slope."""
+
+    @given(stored_sets, st.integers(0, 2**32))
+    def test_against_segment_images(self, s, seed):
+        rng = random.Random(seed)
+        # charts of slope 2, 1/2, -1, 0 or 1 on a grid of 1/12, values in [0, 1]
+        edges = sorted({F(0), F(1)} | {F(rng.randrange(1, 12), 12) for _ in range(3)})
+        charts = []
+        for lo, hi in zip(edges, edges[1:]):
+            a = rng.choice([F(2), F(1, 2), F(-1), F(0), F(1)])
+            if abs(a) * (hi - lo) > 1:
+                a = F(1, 2)
+            low = F(rng.randint(0, 7), 7) * (1 - abs(a) * (hi - lo))
+            charts.append((lo, hi, a, low - a * (lo if a >= 0 else hi)))
+        images = []
+        for lo, hi in s.segments():
+            for c_lo, c_hi, a, b in charts:
+                left, right = max(lo, c_lo), min(hi, c_hi)
+                if left < right:
+                    images.append(tuple(sorted((a * left + b, a * right + b))))
+        assert s._moved(charts) == ArcSet.from_segments(images)

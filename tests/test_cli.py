@@ -458,6 +458,28 @@ MALFORMED = {
         {**QUARTER_ROTATION_LIMIT, "measure": density_of("0", "1e999", "1")},
         "density length",
     ),
+    "density-length-negative": (
+        "verify-limit",
+        {
+            **QUARTER_ROTATION_LIMIT,
+            "measure": {"density": [
+                *LEBESGUE["density"],
+                {"arc": {"start": "1/2", "length": "-1/4"}, "weight": "5"},
+            ]},
+        },
+        "measure",
+    ),
+    "density-length-zero": (
+        "verify-limit",
+        {
+            **QUARTER_ROTATION_LIMIT,
+            "measure": {"density": [
+                *LEBESGUE["density"],
+                {"arc": {"start": "1/2", "length": "0"}, "weight": "5"},
+            ]},
+        },
+        "measure",
+    ),
     "density-weight-overflow": (
         "verify-limit",
         {**QUARTER_ROTATION_LIMIT, "measure": density_of("0", "1", "1e999")},

@@ -2,7 +2,11 @@
 
 import bisect
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +19,9 @@ from itmlib.families import (
     TrigFamily,
     invariance_residual_functional,
 )
-from itmlib.itm import BudgetExceeded, FiniteType
+import itmlib.measure as measure_module
+from itmlib.itm import BudgetExceeded, FiniteType, Itm
+from itmlib.piecewise import AffinePiece, Domain, PiecewiseMap
 from itmlib.measure import (
     AtomicMeasure,
     Recurrence,
@@ -78,6 +84,10 @@ class TestCanonicalForm:
 
     def test_zero_weight_dropped(self):
         assert Measure(((F(0), F(1), F(0)),)) == Measure()
+
+    def test_the_same_cells_on_other_grids_are_other_measures(self):
+        # both store the run of cells [0, 1) with weight 1, on grids 2 and 3
+        assert Measure(((F(0), F(1, 2), F(1)),)) != Measure(((F(0), F(1, 3), F(1)),))
 
     def test_atoms_combine(self):
         mu = Measure((), ((F(1, 2), F(1, 4)), (F(1, 2), F(1, 4)), (F(0), F(0))))
@@ -662,6 +672,278 @@ def test_no_position_is_hashed(monkeypatch):
     assert cdf_distance(mu, lebesgue) == expected
 
 
+# -- the Fraction measure layer the grid layer replaced, kept as a reference --
+#
+# Densities are merged (lo, hi, weight) Fraction triples and every query
+# sorts and compares Fractions.  The grid layer must agree with it exactly.
+
+
+def fraction_sweep(events):
+    if not events:
+        return ()
+    events.sort(key=lambda e: e[0])
+    out = []
+    level = F(0)
+    prev = events[0][0]
+    i = 0
+    while i < len(events):
+        x = events[i][0]
+        if x > prev and level != 0:
+            if out and out[-1][1] == prev and out[-1][2] == level:
+                out[-1][1] = x
+            else:
+                out.append([prev, x, level])
+        while i < len(events) and events[i][0] == x:
+            level += events[i][1]
+            i += 1
+        prev = x
+    return tuple((lo, hi, w) for lo, hi, w in out)
+
+
+def fraction_merge_density(raw):
+    events = []
+    for lo, hi, w in raw:
+        if hi > lo and w > 0:
+            events.append((lo, w))
+            events.append((hi, -w))
+    return fraction_sweep(events)
+
+
+def fraction_add_neighbours(atoms):
+    out = []
+    for p, m in sorted(atoms, key=lambda a: a[0]):
+        if out and out[-1][0] == p:
+            out[-1] = (p, out[-1][1] + m)
+        else:
+            out.append((p, m))
+    return tuple(a for a in out if a[1] != 0)
+
+
+def fraction_cumulative(density, atoms):
+    events = [e for lo, hi, w in density for e in ((lo, w, F(0)), (hi, -w, F(0)))]
+    events += [(p, F(0), m) for p, m in atoms]
+    events.append((F(1), F(0), F(0)))
+    events.sort(key=lambda e: e[0])
+    rows = [[F(0), F(0), F(0), F(0)]]
+    for x, dw, m in events:
+        row = rows[-1]
+        if x != row[0]:
+            left = row[2] + row[3] * (x - row[0])
+            row = [x, left, left, row[3]]
+            rows.append(row)
+        row[2] += m
+        row[3] += dw
+    return rows
+
+
+class FractionCdf:
+    """The cumulative table on Fraction cuts, bisected with Fraction compares."""
+
+    def __init__(self, density, atoms):
+        self.cuts, self.value_left, self.value_at, self.slopes = zip(
+            *fraction_cumulative(density, atoms)
+        )
+
+    def at(self, x):
+        if x < 0:
+            return F(0)
+        i = bisect.bisect_right(self.cuts, x) - 1
+        return self.value_at[i] + self.slopes[i] * (x - self.cuts[i])
+
+    def slope_at(self, x):
+        return self.slopes[bisect.bisect_right(self.cuts, x) - 1]
+
+    def left_limit(self, x):
+        if x <= 0:
+            return F(0)
+        i = bisect.bisect_left(self.cuts, x) - 1
+        return self.value_at[i] + self.slopes[i] * (x - self.cuts[i])
+
+
+def fraction_walk(segs, charts):
+    out = []
+    j = 0
+    for lo, hi, *weight in segs:
+        while j < len(charts) and charts[j][1] <= lo:
+            j += 1
+        i = j
+        while i < len(charts) and charts[i][0] < hi:
+            c_lo, c_hi, a, b = charts[i]
+            left, right = max(lo, c_lo), min(hi, c_hi)
+            i += 1
+            if left >= right:
+                continue
+            if a > 0:
+                out.append((a * left + b, a * right + b, *(w / a for w in weight)))
+            elif a < 0:
+                out.append((a * right + b, a * left + b, *(w / -a for w in weight)))
+            else:
+                out.append((b, b, *(w * (right - left) for w in weight)))
+    return out
+
+
+def fraction_pushforward(t, density, atoms):
+    moved = fraction_walk(density, t.affine_segments())
+    gathered = [(lo, m) for lo, hi, m in moved if lo == hi]
+    gathered += [(frac(t.evaluate(p)), m) for p, m in atoms]
+    return fraction_merge_density(moved), fraction_add_neighbours(gathered)
+
+
+def fraction_difference(mu, nu):
+    events = [e for lo, hi, w in mu.density for e in ((lo, w), (hi, -w))]
+    events += [e for lo, hi, w in nu.density for e in ((lo, -w), (hi, w))]
+    atoms = [*mu.atoms, *[(p, -m) for p, m in nu.atoms]]
+    return fraction_sweep(events), fraction_add_neighbours(atoms)
+
+
+def fraction_tv_distance(mu, nu):
+    density, atoms = fraction_difference(mu, nu)
+    total = sum((abs(w) * (hi - lo) for lo, hi, w in density), F(0))
+    return total + sum((abs(m) for _, m in atoms), F(0))
+
+
+def fraction_cdf_distance(mu, nu):
+    rows = fraction_cumulative(*fraction_difference(mu, nu))
+    return max(max(abs(left), abs(at)) for _, left, at, _ in rows)
+
+
+def raw_on_grid(rng: random.Random, q: int):
+    """Overlapping weighted pieces and atoms with ends on the grid of 1/q."""
+    density = []
+    for _ in range(rng.randint(0, 4)):
+        a, b = sorted(rng.sample(range(q + 1), 2))
+        density.append((F(a, q), F(b, q), F(rng.randint(1, 9), rng.randint(1, 4))))
+    atoms = [(F(rng.randint(0, q), q), F(1, rng.randint(1, 5))) for _ in range(rng.randint(0, 2))]
+    return density, atoms
+
+
+def assert_grid_layer_matches(mu: Measure, density, atoms, rng: random.Random) -> None:
+    """mu, built from raw (density, atoms), against the Fraction layer."""
+    assert mu.density == fraction_merge_density(density)
+    assert mu.atoms == fraction_add_neighbours(atoms)
+    fast, ref = mu.cdf(), FractionCdf(mu.density, mu.atoms)
+    assert fast.cuts == ref.cuts
+    assert (fast.value_left, fast.value_at, fast.slopes) == (
+        ref.value_left, ref.value_at, ref.slopes
+    )
+    mids = [(a + b) / 2 for a, b in zip(ref.cuts, ref.cuts[1:])]
+    off_grid = [F(rng.randrange(-5, 3 * 193), 3 * 191) for _ in range(4)]
+    for x in [F(-1), F(2), *ref.cuts, *mids, *off_grid]:
+        assert fast.at(x) == ref.at(x)
+        assert fast.left_limit(x) == ref.left_limit(x)
+        assert fast.slope_at(x) == ref.slope_at(x)
+
+
+class TestGridLayerAgainstFractionLayer:
+    """Measures on integer grids give the Fraction layer's answers exactly."""
+
+    GRIDS = st.one_of(
+        st.tuples(st.integers(2, 600), st.integers(2, 600)).filter(lambda p: gcd(*p) == 1),
+        st.builds(lambda q, k: (q, k * q), st.integers(2, 600), st.integers(2, 64)),
+        st.tuples(st.integers(2**16 + 1, 2**24), st.integers(2, 600)),
+    )
+
+    def check_pair(self, q1: int, q2: int, rng: random.Random) -> None:
+        (d1, a1), (d2, a2) = raw_on_grid(rng, q1), raw_on_grid(rng, q2)
+        mu, nu = Measure(d1, a1), Measure(d2, a2)
+        assert_grid_layer_matches(mu, d1, a1, rng)
+        assert_grid_layer_matches(nu, d2, a2, rng)
+        assert tv_distance(mu, nu) == fraction_tv_distance(mu, nu)
+        assert tv_distance(nu, mu) == fraction_tv_distance(nu, mu)
+        mu, nu = probability(mu), probability(nu)
+        assert cdf_distance(mu, nu) == fraction_cdf_distance(mu, nu)
+        s = random_itm(rng, rng.randint(1, min(5, q2)), q2)
+        assert (pushforward(s, mu).density, pushforward(s, mu).atoms) == (
+            fraction_pushforward(s, mu.density, mu.atoms)
+        )
+
+    @given(GRIDS, st.integers(0, 2**32))
+    def test_hypothesis_grid_pairs(self, grids, seed):
+        self.check_pair(*grids, random.Random(seed))
+
+    def test_approximant_level_grids(self, approximant_level_maps):
+        rng = random.Random(41)
+        levels = sorted({s.common_denominator() for s in approximant_level_maps})
+        assert max(levels) > 2**40
+        for _ in range(60):
+            self.check_pair(rng.choice(levels), rng.choice(levels), rng)
+
+    def test_acceptance_sweep_measures(self, acceptance_sweep_maps):
+        rng = random.Random(43)
+        lebesgue = Measure.lebesgue()
+        for s in acceptance_sweep_maps:
+            mu = attractor_measure(s)
+            assert_grid_layer_matches(mu, mu.density, (), rng)
+            for nu in (mu, lebesgue):
+                pushed = pushforward(s, nu)
+                assert (pushed.density, pushed.atoms) == fraction_pushforward(s, nu.density, ())
+                assert tv_distance(pushed, nu) == fraction_tv_distance(pushed, nu)
+            assert cdf_distance(mu, lebesgue) == fraction_cdf_distance(mu, lebesgue)
+
+    @pytest.mark.parametrize("domain", list(Domain))
+    def test_piecewise_charts_of_every_slope(self, domain):
+        # slopes 1/2 and 2 move cells onto a finer or a coarser grid, -1
+        # reverses them and 0 gathers them into an atom
+        rng = random.Random(47)
+        slopes = Counter()
+        for _ in range(150):
+            t = random_piecewise_map(rng, domain)
+            slopes.update(a for _, _, a, _ in t.affine_segments())
+            q = rng.choice([rng.randint(2, 97), 2**17 + rng.randint(1, 99), 24])
+            density, atoms = raw_on_grid(rng, q)
+            mu = Measure(density, atoms)
+            pushed = pushforward(t, mu)
+            assert (pushed.density, pushed.atoms) == fraction_pushforward(
+                t, mu.density, mu.atoms
+            )
+            assert tv_distance(pushed, mu) == fraction_tv_distance(pushed, mu)
+        assert all(slopes[a] > 30 for a in (F(1, 2), F(2), F(-1), F(0)))
+
+    @given(GRIDS, st.integers(0, 2**32))
+    def test_equal_measures_on_different_grids(self, grids, seed):
+        rng = random.Random(seed)
+        q, q2 = grids
+        density, atoms = raw_on_grid(rng, q)
+        # rotations move an atom at 1 onto 0
+        atoms = [(p % 1, m) for p, m in atoms]
+        mu = Measure(density, atoms)
+        # each piece cut at a point of the other grid, or rotated there and back
+        c = F(rng.randrange(1, q2), q2)
+        cut = [
+            piece
+            for lo, hi, w in density
+            for piece in (
+                [(lo, c, w), (c, hi, w)] if lo < c < hi else [(lo, hi, w)]
+            )
+        ]
+        rotated = pushforward(rotation(-c), pushforward(rotation(c), mu))
+        for other in (Measure(cut, atoms), Measure(mu.density, mu.atoms), rotated):
+            assert other == mu and mu == other
+            assert hash(other) == hash(mu)
+            assert len({mu, other}) == 1
+        if density:
+            heavier = Measure(density + [(F(0), F(1, q2), F(1))], atoms)
+            assert heavier != mu
+
+
+def random_piecewise_map(rng: random.Random, domain: Domain) -> PiecewiseMap:
+    """Affine pieces on the grid of 1/12 with slopes 1/2, 2, -1, 0 or 1."""
+    edges = sorted({F(0), F(1)} | {F(rng.randrange(1, 12), 12) for _ in range(3)})
+    pieces = []
+    for lo, hi in zip(edges, edges[1:]):
+        a = rng.choice([F(1, 2), F(2), F(-1), F(0), F(1)])
+        if domain is Domain.CIRCLE:
+            b = F(rng.randint(-24, 24), 12)
+        else:
+            if abs(a) * (hi - lo) > 1:
+                a = F(1, 2)
+            # the image [low, low + |a| (hi - lo)] lies inside [0, 1]
+            low = F(rng.randint(0, 24), 24) * (1 - abs(a) * (hi - lo))
+            b = low - a * (lo if a >= 0 else hi)
+        pieces.append(AffinePiece(lo, hi, a, b))
+    return PiecewiseMap(domain=domain, pieces=tuple(pieces))
+
+
 class TestMassNearBreakpoints:
     def test_lebesgue_gives_two_delta(self):
         s = two_shift_example()
@@ -804,6 +1086,106 @@ class TestRecurrenceAgainstReference:
         assert fast == reference_find_recurrent_points(*args)
         assert fast[0].point == CirclePoint(F(1, 200))
         assert (fast[0].time, fast[0].distance) == (1, F(1, 100))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_returns_before_the_period(self, acceptance_sweep_maps, k):
+        # eps = k/q lets a cycle come back to a neighbouring cell first
+        early = 0
+        for s in acceptance_sweep_maps[:30]:
+            q = s.common_denominator()
+            args = (s, attractor_measure(s), F(k, q), q * q, 8)
+            fast = find_recurrent_points(*args)
+            assert fast == reference_find_recurrent_points(*args)
+            early += sum(r.distance != 0 for r in fast if r.found)
+        assert early
+
+    def test_horizon_shorter_than_the_cycle(self, acceptance_sweep_maps):
+        cut = 0
+        for s in acceptance_sweep_maps[:30]:
+            q = s.common_denominator()
+            mu = attractor_measure(s)
+            args = (s, mu, F(1, q), 3, 8)
+            fast = find_recurrent_points(*args)
+            assert fast == reference_find_recurrent_points(*args)
+            full = find_recurrent_points(s, mu, F(1, q), q * q, 8)
+            cut += sum(not r.found and f.found and f.time > 3 for r, f in zip(fast, full))
+        assert cut
+
+    def test_samples_sharing_cycles_read_the_record(self, acceptance_sweep_maps, monkeypatch):
+        # each cycle of cells goes through the charts once: later samples on
+        # it read the record, so chart steps fall far below the return times
+        chart_steps = []
+
+        def counted(seq, x):
+            if isinstance(seq, list):
+                chart_steps.append(x)
+            return bisect.bisect_right(seq, x)
+
+        monkeypatch.setattr(
+            measure_module, "bisect",
+            SimpleNamespace(bisect_right=counted, bisect_left=bisect.bisect_left),
+        )
+        returns = steps = 0
+        for i, s in enumerate(acceptance_sweep_maps[:30]):
+            q = s.common_denominator()
+            mu = attractor_measure(s)
+            for eps in (F(16, q), F(1, q)):
+                chart_steps.clear()
+                args = (s, mu, eps, q * q, 20)
+                fast = find_recurrent_points(*args, rng=random.Random(i))
+                assert fast == reference_find_recurrent_points(*args, rng=random.Random(i))
+            # with eps = 1/q only a full turn returns
+            returns += sum(r.time for r in fast if r.found)
+            steps += len(chart_steps)
+        assert returns > 1000
+        assert steps < returns / 2
+
+    def test_lebesgue_starts_on_transient_cells(self, acceptance_sweep_maps):
+        transient = 0
+        for s in acceptance_sweep_maps[:30]:
+            q = s.common_denominator()
+            attractor = s.attractor().attractor
+            for eps in (F(1, q), F(5, q), F(1, 4)):
+                args = (s, Measure.lebesgue(), eps, q * q, 20)
+                fast = find_recurrent_points(*args)
+                assert fast == reference_find_recurrent_points(*args)
+            transient += sum(r.point not in attractor for r in fast)
+        assert transient > 50
+
+    def test_grid_above_2_40_keeps_memory_to_the_cells_walked(self):
+        # a rotation by 1/3 whose first piece, of length 2^-41, moves 2^-41
+        # further: q = 3 * 2^41, and every cycle of cells has three cells
+        tiny = F(1, 2**41)
+        s = Itm((F(0), tiny), (F(1, 3) + tiny, F(1, 3)))
+        assert s.common_denominator() > 2**42
+        args = (s, Measure.lebesgue(), tiny, 10**5, 20)
+        tracemalloc.start()
+        try:
+            fast = find_recurrent_points(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fast == reference_find_recurrent_points(*args)
+        assert all(r.time == 3 for r in fast)
+        # a table of one 8-byte entry per cell would take 2^47 bytes
+        assert peak < 2**20
+
+
+class TestRecurrenceRefusesWhatItCannotSample:
+    def test_zero_mass_measure(self):
+        with pytest.raises(ValueError, match="zero mass"):
+            find_recurrent_points(rotation("1/3"), Measure(), F(1, 10), 10, 4)
+
+    def test_horizon_zero(self):
+        with pytest.raises(ValueError, match="horizon"):
+            find_recurrent_points(rotation("1/3"), Measure.lebesgue(), F(1, 10), 0, 4)
+
+    def test_negative_samples(self):
+        with pytest.raises(ValueError, match="samples"):
+            find_recurrent_points(rotation("1/3"), Measure.lebesgue(), F(1, 10), 10, -2)
+
+    def test_no_samples_is_an_empty_search(self):
+        assert find_recurrent_points(rotation("1/3"), Measure.lebesgue(), F(1, 10), 10, 0) == []
 
 
 class TestFunctionalResidual:

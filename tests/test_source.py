@@ -137,3 +137,33 @@ def test_only_circle_reads_arcset_storage():
         if isinstance(node, ast.Attribute) and node.attr in private
     ]
     assert found == []
+
+
+def test_only_measure_reads_measure_storage():
+    # a Measure's grid and cells are measure.py's business: other modules
+    # read the density and atoms views, and measure.py reaches an ArcSet's
+    # runs through circle.py's helpers, as the pin above requires
+    root = Path(itmlib.__file__).parent
+    measure = ast.parse((root / "measure.py").read_text(encoding="utf-8"))
+    cls = next(
+        node for node in measure.body
+        if isinstance(node, ast.ClassDef) and node.name == "Measure"
+    )
+    names = set()
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign) and node.targets[0].id == "__slots__":
+            names.update(ast.literal_eval(node.value))
+    private = {
+        name for name in names if name.startswith("_") and not name.startswith("__")
+    }
+    assert {"_grid", "_cells", "_on_cells"} <= private
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}: {node.attr}"
+        for path in sorted(root.rglob("*.py"))
+        if path.name != "measure.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    ]
+    assert found == []
