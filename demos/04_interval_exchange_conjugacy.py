@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from itmlib import attractor_measure, induce_iem, verify_iem
 from itmlib.catalog import half_collapse, random_itm, rotation
-from itmlib.conjugacy import semiconjugacy_cells
+from itmlib.measure import _rigid_pieces
 
 # A rotation is already an exchange of two arcs; the induced map is the
 # same rotation, because the invariant measure is Lebesgue.  The induced
@@ -43,13 +43,14 @@ print("piece lengths preserved:", report.lengths_ok)
 print("Lebesgue invariant:     ", report.lebesgue_ok)
 print("overlap length:         ", report.overlap_length)
 
-# The semi-conjugacy h(x) = mu([0, x]) is certified exactly: both sides
-# of h(S(x)) = T(h(x)) are piecewise affine, so the circle is cut into
-# finitely many cells on which both are affine, and each cell where h
-# increases is checked exactly.  Cells where h is flat carry no mass.
-cells = semiconjugacy_cells(s, rdata.h, rdata.induced)
+# The semi-conjugacy h(x) = mu([0, x]) is certified exactly by one integer
+# walk: on the common grid of mu and S, the charts of S are cut into pieces
+# that S moves rigidly and on which mu has one weight at x and one at S(x).
+# Each piece where h increases is checked exactly, cut where h(x) crosses a
+# chart end of T.  Pieces where h is flat carry no mass.
+_, pieces = _rigid_pieces(s, mu)
 print("semi-conjugacy certified:", rdata.failing_cell is None,
-      f"({len(cells)} cells)")
+      f"({len(pieces)} pieces)")
 x = next(p.x for p in rdata.samples if not p.exceptional)
 print("example: x =", x, " h(S(x)) =", rdata.h.at(s.evaluate(x).value),
       " T(h(x)) =", rdata.induced.evaluate(rdata.h.at(x)).value)

@@ -83,8 +83,8 @@ from itmlib.serialize import (
 
 MEASURE_EMBED_LIMIT = 256
 # Most orbit steps or sample points one config may ask for (m, orbitLengths,
-# samples, depth, wandering.horizon): an orbit of 10**5 steps already takes
-# seconds.
+# samples, depth, wandering.horizon, family.degree): an orbit of 10**5 steps
+# already takes seconds.
 _MAX_STEPS = 10**5
 FAMILIES = {"trig": TrigFamily, "polynomial": PolynomialFamily}
 
@@ -177,6 +177,7 @@ def _family(v) -> dict:
 
 POSITIVE = (lambda v: v > 0, "must be positive")
 _STEPS = (_within_steps, f"must be between 1 and {_MAX_STEPS}")
+_DEGREE = (lambda f: _within_steps(f["degree"]), f"'degree' must be between 1 and {_MAX_STEPS}")
 _ALL_STEPS = (
     lambda vs: vs and all(map(_within_steps, vs)),
     f"must list values between 1 and {_MAX_STEPS}",
@@ -572,7 +573,7 @@ COMMANDS: dict[str, tuple] = {
         Key("measure", _measure, REQUIRED),
         Key("tolMass", parse_rational, Fraction(1, 100), NONNEGATIVE, "--tol"),
         Key("tolResidual", _real, 1e-6, FINITE_NONNEGATIVE),
-        Key("family", _family, {"kind": "trig", "degree": 8}),
+        Key("family", _family, {"kind": "trig", "degree": 8}, _DEGREE),
         Key("deltas", _list_of(parse_rational)),
     ),
 }

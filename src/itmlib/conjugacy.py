@@ -8,10 +8,9 @@ exchange is an Itm whose piece images tile the circle, so the induced
 map is an Itm and verify_iem checks the tiling.  Everything is exact:
 the induced shifts, the verification that the result preserves Lebesgue
 measure and is injective up to measure zero, and the certificate that
-h(S(x)) = T(h(x)) for mu-almost every x.  Both sides of that identity
-are piecewise affine with rational data, so semiconjugacy_failure cuts
-the circle into finitely many cells on which both are affine and
-compares them there exactly.
+h(S(x)) = T(h(x)) for mu-almost every x.  T and that certificate read
+the pieces of one integer walk, ``measure._rigid_pieces``, which S moves
+rigidly and on which mu has one weight at x and one at S(x).
 """
 
 from __future__ import annotations
@@ -22,12 +21,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from itmlib.circle import ONE, ZERO, ArcSet, CirclePoint, Rational, frac
+from itmlib.circle import ONE, ZERO, CirclePoint, Rational, _units, frac
 from itmlib.itm import Itm
 from itmlib.measure import (
     AtomicMeasure,
     Cdf,
     Measure,
+    _rigid_pieces,
     invariance_residual_exact,
 )
 
@@ -100,56 +100,31 @@ def verify_iem(t: Itm) -> IemReport:
     return IemReport(not mass_changes, injective, overlap, tuple(failures))
 
 
-def semiconjugacy_cells(
-    s: Itm, h: Cdf, t: Itm
-) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Cells (u, v, b) of [0, 1) on which h(S(x)) and T(h(x)) are both affine.
-
-    Each chart (lo, hi, 1, b) of S, which moves x to x + b, is cut at h's
-    cuts, at the S-preimages y - b of h's cuts y in [lo + b, hi + b), and
-    at the rightmost h-preimages of T's chart ends.  Inside a cell, x and
-    x + b each stay within one piece of h, and where h increases, h(x)
-    stays within one chart of T.
-    """
-    cuts = h.cuts
-    ends = sorted(e for lo, hi, _, _ in t.affine_segments() for e in (lo, hi))
-    pulled = [h.rightmost_preimage(y) for y in ends]
-    cells = []
-    for lo, hi, _, b in s.affine_segments():
-        edges = sorted([
-            lo,
-            hi,
-            *cuts[bisect.bisect_right(cuts, lo):bisect.bisect_left(cuts, hi)],
-            *(y - b for y in cuts[bisect.bisect_right(cuts, lo + b):
-                                   bisect.bisect_left(cuts, hi + b)]),
-            *pulled[bisect.bisect_right(pulled, lo):bisect.bisect_left(pulled, hi)],
-        ])
-        cells.extend((u, v, b) for u, v in zip(edges, edges[1:]) if u < v)
-    return cells
-
-
 def semiconjugacy_failure(
     s: Itm, h: Cdf, t: Itm
 ) -> Optional[tuple[Fraction, Fraction]]:
     """The first cell (u, v) on which h(S(x)) = T(h(x)) fails, or None.
 
-    An exact certificate of the semi-conjugacy mu-almost everywhere.  On a
-    cell of ``semiconjugacy_cells`` where h has slope zero, mu has no mass:
-    these cells make up the exceptional set and are skipped.  Elsewhere
-    both sides are affine on the open cell: h(S(x)) = h(x + b) has h's
-    slope at x + b, and T(h(x)) has h's slope at x.  Two affine functions
-    that agree at two interior points agree on the whole cell;
-    equivalently, as checked here, they have equal slopes and agree at
-    the midpoint.  What remains unchecked is the finite set of cell ends,
-    which is mu-null.
+    An exact certificate of the semi-conjugacy mu-almost everywhere, read
+    from the pieces (u, v, b, w, w') of ``measure._rigid_pieces``.  Pieces
+    with w = 0 carry no mass and make up the exceptional set.  Elsewhere
+    h(x) has slope w and h(x + b) slope w', and each piece is cut into cells
+    where h(x) crosses a chart end of T.  On a cell from x0 the two sides
+    agree iff w' = w and T shifts h(x0) by h(u + b) - h(u) mod 1.  The
+    cell ends left unchecked are mu-null.
     """
-    for u, v, b in semiconjugacy_cells(s, h, t):
-        x = (u + v) / 2
-        slope = h.slope_at(x)
-        if slope == 0:
+    q, pieces = _rigid_pieces(s, h.measure)
+    ends = sorted({e for lo, hi, _, _ in t.affine_segments() for e in (lo, hi)})
+    for u, v, b, w, w_image in pieces:
+        if w == 0:
             continue
-        if h.slope_at(x + b) != slope or h.at(x + b) != t.evaluate(h.at(x)).value:
-            return (u, v)
+        y0, y1 = h.at(Fraction(u, q)), h.at(Fraction(v, q))
+        move = (h.at(Fraction(u + b, q)) - y0) % 1
+        levels = [y0, *ends[bisect.bisect_right(ends, y0):bisect.bisect_left(ends, y1)]]
+        cuts = [Fraction(u, q) + (y - y0) / w for y in levels] + [Fraction(v, q)]
+        for y, x, x_next in zip(levels, cuts, cuts[1:]):
+            if w_image != w or t.shifts[t.piece_index(CirclePoint(y))] != move:
+                return (x, x_next)
     return None
 
 
@@ -215,9 +190,11 @@ def induce_iem(
 
     The circle is cut at 0 (adding 0 as an artificial breakpoint if
     needed); pieces of zero mu-mass collapse and vanish.  Each connected
-    component of the support within a piece becomes one exchange piece,
-    with its shift computed exactly at the component midpoint.  Then
-    ``verify_iem`` checks that the exchange T preserves Lebesgue measure,
+    component of the support within a piece (not each tau interval: h(S(x))
+    can jump across a support gap where h(x) stays flat) is a run of pieces
+    (u, v, b, w, w') of ``measure._rigid_pieces`` with w > 0, whose first
+    piece gives the exchange piece's start h(u) and shift h(u + b) - h(u)
+    mod 1.  Then ``verify_iem`` checks that T preserves Lebesgue measure,
     and ``semiconjugacy_failure`` checks h(S(x)) = T(h(x)) cell by cell.
     ``samples`` sets only the grid of the h(x) table and plot.
 
@@ -236,21 +213,17 @@ def induce_iem(
     cut = s.with_breakpoint(CirclePoint(ZERO))
     tau = tuple(h.at(t.value) for t in cut.breakpoints) + (ONE,)
 
-    # One exchange piece per connected component of supp mu within a piece
-    # of the cut map: across a support gap h(S(x)) can jump while h(x)
-    # stays flat, so the tau intervals alone may be too coarse.
-    supp = mu.support()
+    q, pieces = _rigid_pieces(s, mu)
+    breaks = {_units(p.value, q) for p in cut.breakpoints}
     starts: list[Fraction] = []
     shifts: list[Fraction] = []
-    for j in range(cut.n):
-        carried = supp & ArcSet([cut.piece(j)])
-        for lo, hi in carried.segments():
-            mid = (lo + hi) / 2
-            image = h.at(cut.evaluate(CirclePoint(mid)).value)
-            starts.append(h.at(lo))
-            shifts.append((image - h.at(mid)) % 1)
-    if not starts:
-        starts, shifts = [ZERO], [ZERO]
+    previous = ZERO  # the weight of the piece before, which ends at u
+    for u, _, b, w, _ in pieces:
+        if w and (previous == 0 or u in breaks):
+            start = h.at(Fraction(u, q))
+            starts.append(start)
+            shifts.append((h.at(Fraction(u + b, q)) - start) % 1)
+        previous = w
 
     induced = Itm(tuple(starts), tuple(shifts))
     report = verify_iem(induced)

@@ -294,8 +294,8 @@ class Cdf:
     value just below x.  Each query reads one row of the cumulative table
     (cuts, value_left, value_at, slopes): F has slope slopes[i] on
     [cuts[i], cuts[i + 1]).  The cuts are kept as integers on a grid, which
-    ``at``, ``slope_at`` and ``left_limit`` bisect; ``cuts`` is their
-    Fraction view, built on first read.
+    ``at`` and ``left_limit`` bisect; ``cuts`` is their Fraction view, built
+    on first read.
     """
 
     __slots__ = ("measure", "_grid", "_ticks", "_cuts", "value_left", "value_at", "slopes")
@@ -326,13 +326,6 @@ class Cdf:
         # a cut c/Q lies at or below x iff c <= floor(x * Q)
         i = bisect.bisect_right(self._ticks, x.numerator * self._grid // x.denominator) - 1
         return self.value_at[i] + self.slopes[i] * self._offset(x, i)
-
-    def slope_at(self, x: Rational) -> Fraction:
-        """The slope of F just right of x: the density of mu there."""
-        x = frac(x)
-        return self.slopes[
-            bisect.bisect_right(self._ticks, x.numerator * self._grid // x.denominator) - 1
-        ]
 
     def left_limit(self, x: Rational) -> Fraction:
         x = frac(x)
@@ -399,6 +392,31 @@ def pushforward(t, mu: Measure) -> Measure:
     atoms = [(Fraction(a, q), w / q) for a, b, w in moved if a == b]
     atoms += [(frac(t.evaluate(p)), m) for p, m in mu.atoms]
     return Measure._on_cells(*_own_grid(q, _sweep(events)), _add_neighbours(atoms))
+
+
+def _rigid_pieces(s: Itm, mu: Measure) -> tuple[int, list[tuple]]:
+    """mu's density carried through the slope-1 charts of s, piece by piece.
+
+    On the grid of 1/Q, Q = lcm(mu's grid, s's common denominator), the
+    density is a step list: weight level[i] on [ends[i], ends[i + 1]), 0 in
+    gaps.  Each chart (lo, hi, 1, b) is cut where x or x + b crosses an end,
+    into pieces (u, v, b, w, w'): mu has weight w on [u, v) and w' on
+    [u + b, v + b).  Returns Q and the pieces, which tile [0, Q) in order.
+    """
+    q = lcm(mu._grid, s.common_denominator())
+    k = q // mu._grid
+    # adjacent runs leave empty steps [e, e), which bisect_right skips
+    ends = [0, *(e * k for a, b, _ in mu._cells for e in (a, b)), q]
+    level = [ZERO, *(v for _, _, w in mu._cells for v in (w, ZERO))]
+    pieces = []
+    for lo, hi, _, b in _on_grid(s.affine_segments(), q, 1):
+        inside = ends[bisect.bisect_right(ends, lo):bisect.bisect_left(ends, hi)]
+        hit = ends[bisect.bisect_right(ends, lo + b):bisect.bisect_left(ends, hi + b)]
+        cuts = sorted({lo, hi, *inside, *(y - b for y in hit)})
+        for u, v in zip(cuts, cuts[1:]):
+            w, w_image = (level[bisect.bisect_right(ends, x) - 1] for x in (u, u + b))
+            pieces.append((u, v, b, w, w_image))
+    return q, pieces
 
 
 def _difference(mu: Measure, nu: Measure) -> tuple[int, tuple, tuple]:
@@ -537,9 +555,13 @@ def find_recurrent_points(
     """Search for eps-recurrence from points sampled across supp mu.
 
     Sample positions are CDF quantiles of mu (a density-weighted grid), or
-    random quantile levels when an rng is supplied.  A sample x reports the
-    first time m <= horizon with S^m(x) eps-close to x, unless the orbit
-    revisited a point before, since everything after that repeats.
+    random quantile levels when an rng is supplied.  A sample's cell is the
+    first cell of 1/q whose mass reaches its level (the left-continuous
+    inverse of F on cells).  Where F reaches the level at that cell's right
+    end, as at a run's right end, the sample moves into the cell, to its
+    first point in the run.  A sample x reports the first time m <= horizon
+    with S^m(x) eps-close to x, unless the orbit revisited a point before,
+    since everything after that repeats.
 
     The search runs on cells.  With q the map's common denominator, S
     moves every cell [i/q, (i+1)/q) rigidly onto a cell, so S acts on the
@@ -578,7 +600,10 @@ def find_recurrent_points(
     recorded: dict[int, tuple[list, int]] = {}  # cell -> (its cycle, its place)
     out = []
     for y in levels:
-        x = cdf.quantile(y) % 1
+        x = cdf.quantile(y)
+        if x > 0 and (x * q).denominator == 1 and cdf.left_limit(x) >= y:
+            x = max(x - Fraction(1, q), cdf.cuts[bisect.bisect_left(cdf.cuts, x) - 1])
+        x %= 1
         home = x.numerator * q // x.denominator
         time = near = None
         met = recorded.get(home)

@@ -305,9 +305,8 @@ def test_criterion_09_equidistribution_desk_check():
 
 
 def test_criterion_10_recurrence_density(sweep_maps, sweep_measures):
-    # Random quantile levels keep samples interior to the support; the
-    # deterministic grid can land exactly on a density-segment endpoint,
-    # which is a gap edge with a transient orbit.
+    # Random quantile levels sample the support, as grid levels do: a level
+    # reached at a density run's right end picks the run's last cell.
     rng = random.Random(SWEEP_SEED + 10)
     samples = 20
     total_found = total = 0

@@ -571,6 +571,11 @@ MALFORMED = {
         {**HALVING_ORBIT, "wandering": {"radii": ["1/8"], "horizon": _MAX_STEPS + 1}},
         "horizon",
     ),
+    "family-degree-over-budget": (
+        "verify-limit",
+        {**QUARTER_ROTATION_LIMIT, "family": {"kind": "trig", "degree": _MAX_STEPS + 1}},
+        "'family'",
+    ),
 }
 
 
@@ -711,7 +716,11 @@ VALID = {
         "epsilons": ["1/4"],
         "wandering": {"radii": ["1/8"], "horizon": 3},
     },
-    "verify-limit": {**QUARTER_ROTATION_LIMIT, "deltas": ["1/512", "1/1024"]},
+    "verify-limit": {
+        **QUARTER_ROTATION_LIMIT,
+        "deltas": ["1/512", "1/1024"],
+        "family": {"kind": "trig", "degree": 8},
+    },
 }
 
 
@@ -730,7 +739,7 @@ def test_report_config_round_trips(command, tmp_path, capsys):
     assert without_timestamp(report_again) == without_timestamp(report)
 
 
-MUTATIONS = [None, "", "x", "1/0", "1e999", [], {}, -1, 0, True, 1.5]
+MUTATIONS = [None, "", "x", "1/0", "1e999", [], {}, -1, 0, True, 1.5, 10**9]
 NESTED = ("map", "measure", "wandering", "family", "target")
 
 

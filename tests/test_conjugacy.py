@@ -1,5 +1,6 @@
 """Transport to Lebesgue coordinates and the induced interval exchange."""
 
+import bisect
 import random
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from itmlib.conjugacy import (
     _exceptional,
     build_h,
     induce_iem,
-    semiconjugacy_cells,
     semiconjugacy_failure,
     verify_iem,
 )
@@ -25,6 +25,7 @@ from itmlib.itm import Itm, itm
 from itmlib.measure import (
     AtomicMeasure,
     Measure,
+    _rigid_pieces,
     attractor_measure,
     invariance_residual_exact,
 )
@@ -334,8 +335,62 @@ def with_shift(t: Itm, j: int, shift: Fraction) -> Itm:
     return Itm(t.breakpoints, tuple(shifts))
 
 
+def reference_semiconjugacy_cells(s: Itm, h, t: Itm) -> list:
+    """Cells (u, v, b) of [0, 1) on which h(S(x)) and T(h(x)) are both affine,
+    on Fractions: each chart (lo, hi, 1, b) of S cut at h's cuts, at their
+    S-preimages and at the rightmost h-preimages of T's chart ends."""
+    cuts = h.cuts
+    ends = sorted(e for lo, hi, _, _ in t.affine_segments() for e in (lo, hi))
+    pulled = [h.rightmost_preimage(y) for y in ends]
+    cells = []
+    for lo, hi, _, b in s.affine_segments():
+        edges = sorted([
+            lo,
+            hi,
+            *cuts[bisect.bisect_right(cuts, lo):bisect.bisect_left(cuts, hi)],
+            *(y - b for y in cuts[bisect.bisect_right(cuts, lo + b):
+                                   bisect.bisect_left(cuts, hi + b)]),
+            *pulled[bisect.bisect_right(pulled, lo):bisect.bisect_left(pulled, hi)],
+        ])
+        cells.extend((u, v, b) for u, v in zip(edges, edges[1:]) if u < v)
+    return cells
+
+
+def reference_semiconjugacy_failure(s: Itm, h, t: Itm):
+    """The first reference cell where h has positive slope and the two sides
+    differ in slope or at the midpoint, or None."""
+
+    def slope(x):
+        return h.slopes[bisect.bisect_right(h.cuts, x) - 1]
+
+    for u, v, b in reference_semiconjugacy_cells(s, h, t):
+        x = (u + v) / 2
+        if slope(x) == 0:
+            continue
+        if slope(x + b) != slope(x) or h.at(x + b) != t.evaluate(h.at(x)).value:
+            return (u, v)
+    return None
+
+
+def reference_induced(s: Itm, mu: Measure) -> Itm:
+    """One exchange piece per connected component of supp mu within a piece
+    of the map cut at 0, shifted by h(S(x)) - h(x) at the component midpoint."""
+    h = build_h(mu)
+    cut = s.with_breakpoint(CirclePoint(ZERO))
+    supp = mu.support()
+    starts, shifts = [], []
+    for j in range(cut.n):
+        for lo, hi in (supp & ArcSet([cut.piece(j)])).segments():
+            mid = (lo + hi) / 2
+            starts.append(h.at(lo))
+            shifts.append((h.at(cut.evaluate(CirclePoint(mid)).value) - h.at(mid)) % 1)
+    return Itm(tuple(starts) or (ZERO,), tuple(shifts) or (ZERO,))
+
+
 def certified(s: Itm, data, t: Itm) -> bool:
-    return semiconjugacy_failure(s, data.h, t) is None
+    cell = semiconjugacy_failure(s, data.h, t)
+    assert cell == reference_semiconjugacy_failure(s, data.h, t)
+    return cell is None
 
 
 @st.composite
@@ -354,6 +409,7 @@ class TestCertificateAgainstSamples:
     def test_acceptance_sweep(self, acceptance_sweep_maps):
         for s in acceptance_sweep_maps:
             data = induce_iem(s, attractor_measure(s), samples=0)
+            assert certified(s, data, data.induced)
             assert data.clean_samples
             assert reference_clean_samples(s, data.mu, data.induced, 1024)
 
@@ -362,6 +418,7 @@ class TestCertificateAgainstSamples:
     def test_random_maps(self, s):
         data = induce_iem(s, attractor_measure(s), samples=0)
         reference = reference_clean_samples(s, data.mu, data.induced, 1024)
+        assert certified(s, data, data.induced)
         assert data.clean_samples == reference
         assert data.clean_samples and data.report.all_ok
 
@@ -372,7 +429,7 @@ class TestCertificateAgainstSamples:
             data = induce_iem(s, attractor_measure(s), samples=0)
             h, t = data.h, data.induced
             ends = [e for lo, hi, _, _ in t.affine_segments() for e in (lo, hi)]
-            cells = semiconjugacy_cells(s, h, t)
+            cells = reference_semiconjugacy_cells(s, h, t)
             assert cells[0][0] == 0 and cells[-1][1] == 1
             assert all(a[1] == b[0] for a, b in zip(cells, cells[1:]))
             for u, v, b in cells:
@@ -401,6 +458,44 @@ class TestCertificateAgainstSamples:
         data = induce_iem(s, Measure.lebesgue())
         t = with_shift(data.induced, 1, data.induced.shifts[1] + EPS)
         assert semiconjugacy_failure(s, data.h, t) == (F(1, 2), F(5, 6))
+
+
+class TestWalkAgainstReference:
+    """The integer walk gives the Fraction path's exchange and failing cells."""
+
+    def test_pieces_carry_both_weights(self, acceptance_sweep_maps):
+        # the pieces tile [0, Q) in order; no end of mu's density lies inside
+        # a piece or its image, and w and w' are mu's density at u and at
+        # u + b, the image of u under S
+        for s in acceptance_sweep_maps[:30]:
+            mu = attractor_measure(s)
+            ends = {e for lo, hi, _ in mu.density for e in (lo, hi)}
+            q, pieces = _rigid_pieces(s, mu)
+            assert pieces[0][0] == 0 and pieces[-1][1] == q
+            assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
+            for u, v, b, w, w_image in pieces:
+                x, y = F(u, q), F(u + b, q)
+                assert s.evaluate(CirclePoint(x)).value == y % 1
+                assert not any(x < e < F(v, q) or y < e < F(v + b, q) for e in ends)
+                assert w == sum((d for lo, hi, d in mu.density if lo <= x < hi), ZERO)
+                assert w_image == sum((d for lo, hi, d in mu.density if lo <= y < hi), ZERO)
+
+    def test_induced_on_the_acceptance_sweep(self, acceptance_sweep_maps):
+        for s in acceptance_sweep_maps:
+            mu = attractor_measure(s)
+            assert induce_iem(s, mu, samples=0).induced == reference_induced(s, mu)
+
+    def test_induced_on_levels_above_2_40(self, approximant_level_maps):
+        levels = [s for s in approximant_level_maps if s.common_denominator() > 2**40]
+        assert len(levels) >= 5
+        for s in levels:
+            mu = attractor_measure(s)
+            data = induce_iem(s, mu, samples=0)
+            assert data.induced == reference_induced(s, mu)
+            assert certified(s, data, data.induced)
+            t = data.induced
+            for j in range(t.n):
+                assert not certified(s, data, with_shift(t, j, t.shifts[j] + EPS))
 
 
 class TestCertificateMutants:
@@ -547,6 +642,8 @@ class TestInvarianceFromTheCertificate:
     @given(map_with_measure())
     def test_non_invariant_measures_raise(self, pair):
         s, mu = pair
+        h, t = build_h(mu), reference_induced(s, mu)
+        assert semiconjugacy_failure(s, h, t) == reference_semiconjugacy_failure(s, h, t)
         if invariance_residual_exact(s, mu) != 0:
             with pytest.raises(NotInvariant):
                 induce_iem(s, mu, samples=0)

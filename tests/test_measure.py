@@ -429,12 +429,6 @@ class TestCdf:
         assert f.at(F(3, 8)) == F(1, 2)
         assert f.at(F(1, 2)) == 1
 
-    def test_slope_is_the_density_just_right_of_x(self):
-        f = Measure(((F(1, 4), F(1, 2), F(4)),)).cdf()
-        assert [f.slope_at(x) for x in [F(0), F(1, 8), F(1, 4), F(3, 8), F(1, 2), F(3, 4)]] == [
-            0, 0, 4, 4, 0, 0,
-        ]
-
     def test_atom_jump(self):
         f = Measure.point_mass(F(1, 2)).cdf()
         assert f.left_limit(F(1, 2)) == 0
@@ -750,9 +744,6 @@ class FractionCdf:
         i = bisect.bisect_right(self.cuts, x) - 1
         return self.value_at[i] + self.slopes[i] * (x - self.cuts[i])
 
-    def slope_at(self, x):
-        return self.slopes[bisect.bisect_right(self.cuts, x) - 1]
-
     def left_limit(self, x):
         if x <= 0:
             return F(0)
@@ -831,7 +822,6 @@ def assert_grid_layer_matches(mu: Measure, density, atoms, rng: random.Random) -
     for x in [F(-1), F(2), *ref.cuts, *mids, *off_grid]:
         assert fast.at(x) == ref.at(x)
         assert fast.left_limit(x) == ref.left_limit(x)
-        assert fast.slope_at(x) == ref.slope_at(x)
 
 
 class TestGridLayerAgainstFractionLayer:
@@ -1018,6 +1008,22 @@ class TestRecurrence:
         assert len(res) == 6
         assert all(r.found for r in res)
 
+    def test_grid_samples_lie_in_the_support_and_recur(self, acceptance_sweep_maps):
+        # a grid level equal to the mass up to a run's right end b has the
+        # quantile b, the first point of the gap after the run; the sample
+        # takes the run's last cell instead, and as every support cell lies
+        # on a cycle of the cell map, every sample recurs
+        at_gaps = 0
+        for s in acceptance_sweep_maps[:30]:
+            q = s.common_denominator()
+            mu = attractor_measure(s)
+            support = mu.support()
+            quantiles = [mu.cdf().quantile(F(2 * i + 1, 16)) for i in range(8)]
+            at_gaps += sum(CirclePoint(x % 1) not in support for x in quantiles)
+            recs = find_recurrent_points(s, mu, F(1, q), q * q, 8)
+            assert all(r.point in support and r.found for r in recs)
+        assert at_gaps >= 8
+
 
 def reference_find_recurrent_points(s, mu, eps, horizon, samples, rng=None):
     """The orbit walk on CirclePoints with evaluate() and distance_to()."""
@@ -1030,9 +1036,16 @@ def reference_find_recurrent_points(s, mu, eps, horizon, samples, rng=None):
         else total * Fraction(2 * i + 1, 2 * samples)
         for i in range(samples)
     ]
+    q = s.common_denominator()
     out = []
     for y in levels:
-        x = CirclePoint(cdf.quantile(y) % 1)
+        x = cdf.quantile(y)
+        if x > 0 and (x * q).denominator == 1 and cdf.left_limit(x) == y:
+            # reached at a cell end from the left: the first point in the
+            # cell before x of the linear piece of F ending at x
+            ends = [e for lo, hi, _ in mu.density for e in (lo, hi)]
+            x = max(x - F(1, q), max(e for e in ends + [p for p, _ in mu.atoms] if e < x))
+        x = CirclePoint(x % 1)
         found = None
         cur = x
         visited = {cur}
