@@ -45,10 +45,11 @@ print("overlap length:         ", report.overlap_length)
 
 # The semi-conjugacy h(x) = mu([0, x]) is certified exactly by one integer
 # walk: on the common grid of mu and S, the charts of S are cut into pieces
-# that S moves rigidly and on which mu has one weight at x and one at S(x).
-# Each piece where h increases is checked exactly, cut where h(x) crosses a
-# chart end of T.  Pieces where h is flat carry no mass.
-_, pieces = _rigid_pieces(s, mu)
+# that S moves rigidly and on which mu has one weight at x and one at S(x),
+# with h summed on integers at both ends.  Each piece where h increases is
+# checked exactly, cut where h(x) crosses a chart end of T.  Pieces where h
+# is flat carry no mass.
+_, _, pieces = _rigid_pieces(s, mu)
 print("semi-conjugacy certified:", rdata.failing_cell is None,
       f"({len(pieces)} pieces)")
 x = next(p.x for p in rdata.samples if not p.exceptional)

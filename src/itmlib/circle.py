@@ -7,12 +7,12 @@ finite union of arcs stored as its merged runs [a, b) of cells of width
 ends.  Two sets meet on the grid lcm(q, q'), so set operations are integer
 arithmetic, and ``==`` decides set equality exactly across grids.
 
-Maps move runs through charts (lo, hi, a, b): the part of a run inside
-[lo, hi) goes to its image under x -> a*x + b.  _affine_charts builds the
-charts of affine pieces read mod 1, and _walk carries runs of cells through
-rational charts of any slope on integers, for sets and measure densities
-alike; with Arc.segments, they are the only code that knows how a set meets
-the cut at 0.
+Maps move runs through integer chart tables: _rigid_table builds one from
+the breakpoints and shifts of a map that translates pieces mod 1, and
+_chart_table one from rational charts of any slope, such as _affine_charts
+builds for affine pieces read mod 1.  _walk carries runs of cells through a
+table, for sets and measure densities alike; with Arc.segments, these are
+the only code that knows how a set meets the cut at 0.
 """
 
 from __future__ import annotations
@@ -147,21 +147,6 @@ def merge_segments(raw: Iterable[Segment]) -> list[Segment]:
     return merged
 
 
-def segments_within(inner: list[Segment], outer: list[Segment]) -> bool:
-    """Whether every segment of inner lies in one segment of outer.
-
-    Both lists must be merged, as merge_segments leaves them; one walk
-    over the two decides it.
-    """
-    j = 0
-    for lo, hi in inner:
-        while j < len(outer) and outer[j][1] < hi:
-            j += 1
-        if j >= len(outer) or not (outer[j][0] <= lo and hi <= outer[j][1]):
-            return False
-    return True
-
-
 def _affine_charts(pieces: Iterable[tuple]) -> list[tuple]:
     """Charts (lo, hi, a, b) of affine pieces x -> a*x + b on [lo, hi), read mod 1.
 
@@ -181,27 +166,57 @@ def _affine_charts(pieces: Iterable[tuple]) -> list[tuple]:
     return out
 
 
-def _walk(q: int, runs: Iterable[tuple], charts: Sequence[tuple]) -> tuple[int, list[tuple]]:
-    """Runs (a, b, *weight) of cells on the grid of 1/q moved through rational charts.
+def _rigid_table(q: int, starts: Sequence[int], shifts: Sequence[int]) -> tuple:
+    """The sorted chart table (q, 1, charts) of n -> n + C_j mod q on [B_j, B_{j+1}),
+    for starts B_j increasing in [0, q), B_n = B_0 + q, and shifts C_j in [0, q).
+    A piece is split only where it or its image crosses q, so no chart leaves [0, q]."""
+    charts = []
+    for start, end, c in zip(starts, [*starts[1:], starts[0] + q], shifts):
+        for lo, hi in [(start, end)] if end <= q else [(start, q), (0, end - q)]:
+            if lo < q - c:
+                charts.append((lo, min(hi, q - c), 1, c))
+            if hi > q - c:
+                charts.append((max(lo, q - c), hi, 1, c - q))
+    return q, 1, tuple(sorted(charts))
 
-    Let Q be the lcm of q and every denominator of the charts' lo, hi and b,
-    and R that of their slopes a.  On the grid of 1/Q each chart (lo, hi, a,
-    b) holds whole cells, and x -> a*x + b sends them onto the grid of
-    1/(QR), so the walk runs on integers; it returns QR and the moved runs
-    on that grid.  Runs and charts must be sorted by lo; charts may overlap
-    or leave gaps.  The part [left, right) of a run inside a chart goes to
-    its image, with the ends swapped when a < 0.  A run may carry one
-    weight per unit length; it becomes weight/|a|, so mass is kept.  A flat
-    chart (a = 0) gives the empty run [b, b), whose weight is QR times the
-    mass gathered at b.
-    """
-    grid = lcm(q, *(v.denominator for lo, hi, _, b in charts for v in (lo, hi, b)))
+
+def _chart_table(charts: Sequence[tuple]) -> tuple:
+    """The chart table (q, r, charts) of rational charts (lo, hi, a, b) on integers:
+    q is the lcm of the denominators of every lo, hi and b, r that of the slopes,
+    and x -> a*x + b on [lo, hi) becomes n -> a*r*n + b*q*r on [lo*q, hi*q)."""
+    q = lcm(*(v.denominator for lo, hi, _, b in charts for v in (lo, hi, b)))
     r = lcm(*(a.denominator for _, _, a, _ in charts))
+    return q, r, [
+        (_units(lo, q), _units(hi, q), _units(a, r), _units(b, q * r)) for lo, hi, a, b in charts
+    ]
+
+
+def _charts_on(table: tuple, q: int) -> Sequence[tuple]:
+    """A table's charts on the grid of 1/q, a multiple of the table's grid."""
+    k = q // table[0]
+    return table[2] if k == 1 else [(lo * k, hi * k, a, b * k) for lo, hi, a, b in table[2]]
+
+
+def _walk(q: int, runs: Iterable[tuple], table: tuple) -> tuple[int, list[tuple]]:
+    """Runs (a, b, *weight) of cells on the grid of 1/q moved through a chart table.
+
+    A table (grid, R, charts) sends the cells of 1/grid onto the grid of
+    1/(grid R) by n -> a*n + b on each chart (lo, hi, a, b).  The walk runs
+    on Q = lcm(q, grid), scaling the charts only when Q is finer than their
+    grid, and returns QR and the moved runs on that grid.  Runs and charts
+    must be sorted by lo; charts may overlap or leave gaps.  The part
+    [left, right) of a run inside a chart goes to its image, with the ends
+    swapped when a < 0.  A run may carry one weight per unit length; it
+    becomes weight/|a|, so mass is kept.  A flat chart (a = 0) gives the
+    empty run [b, b), whose weight is QR times the mass gathered at b.
+    """
+    grid, r = table[:2]
+    grid = grid if q == grid else lcm(q, grid)
+    charts = _charts_on(table, grid)
     k = grid // q
     if k != 1 or r != 1:
         # the walk divides weights by the integer slope a*R, so scale them by R
         runs = [(lo * k, hi * k, *(w * r for w in weight)) for lo, hi, *weight in runs]
-    charts = _on_grid(charts, grid, r)
     out = []
     j = 0
     for lo, hi, *weight in runs:
@@ -243,20 +258,6 @@ def _segments_to_arcs(segs: tuple[Segment, ...]) -> tuple[Arc, ...]:
         first = arcs.pop(0)
         arcs[-1] = Arc(arcs[-1].start, arcs[-1].length + first.length)
     return tuple(arcs)
-
-
-def _on_grid(charts: Iterable[tuple], q: int, r: int) -> list[tuple]:
-    """Charts (lo, hi, a, b) as integer charts from the grid of 1/q to that of 1/(qr).
-
-    lo and hi count units of 1/q, b units of 1/(qr), and a becomes a*r, so
-    that x -> a*x + b reads n -> a*r*n + b*q*r on cell indices.  q must be
-    a multiple of every denominator of lo, hi and b, and r of every
-    denominator of a.
-    """
-    return [
-        (_units(lo, q), _units(hi, q), _units(a, r), _units(b, q * r))
-        for lo, hi, a, b in charts
-    ]
 
 
 def _grid_of(segs: Iterable[Segment]) -> tuple[int, list[tuple[int, int]]]:
@@ -322,9 +323,9 @@ class ArcSet:
         q = lcm(self._q, other._q)
         return q, self._scaled(q), other._scaled(q)
 
-    def _moved(self, charts: Sequence[tuple]) -> "ArcSet":
-        """The set walked through rational charts (lo, hi, a, b), sorted by lo."""
-        q, moved = _walk(self._q, self._runs, charts)
+    def _moved(self, table: tuple) -> "ArcSet":
+        """The set walked through a chart table (see _walk)."""
+        q, moved = _walk(self._q, self._runs, table)
         return ArcSet._from_runs(q, merge_segments(moved))
 
     @property
@@ -382,7 +383,8 @@ class ArcSet:
         return self.intersect(other.complement())
 
     def translate(self, c: Rational) -> "ArcSet":
-        return self._moved(_affine_charts([(ZERO, ONE, 1, frac(c))]))
+        c = mod1(c)
+        return self._moved(_rigid_table(c.denominator, [0], [c.numerator]))
 
     def contains(self, p: CirclePoint) -> bool:
         # the last run starting at or before p's cell x; q + 1 sorts after every end
@@ -391,7 +393,14 @@ class ArcSet:
         return i >= 0 and x < self._runs[i][1]
 
     def is_subset_of(self, other: "ArcSet") -> bool:
-        return segments_within(*self._meet(other)[1:])
+        _, inner, outer = self._meet(other)  # each run must lie in one of other's
+        j = 0
+        for lo, hi in inner:
+            while j < len(outer) and outer[j][1] < hi:
+                j += 1
+            if j >= len(outer) or not (outer[j][0] <= lo and hi <= outer[j][1]):
+                return False
+        return True
 
     # -- dunder sugar -----------------------------------------------------
 

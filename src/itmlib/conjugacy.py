@@ -10,7 +10,7 @@ the induced shifts, the verification that the result preserves Lebesgue
 measure and is injective up to measure zero, and the certificate that
 h(S(x)) = T(h(x)) for mu-almost every x.  T and that certificate read
 the pieces of one integer walk, ``measure._rigid_pieces``, which S moves
-rigidly and on which mu has one weight at x and one at S(x).
+rigidly, with mu's weight and h = mu([0, x]) at x and at S(x) on integers.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Optional
 
-from itmlib.circle import ONE, ZERO, CirclePoint, Rational, _units, frac
+from itmlib.circle import ONE, Rational, _charts_on, _units, frac
 from itmlib.itm import Itm
 from itmlib.measure import (
     AtomicMeasure,
@@ -72,32 +73,32 @@ def verify_iem(t: Itm) -> IemReport:
     image endpoints, (b) images of distinct pieces overlap only in zero
     length.
 
-    One sweep over the image endpoints (and 0) counts the piece images
-    covering each cell of the refinement.  A cell covered C times has a
-    preimage of C times its length and adds C(C-1)/2 times its length to
-    the pairwise overlap, so (a) fails exactly on the cells where C != 1.
+    One sweep over the image endpoints (and 0), on T's grid, counts the
+    piece images covering each cell of the refinement.  A cell covered C
+    times has a preimage of C times its length and adds C(C-1)/2 times its
+    length to the pairwise overlap, so (a) fails exactly where C != 1.
     """
-    failures: list[str] = []
-    coverage_change: dict[Fraction, int] = {ZERO: 0}
-    for j in range(t.n):
-        for lo, hi in t.piece(j).translate(t.shifts[j]).segments():
+    p, starts, shifts = t._grid_pieces()
+    coverage_change: dict[int, int] = {0: 0}
+    for lo, hi, c in zip(starts, [*starts[1:], starts[0] + p], shifts):
+        a = (lo + c) % p
+        b = a + hi - lo
+        for lo, hi in [(a, b)] if b <= p else [(a, p), (0, b - p)]:
             coverage_change[lo] = coverage_change.get(lo, 0) + 1
             coverage_change[hi] = coverage_change.get(hi, 0) - 1
-    coverage_change.pop(ONE, None)
+    coverage_change.pop(p, None)
     cuts = sorted(coverage_change)
-    overlap = ZERO
-    coverage = 0
+    overlap = coverage = 0
     mass_changes: list[str] = []
-    for lo, hi in zip(cuts, cuts[1:] + [ONE]):
+    for lo, hi in zip(cuts, cuts[1:] + [p]):
         coverage += coverage_change[lo]
         overlap += coverage * (coverage - 1) // 2 * (hi - lo)
         if coverage != 1:
-            mass_changes.append(f"Lebesgue mass of [{lo},{hi}) changes under preimage")
-    injective = overlap == 0
-    if not injective:
-        failures.append(f"piece images overlap in total length {overlap}")
-    failures.extend(mass_changes)
-    return IemReport(not mass_changes, injective, overlap, tuple(failures))
+            cell = f"[{Fraction(lo, p)},{Fraction(hi, p)})"
+            mass_changes.append(f"Lebesgue mass of {cell} changes under preimage")
+    overlap = Fraction(overlap, p)
+    failures = [f"piece images overlap in total length {overlap}"] if overlap else []
+    return IemReport(not mass_changes, overlap == 0, overlap, tuple(failures + mass_changes))
 
 
 def semiconjugacy_failure(
@@ -106,25 +107,29 @@ def semiconjugacy_failure(
     """The first cell (u, v) on which h(S(x)) = T(h(x)) fails, or None.
 
     An exact certificate of the semi-conjugacy mu-almost everywhere, read
-    from the pieces (u, v, b, w, w') of ``measure._rigid_pieces``.  Pieces
-    with w = 0 carry no mass and make up the exceptional set.  Elsewhere
-    h(x) has slope w and h(x + b) slope w', and each piece is cut into cells
-    where h(x) crosses a chart end of T.  On a cell from x0 the two sides
-    agree iff w' = w and T shifts h(x0) by h(u + b) - h(u) mod 1.  The
-    cell ends left unchecked are mu-null.
+    from the pieces (u, v, b, w, w', f, f') of ``measure._rigid_pieces``.
+    Pieces with w = 0 carry no mass and make up the exceptional set.
+    Elsewhere h(x) has slope w and h(x + b) slope w', and each piece is cut
+    into cells where h(x) crosses a chart end of T.  On a cell from x0 the
+    two sides agree iff w' = w and T shifts h(x0) by h(u + b) - h(u) mod 1.
+    The cell ends left unchecked are mu-null.  h and T's table meet on integers.
     """
-    q, pieces = _rigid_pieces(s, h.measure)
-    ends = sorted({e for lo, hi, _, _ in t.affine_segments() for e in (lo, hi)})
-    for u, v, b, w, w_image in pieces:
+    q, unit, pieces = _rigid_pieces(s, h.measure)
+    g = lcm(unit, t._table[0])
+    m = g // unit
+    charts = _charts_on(t._table, g)
+    starts = [lo for lo, _, _, _ in charts]
+    moves = [b % g for _, _, _, b in charts]
+    for u, v, b, w, w_image, f, f_image in pieces:
         if w == 0:
             continue
-        y0, y1 = h.at(Fraction(u, q)), h.at(Fraction(v, q))
-        move = (h.at(Fraction(u + b, q)) - y0) % 1
-        levels = [y0, *ends[bisect.bisect_right(ends, y0):bisect.bisect_left(ends, y1)]]
-        cuts = [Fraction(u, q) + (y - y0) / w for y in levels] + [Fraction(v, q)]
-        for y, x, x_next in zip(levels, cuts, cuts[1:]):
-            if w_image != w or t.shifts[t.piece_index(CirclePoint(y))] != move:
-                return (x, x_next)
+        # h rises by w/q on a cell of 1/q, which is w * unit/q units of 1/unit
+        y0, y1 = f * m, (f + _units(w, unit // q) * (v - u)) * m
+        move = (f_image - f) * m % g
+        for c in range(bisect.bisect_right(starts, y0) - 1, bisect.bisect_left(starts, y1)):
+            if w_image != w or moves[c] != move:
+                cell = (max(starts[c], y0), min(charts[c][1], y1))
+                return tuple(Fraction(u, q) + Fraction(y - y0, g) / w for y in cell)
     return None
 
 
@@ -192,10 +197,11 @@ def induce_iem(
     needed); pieces of zero mu-mass collapse and vanish.  Each connected
     component of the support within a piece (not each tau interval: h(S(x))
     can jump across a support gap where h(x) stays flat) is a run of pieces
-    (u, v, b, w, w') of ``measure._rigid_pieces`` with w > 0, whose first
-    piece gives the exchange piece's start h(u) and shift h(u + b) - h(u)
-    mod 1.  Then ``verify_iem`` checks that T preserves Lebesgue measure,
-    and ``semiconjugacy_failure`` checks h(S(x)) = T(h(x)) cell by cell.
+    (u, v, b, w, w', f, f') of ``measure._rigid_pieces`` with w > 0, whose
+    first piece gives the exchange piece's start h(u) = f/M and shift
+    h(u + b) - h(u) = (f' - f)/M mod 1; tau reads f at the breakpoints.
+    Then ``verify_iem`` checks that T preserves Lebesgue measure, and
+    ``semiconjugacy_failure`` checks h(S(x)) = T(h(x)) cell by cell.
     ``samples`` sets only the grid of the h(x) table and plot.
 
     When both checks pass, mu is S-invariant, so no residual is computed.
@@ -210,19 +216,16 @@ def induce_iem(
     itself, which is returned in ``report`` and ``failing_cell``.
     """
     h = build_h(mu)
-    cut = s.with_breakpoint(CirclePoint(ZERO))
-    tau = tuple(h.at(t.value) for t in cut.breakpoints) + (ONE,)
-
-    q, pieces = _rigid_pieces(s, mu)
-    breaks = {_units(p.value, q) for p in cut.breakpoints}
+    q, unit, pieces = _rigid_pieces(s, mu)
+    breaks = {0, *(_units(p.value, q) for p in s.breakpoints)}
+    tau = tuple(Fraction(f, unit) for u, *_, f, _ in pieces if u in breaks) + (ONE,)
     starts: list[Fraction] = []
     shifts: list[Fraction] = []
-    previous = ZERO  # the weight of the piece before, which ends at u
-    for u, _, b, w, _ in pieces:
+    previous = 0  # the weight of the piece before, which ends at u
+    for u, _, _, w, _, f, f_image in pieces:
         if w and (previous == 0 or u in breaks):
-            start = h.at(Fraction(u, q))
-            starts.append(start)
-            shifts.append((h.at(Fraction(u + b, q)) - start) % 1)
+            starts.append(Fraction(f, unit))
+            shifts.append(Fraction((f_image - f) % unit, unit))
         previous = w
 
     induced = Itm(tuple(starts), tuple(shifts))

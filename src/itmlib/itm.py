@@ -7,7 +7,7 @@ exact: images and preimages of arc unions, the attractor as a nested
 intersection of forward images, backward orbits of the discontinuity
 set, and whole-arc tracking of the continuity intervals in between.
 Images and preimages walk an ArcSet's runs of cells through the map's
-charts (ArcSet._moved), so the attractor's iterates stay on integers.
+integer chart table (ArcSet._moved), so the attractor stays on integers.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from math import lcm
 from typing import Optional, Sequence, Union
 
 from itmlib.circle import ONE, ZERO, Arc, ArcSet, CirclePoint, frac, mod1
-from itmlib.circle import _affine_charts
+from itmlib.circle import _rigid_table, _units
 
 DEFAULT_MAX_ITER = 4096
 DEFAULT_MAX_ARCS = 2**16
@@ -165,14 +165,21 @@ class Itm:
         object.__setattr__(self, "shifts", shs)
         object.__setattr__(self, "_values", tuple(p.value for p in bps))
 
+    def _grid_pieces(self) -> tuple[int, list[int], list[int]]:
+        """The common denominator q, and the breakpoints and shifts in cells of 1/q."""
+        q = self.common_denominator()
+        return q, [_units(v, q) for v in self._values], [_units(c, q) for c in self.shifts]
+
     @cached_property
-    def _charts(self) -> tuple[tuple, ...]:
-        """The map as charts (lo, hi, 1, b): x -> x + b on [lo, hi), into [0, 1]."""
-        return tuple(_affine_charts(
-            (lo, hi, 1, c)
-            for j, c in enumerate(self.shifts)
-            for lo, hi in self.piece(j).segments()
-        ))
+    def _table(self) -> tuple:
+        """The map's chart table (q, 1, charts) on integers: circle._rigid_table."""
+        return _rigid_table(*self._grid_pieces())
+
+    @cached_property
+    def _inverse_table(self) -> tuple:
+        """The table of preimages: each chart's image pulled back onto its cells."""
+        q, r, charts = self._table
+        return q, r, tuple(sorted((lo + b, hi + b, 1, -b) for lo, hi, _, b in charts))
 
     @property
     def n(self) -> int:
@@ -242,12 +249,12 @@ class Itm:
         )
 
     def image(self, a: ArcSet) -> ArcSet:
-        """Exact forward image S(A): A's runs walked through the charts."""
-        return a._moved(self._charts)
+        """Exact forward image S(A): A's runs walked through the chart table."""
+        return a._moved(self._table)
 
     def preimage(self, a: ArcSet) -> ArcSet:
         """Exact S^{-1}(A): x lies in the result iff evaluate(x) lies in A."""
-        return a._moved(sorted((lo + b, hi + b, 1, -b) for lo, hi, _, b in self._charts))
+        return a._moved(self._inverse_table)
 
     def attractor(
         self,
@@ -262,10 +269,9 @@ class Itm:
         more than max_arcs arcs; returns NO_WITHIN_BUDGET after max_iter
         steps without stabilization.
 
-        S maps the grid of cells [i/q, (i+1)/q), q the common denominator,
-        onto itself, so every A_k is a union of cells.  Each step is
-        image(): A_k is kept as its runs of cells on that grid, and the
-        runs move by whole cells, so no iterate builds a Fraction.
+        S maps the cells [i/q, (i+1)/q) of its grid onto cells, so every A_k
+        is a union of cells, which image() keeps as runs on the grid of the
+        map's chart table: after the first step nothing is rescaled.
         """
         if max_iter < 1:
             raise ValueError("max_iter must be at least 1")
@@ -413,12 +419,10 @@ class Itm:
         return lcm(*dens)
 
     def affine_segments(self) -> list[tuple]:
-        """The map as affine charts (lo, hi, a, b): x -> a*x + b on [lo, hi).
-
-        Charts cover [0, 1) cut open at 0 and their values stay in [0, 1];
-        a is always 1 here, with b the shift adjusted for the wrap.
-        """
-        return list(self._charts)
+        """The chart table read as Fractions: charts (lo, hi, 1, b), x -> x + b on
+        [lo, hi), that cover [0, 1) cut open at 0 with values in [0, 1]."""
+        q, _, charts = self._table
+        return [(Fraction(lo, q), Fraction(hi, q), 1, Fraction(b, q)) for lo, hi, _, b in charts]
 
     def discontinuity_points(self) -> tuple[CirclePoint, ...]:
         return self.breakpoints

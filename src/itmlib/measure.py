@@ -8,7 +8,7 @@ one at 0.  The density is stored as merged runs (a, b, w) of cells
 [a/q, b/q).  q is the lcm of the merged ends' denominators, so the
 representation is canonical, which makes equality of measures and exact
 invariance residuals decidable.  Two measures meet on the grid lcm(q, q'),
-a map's charts move the runs on integers (``circle._walk``), and the
+a map's chart table moves the runs on integers (``circle._walk``), and the
 ``density`` tuples of Fractions are a view built on first read.  Atoms are
 sorted (position, mass) pairs of Fractions.
 
@@ -25,12 +25,13 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Optional
 
 from itmlib.circle import ONE, ZERO, Arc, ArcSet, CirclePoint, Rational, frac, merge_segments
-from itmlib.circle import _on_grid, _runs_of, _set_of_runs, _units, _walk
+from itmlib.circle import _charts_on, _runs_of, _set_of_runs, _units, _walk
 from itmlib.itm import AttractorResult, FiniteType, Itm
 
 
@@ -381,42 +382,50 @@ class Cdf:
 def pushforward(t, mu: Measure) -> Measure:
     """Exact image measure T#mu of an Itm or a PiecewiseMap.
 
-    The density runs walk through the map's affine charts on integers
+    The density runs walk through the map's chart table on integers
     (``circle._walk``), each run's weight divided by |a|, so every chart
     keeps its mass; a flat chart gathers the mass it covers into one atom
     at its value b.  Atoms move by the map's own evaluate, so boundary
     values apply.
     """
-    q, moved = _walk(mu._grid, mu._cells, t.affine_segments())
+    q, moved = _walk(mu._grid, mu._cells, t._table)
     events = [e for a, b, w in moved if a < b for e in ((a, w), (b, -w))]
     atoms = [(Fraction(a, q), w / q) for a, b, w in moved if a == b]
     atoms += [(frac(t.evaluate(p)), m) for p, m in mu.atoms]
     return Measure._on_cells(*_own_grid(q, _sweep(events)), _add_neighbours(atoms))
 
 
-def _rigid_pieces(s: Itm, mu: Measure) -> tuple[int, list[tuple]]:
+def _rigid_pieces(s: Itm, mu: Measure) -> tuple[int, int, list[tuple]]:
     """mu's density carried through the slope-1 charts of s, piece by piece.
 
-    On the grid of 1/Q, Q = lcm(mu's grid, s's common denominator), the
-    density is a step list: weight level[i] on [ends[i], ends[i + 1]), 0 in
-    gaps.  Each chart (lo, hi, 1, b) is cut where x or x + b crosses an end,
-    into pieces (u, v, b, w, w'): mu has weight w on [u, v) and w' on
-    [u + b, v + b).  Returns Q and the pieces, which tile [0, Q) in order.
+    On the grid of 1/Q, Q = lcm(mu's grid, s's grid), the density is a step
+    list: weight level[i] on [ends[i], ends[i + 1]), 0 in gaps.  Each chart
+    (lo, hi, 1, b) of s's table is cut where x or x + b crosses an end, into
+    pieces (u, v, b, w, w', f, f'): mu has weight w on [u, v) and w' on
+    [u + b, v + b), and F(x) = mu([0, x]) is f/M at u/Q and f'/M at (u + b)/Q,
+    summed on integers for M = Q times the lcm of the weights' denominators.
+    Returns Q, M and the pieces, which tile [0, Q) in order.
     """
-    q = lcm(mu._grid, s.common_denominator())
+    q = lcm(mu._grid, s._table[0])
     k = q // mu._grid
     # adjacent runs leave empty steps [e, e), which bisect_right skips
     ends = [0, *(e * k for a, b, _ in mu._cells for e in (a, b)), q]
     level = [ZERO, *(v for _, _, w in mu._cells for v in (w, ZERO))]
+    dens = lcm(*(w.denominator for _, _, w in mu._cells))
+    slope = [_units(w, dens) for w in level]  # mass per cell of 1/Q, in units of 1/M
+    steps = zip(slope, ends, ends[1:])
+    mass = list(accumulate((m * (e1 - e0) for m, e0, e1 in steps), initial=0))
     pieces = []
-    for lo, hi, _, b in _on_grid(s.affine_segments(), q, 1):
+    for lo, hi, _, b in _charts_on(s._table, q):
         inside = ends[bisect.bisect_right(ends, lo):bisect.bisect_left(ends, hi)]
         hit = ends[bisect.bisect_right(ends, lo + b):bisect.bisect_left(ends, hi + b)]
         cuts = sorted({lo, hi, *inside, *(y - b for y in hit)})
         for u, v in zip(cuts, cuts[1:]):
-            w, w_image = (level[bisect.bisect_right(ends, x) - 1] for x in (u, u + b))
-            pieces.append((u, v, b, w, w_image))
-    return q, pieces
+            i, j = (bisect.bisect_right(ends, x) - 1 for x in (u, u + b))
+            f = mass[i] + slope[i] * (u - ends[i])
+            f_image = mass[j] + slope[j] * (u + b - ends[j])
+            pieces.append((u, v, b, level[i], level[j], f, f_image))
+    return q, q * dens, pieces
 
 
 def _difference(mu: Measure, nu: Measure) -> tuple[int, tuple, tuple]:
@@ -573,7 +582,8 @@ def find_recurrent_points(
     met before.  Each cycle is recorded the first time a walk closes it,
     and a later walk that meets it reads its remaining steps from the
     record instead of the charts, so each cycle is walked through the
-    charts once and memory grows only with the cells walked.
+    charts once and memory grows only with the cells walked; it is looked
+    up at the cells near home when they are fewer than the cycle's.
     """
     eps = frac(eps)
     if eps <= 0:
@@ -587,13 +597,12 @@ def find_recurrent_points(
         raise ValueError("a measure of zero mass has no support to sample")
     cdf = mu.cdf()
     levels = [
-        (total * frac(rng.random()).limit_denominator(2**40))
+        total * Fraction(rng.getrandbits(40), 1 << 40)
         if rng is not None
         else total * Fraction(2 * i + 1, 2 * samples)
         for i in range(samples)
     ]
-    q = s.common_denominator()
-    charts = _on_grid(s.affine_segments(), q, 1)
+    q, _, charts = s._table
     starts = [lo for lo, *_ in charts]
     # d cells are eps-close iff d/q < eps, iff d <= reach
     reach = (eps.numerator * q - 1) // eps.denominator
@@ -622,8 +631,7 @@ def find_recurrent_points(
                 if first == 0:
                     time, near = m, home
                 break
-            d = abs(cur - home)
-            if min(d, q - d) <= reach:
+            if _gap(cur, home, q) <= reach:
                 time, near = m, cur
                 break
             steps[cur] = m
@@ -634,11 +642,21 @@ def find_recurrent_points(
             # cell is eps-close only if it is home
             cycle, place = met
             n, walked = len(cycle), len(steps) - 1
-            for t in range(1, min(n, horizon - walked) + 1):
-                cell = cycle[(place + t) % n]
-                if _gap(cell, home, q) <= reach:
+            if 2 * reach + 1 < n:
+                turns = [
+                    ((recorded[cell][1] - place - 1) % n + 1, cell)
+                    for cell in ((home + d) % q for d in range(-reach, reach + 1))
+                    if recorded.get(cell, (None,))[0] is cycle
+                ]
+                t, cell = min(turns, default=(horizon + 1, None))
+                if t <= horizon - walked:
                     time, near = walked + t, cell
-                    break
+            else:
+                for t in range(1, min(n, horizon - walked) + 1):
+                    cell = cycle[(place + t) % n]
+                    if _gap(cell, home, q) <= reach:
+                        time, near = walked + t, cell
+                        break
         distance = None if time is None else Fraction(_gap(near, home, q), q)
         out.append(Recurrence(CirclePoint(x), time, distance))
     return out

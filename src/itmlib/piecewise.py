@@ -24,9 +24,10 @@ import bisect
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
-from itmlib.circle import ONE, ZERO, Rational, _affine_charts, circle_distance, frac
+from itmlib.circle import ONE, ZERO, Rational, _affine_charts, _chart_table, circle_distance, frac
 from itmlib.itm import Itm
 from itmlib.measure import Measure, _difference
 
@@ -195,6 +196,11 @@ class PiecewiseMap:
         if self.domain is Domain.SEGMENT:
             return pieces
         return _affine_charts(pieces)
+
+    @cached_property
+    def _table(self) -> tuple:
+        """The charts on integers, built once: circle._chart_table."""
+        return _chart_table(self.affine_segments())
 
     def discontinuity_points(self) -> tuple[Fraction, ...]:
         return self.discontinuities

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itmlib.circle import Arc, ArcSet, CirclePoint, arc, arcset, frac, mod1
+from itmlib.circle import Arc, ArcSet, CirclePoint, _chart_table, arc, arcset, frac, mod1
 
 F = Fraction
 
@@ -414,4 +414,4 @@ class TestChartsOfAnySlope:
                 left, right = max(lo, c_lo), min(hi, c_hi)
                 if left < right:
                     images.append(tuple(sorted((a * left + b, a * right + b))))
-        assert s._moved(charts) == ArcSet.from_segments(images)
+        assert s._moved(_chart_table(charts)) == ArcSet.from_segments(images)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from itmlib import conjugacy
 from itmlib.catalog import half_collapse, random_itm, rotation
-from itmlib.circle import ONE, ZERO, ArcSet, CirclePoint
+from itmlib.circle import ONE, ZERO, ArcSet, CirclePoint, _affine_charts
 from itmlib.conjugacy import (
     DEFAULT_SEMICONJUGACY_SAMPLES,
     IemReport,
@@ -267,6 +267,31 @@ def reference_verify_iem(m: Itm) -> IemReport:
     return IemReport(lebesgue_ok, injective, overlap, tuple(failures))
 
 
+def fraction_verify_iem(t: Itm) -> IemReport:
+    """The coverage sweep over the piece images on Fractions, as verify_iem
+    ran before it counted cells of T's grid."""
+    failures: list[str] = []
+    coverage_change: dict[Fraction, int] = {ZERO: 0}
+    for j in range(t.n):
+        for lo, hi in t.piece(j).translate(t.shifts[j]).segments():
+            coverage_change[lo] = coverage_change.get(lo, 0) + 1
+            coverage_change[hi] = coverage_change.get(hi, 0) - 1
+    coverage_change.pop(ONE, None)
+    cuts = sorted(coverage_change)
+    overlap = ZERO
+    coverage = 0
+    mass_changes: list[str] = []
+    for lo, hi in zip(cuts, cuts[1:] + [ONE]):
+        coverage += coverage_change[lo]
+        overlap += coverage * (coverage - 1) // 2 * (hi - lo)
+        if coverage != 1:
+            mass_changes.append(f"Lebesgue mass of [{lo},{hi}) changes under preimage")
+    if overlap:
+        failures.append(f"piece images overlap in total length {overlap}")
+    failures.extend(mass_changes)
+    return IemReport(not mass_changes, overlap == 0, overlap, tuple(failures))
+
+
 class TestVerifyIemAgainstReference:
     """The coverage sweep gives the whole report of the per-cell reference."""
 
@@ -277,9 +302,18 @@ class TestVerifyIemAgainstReference:
             n = rng.randint(1, 6)
             t = random_itm(rng, n, rng.randint(n, 96))
             report = verify_iem(t)
-            assert report == reference_verify_iem(t)
+            assert report == reference_verify_iem(t) == fraction_verify_iem(t)
             failing += not report.all_ok
         assert failing > 200
+
+    def test_a_piece_across_0_adds_no_cut(self):
+        # the piece [1/2, 1 + 1/8) is split at 0 into charts whose images
+        # meet at 1/10, inside [0, 9/40), which both pieces cover; the report
+        # cuts only at the ends of piece images, so that cell stays whole
+        t = itm(["1/8", "1/2"], ["3/4", "1/10"])
+        report = verify_iem(t)
+        assert report == reference_verify_iem(t) == fraction_verify_iem(t)
+        assert "Lebesgue mass of [0,9/40) changes under preimage" in report.failures
 
     def test_induced_exchanges_of_the_acceptance_sweep(self):
         # the first maps of the acceptance sweep, drawn as tests/test_acceptance.py does
@@ -290,12 +324,12 @@ class TestVerifyIemAgainstReference:
             induced = induce_iem(s, attractor_measure(s), samples=1).induced
             report = verify_iem(induced)
             assert report.all_ok
-            assert report == reference_verify_iem(induced)
+            assert report == reference_verify_iem(induced) == fraction_verify_iem(induced)
 
     def test_corrupted_three_exchange(self):
         t = corrupted_three_exchange()
         report = verify_iem(t)
-        assert report == reference_verify_iem(t)
+        assert report == reference_verify_iem(t) == fraction_verify_iem(t)
         assert report.failures == (
             "piece images overlap in total length 1/3",
             "Lebesgue mass of [1/6,1/2) changes under preimage",
@@ -372,6 +406,27 @@ def reference_semiconjugacy_failure(s: Itm, h, t: Itm):
     return None
 
 
+def fraction_semiconjugacy_failure(s: Itm, h, t: Itm):
+    """The certificate on Fractions, as it ran before it read h and T on
+    integers: h through Cdf.at, T's chart ends from its Fraction charts."""
+    q, _, pieces = _rigid_pieces(s, h.measure)
+    charts = _affine_charts(
+        (lo, hi, 1, c) for j, c in enumerate(t.shifts) for lo, hi in t.piece(j).segments()
+    )
+    ends = sorted({e for lo, hi, _, _ in charts for e in (lo, hi)})
+    for u, v, b, w, w_image, *_ in pieces:
+        if w == 0:
+            continue
+        y0, y1 = h.at(F(u, q)), h.at(F(v, q))
+        move = (h.at(F(u + b, q)) - y0) % 1
+        levels = [y0, *ends[bisect.bisect_right(ends, y0):bisect.bisect_left(ends, y1)]]
+        cuts = [F(u, q) + (y - y0) / w for y in levels] + [F(v, q)]
+        for y, x, x_next in zip(levels, cuts, cuts[1:]):
+            if w_image != w or t.shifts[t.piece_index(CirclePoint(y))] != move:
+                return (x, x_next)
+    return None
+
+
 def reference_induced(s: Itm, mu: Measure) -> Itm:
     """One exchange piece per connected component of supp mu within a piece
     of the map cut at 0, shifted by h(S(x)) - h(x) at the component midpoint."""
@@ -390,6 +445,7 @@ def reference_induced(s: Itm, mu: Measure) -> Itm:
 def certified(s: Itm, data, t: Itm) -> bool:
     cell = semiconjugacy_failure(s, data.h, t)
     assert cell == reference_semiconjugacy_failure(s, data.h, t)
+    assert cell == fraction_semiconjugacy_failure(s, data.h, t)
     return cell is None
 
 
@@ -470,15 +526,21 @@ class TestWalkAgainstReference:
         for s in acceptance_sweep_maps[:30]:
             mu = attractor_measure(s)
             ends = {e for lo, hi, _ in mu.density for e in (lo, hi)}
-            q, pieces = _rigid_pieces(s, mu)
+            q, _, pieces = _rigid_pieces(s, mu)
             assert pieces[0][0] == 0 and pieces[-1][1] == q
             assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
-            for u, v, b, w, w_image in pieces:
+            for u, v, b, w, w_image, *_ in pieces:
                 x, y = F(u, q), F(u + b, q)
                 assert s.evaluate(CirclePoint(x)).value == y % 1
                 assert not any(x < e < F(v, q) or y < e < F(v + b, q) for e in ends)
                 assert w == sum((d for lo, hi, d in mu.density if lo <= x < hi), ZERO)
                 assert w_image == sum((d for lo, hi, d in mu.density if lo <= y < hi), ZERO)
+
+    def test_tau_reads_h_at_the_breakpoints(self, acceptance_sweep_maps):
+        for s in acceptance_sweep_maps:
+            data = induce_iem(s, attractor_measure(s), samples=0)
+            cut = s.with_breakpoint(CirclePoint(ZERO))
+            assert data.tau == tuple(data.h.at(t.value) for t in cut.breakpoints) + (ONE,)
 
     def test_induced_on_the_acceptance_sweep(self, acceptance_sweep_maps):
         for s in acceptance_sweep_maps:
@@ -633,6 +695,21 @@ def map_with_measure(draw):
     return s, raw.scale(1 / raw.total_mass)
 
 
+class TestPiecesCarryH:
+    """The pieces of the integer walk carry h at both ends, summed on integers."""
+
+    @settings(max_examples=100)
+    @given(map_with_measure())
+    def test_pieces_carry_h_at_both_ends(self, pair):
+        # f/M and f'/M are mu([0, x]) at x = u/Q and at its image (u + b)/Q
+        s, mu = pair
+        h = mu.cdf()
+        q, unit, pieces = _rigid_pieces(s, mu)
+        for u, _, b, _, _, f, f_image in pieces:
+            assert F(f, unit) == h.at(F(u, q))
+            assert F(f_image, unit) == h.at(F(u + b, q))
+
+
 class TestInvarianceFromTheCertificate:
     """Certificate and verify_iem passing prove invariance, so induce_iem
     computes no residual on an invariant measure and still rejects every
@@ -643,7 +720,9 @@ class TestInvarianceFromTheCertificate:
     def test_non_invariant_measures_raise(self, pair):
         s, mu = pair
         h, t = build_h(mu), reference_induced(s, mu)
-        assert semiconjugacy_failure(s, h, t) == reference_semiconjugacy_failure(s, h, t)
+        cell = semiconjugacy_failure(s, h, t)
+        assert cell == reference_semiconjugacy_failure(s, h, t)
+        assert cell == fraction_semiconjugacy_failure(s, h, t)
         if invariance_residual_exact(s, mu) != 0:
             with pytest.raises(NotInvariant):
                 induce_iem(s, mu, samples=0)

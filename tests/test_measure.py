@@ -1031,7 +1031,7 @@ def reference_find_recurrent_points(s, mu, eps, horizon, samples, rng=None):
     cdf = mu.cdf()
     total = mu.total_mass
     levels = [
-        (total * frac(rng.random()).limit_denominator(2**40))
+        total * Fraction(rng.getrandbits(40), 1 << 40)
         if rng is not None
         else total * Fraction(2 * i + 1, 2 * samples)
         for i in range(samples)
