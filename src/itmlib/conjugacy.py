@@ -10,7 +10,8 @@ the induced shifts, the verification that the result preserves Lebesgue
 measure and is injective up to measure zero, and the certificate that
 h(S(x)) = T(h(x)) for mu-almost every x.  T and that certificate read
 the pieces of one integer walk, ``measure._rigid_pieces``, which S moves
-rigidly, with mu's weight and h = mu([0, x]) at x and at S(x) on integers.
+rigidly, with the slope of h = mu([0, x]) and its value at x and at S(x)
+read from mu's integer cumulative table.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def verify_iem(t: Itm) -> IemReport:
     times has a preimage of C times its length and adds C(C-1)/2 times its
     length to the pairwise overlap, so (a) fails exactly where C != 1.
     """
-    p, starts, shifts = t._grid_pieces()
+    p, starts, shifts = t._grid_pieces
     coverage_change: dict[int, int] = {0: 0}
     for lo, hi, c in zip(starts, [*starts[1:], starts[0] + p], shifts):
         a = (lo + c) % p
@@ -114,7 +115,12 @@ def semiconjugacy_failure(
     two sides agree iff w' = w and T shifts h(x0) by h(u + b) - h(u) mod 1.
     The cell ends left unchecked are mu-null.  h and T's table meet on integers.
     """
-    q, unit, pieces = _rigid_pieces(s, h.measure)
+    return _semiconjugacy_failure(_rigid_pieces(s, h.measure), t)
+
+
+def _semiconjugacy_failure(walk: tuple, t: Itm) -> Optional[tuple[Fraction, Fraction]]:
+    """``semiconjugacy_failure`` on the walk (Q, M, pieces) of ``measure._rigid_pieces``."""
+    q, unit, pieces = walk
     g = lcm(unit, t._table[0])
     m = g // unit
     charts = _charts_on(t._table, g)
@@ -123,13 +129,13 @@ def semiconjugacy_failure(
     for u, v, b, w, w_image, f, f_image in pieces:
         if w == 0:
             continue
-        # h rises by w/q on a cell of 1/q, which is w * unit/q units of 1/unit
-        y0, y1 = f * m, (f + _units(w, unit // q) * (v - u)) * m
+        # h rises by w units of 1/unit on a cell of 1/q, by w * m units of 1/g
+        y0, y1 = f * m, (f + w * (v - u)) * m
         move = (f_image - f) * m % g
         for c in range(bisect.bisect_right(starts, y0) - 1, bisect.bisect_left(starts, y1)):
             if w_image != w or moves[c] != move:
                 cell = (max(starts[c], y0), min(charts[c][1], y1))
-                return tuple(Fraction(u, q) + Fraction(y - y0, g) / w for y in cell)
+                return tuple(Fraction(u * m * w + y - y0, q * m * w) for y in cell)
     return None
 
 
@@ -216,7 +222,8 @@ def induce_iem(
     itself, which is returned in ``report`` and ``failing_cell``.
     """
     h = build_h(mu)
-    q, unit, pieces = _rigid_pieces(s, mu)
+    walk = _rigid_pieces(s, mu)
+    q, unit, pieces = walk
     breaks = {0, *(_units(p.value, q) for p in s.breakpoints)}
     tau = tuple(Fraction(f, unit) for u, *_, f, _ in pieces if u in breaks) + (ONE,)
     starts: list[Fraction] = []
@@ -230,7 +237,7 @@ def induce_iem(
 
     induced = Itm(tuple(starts), tuple(shifts))
     report = verify_iem(induced)
-    failing_cell = semiconjugacy_failure(s, h, induced)
+    failing_cell = _semiconjugacy_failure(walk, induced)
     certified = failing_cell is None and report.all_ok
     if not certified and invariance_residual_exact(s, mu) != 0:
         raise NotInvariant("measure is not exactly invariant under the map")

@@ -8,6 +8,9 @@ intersection of forward images, backward orbits of the discontinuity
 set, and whole-arc tracking of the continuity intervals in between.
 Images and preimages walk an ArcSet's runs of cells through the map's
 integer chart table (ArcSet._moved), so the attractor stays on integers.
+The backward orbit steps cells through the inverse charts, and each gap
+between its points is a run of cells advanced whole through the pieces, so
+the homtervals stay on integers too.
 """
 
 from __future__ import annotations
@@ -165,6 +168,7 @@ class Itm:
         object.__setattr__(self, "shifts", shs)
         object.__setattr__(self, "_values", tuple(p.value for p in bps))
 
+    @cached_property
     def _grid_pieces(self) -> tuple[int, list[int], list[int]]:
         """The common denominator q, and the breakpoints and shifts in cells of 1/q."""
         q = self.common_denominator()
@@ -173,7 +177,7 @@ class Itm:
     @cached_property
     def _table(self) -> tuple:
         """The map's chart table (q, 1, charts) on integers: circle._rigid_table."""
-        return _rigid_table(*self._grid_pieces())
+        return _rigid_table(*self._grid_pieces)
 
     @cached_property
     def _inverse_table(self) -> tuple:
@@ -293,30 +297,24 @@ class Itm:
             current = nxt
         return AttractorResult(tuple(iterates), None, current, FiniteType.NO_WITHIN_BUDGET)
 
-    def point_preimages(self, y: CirclePoint) -> list[CirclePoint]:
-        """All x with S(x) = y, solved piece by piece."""
-        out = []
-        for j in range(self.n):
-            x = y - self.shifts[j]
-            if self.piece_index(x) == j:
-                out.append(x)
-        return out
-
     def omega_to_depth(
         self, depth: int, max_points: int = DEFAULT_ORBIT_BUDGET
     ) -> list[CirclePoint]:
-        """Backward orbit of the breakpoints: union of S^{-k}(H) for k <= depth."""
+        """Backward orbit of the breakpoints: union of S^{-k}(H) for k <= depth.
+
+        It runs on the cells of the chart table: a cell y has the preimage
+        y + b in each chart (lo, hi, 1, b) of ``_inverse_table`` holding y.
+        """
         if depth < 0:
             raise ValueError("depth must be nonnegative")
-        seen = set(self.breakpoints)
-        frontier = list(self.breakpoints)
+        q, _, inverse = self._inverse_table
+        seen = set(self._grid_pieces[1])
+        frontier = list(seen)
         for _ in range(depth):
-            fresh: list[CirclePoint] = []
-            for y in frontier:
-                for x in self.point_preimages(y):
-                    if x not in seen:
-                        seen.add(x)
-                        fresh.append(x)
+            # the preimages of distinct cells are distinct
+            fresh = [y + b for y in frontier for lo, hi, _, b in inverse if lo <= y < hi]
+            fresh = [x for x in fresh if x not in seen]
+            seen.update(fresh)
             if len(seen) > max_points:
                 raise BudgetExceeded(
                     f"backward orbit exceeds {max_points} points",
@@ -326,35 +324,22 @@ class Itm:
             if not fresh:
                 break
             frontier = fresh
-        return sorted(seen)
+        return [CirclePoint(Fraction(x, q)) for x in sorted(seen)]
 
-    def _advance_open_arc(
-        self, start: Fraction, length: Fraction
-    ) -> Optional[tuple[Fraction, Fraction]]:
-        # advance the open arc (start, start+length) one step, or None if it
-        # straddles a breakpoint and would split
-        j = self.piece_index(CirclePoint(start))
-        if self.n > 1:
-            piece = self.piece(j)
-            offset = (start - piece.start.value) % 1
-            if offset + length > piece.length:
-                return None
-        return ((start + self.shifts[j]) % 1, length)
-
-    def _track_arc(
-        self, start: Fraction, length: Fraction, budget: int
-    ) -> tuple[Optional[int], Optional[int]]:
-        state = (start, length)
-        seen = {state: 0}
+    def _track_arc(self, start: int, length: int, budget: int) -> tuple:
+        # advance the open arc of cells (start, start + length) whole, so only
+        # its start moves, until it repeats; None, None once it would split
+        # across a breakpoint, which one piece never does, or at the budget
+        q, starts, shifts = self._grid_pieces
+        seen = {start: 0}
         for step in range(1, budget + 1):
-            advanced = self._advance_open_arc(*state)
-            if advanced is None:
+            j = bisect.bisect_right(starts, start) - 1  # -1: the last piece, through 0
+            if self.n > 1 and length > (starts[(j + 1) % self.n] - start) % q:
                 return None, None
-            if advanced in seen:
-                first = seen[advanced]
-                return first, step - first
-            seen[advanced] = step
-            state = advanced
+            start = (start + shifts[j]) % q
+            if start in seen:
+                return seen[start], step - seen[start]
+            seen[start] = step
         return None, None
 
     def classify_homtervals(
@@ -365,22 +350,21 @@ class Itm:
         The complement of the depth-K backward orbit is a finite union of
         open arcs; each is advanced as a whole arc until its orbit repeats
         exactly (reported as preperiod and period), splits across a
-        breakpoint, or exhausts the budget (reported unresolved).
+        breakpoint, or exhausts the budget (reported unresolved).  The arcs
+        are runs of cells of 1/q, advanced on integers through the pieces of
+        ``_grid_pieces``; only the report holds them as Arcs.
         """
         if depth < 1:
             raise ValueError("depth must be at least 1")
         omega = self.omega_to_depth(depth)
-        gaps: list[tuple[Fraction, Fraction]] = []
-        for i, p in enumerate(omega):
-            q = omega[(i + 1) % len(omega)]
-            length = p.gap_to(q) if len(omega) > 1 else ONE
-            gaps.append((p.value, length))
+        q = self._table[0]
+        cells = [_units(p.value, q) for p in omega]
         homtervals = []
-        for start, length in gaps:
-            pre, per = self._track_arc(start, length, orbit_budget)
-            homtervals.append(
-                Homterval(Arc(CirclePoint(start), length), pre, per)
-            )
+        for i, p in enumerate(omega):
+            # the gap to the next point; a single point leaves the whole circle
+            length = (cells[(i + 1) % len(cells)] - cells[i]) % q or q
+            pre, per = self._track_arc(cells[i], length, orbit_budget)
+            homtervals.append(Homterval(Arc(p, Fraction(length, q)), pre, per))
         return HomtervalReport(tuple(omega), tuple(homtervals))
 
     def with_breakpoint(self, x: CirclePoint) -> "Itm":

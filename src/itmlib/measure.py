@@ -12,12 +12,15 @@ a map's chart table moves the runs on integers (``circle._walk``), and the
 ``density`` tuples of Fractions are a view built on first read.  Atoms are
 sorted (position, mass) pairs of Fractions.
 
-Every mass query reads one cumulative table: the rows (x, F(x-), F(x),
+Every mass query reads one integer cumulative table, which a measure
+builds on its first ``cdf()`` call and keeps: the rows (x, F(x-), F(x),
 slope) of F(x) = mass of [0, x] at each cut, with the cuts counted in
-units of 1/Q for Q the lcm of the grid and the atoms' denominators.
-``Cdf`` stores the table of a measure and bisects its integer cuts,
-``mass_between`` is two lookups in it, and ``cdf_distance`` scans the table
-of the signed difference that ``tv_distance`` also sums.
+units of 1/Q for Q the lcm of the grid and the atoms' denominators, F in
+units of 1/M and the slope per cell of 1/Q.  ``Cdf`` bisects and solves on
+the rows, building one Fraction per answer, ``mass_between`` is two
+lookups in it, the conjugacy walk and the recurrence samples read its
+rows, and ``cdf_distance`` scans the table of the signed difference that
+``tv_distance`` also sums.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Optional
@@ -111,34 +114,37 @@ def _cumulative(
     q: int,
     runs: tuple[tuple[int, int, Fraction], ...],
     atoms: tuple[tuple[Fraction, Fraction], ...],
-) -> tuple[int, list[list]]:
-    """The grid Q and the rows [x, F(x-), F(x), slope of F on [x, next cut)].
+) -> tuple[int, int, list[list[int]]]:
+    """The grids Q and M and the rows [x, F(x-), F(x), slope of F on [x, next cut)].
 
     F(x) is the mass of [0, x], for density runs on the grid of 1/q and
-    atoms of either sign; slopes are per unit length.  Q is the lcm of q
-    and the atoms' denominators, and each row's cut x counts units of 1/Q.
-    The cuts are 0, Q, the run ends and the atom positions, in increasing
-    order.  Between two cuts F is linear, so every query on the cut line
-    reads one row.
+    atoms of either sign.  The cut x counts units of 1/Q, Q the lcm of q and
+    the atoms' denominators; F counts units of 1/M, M the lcm of Q times the
+    weights' denominators and the masses' denominators, and the slope units
+    of 1/M per cell of 1/Q.  The cuts are 0, Q, the run ends and the atom
+    positions, in increasing order.  Between two cuts F is linear, so every
+    query on the cut line reads one row.
     """
     grid = lcm(q, *(p.denominator for p, _ in atoms))
-    k = grid // q
-    events = [e for a, b, w in runs for e in ((a * k, w, 0), (b * k, -w, 0))]
-    events += [(_units(p, grid), 0, m) for p, m in atoms]
+    dens = lcm(*(w.denominator for _, _, w in runs))
+    unit = lcm(grid * dens, *(m.denominator for _, m in atoms))
+    k, per_cell = grid // q, unit // grid
+    events = [(_units(p, grid), 0, _units(m, unit)) for p, m in atoms]
+    for a, b, w in runs:
+        v = _units(w, per_cell)
+        events += [(a * k, v, 0), (b * k, -v, 0)]
     events.append((grid, 0, 0))
     events.sort(key=itemgetter(0))
-    rows = [[0, ZERO, ZERO, ZERO]]
+    rows = [[0, 0, 0, 0]]
     for x, dw, m in events:
         row = rows[-1]
         if x != row[0]:
-            left = row[2] + row[3] * Fraction(x - row[0], grid) if row[3] else row[2]
+            left = row[2] + row[3] * (x - row[0])
             row = [x, left, left, row[3]]
             rows.append(row)
-        if m:
-            row[2] += m
-        if dw:
-            row[3] += dw
-    return grid, rows
+        row[2] += m
+        row[3] += dw
+    return grid, unit, rows
 
 
 class Measure:
@@ -153,7 +159,7 @@ class Measure:
     ``hash`` decide measure equality.
     """
 
-    __slots__ = ("_grid", "_cells", "atoms", "_density")
+    __slots__ = ("_grid", "_cells", "atoms", "_density", "_cdf")
 
     def __init__(
         self,
@@ -181,6 +187,7 @@ class Measure:
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "_density", None)
+        object.__setattr__(self, "_cdf", None)
 
     @classmethod
     def _on_cells(cls, grid: int, cells: tuple, atoms: tuple) -> "Measure":
@@ -269,7 +276,10 @@ class Measure:
         return _set_of_runs(self._grid, merge_segments((a, b) for a, b, _ in self._cells))
 
     def cdf(self) -> "Cdf":
-        return Cdf(self)
+        """The distribution function, built on the first call and kept."""
+        if self._cdf is None:
+            object.__setattr__(self, "_cdf", Cdf(self))
+        return self._cdf
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Measure):
@@ -292,33 +302,45 @@ class Cdf:
 
     F is piecewise linear with jumps at atoms; ``at`` gives the
     right-continuous value including the atom at x, ``left_limit`` the
-    value just below x.  Each query reads one row of the cumulative table
-    (cuts, value_left, value_at, slopes): F has slope slopes[i] on
-    [cuts[i], cuts[i + 1]).  The cuts are kept as integers on a grid, which
-    ``at`` and ``left_limit`` bisect; ``cuts`` is their Fraction view, built
-    on first read.
+    value just below x.  Each query reads one row of the measure's integer
+    cumulative table (``_cumulative``), whose cuts it bisects: F has slope
+    slopes[i] on [cuts[i], cuts[i + 1]).  ``cuts``, ``value_left``,
+    ``value_at`` and ``slopes`` are the table's Fraction views, built on
+    first read.
     """
-
-    __slots__ = ("measure", "_grid", "_ticks", "_cuts", "value_left", "value_at", "slopes")
 
     def __init__(self, measure: Measure):
         self.measure = measure
-        self._grid, rows = _cumulative(measure._grid, measure._cells, measure.atoms)
-        self._ticks, self.value_left, self.value_at, self.slopes = zip(*rows)
-        self._cuts = None
+        self._grid, self._unit, rows = _cumulative(measure._grid, measure._cells, measure.atoms)
+        self._ticks, self._left, self._at, self._slopes = zip(*rows)
 
-    @property
+    @cached_property
     def cuts(self) -> tuple[Fraction, ...]:
-        if self._cuts is None:
-            self._cuts = tuple(Fraction(x, self._grid) for x in self._ticks)
-        return self._cuts
+        return tuple(Fraction(x, self._grid) for x in self._ticks)
 
-    def _offset(self, x: Fraction, i: int) -> Fraction:
-        """x - cuts[i]."""
-        return Fraction(
-            x.numerator * self._grid - self._ticks[i] * x.denominator,
-            x.denominator * self._grid,
-        )
+    @cached_property
+    def value_left(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self._unit) for v in self._left)
+
+    @cached_property
+    def value_at(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self._unit) for v in self._at)
+
+    @cached_property
+    def slopes(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v * self._grid, self._unit) for v in self._slopes)
+
+    def _value(self, i: int, x: Fraction) -> Fraction:
+        """F(x) read from row i: value_at[i] + slopes[i] * (x - cuts[i])."""
+        n, d = x.numerator, x.denominator
+        offset = n * self._grid - self._ticks[i] * d  # (x - cuts[i]) * Q * d
+        return Fraction(self._at[i] * d + self._slopes[i] * offset, self._unit * d)
+
+    def _x_at_level(self, i: int, y: Fraction) -> Fraction:
+        """The x at which F reaches y on row i, whose slope is positive."""
+        n, d = y.numerator, y.denominator
+        top = (self._ticks[i] * self._slopes[i] - self._at[i]) * d + n * self._unit
+        return Fraction(top, self._slopes[i] * self._grid * d)
 
     def at(self, x: Rational) -> Fraction:
         x = frac(x)
@@ -326,7 +348,7 @@ class Cdf:
             return ZERO
         # a cut c/Q lies at or below x iff c <= floor(x * Q)
         i = bisect.bisect_right(self._ticks, x.numerator * self._grid // x.denominator) - 1
-        return self.value_at[i] + self.slopes[i] * self._offset(x, i)
+        return self._value(i, x)
 
     def left_limit(self, x: Rational) -> Fraction:
         x = frac(x)
@@ -334,7 +356,7 @@ class Cdf:
             return ZERO
         # a cut c/Q lies below x iff c < ceil(x * Q)
         i = bisect.bisect_left(self._ticks, -(-x.numerator * self._grid // x.denominator)) - 1
-        return self.value_at[i] + self.slopes[i] * self._offset(x, i)
+        return self._value(i, x)
 
     def mass_between(
         self, lo: Rational, hi: Rational, include_lo: bool = True, include_hi: bool = False
@@ -349,17 +371,22 @@ class Cdf:
 
     def quantile(self, y: Rational) -> Fraction:
         """Smallest x with F(x) >= y (generalized inverse, for sampling)."""
-        y = frac(y)
+        return self._quantile(frac(y))[0]
+
+    def _quantile(self, y: Fraction) -> tuple[Fraction, Optional[int]]:
+        """quantile(y), and the row i when F reaches y on its slope from cuts[i]."""
         if y <= 0:
-            return ZERO
-        i = bisect.bisect_left(self.value_at, y)
+            return ZERO, None
+        # F >= y at a cut iff F * M >= ceil(y * M)
+        need = -(-y.numerator * self._unit // y.denominator)
+        i = bisect.bisect_left(self._at, need)
         if i >= len(self._ticks):
-            return ONE
-        if i > 0 and self.value_left[i] >= y:
-            # the level is reached strictly inside (cuts[i-1], cuts[i]),
-            # where F rises from value_at[i-1] < y, so the slope is positive
-            return self.cuts[i - 1] + (y - self.value_at[i - 1]) / self.slopes[i - 1]
-        return self.cuts[i]
+            return ONE, None
+        if i > 0 and self._left[i] >= need:
+            # the level is reached in (cuts[i-1], cuts[i]], where F rises
+            # from value_at[i-1] < y, so the slope is positive
+            return self._x_at_level(i - 1, y), i - 1
+        return Fraction(self._ticks[i], self._grid), None
 
     def rightmost_preimage(self, y: Rational) -> Fraction:
         """Largest x in [0, 1] with F(x) = y, for continuous (atom-free) F.
@@ -370,13 +397,13 @@ class Cdf:
         if self.measure.atoms:
             raise AtomicMeasure("rightmost preimage needs a continuous CDF")
         y = frac(y)
-        v = self.value_at
-        if y < 0 or y > v[-1]:
+        if y < 0 or y.numerator * self._unit > self._at[-1] * y.denominator:
             raise ValueError(f"level {y} is not attained by this CDF")
-        i = bisect.bisect_right(v, y) - 1
-        if v[i] == y:
-            return self.cuts[i]
-        return self.cuts[i] + (y - v[i]) / self.slopes[i]
+        # the last cut with F <= y; F is flat after it only if F = y there
+        i = bisect.bisect_right(self._at, y.numerator * self._unit // y.denominator) - 1
+        if self._slopes[i] == 0:
+            return Fraction(self._ticks[i], self._grid)
+        return self._x_at_level(i, y)
 
 
 def pushforward(t, mu: Measure) -> Measure:
@@ -398,23 +425,19 @@ def pushforward(t, mu: Measure) -> Measure:
 def _rigid_pieces(s: Itm, mu: Measure) -> tuple[int, int, list[tuple]]:
     """mu's density carried through the slope-1 charts of s, piece by piece.
 
-    On the grid of 1/Q, Q = lcm(mu's grid, s's grid), the density is a step
-    list: weight level[i] on [ends[i], ends[i + 1]), 0 in gaps.  Each chart
-    (lo, hi, 1, b) of s's table is cut where x or x + b crosses an end, into
-    pieces (u, v, b, w, w', f, f'): mu has weight w on [u, v) and w' on
-    [u + b, v + b), and F(x) = mu([0, x]) is f/M at u/Q and f'/M at (u + b)/Q,
-    summed on integers for M = Q times the lcm of the weights' denominators.
-    Returns Q, M and the pieces, which tile [0, Q) in order.
+    mu's cumulative table is read on the grid of 1/Q, Q = lcm(its grid, s's
+    grid) = k times its grid, with F(x) = mu([0, x]) in units of 1/M, M = k
+    times its unit, so each slope per cell keeps its integer.  Each chart
+    (lo, hi, 1, b) of s's table is cut where x or x + b crosses a cut, into
+    pieces (u, v, b, w, w', f, f'): F rises by w per cell on [u, v) and by w'
+    on [u + b, v + b), and is f/M at u/Q and f'/M at (u + b)/Q.  Returns Q, M
+    and the pieces, which tile [0, Q) in order.
     """
-    q = lcm(mu._grid, s._table[0])
-    k = q // mu._grid
-    # adjacent runs leave empty steps [e, e), which bisect_right skips
-    ends = [0, *(e * k for a, b, _ in mu._cells for e in (a, b)), q]
-    level = [ZERO, *(v for _, _, w in mu._cells for v in (w, ZERO))]
-    dens = lcm(*(w.denominator for _, _, w in mu._cells))
-    slope = [_units(w, dens) for w in level]  # mass per cell of 1/Q, in units of 1/M
-    steps = zip(slope, ends, ends[1:])
-    mass = list(accumulate((m * (e1 - e0) for m, e0, e1 in steps), initial=0))
+    cdf = mu.cdf()
+    q = lcm(cdf._grid, s._table[0])
+    k = q // cdf._grid
+    ends = [x * k for x in cdf._ticks]
+    mass, slope = cdf._at, cdf._slopes
     pieces = []
     for lo, hi, _, b in _charts_on(s._table, q):
         inside = ends[bisect.bisect_right(ends, lo):bisect.bisect_left(ends, hi)]
@@ -422,10 +445,10 @@ def _rigid_pieces(s: Itm, mu: Measure) -> tuple[int, int, list[tuple]]:
         cuts = sorted({lo, hi, *inside, *(y - b for y in hit)})
         for u, v in zip(cuts, cuts[1:]):
             i, j = (bisect.bisect_right(ends, x) - 1 for x in (u, u + b))
-            f = mass[i] + slope[i] * (u - ends[i])
-            f_image = mass[j] + slope[j] * (u + b - ends[j])
-            pieces.append((u, v, b, level[i], level[j], f, f_image))
-    return q, q * dens, pieces
+            f = mass[i] * k + slope[i] * (u - ends[i])
+            f_image = mass[j] * k + slope[j] * (u + b - ends[j])
+            pieces.append((u, v, b, slope[i], slope[j], f, f_image))
+    return q, cdf._unit * k, pieces
 
 
 def _difference(mu: Measure, nu: Measure) -> tuple[int, tuple, tuple]:
@@ -487,8 +510,8 @@ def cdf_distance(mu: Measure, nu: Measure) -> Fraction:
     """
     if mu.total_mass != 1 or nu.total_mass != 1:
         raise ValueError("cdf distance requires probability measures")
-    _, rows = _cumulative(*_difference(mu, nu))
-    return max(max(abs(left), abs(at)) for _, left, at, _ in rows)
+    _, unit, rows = _cumulative(*_difference(mu, nu))
+    return Fraction(max(max(abs(left), abs(at)) for _, left, at, _ in rows), unit)
 
 
 def mass_near_points(
@@ -592,14 +615,14 @@ def find_recurrent_points(
         raise ValueError("horizon must be positive")
     if samples < 0:
         raise ValueError("samples must be nonnegative")
-    total = mu.total_mass
+    cdf = mu.cdf()
+    total, unit = cdf._at[-1], cdf._unit  # mu's mass is total/unit
     if total == 0:
         raise ValueError("a measure of zero mass has no support to sample")
-    cdf = mu.cdf()
     levels = [
-        total * Fraction(rng.getrandbits(40), 1 << 40)
+        Fraction(total * rng.getrandbits(40), unit << 40)
         if rng is not None
-        else total * Fraction(2 * i + 1, 2 * samples)
+        else Fraction(total * (2 * i + 1), unit * 2 * samples)
         for i in range(samples)
     ]
     q, _, charts = s._table
@@ -609,9 +632,10 @@ def find_recurrent_points(
     recorded: dict[int, tuple[list, int]] = {}  # cell -> (its cycle, its place)
     out = []
     for y in levels:
-        x = cdf.quantile(y)
-        if x > 0 and (x * q).denominator == 1 and cdf.left_limit(x) >= y:
-            x = max(x - Fraction(1, q), cdf.cuts[bisect.bisect_left(cdf.cuts, x) - 1])
+        x, i = cdf._quantile(y)
+        if i is not None and q % x.denominator == 0:
+            # F reaches y at a cell end, from the cut of row i below it
+            x = max(x - Fraction(1, q), Fraction(cdf._ticks[i], cdf._grid))
         x %= 1
         home = x.numerator * q // x.denominator
         time = near = None

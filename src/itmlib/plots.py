@@ -12,7 +12,7 @@ from typing import Sequence
 
 from itmlib.circle import ArcSet
 from itmlib.conjugacy import ConjugacyData
-from itmlib.measure import Cdf, Measure
+from itmlib.measure import Measure
 
 WIDTH = 640
 HEIGHT = 320
@@ -92,7 +92,7 @@ def density_svg(mu: Measure, title: str = "density") -> str:
 
 def cdf_svg(mu: Measure, title: str = "distribution function") -> str:
     """Graph of F(x) = mu([0, x]) as a polyline, with vertical jumps."""
-    cdf = Cdf(mu)
+    cdf = mu.cdf()
     pts: list[tuple[float, float]] = []
     for i, x in enumerate(cdf.cuts):
         left = float(cdf.value_left[i])

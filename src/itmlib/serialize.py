@@ -18,7 +18,7 @@ from itmlib.approx import Relation
 from itmlib.circle import Arc, ArcSet, CirclePoint, frac
 from itmlib.conjugacy import ConjugacyData
 from itmlib.itm import Itm
-from itmlib.measure import Cdf, Measure
+from itmlib.measure import Measure
 from itmlib.piecewise import (
     AffinePiece,
     Domain,
@@ -192,7 +192,7 @@ def relation_from_json(d: Mapping) -> Relation:
 
 def cdf_csv(mu: Measure, points: Optional[Sequence] = None) -> str:
     """CSV with columns x,F(x), exact, at the CDF breaklist by default."""
-    cdf = Cdf(mu)
+    cdf = mu.cdf()
     xs = cdf.cuts if points is None else tuple(frac(p) for p in points)
     lines = ["x,F(x)"]
     for x in xs:

@@ -236,7 +236,7 @@ class TestConjugate:
         self, tmp_path, capsys, monkeypatch
     ):
         cell = (Fraction(1, 8), Fraction(1, 4))
-        monkeypatch.setattr(conjugacy, "semiconjugacy_failure", lambda *_: cell)
+        monkeypatch.setattr(conjugacy, "_semiconjugacy_failure", lambda *_: cell)
         cfg = write_config(tmp_path, {"map": HALF_COLLAPSE})
         code, report, err = run(capsys, "conjugate", "--config", cfg)
         assert code == 3

@@ -409,12 +409,13 @@ def reference_semiconjugacy_failure(s: Itm, h, t: Itm):
 def fraction_semiconjugacy_failure(s: Itm, h, t: Itm):
     """The certificate on Fractions, as it ran before it read h and T on
     integers: h through Cdf.at, T's chart ends from its Fraction charts."""
-    q, _, pieces = _rigid_pieces(s, h.measure)
+    q, unit, pieces = _rigid_pieces(s, h.measure)
     charts = _affine_charts(
         (lo, hi, 1, c) for j, c in enumerate(t.shifts) for lo, hi in t.piece(j).segments()
     )
     ends = sorted({e for lo, hi, _, _ in charts for e in (lo, hi)})
     for u, v, b, w, w_image, *_ in pieces:
+        w, w_image = F(w * q, unit), F(w_image * q, unit)
         if w == 0:
             continue
         y0, y1 = h.at(F(u, q)), h.at(F(v, q))
@@ -526,10 +527,12 @@ class TestWalkAgainstReference:
         for s in acceptance_sweep_maps[:30]:
             mu = attractor_measure(s)
             ends = {e for lo, hi, _ in mu.density for e in (lo, hi)}
-            q, _, pieces = _rigid_pieces(s, mu)
+            q, unit, pieces = _rigid_pieces(s, mu)
             assert pieces[0][0] == 0 and pieces[-1][1] == q
             assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
             for u, v, b, w, w_image, *_ in pieces:
+                # the walk counts w units of 1/M per cell of 1/Q
+                w, w_image = F(w * q, unit), F(w_image * q, unit)
                 x, y = F(u, q), F(u + b, q)
                 assert s.evaluate(CirclePoint(x)).value == y % 1
                 assert not any(x < e < F(v, q) or y < e < F(v + b, q) for e in ends)
@@ -744,7 +747,7 @@ class TestInvarianceFromTheCertificate:
 
     def test_failing_check_on_an_invariant_measure_is_returned(self, monkeypatch):
         cell = (F(1, 4), F(1, 2))
-        monkeypatch.setattr(conjugacy, "semiconjugacy_failure", lambda *_: cell)
+        monkeypatch.setattr(conjugacy, "_semiconjugacy_failure", lambda *_: cell)
         data = induce_iem(rotation("1/3"), Measure.lebesgue())
         assert data.failing_cell == (F(1, 4), F(1, 2))
         assert not data.clean_samples

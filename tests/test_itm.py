@@ -1,6 +1,7 @@
 """Interval translation maps: evaluation, images, attractors, homtervals."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from itmlib.circle import Arc, ArcSet, CirclePoint, arc, arcset
 from itmlib.itm import (
     DEFAULT_MAX_ARCS,
     DEFAULT_MAX_ITER,
+    DEFAULT_ORBIT_BUDGET,
     AttractorResult,
     BudgetExceeded,
     FiniteType,
@@ -567,6 +569,159 @@ class TestPeriodicBall:
             s = random_itm(rng, rng.randint(2, 4), q)
             report = s.classify_homtervals(q, orbit_budget=8 * q)
             assert all(h.resolved for h in report.homtervals)
+
+
+def fraction_point_preimages(s: Itm, y: CirclePoint) -> list:
+    """All x with S(x) = y, solved piece by piece on CirclePoints."""
+    out = []
+    for j in range(s.n):
+        x = y - s.shifts[j]
+        if s.piece_index(x) == j:
+            out.append(x)
+    return out
+
+
+def fraction_omega_to_depth(s: Itm, depth: int, max_points: int) -> list:
+    """The backward orbit of the breakpoints, stepped on CirclePoints."""
+    seen = set(s.breakpoints)
+    frontier = list(s.breakpoints)
+    for _ in range(depth):
+        fresh = []
+        for y in frontier:
+            for x in fraction_point_preimages(s, y):
+                if x not in seen:
+                    seen.add(x)
+                    fresh.append(x)
+        if len(seen) > max_points:
+            raise BudgetExceeded("backward orbit", budget="max_points", value=max_points)
+        if not fresh:
+            break
+        frontier = fresh
+    return sorted(seen)
+
+
+def fraction_advance_open_arc(s: Itm, start: Fraction, length: Fraction):
+    """The open arc (start, start + length) one step on, or None if it would split."""
+    j = s.piece_index(CirclePoint(start))
+    if s.n > 1:
+        piece = s.piece(j)
+        offset = (start - piece.start.value) % 1
+        if offset + length > piece.length:
+            return None
+    return ((start + s.shifts[j]) % 1, length)
+
+
+def fraction_track_arc(s: Itm, start: Fraction, length: Fraction, budget: int) -> tuple:
+    state = (start, length)
+    seen = {state: 0}
+    for step in range(1, budget + 1):
+        advanced = fraction_advance_open_arc(s, *state)
+        if advanced is None:
+            return None, None
+        if advanced in seen:
+            first = seen[advanced]
+            return first, step - first
+        seen[advanced] = step
+        state = advanced
+    return None, None
+
+
+def fraction_homtervals(s: Itm, depth: int, budget: int) -> tuple:
+    """omega and the (arc, preperiod, period) of each gap, on Fractions."""
+    omega = fraction_omega_to_depth(s, depth, DEFAULT_ORBIT_BUDGET)
+    gaps = []
+    for i, p in enumerate(omega):
+        length = p.gap_to(omega[(i + 1) % len(omega)]) if len(omega) > 1 else F(1)
+        gaps.append((Arc(p, length), *fraction_track_arc(s, p.value, length, budget)))
+    return tuple(omega), gaps
+
+
+def budget_point(walk, depth: int, max_points: int):
+    """The orbit, or the budget value that stopped it."""
+    try:
+        return walk(depth, max_points)
+    except BudgetExceeded as exc:
+        return ("exceeded", exc.budget, exc.value)
+
+
+def assert_matches_fraction_walk(s: Itm, depth: int, budget: int) -> None:
+    omega = s.omega_to_depth(depth)
+    assert omega == fraction_omega_to_depth(s, depth, DEFAULT_ORBIT_BUDGET)
+    for max_points in (len(omega), len(omega) - 1):
+        reference = budget_point(lambda k, m: fraction_omega_to_depth(s, k, m), depth, max_points)
+        assert budget_point(s.omega_to_depth, depth, max_points) == reference
+    report = s.classify_homtervals(depth, orbit_budget=budget)
+    got = [(h.arc, h.preperiod, h.period) for h in report.homtervals]
+    assert (report.omega, got) == fraction_homtervals(s, depth, budget)
+
+
+class TestCellWalkAgainstFractionWalk:
+    """omega and the homtervals on the chart table give the CirclePoint walk's answers."""
+
+    def test_acceptance_maps(self, acceptance_sweep_maps):
+        outcomes = Counter()
+        for i, s in enumerate(acceptance_sweep_maps):
+            q = s.common_denominator()
+            depth, budget = 1 + i % 3, (q, 2 * q, 8)[i % 3]
+            assert_matches_fraction_walk(s, depth, budget)
+            report = s.classify_homtervals(depth, orbit_budget=budget)
+            outcomes.update(h.resolved for h in report.homtervals)
+        assert outcomes[True] > 100 and outcomes[False] > 100
+
+    @given(itms(), st.integers(1, 4), st.integers(1, 64))
+    def test_hypothesis_maps(self, s, depth, budget):
+        assert_matches_fraction_walk(s, depth, budget)
+
+    @pytest.mark.parametrize("shift", ["0", "1/2", "5/8", "3/7", "377/610"])
+    @pytest.mark.parametrize("base", ["0", "1/3"])
+    def test_one_piece_rotations(self, shift, base):
+        # one piece is continuous across its breakpoint: no arc splits
+        s = itm([base], [shift])
+        for depth, budget in ((1, 4), (1, 1000), (3, 1000)):
+            assert_matches_fraction_walk(s, depth, budget)
+        assert all(h.resolved for h in s.classify_homtervals(1, orbit_budget=1000).homtervals)
+
+    def test_levels_above_2_40(self, approximant_level_maps):
+        levels = [s for s in approximant_level_maps if s.common_denominator() > 2**40]
+        assert len(levels) >= 5
+        for s in levels:
+            assert_matches_fraction_walk(s, 2, 50)
+
+
+def rotated(s: Itm, r: Fraction) -> Itm:
+    """The conjugate x -> S(x - r) + r: the breakpoints move by r, the shifts stay."""
+    moved = sorted(((p.value + r) % 1, c) for p, c in zip(s.breakpoints, s.shifts))
+    return Itm(tuple(p for p, _ in moved), tuple(c for _, c in moved))
+
+
+class TestHomtervalsOnCells:
+    def test_rotating_the_grid_rotates_omega_and_the_homtervals(self, acceptance_sweep_maps):
+        rng = random.Random(29)
+        for s in acceptance_sweep_maps[:40]:
+            q = s.common_denominator()
+            r = F(rng.randrange(1, q), q)
+            t = rotated(s, r)
+            assert q % t.common_denominator() == 0
+            before, after = (m.classify_homtervals(2, orbit_budget=2 * q) for m in (s, t))
+            assert sorted(after.omega) == sorted(p + r for p in before.omega)
+            assert sorted(h.arc.start for h in after.homtervals) == sorted(
+                h.arc.start + r for h in before.homtervals
+            )
+            kinds = [
+                Counter((h.arc.length, h.preperiod, h.period) for h in report.homtervals)
+                for report in (before, after)
+            ]
+            assert kinds[0] == kinds[1]
+
+    def test_homtervals_read_no_piece(self, acceptance_sweep_maps, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("a Fraction piece was read")
+
+        monkeypatch.setattr(Itm, "piece", refuse)
+        monkeypatch.setattr(Itm, "piece_index", refuse)
+        for s in acceptance_sweep_maps:
+            q = s.common_denominator()
+            assert s.classify_homtervals(2, orbit_budget=2 * q).homtervals
 
 
 class TestMergedAndFriends:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from itmlib.catalog import half_collapse, random_itm, rotation, two_shift_example
 from itmlib.circle import Arc, ArcSet, CirclePoint, arc, arcset, frac
+from itmlib.conjugacy import induce_iem
 from itmlib.families import (
     PolynomialFamily,
     TrigFamily,
@@ -461,6 +462,27 @@ class TestCdf:
         with pytest.raises(AtomicMeasure):
             Measure.point_mass(F(1, 2)).cdf().rightmost_preimage(F(1, 2))
 
+    def test_each_measure_keeps_one_table(self, acceptance_sweep_maps, monkeypatch):
+        # attractor_measure -> induce_iem -> find_recurrent_points builds
+        # the cumulative table of the measure once
+        built = []
+        cumulative = measure_module._cumulative
+
+        def counted(*args):
+            built.append(args)
+            return cumulative(*args)
+
+        monkeypatch.setattr(measure_module, "_cumulative", counted)
+        for s in acceptance_sweep_maps[:20]:
+            q = s.common_denominator()
+            built.clear()
+            mu = attractor_measure(s)
+            assert mu.cdf() is mu.cdf()
+            data = induce_iem(s, mu, samples=16)
+            assert data.h is mu.cdf()
+            find_recurrent_points(s, mu, F(1, q), q * q, 8, rng=random.Random(q))
+            assert len(built) == 1
+
     @given(measures(probability=True), st.fractions(min_value=0, max_value=1, max_denominator=64))
     def test_monotone(self, mu, x):
         f = mu.cdf()
@@ -808,10 +830,24 @@ def raw_on_grid(rng: random.Random, q: int):
     return density, atoms
 
 
+def assert_integer_rows_match(table, rows) -> None:
+    """The integer rows (Q, M, rows) of _cumulative read as the Fraction rows."""
+    grid, unit, ints = table
+    assert all(type(v) is int for row in ints for v in row)
+    assert [
+        [F(x, grid), F(left, unit), F(at, unit), F(slope * grid, unit)]
+        for x, left, at, slope in ints
+    ] == rows
+
+
 def assert_grid_layer_matches(mu: Measure, density, atoms, rng: random.Random) -> None:
     """mu, built from raw (density, atoms), against the Fraction layer."""
     assert mu.density == fraction_merge_density(density)
     assert mu.atoms == fraction_add_neighbours(atoms)
+    assert_integer_rows_match(
+        measure_module._cumulative(mu._grid, mu._cells, mu.atoms),
+        fraction_cumulative(mu.density, mu.atoms),
+    )
     fast, ref = mu.cdf(), FractionCdf(mu.density, mu.atoms)
     assert fast.cuts == ref.cuts
     assert (fast.value_left, fast.value_at, fast.slopes) == (
@@ -840,6 +876,10 @@ class TestGridLayerAgainstFractionLayer:
         assert_grid_layer_matches(nu, d2, a2, rng)
         assert tv_distance(mu, nu) == fraction_tv_distance(mu, nu)
         assert tv_distance(nu, mu) == fraction_tv_distance(nu, mu)
+        assert_integer_rows_match(
+            measure_module._cumulative(*measure_module._difference(mu, nu)),
+            fraction_cumulative(*fraction_difference(mu, nu)),
+        )
         mu, nu = probability(mu), probability(nu)
         assert cdf_distance(mu, nu) == fraction_cdf_distance(mu, nu)
         s = random_itm(rng, rng.randint(1, min(5, q2)), q2)
