@@ -1,14 +1,16 @@
 """Relation-preserving rational approximation of interval translation maps.
 
 Integer relations among breakpoints and shifts are harvested from exact
-one-sided endpoint orbits.  A schedule of rational approximants keeps
-every relation exactly while the free coordinates follow continued
-fraction convergents of the target, so the invariant measures of the
-approximants can be compared level by level: endpoint collisions are
-replayed, attractor measures computed, successive distribution distances
-checked for a Cauchy tail, and a candidate limit measure tested against
-the two invariance hypotheses (vanishing mass near the discontinuities,
-small functional residual).
+one-sided endpoint orbits, stepped on the cells of the map's grid, where a
+relation's winding is the number of times the unreduced orbit passed 1.
+A schedule of rational approximants keeps every relation exactly while
+the free coordinates follow continued fraction convergents of the
+target, so the invariant measures of the approximants can be compared
+level by level: endpoint collisions are replayed, attractor measures
+computed, successive distribution distances checked for a Cauchy tail,
+and a candidate limit measure tested against the two invariance
+hypotheses (vanishing mass near the discontinuities, small functional
+residual).
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ class Relation:
         object.__setattr__(self, "l", tuple(int(v) for v in self.l))
         if any(v < 0 for v in self.l):
             raise ValueError("visit counts must be nonnegative")
+        if not (0 <= self.i < len(self.l) and 0 <= self.j < len(self.l)):
+            raise ValueError("relation indices outside the piece range")
         if self.side is not None:
             object.__setattr__(self, "side", Side(self.side))
         if self.itinerary is not None:
@@ -136,38 +140,28 @@ def detect_relations(s: Itm, depth: int) -> RelationSystem:
     """Harvest every exact endpoint collision S^r(t_i +/- 0) = t_j, r <= depth.
 
     Only exact rational coincidences count; near-collisions are ignored.
-    Duplicate (i, j, l, w) hits keep their first witness.
+    Duplicate (i, j, l, w) hits keep their first witness.  Each orbit's
+    itinerary is replayed on the cells of ``Itm._grid_pieces``: a collision
+    is a lift whose cell lift % q holds a breakpoint, and its winding is
+    lift // q.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    lookup = {t: idx for idx, t in enumerate(s.breakpoints)}
+    q, starts, shifts = s._grid_pieces
+    lookup = {t: idx for idx, t in enumerate(starts)}
     found: dict[tuple, Relation] = {}
     for i in range(s.n):
         for side in (Side.RIGHT, Side.LEFT):
-            orbit = s.evaluate_one_sided(i, side, depth)
+            itinerary = s.evaluate_one_sided(i, side, depth).itinerary
             counts = [0] * s.n
-            shifted = ZERO
-            for r in range(1, depth + 1):
-                k = orbit.itinerary[r - 1]
+            lift = starts[i]
+            for r, k in enumerate(itinerary, start=1):
                 counts[k] += 1
-                shifted += s.shifts[k]
-                j = lookup.get(orbit.points[r])
-                if j is None:
-                    continue
-                winding = (
-                    s.breakpoints[i].value + shifted - orbit.points[r].value
-                )
-                if winding.denominator != 1:
-                    raise AssertionError("relation winding is not an integer")
-                rel = Relation(
-                    i=i,
-                    j=j,
-                    l=tuple(counts),
-                    w=int(winding),
-                    side=side,
-                    itinerary=orbit.itinerary[: r],
-                )
-                found.setdefault((rel.i, rel.j, rel.l, rel.w), rel)
+                lift += shifts[k]
+                j = lookup.get(lift % q)
+                if j is not None:
+                    rel = Relation(i, j, tuple(counts), lift // q, side, itinerary[:r])
+                    found.setdefault((i, j, rel.l, rel.w), rel)
     return RelationSystem(tuple(found.values()), depth)
 
 

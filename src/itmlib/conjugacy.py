@@ -175,20 +175,18 @@ class ConjugacyData:
     def samples(self) -> tuple[SemiConjugacySample, ...]:
         n = self.sample_count
         return tuple(
-            SemiConjugacySample(x, _exceptional(self.mu, x))
+            SemiConjugacySample(x, self.is_exceptional(x))
             for x in (Fraction(2 * i + 1, 2 * n) for i in range(n))
         )
 
     def is_exceptional(self, x: Rational) -> bool:
         """Exact membership in the exceptional set: x outside the open
-        interior of supp mu, where h is locally constant or kinks."""
-        return _exceptional(self.mu, frac(x))
+        interior of supp mu, where h is locally constant or kinks.
 
-
-def _exceptional(mu: Measure, x: Fraction) -> bool:
-    # only the last density piece starting before x can contain x
-    i = bisect.bisect_left(mu.density, (x,))
-    return i == 0 or mu.density[i - 1][1] <= x
+        Read from h's integer rows: x is exceptional exactly when it is a
+        cut of h, or h has slope 0 on the row holding x.
+        """
+        return self.h._cut_or_flat(frac(x))
 
 
 def induce_iem(

@@ -10,7 +10,10 @@ Images and preimages walk an ArcSet's runs of cells through the map's
 integer chart table (ArcSet._moved), so the attractor stays on integers.
 The backward orbit steps cells through the inverse charts, and each gap
 between its points is a run of cells advanced whole through the pieces, so
-the homtervals stay on integers too.
+the homtervals stay on integers too.  The one-sided orbits of the
+breakpoints step the same cells: a lift adds each piece's shift unreduced,
+its cell lift % q picks the next piece, and the winding, the number of
+times the orbit passed 1, is lift // q.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ class EndpointOrbit:
     """One-sided orbit of a breakpoint: the limit S^r(t_j ± 0) step by step.
 
     visit_counts[k] is the number of orbit steps taken through piece k, and
-    winding is the integer making sum(l_k * c_k) - winding equal to the net
+    winding is the number of times the unreduced orbit t_j + sum of the
+    shifts so far passed 1, so sum(l_k * c_k) - winding equals the net
     displacement points[-1] - points[0] as exact rationals.
     """
 
@@ -207,49 +211,38 @@ class Itm:
             x = CirclePoint(x)
         return x + self.shifts[self.piece_index(x)]
 
-    def _limit_piece(self, x: CirclePoint, side: Side) -> int:
-        # a left limit sitting exactly on a breakpoint belongs to the piece before it
-        if side is Side.LEFT:
-            i = bisect.bisect_left(self._values, x.value)
-            if i < self.n and self._values[i] == x.value:
-                return (i - 1) % self.n
-        return self.piece_index(x)
-
     def evaluate_one_sided(
         self, j: int, side: Union[Side, str], steps: int
     ) -> EndpointOrbit:
         """Orbit of the one-sided limit S^r(t_j + 0) or S^r(t_j - 0).
 
-        The limit is propagated exactly: whenever the current point lands on
-        a breakpoint, the left orbit continues through the piece ending
-        there, the right orbit through the piece starting there.
+        The limit is propagated exactly on the cells of ``_grid_pieces``: the
+        orbit's lift starts at t_j and adds the shift of each piece it goes
+        through, unreduced.  Where the cell lift % q is a breakpoint, the left
+        orbit continues through the piece ending there, the right orbit
+        through the piece starting there.  The winding is lift // q.
         """
         side = Side(side)
         if steps < 0:
             raise ValueError("steps must be nonnegative")
-        cur = self.breakpoints[j]
-        points = [cur]
-        itinerary: list[int] = []
-        counts = [0] * self.n
+        if not 0 <= j < self.n:
+            raise ValueError(f"breakpoint index {j} outside range({self.n})")
+        q, starts, shifts = self._grid_pieces
+        # bisect_left puts a cell on a breakpoint in the piece before it
+        find = bisect.bisect_left if side is Side.LEFT else bisect.bisect_right
+        lifts = [starts[j]]
+        itinerary = []
         for _ in range(steps):
-            k = self._limit_piece(cur, side)
+            k = (find(starts, lifts[-1] % q) - 1) % self.n  # -1: the last piece, through 0
             itinerary.append(k)
-            counts[k] += 1
-            cur = cur + self.shifts[k]
-            points.append(cur)
-        total = sum(
-            (Fraction(counts[k]) * self.shifts[k] for k in range(self.n)), ZERO
-        )
-        winding = total - (points[-1].value - points[0].value)
-        if winding.denominator != 1:
-            raise AssertionError("endpoint orbit winding is not an integer")
+            lifts.append(lifts[-1] + shifts[k])
         return EndpointOrbit(
             base=j,
             side=side,
-            points=tuple(points),
+            points=tuple(CirclePoint(Fraction(x % q, q)) for x in lifts),
             itinerary=tuple(itinerary),
-            visit_counts=tuple(counts),
-            winding=int(winding),
+            visit_counts=tuple(itinerary.count(k) for k in range(self.n)),
+            winding=lifts[-1] // q,
         )
 
     def image(self, a: ArcSet) -> ArcSet:

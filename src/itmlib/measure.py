@@ -159,7 +159,7 @@ class Measure:
     ``hash`` decide measure equality.
     """
 
-    __slots__ = ("_grid", "_cells", "atoms", "_density", "_cdf")
+    __slots__ = ("_grid", "_cells", "atoms", "_density", "_cdf", "_total")
 
     def __init__(
         self,
@@ -188,6 +188,7 @@ class Measure:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "_density", None)
         object.__setattr__(self, "_cdf", None)
+        object.__setattr__(self, "_total", None)
 
     @classmethod
     def _on_cells(cls, grid: int, cells: tuple, atoms: tuple) -> "Measure":
@@ -242,8 +243,11 @@ class Measure:
 
     @property
     def total_mass(self) -> Fraction:
-        dens = sum((w * (b - a) for a, b, w in self._cells), ZERO) / self._grid
-        return dens + sum((m for _, m in self.atoms), ZERO)
+        """The mass of [0, 1], summed on the first read and kept."""
+        if self._total is None:
+            dens = sum((w * (b - a) for a, b, w in self._cells), ZERO) / self._grid
+            object.__setattr__(self, "_total", dens + sum((m for _, m in self.atoms), ZERO))
+        return self._total
 
     @property
     def non_atomic(self) -> bool:
@@ -357,6 +361,13 @@ class Cdf:
         # a cut c/Q lies below x iff c < ceil(x * Q)
         i = bisect.bisect_left(self._ticks, -(-x.numerator * self._grid // x.denominator)) - 1
         return self._value(i, x)
+
+    def _cut_or_flat(self, x: Fraction) -> bool:
+        """Whether x is a cut of F or F is flat on the row holding x."""
+        n, d = x.numerator * self._grid, x.denominator
+        # a cut c/Q lies at or below x iff c <= floor(x * Q)
+        i = bisect.bisect_right(self._ticks, n // d) - 1
+        return i < 0 or self._ticks[i] * d == n or self._slopes[i] == 0
 
     def mass_between(
         self, lo: Rational, hi: Rational, include_lo: bool = True, include_hi: bool = False

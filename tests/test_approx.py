@@ -46,6 +46,12 @@ class TestRelationType:
         with pytest.raises(ValueError):
             Relation(i=0, j=0, l=(-1,), w=0)
 
+    @pytest.mark.parametrize("i, j", [(-1, 1), (0, -2), (2, 0), (1, 2)])
+    def test_indices_outside_the_pieces_rejected(self, i, j):
+        # a negative index would otherwise read a breakpoint from the end
+        with pytest.raises(ValueError, match="piece range"):
+            Relation(i=i, j=j, l=(0, 0), w=0)
+
 
 class TestDetectRelations:
     def test_rational_rotation(self):

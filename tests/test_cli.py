@@ -541,6 +541,25 @@ MALFORMED = {
         },
         "relations",
     ),
+    # Python would read t_{-1} as the last breakpoint, and t_3 does not exist
+    "relation-index-negative": (
+        "approximate",
+        {
+            "target": {"breakpoints": ["0", "1/2"], "shifts": ["1/3", "1/5"]},
+            "declaredRelations": [{"i": -1, "j": 1, "l": [0, 0], "w": 0}],
+            "denominators": [8, 13],
+        },
+        "'declaredRelations'",
+    ),
+    "relation-index-past-the-pieces": (
+        "approximate",
+        {
+            "target": {"breakpoints": ["0", "1/2"], "shifts": ["1/3", "1/5"]},
+            "declaredRelations": [{"i": 0, "j": 3, "l": [0, 0], "w": 0}],
+            "denominators": [8, 13],
+        },
+        "'declaredRelations'",
+    ),
     "unknown-key": ("attractor", {"map": HALF_COLLAPSE, "maxIters": 5}, "maxIters"),
     "known-key-of-another-command": (
         "validate", {"map": HALF_COLLAPSE, "depth": 3}, "depth"
@@ -607,11 +626,12 @@ class TestExitCodeContract:
         assert key in err
 
     def test_library_errors_exit_one_naming_their_origin(self, tmp_path, capsys):
+        # t_0 - t_0 = c_0 fails at the target, whose shift is 1/3
         cfg = write_config(
             tmp_path,
             {
                 "target": {"breakpoints": ["0"], "shifts": ["1/3"]},
-                "declaredRelations": [{"i": 5, "j": 0, "l": [1], "w": 0}],
+                "declaredRelations": [{"i": 0, "j": 0, "l": [1], "w": 0}],
                 "denominators": [2],
             },
         )

@@ -15,7 +15,6 @@ from itmlib.conjugacy import (
     DEFAULT_SEMICONJUGACY_SAMPLES,
     IemReport,
     NotInvariant,
-    _exceptional,
     build_h,
     induce_iem,
     semiconjugacy_failure,
@@ -141,8 +140,8 @@ class TestInduceIem:
         assert data.is_exceptional(F(1, 2))
 
     def test_exceptional_set_against_reference(self, acceptance_sweep_maps):
-        # the bisect lookup agrees with scanning every density piece, on the
-        # semi-conjugacy sample grid and at 0, 1 and every piece endpoint,
+        # the lookup in h's rows agrees with scanning every density piece, on
+        # the semi-conjugacy sample grid and at 0, 1 and every piece endpoint,
         # and the samples are built from it on the grid
         n = DEFAULT_SEMICONJUGACY_SAMPLES
         grid = [F(2 * i + 1, 2 * n) for i in range(n)]
@@ -153,9 +152,9 @@ class TestInduceIem:
             expected = [
                 not any(lo < x < hi for lo, hi, _ in mu.density) for x in points
             ]
-            assert [_exceptional(mu, x) for x in points] == expected
-            samples = induce_iem(s, mu, samples=n).samples
-            assert [(p.x, p.exceptional) for p in samples] == list(zip(grid, expected))
+            data = induce_iem(s, mu, samples=n)
+            assert [data.is_exceptional(x) for x in points] == expected
+            assert [(p.x, p.exceptional) for p in data.samples] == list(zip(grid, expected))
 
     def test_support_gaps_refine_the_exchange(self):
         # the support gap (3/94,28/94) inside the cut piece [0,35/94) maps
@@ -337,13 +336,20 @@ class TestVerifyIemAgainstReference:
         )
 
 
+def fraction_exceptional(mu: Measure, x: Fraction) -> bool:
+    """x outside the open interior of supp mu, found by a bisect of the
+    Fraction density pieces: only the last one starting before x can hold x."""
+    i = bisect.bisect_left(mu.density, (x,))
+    return i == 0 or mu.density[i - 1][1] <= x
+
+
 def reference_clean_samples(s: Itm, mu: Measure, t: Itm, n: int) -> bool:
     """The sampled semi-conjugacy check the certificate replaced: h(S(x)) =
     T(h(x)) at the n grid points x = (2i + 1) / 2n off the exceptional set."""
     h = build_h(mu)
     for i in range(n):
         x = F(2 * i + 1, 2 * n)
-        if _exceptional(mu, x):
+        if fraction_exceptional(mu, x):
             continue
         lhs = h.at(s.evaluate(CirclePoint(x)).value)
         if lhs != t.evaluate(CirclePoint(h.at(x))).value:
@@ -696,6 +702,67 @@ def map_with_measure(draw):
         cells = {i: draw(st.integers(1, 3)) for i in picked}
     raw = Measure(tuple((F(i, q), F(i + 1, q), F(w)) for i, w in cells.items()))
     return s, raw.scale(1 / raw.total_mass)
+
+
+def exceptional_probes(data, n: int) -> list:
+    """The grid of n samples, 0, 1, each cut of h and the points a third of
+    a cell of h's grid either side of it, and two points off [0, 1]."""
+    grid, cuts = data.h._grid, data.h.cuts
+    near = [c + d for c in cuts for d in (F(-1, 3 * grid), F(1, 3 * grid))]
+    return [F(2 * i + 1, 2 * n) for i in range(n)] + [*cuts, *near, ZERO, ONE, F(-1, 2), F(3, 2)]
+
+
+def assert_exceptional_matches(data, n: int) -> None:
+    points = exceptional_probes(data, n)
+    assert [data.is_exceptional(x) for x in points] == [
+        fraction_exceptional(data.mu, x) for x in points
+    ]
+
+
+class TestExceptionalOnRows:
+    """is_exceptional and the samples read h's integer rows and agree with
+    the bisect of the Fraction density they replaced."""
+
+    def test_acceptance_sweep(self, acceptance_sweep_maps):
+        for s in acceptance_sweep_maps:
+            data = induce_iem(s, attractor_measure(s), samples=1024)
+            assert_exceptional_matches(data, 1024)
+            expected = [fraction_exceptional(data.mu, p.x) for p in data.samples]
+            assert [p.exceptional for p in data.samples] == expected
+
+    def test_levels_above_2_40(self, approximant_level_maps):
+        levels = [s for s in approximant_level_maps if s.common_denominator() > 2**40]
+        assert len(levels) >= 5
+        for s in levels:
+            assert_exceptional_matches(induce_iem(s, attractor_measure(s), samples=0), 256)
+
+    @settings(max_examples=100)
+    @given(map_with_measure())
+    def test_kinks_inside_the_support(self, pair):
+        # the identity leaves any measure invariant, here with cuts where the
+        # weight changes inside the support as well as at its ends
+        _, mu = pair
+        assert_exceptional_matches(induce_iem(rotation(0), mu, samples=0), 64)
+
+    @pytest.mark.parametrize("shift", ["0", "1/2", "3/7"])
+    def test_lebesgue_on_rotations(self, shift):
+        data = induce_iem(rotation(shift), Measure.lebesgue(), samples=16)
+        assert_exceptional_matches(data, 16)
+        assert not any(p.exceptional for p in data.samples)
+        assert data.is_exceptional(0) and data.is_exceptional(1)
+
+    def test_samples_read_no_density(self, acceptance_sweep_maps, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("the Fraction density was read")
+
+        measures = [(s, attractor_measure(s)) for s in acceptance_sweep_maps[:40]]
+        monkeypatch.setattr(Measure, "density", property(refuse))
+        flagged = 0
+        for s, mu in measures:
+            data = induce_iem(s, mu, samples=256)
+            flagged += sum(p.exceptional for p in data.samples)
+            assert data.is_exceptional(0)
+        assert flagged > 0
 
 
 class TestPiecesCarryH:
