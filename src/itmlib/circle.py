@@ -10,9 +10,13 @@ arithmetic, and ``==`` decides set equality exactly across grids.
 Maps move runs through integer chart tables: _rigid_table builds one from
 the breakpoints and shifts of a map that translates pieces mod 1, and
 _chart_table one from rational charts of any slope, such as _affine_charts
-builds for affine pieces read mod 1.  _walk carries runs of cells through a
-table, for sets and measure densities alike; with Arc.segments, these are
-the only code that knows how a set meets the cut at 0.
+builds for affine pieces read mod 1.  _walk carries sorted, disjoint runs of
+cells through a table chart by chart, for sets and measure densities alike,
+and every table moves through it; with Arc.segments, these are the only
+code that knows how a set meets the cut at 0.  Code that keeps a set as
+plain runs, as the attractor loop does, merges a walk's output with
+merge_segments, tests nesting with _runs_within and wraps the result with
+_set_of_runs.
 """
 
 from __future__ import annotations
@@ -21,12 +25,14 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_START, _END = itemgetter(0), itemgetter(1)
 
 
 def frac(x: Union[Rational, str, "CirclePoint"]) -> Fraction:
@@ -136,14 +142,17 @@ Segment = tuple[Fraction, Fraction]
 
 def merge_segments(raw: Iterable[Segment]) -> list[Segment]:
     """Sort intervals on the cut line and merge overlapping or adjacent ones."""
-    segs = sorted((lo, hi) for lo, hi in raw if hi > lo)
+    segs = [seg for seg in raw if seg[1] > seg[0]]
+    segs.sort()
     merged: list[Segment] = []
     for lo, hi in segs:
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
+        if merged and lo <= top:
+            if hi > top:
+                top = hi
                 merged[-1] = (merged[-1][0], hi)
         else:
             merged.append((lo, hi))
+            top = hi
     return merged
 
 
@@ -197,18 +206,21 @@ def _charts_on(table: tuple, q: int) -> Sequence[tuple]:
     return table[2] if k == 1 else [(lo * k, hi * k, a, b * k) for lo, hi, a, b in table[2]]
 
 
-def _walk(q: int, runs: Iterable[tuple], table: tuple) -> tuple[int, list[tuple]]:
-    """Runs (a, b, *weight) of cells on the grid of 1/q moved through a chart table.
+def _walk(q: int, runs: Sequence[tuple], table: tuple) -> tuple[int, list[tuple]]:
+    """Runs (a, b) or (a, b, weight) of cells on the grid of 1/q moved through
+    a chart table.
 
-    A table (grid, R, charts) sends the cells of 1/grid onto the grid of
+    The runs must be sorted and disjoint, as a set's or a measure's are.  A
+    table (grid, R, charts) sends the cells of 1/grid onto the grid of
     1/(grid R) by n -> a*n + b on each chart (lo, hi, a, b).  The walk runs
     on Q = lcm(q, grid), scaling the charts only when Q is finer than their
-    grid, and returns QR and the moved runs on that grid.  Runs and charts
-    must be sorted by lo; charts may overlap or leave gaps.  The part
-    [left, right) of a run inside a chart goes to its image, with the ends
-    swapped when a < 0.  A run may carry one weight per unit length; it
-    becomes weight/|a|, so mass is kept.  A flat chart (a = 0) gives the
-    empty run [b, b), whose weight is QR times the mass gathered at b.
+    grid, and returns QR and the moved runs on that grid.  Charts may
+    overlap or leave gaps.  The walk goes chart by chart: it bisects the
+    runs a chart meets, clips the first and the last of them to the chart,
+    and moves each part [left, right) to its image, with the ends swapped
+    when a < 0.  A weight per unit length becomes weight/|a|, so mass is
+    kept.  A flat chart (a = 0) gives the empty run [b, b), whose weight is
+    QR times the mass gathered at b.  The moved runs come chart by chart.
     """
     grid, r = table[:2]
     grid = grid if q == grid else lcm(q, grid)
@@ -217,27 +229,39 @@ def _walk(q: int, runs: Iterable[tuple], table: tuple) -> tuple[int, list[tuple]
     if k != 1 or r != 1:
         # the walk divides weights by the integer slope a*R, so scale them by R
         runs = [(lo * k, hi * k, *(w * r for w in weight)) for lo, hi, *weight in runs]
-    out = []
-    j = 0
-    for lo, hi, *weight in runs:
-        while j < len(charts) and charts[j][1] <= lo:
-            j += 1
-        i = j
-        while i < len(charts) and charts[i][0] < hi:
-            c_lo, c_hi, a, b = charts[i]
-            left, right = max(lo, c_lo), min(hi, c_hi)
-            i += 1
-            if left >= right:
-                continue
-            if a == 1:
-                out.append((left + b, right + b, *weight))
-            elif a > 0:
-                out.append((a * left + b, a * right + b, *(w / a for w in weight)))
-            elif a < 0:
-                out.append((a * right + b, a * left + b, *(w / -a for w in weight)))
-            else:
-                out.append((b, b, *(w * (right - left) for w in weight)))
+    out: list[tuple] = []
+    for lo, hi, a, b in charts:
+        # the runs ending after lo and starting before hi, which meet [lo, hi),
+        # as a list so that the first and the last can be clipped in place
+        first = bisect.bisect_right(runs, lo, key=_END)
+        part = list(runs[first:bisect.bisect_left(runs, hi, first, key=_START)])
+        if not part:
+            continue
+        if part[0][0] < lo:
+            part[0] = (lo, *part[0][1:])
+        if part[-1][1] > hi:
+            part[-1] = (part[-1][0], hi, *part[-1][2:])
+        if a == 1:
+            out += [(x[0] + b, x[1] + b) + x[2:] for x in part]
+        elif a > 0:
+            out += [(a * x[0] + b, a * x[1] + b, *[w / a for w in x[2:]]) for x in part]
+        elif a < 0:
+            out += [(a * x[1] + b, a * x[0] + b, *[w / -a for w in x[2:]]) for x in part]
+        else:
+            out += [(b, b, *[w * (x[1] - x[0]) for w in x[2:]]) for x in part]
     return grid * r, out
+
+
+def _runs_within(inner: Sequence[tuple], outer: Sequence[tuple]) -> bool:
+    """Whether each of the sorted, disjoint runs inner lies in one of the sorted,
+    disjoint runs outer, both on one grid."""
+    j, n = 0, len(outer)
+    for lo, hi in inner:
+        while j < n and outer[j][1] < hi:
+            j += 1
+        if j == n or outer[j][0] > lo:
+            return False
+    return True
 
 
 def _units(v: Rational, q: int) -> int:
@@ -393,14 +417,8 @@ class ArcSet:
         return i >= 0 and x < self._runs[i][1]
 
     def is_subset_of(self, other: "ArcSet") -> bool:
-        _, inner, outer = self._meet(other)  # each run must lie in one of other's
-        j = 0
-        for lo, hi in inner:
-            while j < len(outer) and outer[j][1] < hi:
-                j += 1
-            if j >= len(outer) or not (outer[j][0] <= lo and hi <= outer[j][1]):
-                return False
-        return True
+        _, inner, outer = self._meet(other)
+        return _runs_within(inner, outer)
 
     # -- dunder sugar -----------------------------------------------------
 

@@ -7,7 +7,8 @@ exact: images and preimages of arc unions, the attractor as a nested
 intersection of forward images, backward orbits of the discontinuity
 set, and whole-arc tracking of the continuity intervals in between.
 Images and preimages walk an ArcSet's runs of cells through the map's
-integer chart table (ArcSet._moved), so the attractor stays on integers.
+integer chart table (ArcSet._moved), and the attractor loop walks its
+iterates' run lists through the same table, so it stays on integers.
 The backward orbit steps cells through the inverse charts, and each gap
 between its points is a run of cells advanced whole through the pieces, so
 the homtervals stay on integers too.  The one-sided orbits of the
@@ -27,7 +28,8 @@ from math import lcm
 from typing import Optional, Sequence, Union
 
 from itmlib.circle import ONE, ZERO, Arc, ArcSet, CirclePoint, frac, mod1
-from itmlib.circle import _rigid_table, _units
+from itmlib.circle import _joins_at_zero, _rigid_table, _runs_within, _set_of_runs, _units, _walk
+from itmlib.circle import merge_segments
 
 DEFAULT_MAX_ITER = 4096
 DEFAULT_MAX_ARCS = 2**16
@@ -267,27 +269,34 @@ class Itm:
         steps without stabilization.
 
         S maps the cells [i/q, (i+1)/q) of its grid onto cells, so every A_k
-        is a union of cells, which image() keeps as runs on the grid of the
-        map's chart table: after the first step nothing is rescaled.
+        is a union of cells.  The loop keeps A_k as its merged runs of cells
+        on the grid of the map's chart table: each step is one walk through
+        the table and one merge, the nesting check and the stabilization
+        test compare run lists, and each iterate is wrapped as an ArcSet once.
         """
         if max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        table = self._table
+        q = table[0]
         current = ArcSet.full()
         iterates = [current]
+        runs = [(0, q)]
         for k in range(max_iter):
-            nxt = self.image(current)
-            if len(nxt) > max_arcs:
+            nxt = merge_segments(_walk(q, runs, table)[1])
+            arcs = len(nxt) - _joins_at_zero(nxt, q)
+            if arcs > max_arcs:
                 raise BudgetExceeded(
-                    f"iterate {k + 1} needs {len(nxt)} arcs (max_arcs={max_arcs})",
+                    f"iterate {k + 1} needs {arcs} arcs (max_arcs={max_arcs})",
                     budget="max_arcs",
                     value=max_arcs,
                 )
-            if not nxt.is_subset_of(current):
+            if not _runs_within(nxt, runs):
                 raise AssertionError("forward images failed to nest")
-            if nxt == current:
+            if nxt == runs:
                 return AttractorResult(tuple(iterates), k, current, FiniteType.YES)
-            iterates.append(nxt)
-            current = nxt
+            current = _set_of_runs(q, nxt)
+            iterates.append(current)
+            runs = nxt
         return AttractorResult(tuple(iterates), None, current, FiniteType.NO_WITHIN_BUDGET)
 
     def omega_to_depth(

@@ -46,29 +46,29 @@ class AtomicMeasure(ValueError):
     """A non-atomic measure was required."""
 
 
-def _sweep(events: list[tuple[int, Fraction]]) -> tuple[tuple[int, int, Fraction], ...]:
-    # sum (cell, weight change) events along the cut-open line into runs of
-    # constant level, merging adjacent runs of equal level; zero-level runs
-    # are dropped
-    if not events:
-        return ()
-    events.sort(key=itemgetter(0))
-    out: list[list] = []
-    level = ZERO
-    prev = events[0][0]
-    i = 0
-    while i < len(events):
-        x = events[i][0]
-        if x > prev and level != 0:
+def _sweep(events: list[tuple[int, Rational]]) -> tuple[tuple[int, int, Fraction], ...]:
+    """Sum (cell, weight change) events along the cut-open line into runs
+    (a, b, level) of constant level, merging adjacent runs of equal level and
+    dropping runs of level 0.
+
+    The levels are summed as integers in units of 1/D, D the lcm of the
+    changes' denominators, and each run's level becomes one Fraction.
+    """
+    den = lcm(*(w.denominator for _, w in events))
+    steps: dict[int, int] = {}
+    for x, w in events:
+        steps[x] = steps.get(x, 0) + w.numerator * (den // w.denominator)
+    out: list[list[int]] = []
+    level = prev = 0
+    for x in sorted(steps):
+        if level:
             if out and out[-1][1] == prev and out[-1][2] == level:
                 out[-1][1] = x
             else:
                 out.append([prev, x, level])
-        while i < len(events) and events[i][0] == x:
-            level += events[i][1]
-            i += 1
+        level += steps[x]
         prev = x
-    return tuple([(lo, hi, w) for lo, hi, w in out])
+    return tuple([(lo, hi, Fraction(w, den)) for lo, hi, w in out])
 
 
 def _own_grid(q: int, runs: tuple) -> tuple[int, tuple[tuple[int, int, Fraction], ...]]:
@@ -492,24 +492,26 @@ def invariance_residual_exact(t, mu: Measure) -> Fraction:
 def attractor_measure(s: Itm, attr: Optional[AttractorResult] = None) -> Measure:
     """Normalized Lebesgue measure on a stabilized attractor, verified exactly.
 
-    It is invariant.  Let q be the map's common denominator.  Every cell
-    [i/q, (i+1)/q) lies inside one piece and moves rigidly onto another
-    cell, so S acts on the cells as a function f.  A stabilized attractor
-    is A = f^m(C) = f^(m+1)(C) with C the set of all cells, so f maps the
-    finite set A onto itself, hence bijectively, and S carries Lebesgue
-    measure on A onto itself.
+    It is invariant.  Let Q be the lcm of the map's common denominator and
+    the grid of A's runs.  Every cell [i/Q, (i+1)/Q) lies inside one piece
+    and moves rigidly onto a cell, so S acts on the cells as a function f
+    and S(A) = f(A).  A stabilized attractor is A = f^m(C) = f^(m+1)(C) with
+    C the set of all cells, so f maps the finite set A onto itself, hence
+    bijectively, and S carries Lebesgue measure on A onto itself.
 
-    The exact residual check can therefore fail only when attr is not the
-    attractor of s; that raises ValueError.
+    The check is the set identity S(A) = A, one image walk.  It is exactly
+    T#mu = mu for mu uniform on A: T#mu gives each cell the mass of its
+    preimage cells in A, which is mu's mass exactly when f permutes A's
+    cells, that is, when f(A) = A.  It can therefore fail only when attr is
+    not the attractor of s; that raises ValueError.
     """
     if attr is None:
         attr = s.attractor()
     if attr.finite_type is not FiniteType.YES:
         raise NotFiniteType("attractor did not stabilize within budget")
-    mu = Measure.uniform_on(attr.attractor)
-    if invariance_residual_exact(s, mu) != 0:
+    if s.image(attr.attractor) != attr.attractor:
         raise ValueError("attr is not the attractor of this map")
-    return mu
+    return Measure.uniform_on(attr.attractor)
 
 
 def cdf_distance(mu: Measure, nu: Measure) -> Fraction:

@@ -186,8 +186,10 @@ def relation_from_json(d: Mapping) -> Relation:
         return Relation(
             i=int(d["i"]), j=int(d["j"]), l=tuple(int(v) for v in d["l"]), w=int(d["w"])
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad relation entry: {d!r}") from exc
+    except KeyError as exc:
+        raise ValueError(f"bad relation entry {d!r}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad relation entry {d!r}: {exc}") from exc
 
 
 def cdf_csv(mu: Measure, points: Optional[Sequence] = None) -> str:

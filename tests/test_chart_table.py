@@ -4,13 +4,23 @@ import bisect
 import random
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from itmlib.catalog import rotation
-from itmlib.circle import Arc, ArcSet, CirclePoint, _affine_charts, _chart_table, _charts_on
+from itmlib.circle import (
+    Arc,
+    ArcSet,
+    CirclePoint,
+    _affine_charts,
+    _chart_table,
+    _charts_on,
+    _walk,
+    merge_segments,
+)
 from itmlib.conjugacy import induce_iem
 from itmlib.itm import Itm
 from itmlib.measure import Cdf, attractor_measure, find_recurrent_points, pushforward
@@ -29,6 +39,53 @@ def reference_charts(s: Itm) -> list:
 
 def reference_inverse(s: Itm) -> list:
     return sorted((lo + b, hi + b, 1, -b) for lo, hi, _, b in reference_charts(s))
+
+
+def run_major_walk(q: int, runs, table: tuple) -> tuple:
+    """The walk as it went run by run, each run cut by every chart it meets,
+    before circle._walk went chart by chart; kept as the reference."""
+    grid, r = table[:2]
+    grid = grid if q == grid else lcm(q, grid)
+    charts = _charts_on(table, grid)
+    k = grid // q
+    if k != 1 or r != 1:
+        runs = [(lo * k, hi * k, *(w * r for w in weight)) for lo, hi, *weight in runs]
+    out = []
+    j = 0
+    for lo, hi, *weight in runs:
+        while j < len(charts) and charts[j][1] <= lo:
+            j += 1
+        i = j
+        while i < len(charts) and charts[i][0] < hi:
+            c_lo, c_hi, a, b = charts[i]
+            left, right = max(lo, c_lo), min(hi, c_hi)
+            i += 1
+            if left >= right:
+                continue
+            if a == 1:
+                out.append((left + b, right + b, *weight))
+            elif a > 0:
+                out.append((a * left + b, a * right + b, *(w / a for w in weight)))
+            elif a < 0:
+                out.append((a * right + b, a * left + b, *(w / -a for w in weight)))
+            else:
+                out.append((b, b, *(w * (right - left) for w in weight)))
+    return grid * r, out
+
+
+def assert_walks_agree(q: int, runs: list, table: tuple) -> None:
+    """The chart-major walk moves the same runs as the run-major one, in
+    chart order rather than run order."""
+    grid, moved = _walk(q, runs, table)
+    ref_grid, ref = run_major_walk(q, runs, table)
+    assert grid == ref_grid
+    assert sorted(moved) == sorted(ref)
+
+
+def reference_moved(a: ArcSet, table: tuple) -> ArcSet:
+    """A set moved through a table by the run-major walk."""
+    q, moved = run_major_walk(a._q, a._runs, table)
+    return ArcSet._from_runs(q, merge_segments(moved))
 
 
 def cell_image(table: tuple, q: int, n: int) -> int:
@@ -51,6 +108,38 @@ def grid_sets(draw, max_q=90):
     p = draw(st.integers(1, max_q))
     pairs = draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(1, p)), max_size=4))
     return ArcSet([Arc(CirclePoint(F(a, p)), F(n, p)) for a, n in pairs])
+
+
+SLOPES = [F(1), F(2), F(1, 2), F(3, 2), F(-1), F(-3), F(-1, 2), F(0)]
+
+
+@st.composite
+def chart_tables(draw, max_p=24):
+    """One to five charts of any slope with ends on the grid of 1/p, which may
+    overlap or leave gaps, as the integer table _chart_table builds."""
+    p = draw(st.integers(1, max_p))
+    charts = []
+    for _ in range(draw(st.integers(1, 5))):
+        lo = draw(st.integers(0, p - 1))
+        hi = draw(st.integers(lo + 1, p))
+        a = draw(st.sampled_from(SLOPES))
+        b = F(draw(st.integers(-2 * p, 2 * p)), draw(st.integers(1, 2 * p)))
+        charts.append((F(lo, p), F(hi, p), a, b))
+    return _chart_table(sorted(charts))
+
+
+@st.composite
+def sorted_runs(draw, q, weighted):
+    """Sorted, disjoint runs of cells on [0, q], some adjacent, each with a
+    weight when weighted; often one run over the whole line."""
+    if draw(st.booleans()):
+        ends = [0, q]
+    else:
+        ends = sorted(draw(st.sets(st.integers(0, q), max_size=8)))
+    runs = [(lo, hi) for lo, hi in zip(ends, ends[1:]) if draw(st.integers(0, 2))]
+    if weighted:
+        runs = [(lo, hi, F(draw(st.integers(1, 9)), draw(st.integers(1, 6)))) for lo, hi in runs]
+    return runs
 
 
 @st.composite
@@ -122,7 +211,7 @@ class TestWalkAgainstFractionCharts:
         current = ArcSet.full()
         sets = [current]
         while True:
-            nxt = current._moved(table)
+            nxt = reference_moved(current, table)
             if nxt == current:
                 return sets
             sets.append(nxt)
@@ -133,24 +222,54 @@ class TestWalkAgainstFractionCharts:
             res = s.attractor()
             assert list(res.iterates) == self.reference_attractor_sets(s)
             a = res.attractor
-            assert s.image(a.complement()) == a.complement()._moved(
-                _chart_table(reference_charts(s))
+            assert s.image(a.complement()) == reference_moved(
+                a.complement(), _chart_table(reference_charts(s))
             )
-            assert s.preimage(a) == a._moved(_chart_table(reference_inverse(s)))
+            assert s.preimage(a) == reference_moved(a, _chart_table(reference_inverse(s)))
             mu = attractor_measure(s, res)
             assert pushforward(s, mu) == pushforward(from_itm(s), mu) == mu
 
     @settings(max_examples=200)
     @given(raw_maps(), grid_sets())
     def test_hypothesis_maps_on_any_grid(self, s, a):
-        assert s.image(a) == a._moved(_chart_table(reference_charts(s)))
-        assert s.preimage(a) == a._moved(_chart_table(reference_inverse(s)))
+        assert s.image(a) == reference_moved(a, _chart_table(reference_charts(s)))
+        assert s.preimage(a) == reference_moved(a, _chart_table(reference_inverse(s)))
+        assert_walks_agree(a._q, a._runs, s._table)
 
     def test_levels_above_2_40(self, approximant_level_maps):
         for s in [s for s in approximant_level_maps if s.common_denominator() > 2**40]:
             a = s.attractor(8, 64).iterates[-1]
-            assert s.image(a) == a._moved(_chart_table(reference_charts(s)))
-            assert s.preimage(a) == a._moved(_chart_table(reference_inverse(s)))
+            assert s.image(a) == reference_moved(a, _chart_table(reference_charts(s)))
+            assert s.preimage(a) == reference_moved(a, _chart_table(reference_inverse(s)))
+
+    @settings(max_examples=400)
+    @given(chart_tables(), st.sampled_from([1, 2, 3, 5]), st.booleans(), st.data())
+    def test_charts_of_every_slope(self, table, k, weighted, data):
+        # weighted runs through charts of negative slope, flat charts that
+        # turn mass into atoms, overlapping charts, gaps between charts, runs
+        # over several charts, and runs on the grid k times the table's
+        runs = data.draw(sorted_runs(k * table[0], weighted))
+        assert_walks_agree(k * table[0], runs, table)
+        q = data.draw(st.integers(1, 30))
+        assert_walks_agree(q, data.draw(sorted_runs(q, weighted)), table)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_named_cases(self, k):
+        # [0, 1/2) by slope -1 onto (0, 1/2], [1/4, 3/4) flat at 1/3 over
+        # it, a gap on [3/4, 5/6), and [5/6, 1) doubled
+        table = _chart_table([
+            (F(0), F(1, 2), F(-1), F(1, 2)),
+            (F(1, 4), F(3, 4), F(0), F(1, 3)),
+            (F(5, 6), F(1), F(2), F(-5, 3)),
+        ])
+        g = k * table[0]
+        for runs in (
+            [(0, g)],
+            [(0, g, F(3, 2))],
+            [(1, g // 3, F(1)), (g // 3, g // 2 + 1, F(2, 7)), (g - 2, g, F(5))],
+            [(g // 4, g // 4 + 1), (g // 2, g - 1)],
+        ):
+            assert_walks_agree(g, runs, table)
 
 
 class TestTableMetamorphic:

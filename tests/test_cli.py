@@ -640,6 +640,30 @@ class TestExitCodeContract:
         assert "(approx." in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "entry, reason",
+        [
+            ({"i": 0, "j": 3, "l": [0, 0], "w": 0}, "relation indices outside the piece range"),
+            ({"i": 0, "j": 1, "l": [0, -1], "w": 0}, "visit counts must be nonnegative"),
+            ({"i": 0, "j": 1, "l": [0, 0]}, "missing key 'w'"),
+        ],
+    )
+    def test_refused_relation_states_its_reason(self, entry, reason, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "target": {"breakpoints": ["0", "1/2"], "shifts": ["1/3", "1/5"]},
+                "declaredRelations": [entry],
+                "denominators": [8, 13],
+            },
+        )
+        code, report, err = run(capsys, "approximate", "--config", cfg)
+        assert code == 1
+        assert report is None
+        assert err.strip() == (
+            f"approximate: 'declaredRelations': bad relation entry {entry!r}: {reason}"
+        )
+
     def test_huge_decimal_exponent_is_refused_at_once(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"breakpoints": ["0"], "shifts": ["1e999999999"]})
         start = time.perf_counter()

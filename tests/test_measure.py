@@ -1,6 +1,7 @@
 """Measures: canonical form, pushforward, residuals, CDFs, recurrence."""
 
 import bisect
+import hashlib
 import random
 import tracemalloc
 from collections import Counter
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from itmlib.catalog import half_collapse, random_itm, rotation, two_shift_example
-from itmlib.circle import Arc, ArcSet, CirclePoint, arc, arcset, frac
+from itmlib.circle import Arc, ArcSet, CirclePoint, _chart_table, _walk, arc, arcset, frac
 from itmlib.conjugacy import induce_iem
 from itmlib.families import (
     PolynomialFamily,
@@ -21,7 +22,7 @@ from itmlib.families import (
     invariance_residual_functional,
 )
 import itmlib.measure as measure_module
-from itmlib.itm import BudgetExceeded, FiniteType, Itm
+from itmlib.itm import AttractorResult, BudgetExceeded, FiniteType, Itm
 from itmlib.piecewise import AffinePiece, Domain, PiecewiseMap
 from itmlib.measure import (
     AtomicMeasure,
@@ -363,6 +364,66 @@ class TestAttractorMeasure:
     def test_another_maps_attractor_is_refused(self):
         with pytest.raises(ValueError, match="not the attractor"):
             attractor_measure(half_collapse(), rotation("1/3").attractor())
+
+    def test_set_identity_decides_as_the_residual(self, acceptance_sweep_maps):
+        # S(A) = A holds exactly when uniform measure on A has residual 0: for
+        # the attractor, for the iterate before it (refused) and for one
+        # cycle of cells inside it (an invariant proper subset, accepted)
+        def verdict(s, attr):
+            try:
+                mu = attractor_measure(s, attr)
+            except ValueError:
+                return False
+            assert mu == Measure.uniform_on(attr.attractor)
+            return True
+
+        def residual_zero(s, a):
+            return invariance_residual_exact(s, Measure.uniform_on(a)) == 0
+
+        forged_early = proper = 0
+        for s in acceptance_sweep_maps:
+            att = s.attractor()
+            a = att.attractor
+            assert verdict(s, att) is residual_zero(s, a) is True
+            if att.stabilized_at >= 1:
+                early = AttractorResult(
+                    att.iterates[:-1], att.stabilized_at - 1, att.iterates[-2], FiniteType.YES
+                )
+                assert verdict(s, early) is residual_zero(s, early.attractor) is False
+                forged_early += 1
+            q = s.common_denominator()
+            cycle, cell = [], int(a.segments()[0][0] * q)
+            while cell not in cycle:
+                cycle.append(cell)
+                cell = int(s.evaluate(F(cell, q)).value * q)
+            cycle = cycle[cycle.index(cell):]
+            sub = ArcSet.from_segments([(F(c, q), F(c + 1, q)) for c in cycle])
+            forged = AttractorResult(att.iterates, att.stabilized_at, sub, FiniteType.YES)
+            assert verdict(s, forged) is residual_zero(s, sub) is True
+            proper += sub != a
+        assert forged_early > 50 and proper > 30
+
+    def test_runs_without_pushforward(self, acceptance_sweep_maps, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("attractor_measure pushed a measure forward")
+
+        monkeypatch.setattr(measure_module, "pushforward", refuse)
+        for s in acceptance_sweep_maps[:20]:
+            att = s.attractor()
+            assert attractor_measure(s, att) == Measure.uniform_on(att.attractor)
+
+    def test_sweep_outputs_match_the_pinned_digest(self, acceptance_sweep_maps):
+        # stabilization index, every iterate and the measure's density over
+        # the sweep, as the run-major walk and the residual check gave them
+        digest = hashlib.sha256()
+        for s in acceptance_sweep_maps:
+            att = s.attractor()
+            mu = attractor_measure(s, att)
+            runs = [a.segments() for a in att.iterates]
+            digest.update(repr((att.stabilized_at, runs, mu.density)).encode())
+        assert digest.hexdigest() == (
+            "4452a556e2594c557d5fb9a60a35b6bf7d156ed81f1d0ff90d2b2262a4cb0ac8"
+        )
 
     def test_random_rational_sweep(self):
         # scaled version of the acceptance sweep: exact invariance, no atoms
@@ -909,6 +970,58 @@ class TestGridLayerAgainstFractionLayer:
                 assert (pushed.density, pushed.atoms) == fraction_pushforward(s, nu.density, ())
                 assert tv_distance(pushed, nu) == fraction_tv_distance(pushed, nu)
             assert cdf_distance(mu, lebesgue) == fraction_cdf_distance(mu, lebesgue)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 40), st.integers(-6, 6), st.integers(1, 12)), max_size=12)
+    )
+    def test_integer_sweep(self, raw):
+        # signed changes with mixed denominators
+        events = [(x, F(n, d)) for x, n, d in raw]
+        assert measure_module._sweep(list(events)) == fraction_sweep(list(events))
+
+    def test_integer_sweep_drops_zero_levels_and_merges_equal_ones(self):
+        events = [
+            (0, F(1, 2)), (2, F(-1, 2)), (2, F(1, 3)), (2, F(1, 6)),  # 1/2 on [0, 4)
+            (4, F(-1, 2)),  # 0 on [4, 6), dropped
+            (6, F(1, 4)), (6, F(1, 4)), (8, F(-1, 2)),  # 1/2 on [6, 8), not joined
+            (10, F(1, 3)), (10, F(-1, 3)), (12, F(-1, 5)), (13, F(1, 5)),
+        ]
+        expected = ((0, 4, F(1, 2)), (6, 8, F(1, 2)), (12, 13, F(-1, 5)))
+        assert measure_module._sweep(list(events)) == fraction_sweep(list(events)) == expected
+        assert measure_module._sweep([]) == fraction_sweep([]) == ()
+
+    @given(GRIDS, st.integers(0, 2**32))
+    def test_measures_swept_on_integers_equal_and_hash_as_before(self, grids, seed):
+        rng = random.Random(seed)
+        q = grids[0]
+        density, _ = raw_on_grid(rng, q)
+        density += [(lo, hi, w * F(rng.randint(1, 7), rng.randint(1, 7))) for lo, hi, w in density]
+        events = [e for lo, hi, w in density for e in ((lo * q, w), (hi * q, -w))]
+        reference = Measure._on_cells(
+            *measure_module._own_grid(q, fraction_sweep([(int(x), w) for x, w in events])), ()
+        )
+        mu = Measure(density)
+        assert mu == reference and hash(mu) == hash(reference)
+
+    @settings(max_examples=200)
+    @given(GRIDS, st.integers(0, 2**32))
+    def test_walk_through_overlapping_charts_with_gaps(self, grids, seed):
+        # charts of every slope that overlap or leave gaps move a measure's
+        # runs as the Fraction walk moves its density pieces
+        rng = random.Random(seed)
+        q, p = grids[0], rng.randint(1, 12)
+        mu = Measure(raw_on_grid(rng, q)[0])
+        charts = []
+        for _ in range(rng.randint(1, 5)):
+            lo = rng.randrange(p)
+            a = rng.choice([F(1), F(2), F(1, 3), F(-1), F(-5, 2), F(0)])
+            charts.append((F(lo, p), F(rng.randint(lo + 1, p), p), a, F(rng.randint(-p, p), p)))
+        charts.sort()
+        grid, moved = _walk(mu._grid, mu._cells, _chart_table(charts))
+        read = [
+            (F(a, grid), F(b, grid), w if a < b else w / grid) for a, b, w in moved
+        ]
+        assert sorted(read) == sorted(fraction_walk(list(mu.density), charts))
 
     @pytest.mark.parametrize("domain", list(Domain))
     def test_piecewise_charts_of_every_slope(self, domain):
