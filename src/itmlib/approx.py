@@ -1,16 +1,19 @@
 """Relation-preserving rational approximation of interval translation maps.
 
 Integer relations among breakpoints and shifts are harvested from exact
-one-sided endpoint orbits, stepped on the cells of the map's grid, where a
-relation's winding is the number of times the unreduced orbit passed 1.
-A schedule of rational approximants keeps every relation exactly while
-the free coordinates follow continued fraction convergents of the
-target, so the invariant measures of the approximants can be compared
-level by level: endpoint collisions are replayed, attractor measures
-computed, successive distribution distances checked for a Cauchy tail,
-and a candidate limit measure tested against the two invariance
-hypotheses (vanishing mass near the discontinuities, small functional
-residual).
+one-sided endpoint orbits, stepped as integer lifts on the cells of the
+map's grid, where a relation's winding is the number of times the
+unreduced orbit passed 1.  A schedule of rational approximants keeps every
+relation exactly while the free coordinates follow the best rational
+approximations of the target, all read from one continued fraction
+expansion per coordinate, so the invariant measures of the approximants
+can be compared level by level: endpoint collisions are replayed,
+attractor measures computed, successive distribution distances checked
+for a Cauchy tail, and a candidate limit measure tested against the two
+invariance hypotheses (vanishing mass near the discontinuities, read on
+integer ends from the measure's cumulative table, and small functional
+residual, in floats built once per measure for trig families).  Every
+exact output is a Fraction built once, at the end of its computation.
 """
 
 from __future__ import annotations
@@ -140,24 +143,22 @@ def detect_relations(s: Itm, depth: int) -> RelationSystem:
     """Harvest every exact endpoint collision S^r(t_i +/- 0) = t_j, r <= depth.
 
     Only exact rational coincidences count; near-collisions are ignored.
-    Duplicate (i, j, l, w) hits keep their first witness.  Each orbit's
-    itinerary is replayed on the cells of ``Itm._grid_pieces``: a collision
-    is a lift whose cell lift % q holds a breakpoint, and its winding is
-    lift // q.
+    Duplicate (i, j, l, w) hits keep their first witness.  Each orbit is
+    the integer walk of ``Itm.evaluate_one_sided`` (``Itm._one_sided``): a
+    collision is a lift whose cell lift % q holds a breakpoint, and its
+    winding is lift // q.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    q, starts, shifts = s._grid_pieces
+    q, starts, _ = s._grid_pieces
     lookup = {t: idx for idx, t in enumerate(starts)}
     found: dict[tuple, Relation] = {}
     for i in range(s.n):
         for side in (Side.RIGHT, Side.LEFT):
-            itinerary = s.evaluate_one_sided(i, side, depth).itinerary
+            itinerary, lifts = s._one_sided(i, side, depth)
             counts = [0] * s.n
-            lift = starts[i]
-            for r, k in enumerate(itinerary, start=1):
+            for r, (k, lift) in enumerate(zip(itinerary, lifts[1:]), start=1):
                 counts[k] += 1
-                lift += shifts[k]
                 j = lookup.get(lift % q)
                 if j is not None:
                     rel = Relation(i, j, tuple(counts), lift // q, side, itinerary[:r])
@@ -262,6 +263,42 @@ def _solve_relation_system(
     return dependent, free
 
 
+def _best_approximations(x: Fraction, bounds: Sequence[int]) -> list[Fraction]:
+    """x.limit_denominator(b) for each of the increasing bounds b, read from
+    one continued fraction expansion of x.
+
+    Under a bound b the best approximation is the last convergent p1/q1 with
+    q1 <= b or the semiconvergent (p0 + k p1)/(q0 + k q1) with the largest k
+    keeping its denominator within b, whichever is closer to x; a tie goes
+    to the convergent.  The expansion advances only while the next
+    convergent's denominator fits, so a larger bound resumes it where the
+    previous one stopped.
+    """
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = x.numerator, x.denominator
+    out = []
+    for bound in bounds:
+        if x.denominator <= bound:
+            out.append(x)
+            continue
+        while True:
+            a = n // d
+            q2 = q0 + a * q1
+            if q2 > bound:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            n, d = d, n - a * d
+        k = (bound - q0) // q1
+        # the two candidates lie 1/(q1 (q0 + k q1)) apart and p1/q1 lies
+        # d/(q1 den x) from x, so p1/q1 is at least as close iff
+        # 2 d (q0 + k q1) <= den x
+        if 2 * d * (q0 + k * q1) <= x.denominator:
+            out.append(Fraction(p1, q1))
+        else:
+            out.append(Fraction(p0 + k * p1, q0 + k * q1))
+    return out
+
+
 def generate_approximants(
     target: Itm,
     relations: Optional[RelationSystem] = None,
@@ -270,10 +307,12 @@ def generate_approximants(
 ) -> ApproximantSchedule:
     """Best rational approximants of the target that keep every relation.
 
-    Dependent coordinates are solved exactly from the free ones, which
-    follow continued fraction convergents under each denominator bound.
-    precision bounds the allowed relation residual at the target itself
-    (0 demands exactness, as for harvested relations).
+    Dependent coordinates are solved exactly from the free ones.  Each free
+    coordinate takes its best approximation under each denominator bound,
+    ``Fraction.limit_denominator(bound)``, read for all bounds from one
+    continued fraction expansion (``_best_approximations``).  precision
+    bounds the allowed relation residual at the target itself (0 demands
+    exactness, as for harvested relations).
     """
     relations = relations if relations is not None else RelationSystem.empty()
     if denominators is None:
@@ -301,12 +340,13 @@ def generate_approximants(
 
     dependent, free = _solve_relation_system(relations, n)
 
+    best = {col: _best_approximations(target_vec[col], denominators) for col in free}
     levels = []
-    for bound in denominators:
+    for m, bound in enumerate(denominators):
         values: list[Optional[Fraction]] = [None] * (2 * n)
         distance = ZERO
         for col in free:
-            values[col] = target_vec[col].limit_denominator(bound)
+            values[col] = best[col][m]
             distance = max(distance, abs(values[col] - target_vec[col]))
         for col, (constant, coefs) in dependent.items():
             values[col] = constant + sum(

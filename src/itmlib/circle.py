@@ -45,8 +45,9 @@ def frac(x: Union[Rational, str, "CirclePoint"]) -> Fraction:
 
 
 def mod1(x: Union[Rational, str]) -> Fraction:
-    """Reduce a rational to the fundamental domain [0, 1)."""
-    return frac(x) % 1
+    """Reduce a rational to the fundamental domain [0, 1); one already in it is kept."""
+    v = frac(x)
+    return v if 0 <= v.numerator < v.denominator else v % 1
 
 
 @dataclass(frozen=True, order=True)

@@ -3,10 +3,14 @@
 The residual of mu under a map T is max over the family of
 |integral of phi d(mu) - integral of phi d(T#mu)|, and the integral of
 phi composed with T against mu is the integral of phi against T#mu.
-Density integrals are closed-form antiderivatives evaluated at exact
-rational endpoints; only the final transcendental evaluation of the
-trigonometric family is floating point.  The polynomial family is exact
-end to end, and a measure with T#mu = mu has residual exactly zero.
+Density integrals are closed-form antiderivatives.  The polynomial family
+evaluates them at the exact rational endpoints, so it is exact end to end
+and a measure with T#mu = mu has residual exactly zero.  The
+trigonometric family reads each measure as floats once, not once per
+member: each endpoint, weight, atom position and mass becomes its nearest
+float, and from there only the transcendental evaluations and the float
+arithmetic on them round.  Each basis names the view it integrates over
+(``view``) and has one integral loop over it (``integrate``).
 """
 
 from __future__ import annotations
@@ -22,6 +26,20 @@ from itmlib.measure import Measure, pushforward
 
 Number = Union[float, Fraction]
 
+# the largest float, an integer
+_FLOAT_MAX = int(sys.float_info.max)
+
+
+def _float_view(mu: Measure) -> tuple[list, list]:
+    """mu's density runs (lo, hi, weight) and atoms (position, mass) in floats."""
+    runs = [(float(lo), float(hi), float(w)) for lo, hi, w in mu.density]
+    return runs, [(float(p), float(m)) for p, m in mu.atoms]
+
+
+def _exact_view(mu: Measure) -> tuple:
+    """mu's density runs (lo, hi, weight) and atoms (position, mass) as Fractions."""
+    return mu.density, mu.atoms
+
 
 @dataclass(frozen=True)
 class TrigBasis:
@@ -30,22 +48,29 @@ class TrigBasis:
     k: int
     kind: str  # "cos" | "sin"
 
+    view = staticmethod(_float_view)
+
     @property
     def name(self) -> str:
         return f"{self.kind}(2pi*{self.k}x)"
 
-    def value(self, x: Rational) -> float:
-        t = 2 * math.pi * self.k * float(x)
-        return math.cos(t) if self.kind == "cos" else math.sin(t)
-
-    def integral_over(self, lo: Fraction, hi: Fraction) -> float:
-        """Integral of phi over [lo, hi], closed form."""
+    def integrate(self, runs, atoms) -> float:
+        """Integral against density runs and atoms in floats (``view``): each
+        run adds its weight times phi's closed-form integral over it, each
+        atom its mass times phi at it, in that order."""
         w = 2 * math.pi * self.k
-        u0 = w * float(lo)
-        u1 = w * float(hi)
+        total = 0.0
         if self.kind == "cos":
-            return (math.sin(u1) - math.sin(u0)) / w
-        return (math.cos(u0) - math.cos(u1)) / w
+            for lo, hi, m in runs:
+                total += m * ((math.sin(w * hi) - math.sin(w * lo)) / w)
+            for p, m in atoms:
+                total += m * math.cos(w * p)
+        else:
+            for lo, hi, m in runs:
+                total += m * ((math.cos(w * lo) - math.cos(w * hi)) / w)
+            for p, m in atoms:
+                total += m * math.sin(w * p)
+        return total
 
 
 @dataclass(frozen=True)
@@ -53,6 +78,8 @@ class PolynomialBasis:
     """x to the power d, integrated exactly in rational arithmetic."""
 
     d: int
+
+    view = staticmethod(_exact_view)
 
     @property
     def name(self) -> str:
@@ -65,6 +92,15 @@ class PolynomialBasis:
         """Integral of x^d over [lo, hi], exact."""
         e = self.d + 1
         return (hi**e - lo**e) / e
+
+    def integrate(self, runs, atoms) -> Fraction:
+        """Integral against density runs and atoms in Fractions (``view``)."""
+        total = ZERO
+        for lo, hi, w in runs:
+            total += w * self.integral_over(lo, hi)
+        for p, mass in atoms:
+            total += mass * self.value(p)
+        return total
 
 
 class TrigFamily:
@@ -99,12 +135,7 @@ class PolynomialFamily:
 
 def integral(phi, mu: Measure) -> Number:
     """Integral of phi against mu."""
-    total: Number = ZERO
-    for lo, hi, w in mu.density:
-        total = total + w * phi.integral_over(lo, hi)
-    for p, mass in mu.atoms:
-        total = total + mass * phi.value(p)
-    return total
+    return phi.integrate(*phi.view(mu))
 
 
 def invariance_residual_functional(t, mu: Measure, family=None) -> Number:
@@ -112,18 +143,23 @@ def invariance_residual_functional(t, mu: Measure, family=None) -> Number:
 
     T is an Itm or a PiecewiseMap, and mu is pushed through it once.
     Exact (a Fraction) when the family is polynomial; floating point with
-    trig families, where only the transcendental evaluations round.  The
-    density weights of mu and T#mu, which a slope below 1 raises, must lie
-    within the float range; ValueError otherwise.
+    trig families, whose members integrate over float views of mu and T#mu
+    built once for the whole family.  The density weights of mu and T#mu,
+    which a slope below 1 raises, must lie within the float range;
+    ValueError otherwise.
     """
     if family is None:
         family = TrigFamily(8)
     pushed = pushforward(t, mu)
-    if any(w > sys.float_info.max for m in (mu, pushed) for _, _, w in m.density):
+    if any(w > _FLOAT_MAX for m in (mu, pushed) for _, _, w in m.density):
         raise ValueError("a density weight of mu or T#mu is above the float range")
+    views: dict = {}
     best: Number = ZERO
     for phi in family:
-        defect = abs(integral(phi, mu) - integral(phi, pushed))
+        if phi.view not in views:
+            views[phi.view] = (phi.view(mu), phi.view(pushed))
+        here, there = views[phi.view]
+        defect = abs(phi.integrate(*here) - phi.integrate(*there))
         if defect > best:
             best = defect
     return best

@@ -225,6 +225,21 @@ class Itm:
         through the piece starting there.  The winding is lift // q.
         """
         side = Side(side)
+        itinerary, lifts = self._one_sided(j, side, steps)
+        q = self._grid_pieces[0]
+        return EndpointOrbit(
+            base=j,
+            side=side,
+            points=tuple([CirclePoint(Fraction(x % q, q)) for x in lifts]),
+            itinerary=itinerary,
+            visit_counts=tuple([itinerary.count(k) for k in range(self.n)]),
+            winding=lifts[-1] // q,
+        )
+
+    def _one_sided(self, j: int, side: Side, steps: int) -> tuple[tuple[int, ...], list[int]]:
+        """The walk of ``evaluate_one_sided`` on integers: the pieces the
+        orbit of t_j -/+ 0 goes through in its first steps, and its unreduced
+        lifts S^r(t_j -/+ 0) in cells of 1/q for r = 0..steps."""
         if steps < 0:
             raise ValueError("steps must be nonnegative")
         if not 0 <= j < self.n:
@@ -232,20 +247,16 @@ class Itm:
         q, starts, shifts = self._grid_pieces
         # bisect_left puts a cell on a breakpoint in the piece before it
         find = bisect.bisect_left if side is Side.LEFT else bisect.bisect_right
-        lifts = [starts[j]]
+        n = self.n
+        lift = starts[j]
+        lifts = [lift]
         itinerary = []
         for _ in range(steps):
-            k = (find(starts, lifts[-1] % q) - 1) % self.n  # -1: the last piece, through 0
+            k = (find(starts, lift % q) - 1) % n  # -1: the last piece, through 0
             itinerary.append(k)
-            lifts.append(lifts[-1] + shifts[k])
-        return EndpointOrbit(
-            base=j,
-            side=side,
-            points=tuple(CirclePoint(Fraction(x % q, q)) for x in lifts),
-            itinerary=tuple(itinerary),
-            visit_counts=tuple(itinerary.count(k) for k in range(self.n)),
-            winding=lifts[-1] // q,
-        )
+            lift += shifts[k]
+            lifts.append(lift)
+        return tuple(itinerary), lifts
 
     def image(self, a: ArcSet) -> ArcSet:
         """Exact forward image S(A): A's runs walked through the chart table."""

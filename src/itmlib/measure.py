@@ -18,9 +18,10 @@ slope) of F(x) = mass of [0, x] at each cut, with the cuts counted in
 units of 1/Q for Q the lcm of the grid and the atoms' denominators, F in
 units of 1/M and the slope per cell of 1/Q.  ``Cdf`` bisects and solves on
 the rows, building one Fraction per answer, ``mass_between`` is two
-lookups in it, the conjugacy walk and the recurrence samples read its
-rows, and ``cdf_distance`` scans the table of the signed difference that
-``tv_distance`` also sums.
+lookups in it, ``mass_near_points`` reads it at integer ends and
+``total_mass`` at its last row, the conjugacy walk and the recurrence
+samples read its rows, and ``cdf_distance`` scans the table of the signed
+difference that ``tv_distance`` also sums.
 """
 
 from __future__ import annotations
@@ -230,7 +231,9 @@ class Measure:
             raise ValueError("cannot normalize Lebesgue measure on a null set")
         # the set's runs are sorted, disjoint and non-adjacent: merged cells
         w = Fraction(q, cells)
-        return cls._on_cells(*_own_grid(q, tuple([(a, b, w) for a, b in runs])), ())
+        out = cls._on_cells(*_own_grid(q, tuple([(a, b, w) for a, b in runs])), ())
+        object.__setattr__(out, "_total", ONE)  # w per unit length on cells/q of it
+        return out
 
     @property
     def density(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
@@ -243,10 +246,15 @@ class Measure:
 
     @property
     def total_mass(self) -> Fraction:
-        """The mass of [0, 1], summed on the first read and kept."""
+        """The mass of [0, 1], found on the first read and kept: the last row
+        of the cumulative table when it is built, else summed."""
         if self._total is None:
-            dens = sum((w * (b - a) for a, b, w in self._cells), ZERO) / self._grid
-            object.__setattr__(self, "_total", dens + sum((m for _, m in self.atoms), ZERO))
+            if self._cdf is not None:
+                total = Fraction(self._cdf._at[-1], self._cdf._unit)
+            else:
+                dens = sum((w * (b - a) for a, b, w in self._cells), ZERO) / self._grid
+                total = dens + sum((m for _, m in self.atoms), ZERO)
+            object.__setattr__(self, "_total", total)
         return self._total
 
     @property
@@ -334,11 +342,18 @@ class Cdf:
     def slopes(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v * self._grid, self._unit) for v in self._slopes)
 
-    def _value(self, i: int, x: Fraction) -> Fraction:
-        """F(x) read from row i: value_at[i] + slopes[i] * (x - cuts[i])."""
-        n, d = x.numerator, x.denominator
-        offset = n * self._grid - self._ticks[i] * d  # (x - cuts[i]) * Q * d
-        return Fraction(self._at[i] * d + self._slopes[i] * offset, self._unit * d)
+    def _numerator(self, n: int, d: int, left: bool = False) -> int:
+        """F(n/d), or the left limit F(n/d -) when left, in units of 1/(M d)."""
+        m = n * self._grid
+        if left:
+            # a cut c/Q lies below x iff c < ceil(x * Q)
+            i = bisect.bisect_left(self._ticks, -(-m // d)) - 1
+        else:
+            # a cut c/Q lies at or below x iff c <= floor(x * Q)
+            i = bisect.bisect_right(self._ticks, m // d) - 1
+        if i < 0:
+            return 0
+        return self._at[i] * d + self._slopes[i] * (m - self._ticks[i] * d)
 
     def _x_at_level(self, i: int, y: Fraction) -> Fraction:
         """The x at which F reaches y on row i, whose slope is positive."""
@@ -348,19 +363,12 @@ class Cdf:
 
     def at(self, x: Rational) -> Fraction:
         x = frac(x)
-        if x < 0:
-            return ZERO
-        # a cut c/Q lies at or below x iff c <= floor(x * Q)
-        i = bisect.bisect_right(self._ticks, x.numerator * self._grid // x.denominator) - 1
-        return self._value(i, x)
+        return Fraction(self._numerator(x.numerator, x.denominator), self._unit * x.denominator)
 
     def left_limit(self, x: Rational) -> Fraction:
         x = frac(x)
-        if x <= 0:
-            return ZERO
-        # a cut c/Q lies below x iff c < ceil(x * Q)
-        i = bisect.bisect_left(self._ticks, -(-x.numerator * self._grid // x.denominator)) - 1
-        return self._value(i, x)
+        d = x.denominator
+        return Fraction(self._numerator(x.numerator, d, left=True), self._unit * d)
 
     def _cut_or_flat(self, x: Fraction) -> bool:
         """Whether x is a cut of F or F is flat on the row holding x."""
@@ -537,36 +545,41 @@ def mass_near_points(
 
     With wrap the neighbourhood lives on the circle; without it the
     interval is clipped to [0, 1], keeping boundary atoms that fall
-    strictly inside the open neighbourhood.
+    strictly inside the open neighbourhood.  A point farther than delta
+    outside [0, 1] has no clipped interval; ValueError.
+
+    The ends t -/+ delta are integer numerators over L = lcm(den t, den
+    delta), F is read on them from the rows of ``mu.cdf()`` in units of
+    1/(M L), and each point's mass is built as one Fraction.
     """
     delta = frac(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
     cdf = mu.cdf()
+    total, unit, numerator = cdf._at[-1], cdf._unit, cdf._numerator
     out = []
     for p in points:
         t = frac(p)
-        if not wrap:
-            lo, hi = t - delta, t + delta
-            out.append(
-                cdf.mass_between(
-                    max(lo, ZERO),
-                    min(hi, ONE),
-                    include_lo=lo < 0,
-                    include_hi=hi > 1,
-                )
-            )
-            continue
-        lo = (t - delta) % 1
-        hi = (t + delta) % 1
-        if delta > Fraction(1, 2):
-            out.append(mu.total_mass)
-        elif lo < hi:
-            out.append(cdf.mass_between(lo, hi, include_lo=False, include_hi=False))
+        den = lcm(t.denominator, delta.denominator)
+        mid = t.numerator * (den // t.denominator)
+        reach = delta.numerator * (den // delta.denominator)
+        lo, hi = mid - reach, mid + reach
+        if wrap:
+            if 2 * reach > den:
+                out.append(mu.total_mass)
+                continue
+            lo, hi = lo % den, hi % den
+            # F(hi-) - F(lo), plus F(1) when (lo, hi) passes 0 (lo >= hi):
+            # the mass of (lo, 1] and [0, hi)
+            mass = numerator(hi, den, left=True) - numerator(lo, den) + (lo >= hi) * total * den
         else:
-            total = cdf.mass_between(lo, ONE, include_lo=False, include_hi=True)
-            total += cdf.mass_between(ZERO, hi, include_lo=True, include_hi=False)
-            out.append(total)
+            if lo > den or hi < 0:
+                raise ValueError(f"point {t} lies farther than delta outside [0, 1]")
+            # F(hi-) - F(lo), with F(1) for F(hi-) where hi passes 1 and 0
+            # for F(lo) where lo passes 0
+            upper = total * den if hi > den else numerator(hi, den, left=True)
+            mass = upper - (numerator(lo, den) if lo >= 0 else 0)
+        out.append(Fraction(mass, unit * den))
     return out
 
 

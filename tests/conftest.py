@@ -80,6 +80,23 @@ def approximant_level_maps():
     return maps
 
 
+@pytest.fixture(scope="session")
+def approx_targets():
+    """Twelve 2-3 piece targets with 30-digit parameters, as the approx bench
+    draws them; every third has shift c_0 = t_1 - t_0, so the right orbit of
+    t_0 lands on t_1 at once and its relation is harvested and kept."""
+    rng = random.Random(21)
+    targets = []
+    for i in range(12):
+        n = 2 + i % 2
+        breakpoints = sorted({sqrt_digits(rng) for _ in range(n)})
+        shifts = [sqrt_digits(rng) for _ in range(n)]
+        if i % 3 == 2:
+            shifts[0] = breakpoints[1] - breakpoints[0]
+        targets.append(Itm(tuple(breakpoints), tuple(shifts)))
+    return targets
+
+
 def arcs_on(q: int):
     """A strategy for up to five arcs with ends on the grid of 1/q."""
     return st.lists(

@@ -1,5 +1,8 @@
 """Relation harvesting, approximant schedules, and convergence checks."""
 
+import hashlib
+import math
+import random
 import sys
 from fractions import Fraction
 
@@ -21,9 +24,24 @@ from itmlib.approx import (
     orbit_collision_preservation,
     verify_limit_measure,
 )
-from itmlib.catalog import golden_mean, half_collapse, halving_map, root2_minus_one, rotation
+from itmlib.approx import _best_approximations
+from itmlib.catalog import (
+    double_rotation,
+    fibonacci_up_to,
+    golden_mean,
+    half_collapse,
+    halving_map,
+    root2_minus_one,
+    rotation,
+)
+from itmlib.families import (
+    PolynomialFamily,
+    TrigBasis,
+    TrigFamily,
+    invariance_residual_functional,
+)
 from itmlib.itm import Itm, Side, itm
-from itmlib.measure import Measure
+from itmlib.measure import Measure, pushforward
 
 F = Fraction
 
@@ -357,3 +375,198 @@ class TestMassProfile:
         deltas = (F(1, 4), F(1, 8), F(1, 16))
         profile = mass_profile(measures, deltas)
         assert [m for _, m in profile] == [F(1, 2), F(1, 4), F(1, 8)]
+
+
+BENCH_BOUNDS = (21, 34, 55, 89, 144, 233, 377)
+
+
+class TestBestApproximations:
+    """One continued fraction expansion per coordinate gives
+    Fraction.limit_denominator under every bound."""
+
+    @staticmethod
+    def assert_limit_denominator(x, bounds):
+        assert _best_approximations(x, bounds) == [x.limit_denominator(b) for b in bounds]
+
+    def test_random_rationals(self):
+        rng = random.Random(7)
+        for _ in range(3000):
+            den = rng.choice([rng.randrange(1, 64), rng.randrange(1, 10**6), 10**30])
+            x = F(rng.randrange(-3 * den, 3 * den), den)
+            bounds = sorted(rng.sample(range(1, 3000), rng.randrange(1, 9)))
+            self.assert_limit_denominator(x, bounds)
+
+    def test_exact_ties_go_to_the_convergent(self):
+        # a tie: the best approximation r and its mirror 2x - r both fit the bound
+        ties = 0
+        for q in range(2, 30):
+            for p in range(-q, 2 * q):
+                x = F(p, q)
+                for b in range(1, x.denominator):
+                    r = x.limit_denominator(b)
+                    ties += (2 * x - r).denominator <= b
+                    self.assert_limit_denominator(x, [b])
+                self.assert_limit_denominator(x, range(1, q + 2))
+        assert ties > 100
+
+    def test_denominators_already_within_the_bound(self):
+        x = F(3, 7)
+        assert _best_approximations(x, [2, 6, 7, 8, 10**6]) == [F(1, 2), F(2, 5), x, x, x]
+        self.assert_limit_denominator(F(-5), [1, 2])
+        self.assert_limit_denominator(F(0), [1])
+
+    def test_negative_values(self):
+        for x in (-golden_mean(), -root2_minus_one(), F(-1, 2), F(-355, 113), F(-7, 2)):
+            self.assert_limit_denominator(x, [1, 2, 3, 5, 8, 13, 100, 10**4])
+
+    def test_bench_targets(self, approx_targets):
+        for target in approx_targets:
+            for x in [p.value for p in target.breakpoints] + list(target.shifts):
+                self.assert_limit_denominator(x, BENCH_BOUNDS)
+                self.assert_limit_denominator(x, fibonacci_up_to(10**6))
+
+
+@pytest.fixture(scope="module")
+def approx_paths(approx_targets):
+    """Each target through the approx bench's path: relations at depth 16,
+    levels on the bounds 21..377 with budgets 48/24, the Cauchy check at
+    1/100 and the limit check with TrigFamily(8)."""
+    out = []
+    for target in approx_targets:
+        relations = detect_relations(target, 16)
+        try:
+            schedule = generate_approximants(target, relations, BENCH_BOUNDS)
+        except OrderViolation as exc:
+            out.append((target, relations, exc, (), None, None))
+            continue
+        levels = measure_sequence(schedule, max_iter=48, max_arcs=24)
+        mus = [lm.measure for lm in levels if lm.measure is not None]
+        convergence = detect_convergence(mus, F(1, 100)) if len(mus) >= 2 else None
+        limit = verify_limit_measure(target, mus[-1], family=TrigFamily(8)) if mus else None
+        out.append((target, relations, schedule, levels, convergence, limit))
+    return out
+
+
+class TestApproximantPathDigest:
+    def test_outputs_match_the_pinned_digest(self, approx_paths):
+        # relations, each level's map and measure or error, the successive
+        # distances, and the limit masses and residual, as the per-step
+        # Fraction harvest, limit_denominator, the Fraction mass reading and
+        # the per-member trig integral gave them
+        digest = hashlib.sha256()
+        harvested = violations = 0
+        for target, relations, schedule, levels, convergence, limit in approx_paths:
+            parts = [repr([(r.i, r.j, r.l, r.w, r.side.value, r.itinerary) for r in relations])]
+            harvested += len(relations)
+            if isinstance(schedule, OrderViolation):
+                parts.append(f"order violation: {schedule}")
+                violations += 1
+            else:
+                for lm in levels:
+                    body = (
+                        repr(lm.measure) if lm.measure is not None
+                        else f"{type(lm.error).__name__}: {lm.error}"
+                    )
+                    parts.append(f"{lm.bound} {lm.map!r} {body}")
+                if convergence is not None:
+                    parts.append(repr(convergence.distances))
+                if limit is not None:
+                    parts.append(repr((limit.masses, limit.residual)))
+            digest.update(repr(parts).encode())
+        assert harvested >= 4 and violations < len(approx_paths) // 2
+        assert digest.hexdigest() == (
+            "bd90a1e23be0f7d68ecefc711617c6e3da9319f8558d609da5527a7e8934af1b"
+        )
+
+
+def per_member_integral(phi, mu: Measure):
+    """Integral of phi against mu, member by member: each run's weight times
+    phi's closed form at the run's Fraction ends, each atom's mass times phi
+    at it, each term converted to float where it meets one."""
+    total = F(0)
+    if isinstance(phi, TrigBasis):
+        w = 2 * math.pi * phi.k
+
+        def over(lo, hi):
+            u0, u1 = w * float(lo), w * float(hi)
+            if phi.kind == "cos":
+                return (math.sin(u1) - math.sin(u0)) / w
+            return (math.cos(u0) - math.cos(u1)) / w
+
+        def at(x):
+            t = 2 * math.pi * phi.k * float(x)
+            return math.cos(t) if phi.kind == "cos" else math.sin(t)
+    else:
+        over, at = phi.integral_over, phi.value
+    for lo, hi, weight in mu.density:
+        total = total + weight * over(lo, hi)
+    for p, mass in mu.atoms:
+        total = total + mass * at(p)
+    return total
+
+
+def per_member_residual(t, mu: Measure, family):
+    pushed = pushforward(t, mu)
+    best = F(0)
+    for phi in family:
+        defect = abs(per_member_integral(phi, mu) - per_member_integral(phi, pushed))
+        if defect > best:
+            best = defect
+    return best
+
+
+class TestResidualAgainstPerMemberIntegral:
+    """The residual reads each measure as floats once and keeps every bit of
+    the per-member integral."""
+
+    @staticmethod
+    def assert_same(t, mu, family):
+        got = invariance_residual_functional(t, mu, family)
+        assert repr(got) == repr(per_member_residual(t, mu, family))
+        return got
+
+    def test_approx_pool(self, approx_paths):
+        checked = 0
+        for target, _, _, levels, _, _ in approx_paths:
+            for lm in levels:
+                if lm.measure is None:
+                    continue
+                for degree in (1, 8):
+                    self.assert_same(target, lm.measure, TrigFamily(degree))
+                    self.assert_same(lm.map, lm.measure, TrigFamily(degree))
+                exact = self.assert_same(target, lm.measure, PolynomialFamily(3))
+                assert isinstance(exact, Fraction)
+                checked += 1
+        assert checked > 30
+
+    def test_criterion_6_schedule(self):
+        g = golden_mean()
+        target = double_rotation(F(1, 2), g / 2, (g + 1) / 2)
+        levels = measure_sequence(
+            generate_approximants(target, denominators=fibonacci_up_to(10**4)),
+            max_iter=2 * 10**4,
+        )
+        for lm in levels:
+            residual = self.assert_same(target, lm.measure, TrigFamily(8))
+            assert self.assert_same(lm.map, lm.measure, TrigFamily(8)) == 0.0
+            assert isinstance(self.assert_same(target, lm.measure, PolynomialFamily(2)), Fraction)
+        assert 0 < residual <= 1e-3
+
+    def test_measures_with_atoms_and_the_zero_measure(self):
+        mus = [
+            Measure(((F(0), F(1, 3), F(3, 2)),), ((F(1, 2), F(1, 4)), (F(1), F(1, 4)))),
+            Measure.point_mass(F(2, 7)),
+            Measure(),
+        ]
+        for mu in mus:
+            for s in (half_collapse(), rotation("2/5")):
+                self.assert_same(s, mu, TrigFamily(5))
+                assert isinstance(self.assert_same(s, mu, PolynomialFamily(2)), Fraction)
+
+    def test_the_float_range_bound_is_exact(self):
+        biggest = F(int(sys.float_info.max))
+        self.assert_same(rotation("1/4"), Measure(((F(0), F(1, 4), biggest),)), TrigFamily(2))
+        with pytest.raises(ValueError, match="float range"):
+            invariance_residual_functional(
+                rotation("1/4"), Measure(((F(0), F(1, 4), biggest + F(1, 3)),)), TrigFamily(2)
+            )

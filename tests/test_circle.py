@@ -43,6 +43,18 @@ class TestCirclePoint:
         assert CirclePoint(F(-1, 4)).value == F(3, 4)
         assert CirclePoint(F(1)).value == 0
 
+    @given(st.fractions(min_value=-5, max_value=5, max_denominator=2**20))
+    def test_reduces_as_fraction_mod_one(self, x):
+        # negative values and values >= 1 reduce; values in [0, 1) are kept
+        assert CirclePoint(x).value == mod1(x) == x % 1
+        if 0 <= x < 1:
+            assert mod1(x) is x
+
+    @pytest.mark.parametrize("x", [F(-1), F(-7, 4), F(1), F(9, 4), F(-1, 2**70), F(2**70 + 1, 2**70)])
+    def test_boundary_values_reduce(self, x):
+        assert CirclePoint(x).value == x % 1
+        assert 0 <= CirclePoint(x).value < 1
+
     def test_shift_arithmetic(self):
         p = CirclePoint(F(3, 4))
         assert (p + F(1, 2)).value == F(1, 4)

@@ -70,6 +70,12 @@ class TestConstruction:
     def test_shift_reduced_mod_one(self):
         assert itm(["0"], ["7/3"]).shifts == (F(1, 3),)
 
+    def test_negative_and_large_values_reduced(self):
+        s = Itm((F(-1), F(-3, 4), F(3, 2)), (F(-1, 3), F(4), F(7, 5)))
+        assert [p.value for p in s.breakpoints] == [0, F(1, 4), F(1, 2)]
+        assert s.shifts == (F(2, 3), F(0), F(2, 5))
+        assert s == Itm((F(0), F(1, 4), F(1, 2)), (F(2, 3), F(0), F(2, 5)))
+
     def test_pieces_partition(self):
         s = two_shift_example()
         assert s.piece(0) == arc(0, "1/2")

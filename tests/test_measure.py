@@ -1123,6 +1123,144 @@ class TestMassNearBreakpoints:
         assert all(a <= b for a, b in zip(small, large))
 
 
+def fraction_mass_near_points(mu, points, delta, wrap=True):
+    """mu((t - delta, t + delta)) per point with both ends as Fractions, each
+    mass read by Cdf.mass_between."""
+    delta = frac(delta)
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    cdf = mu.cdf()
+    out = []
+    for p in points:
+        t = frac(p)
+        if not wrap:
+            lo, hi = t - delta, t + delta
+            out.append(
+                cdf.mass_between(
+                    max(lo, F(0)), min(hi, F(1)), include_lo=lo < 0, include_hi=hi > 1
+                )
+            )
+            continue
+        lo, hi = (t - delta) % 1, (t + delta) % 1
+        if delta > F(1, 2):
+            out.append(mu.total_mass)
+        elif lo < hi:
+            out.append(cdf.mass_between(lo, hi, include_lo=False, include_hi=False))
+        else:
+            total = cdf.mass_between(lo, F(1), include_lo=False, include_hi=True)
+            total += cdf.mass_between(F(0), hi, include_lo=True, include_hi=False)
+            out.append(total)
+    return out
+
+
+def assert_masses_match(mu, points, delta):
+    for wrap in (True, False):
+        try:
+            want = fraction_mass_near_points(mu, points, delta, wrap=wrap)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                mass_near_points(mu, points, delta, wrap=wrap)
+            continue
+        got = mass_near_points(mu, points, delta, wrap=wrap)
+        assert got == want
+        assert all(type(m) is Fraction for m in got)
+
+
+class TestMassNearPointsAgainstFractionEnds:
+    """The masses read on integer ends equal the Fraction ends' on the
+    circle and on the clipped interval, and fail alike."""
+
+    ATOMIC = Measure(
+        ((F(1, 8), F(5, 8), F(3, 2)),),
+        ((F(0), F(1, 16)), (F(1, 4), F(1, 16)), (F(3, 8), F(1, 32)), (F(1), F(1, 32))),
+    )
+
+    @pytest.mark.parametrize(
+        "delta", [F(1, 8), F(1, 4), F(3, 8), F(1, 2), F(5, 8), F(3, 4), F(1), F(5, 2), F(1, 10**30)]
+    )
+    def test_atoms_at_the_ends(self, delta):
+        # atoms at 0, 1/4, 3/8 and 1 sit at t +/- delta for many of the points
+        points = [F(0), F(1, 8), F(1, 4), F(3, 8), F(1, 2), F(5, 8), F(7, 8), F(1)]
+        assert_masses_match(self.ATOMIC, points, delta)
+
+    @pytest.mark.parametrize("q", [2, 7, 64, 2**61 - 1])
+    def test_points_at_0_and_next_to_1(self, q):
+        for mu in (self.ATOMIC, Measure.lebesgue(), half_density(), Measure.point_mass(F(q - 1, q))):
+            for delta in (F(1, 2 * q), F(1, q), F(1, 3), F(1, 2)):
+                assert_masses_match(mu, [F(0), F(q - 1, q), F(1, q), F(1)], delta)
+
+    def test_points_outside_the_unit_interval(self):
+        # clipped, a point farther than delta outside [0, 1] has no interval
+        for points in ([F(-1, 2)], [F(3, 2)], [F(-1, 8)], [F(9, 8)], [F(-3)], [F(7, 5)]):
+            for delta in (F(1, 8), F(1, 4), F(1, 3), F(2)):
+                assert_masses_match(self.ATOMIC, points, delta)
+        with pytest.raises(ValueError):
+            mass_near_points(self.ATOMIC, [F(3, 2)], F(1, 4), wrap=False)
+
+    def test_delta_must_be_positive(self):
+        for delta in (F(0), F(-1, 4)):
+            with pytest.raises(ValueError, match="positive"):
+                mass_near_points(Measure.lebesgue(), [F(1, 2)], delta)
+
+    def test_approximant_levels(self, approximant_level_maps):
+        checked = 0
+        for s in approximant_level_maps[::3]:
+            try:
+                mu = attractor_measure(s, s.attractor(max_iter=48, max_arcs=24))
+            except (NotFiniteType, BudgetExceeded):
+                continue
+            for k in (2, 5, 12):
+                assert_masses_match(mu, s.breakpoints, F(1, 2**k))
+            checked += 1
+        assert checked >= 10
+
+    @given(
+        measures(),
+        st.lists(st.fractions(min_value=-2, max_value=3, max_denominator=24), max_size=4),
+        st.fractions(min_value=0, max_value=2, max_denominator=24),
+    )
+    def test_hypothesis(self, mu, points, delta):
+        assert_masses_match(mu, points, delta)
+
+
+def fraction_total_mass(mu: Measure) -> Fraction:
+    density = sum((w * (hi - lo) for lo, hi, w in mu.density), F(0))
+    return density + sum((m for _, m in mu.atoms), F(0))
+
+
+class TestTotalMass:
+    """The total read from the cumulative table equals the Fraction sum,
+    whether it is read before or after the table is built."""
+
+    @staticmethod
+    def assert_total(mu: Measure) -> None:
+        want = fraction_total_mass(mu)
+        before = Measure(mu.density, mu.atoms)
+        assert before.total_mass == want
+        before.cdf()
+        assert before.total_mass == want
+        after = Measure(mu.density, mu.atoms)
+        after.cdf()
+        assert after.total_mass == want
+        assert type(after.total_mass) is Fraction
+
+    def test_acceptance_sweep_measures(self, acceptance_sweep_maps):
+        for s in acceptance_sweep_maps:
+            mu = attractor_measure(s)
+            assert mu.total_mass == 1 == fraction_total_mass(mu)
+            self.assert_total(mu)
+            self.assert_total(mu.scale(F(3, 7)))
+
+    def test_measures_with_atoms(self):
+        self.assert_total(TestMassNearPointsAgainstFractionEnds.ATOMIC)
+        self.assert_total(Measure.point_mass(F(1), F(5, 3)))
+        self.assert_total(Measure())
+
+    @given(measures())
+    def test_hypothesis(self, mu):
+        self.assert_total(mu)
+
+
 class TestRecurrence:
     def test_rotation_third(self):
         res = find_recurrent_points(

@@ -136,6 +136,14 @@ class TestOrbitsAgainstFractionWalk:
         for s in levels:
             assert_matches_fraction_walk(s, 32, 16)
 
+    def test_approx_targets(self, approx_targets):
+        # 30-digit parameters: common denominators of about 200 bits
+        harvested = 0
+        for s in approx_targets:
+            assert_matches_fraction_walk(s, 20, 16)
+            harvested += len(detect_relations(s, 16))
+        assert harvested >= 4
+
     @given(itms(), st.integers(0, 30))
     def test_hypothesis_maps(self, s, steps):
         assert_matches_fraction_walk(s, steps, max(steps, 1))
@@ -179,6 +187,18 @@ class TestOrbitsOnCells:
     def test_breakpoint_index_outside_the_pieces(self, j):
         with pytest.raises(ValueError, match="outside range"):
             half_collapse().evaluate_one_sided(j, Side.RIGHT, 3)
+
+    def test_harvest_builds_no_circle_point(self, acceptance_sweep_maps, approx_targets, monkeypatch):
+        # the harvest reads the integer walk alone: no EndpointOrbit, no point
+        maps = acceptance_sweep_maps[:40] + approx_targets
+        want = [fraction_detect_relations(s, 16) for s in maps]
+
+        def refuse(*_):
+            raise AssertionError("the harvest built a CirclePoint or an EndpointOrbit")
+
+        monkeypatch.setattr(CirclePoint, "__post_init__", refuse)
+        monkeypatch.setattr(Itm, "evaluate_one_sided", refuse)
+        assert [detect_relations(s, 16) for s in maps] == want
 
     def test_relations_and_replays_add_no_circle_point(self, acceptance_sweep_maps, monkeypatch):
         def refuse(*_):
