@@ -11,12 +11,14 @@ Maps move runs through integer chart tables: _rigid_table builds one from
 the breakpoints and shifts of a map that translates pieces mod 1, and
 _chart_table one from rational charts of any slope, such as _affine_charts
 builds for affine pieces read mod 1.  _walk carries sorted, disjoint runs of
-cells through a table chart by chart, for sets and measure densities alike,
-and every table moves through it; with Arc.segments, these are the only
-code that knows how a set meets the cut at 0.  Code that keeps a set as
-plain runs, as the attractor loop does, merges a walk's output with
-merge_segments, tests nesting with _runs_within and wraps the result with
-_set_of_runs.
+cells through a table chart by chart, for sets and measure densities alike:
+images, preimages, translates and pushforwards move through it, on tables
+whose charts may overlap, leave gaps, carry weights or have any slope.  The
+attractor loop steps its run lists itself, since a map's rigid table tiles
+[0, q) in order with slope 1; it merges its output with merge_segments,
+tests nesting with _runs_within and wraps the result with _set_of_runs.
+With Arc.segments, these are the only code that knows how a set meets the
+cut at 0.
 """
 
 from __future__ import annotations
@@ -332,7 +334,7 @@ class ArcSet:
 
     @classmethod
     def full(cls) -> "ArcSet":
-        return cls([Arc(CirclePoint(ZERO), ONE)])
+        return cls._from_runs(1, [(0, 1)])
 
     @classmethod
     def empty(cls) -> "ArcSet":

@@ -7,8 +7,10 @@ exact: images and preimages of arc unions, the attractor as a nested
 intersection of forward images, backward orbits of the discontinuity
 set, and whole-arc tracking of the continuity intervals in between.
 Images and preimages walk an ArcSet's runs of cells through the map's
-integer chart table (ArcSet._moved), and the attractor loop walks its
-iterates' run lists through the same table, so it stays on integers.
+integer chart table (ArcSet._moved).  The forward table's slope-1 charts
+tile [0, q) in order, so the attractor loop steps its iterates' run lists
+itself: each run finds its first chart by one bisection and moves its part
+in each chart it crosses by that chart's shift, on integers.
 The backward orbit steps cells through the inverse charts, and each gap
 between its points is a run of cells advanced whole through the pieces, so
 the homtervals stay on integers too.  The one-sided orbits of the
@@ -28,7 +30,7 @@ from math import lcm
 from typing import Optional, Sequence, Union
 
 from itmlib.circle import ONE, ZERO, Arc, ArcSet, CirclePoint, frac, mod1
-from itmlib.circle import _joins_at_zero, _rigid_table, _runs_within, _set_of_runs, _units, _walk
+from itmlib.circle import _joins_at_zero, _rigid_table, _runs_within, _set_of_runs, _units
 from itmlib.circle import merge_segments
 
 DEFAULT_MAX_ITER = 4096
@@ -281,19 +283,33 @@ class Itm:
 
         S maps the cells [i/q, (i+1)/q) of its grid onto cells, so every A_k
         is a union of cells.  The loop keeps A_k as its merged runs of cells
-        on the grid of the map's chart table: each step is one walk through
-        the table and one merge, the nesting check and the stabilization
-        test compare run lists, and each iterate is wrapped as an ArcSet once.
+        on the grid of the map's chart table, whose slope-1 charts tile
+        [0, q) in order.  Each step finds a run's first chart by bisecting
+        the chart starts, moves the run's part in each chart it crosses by
+        that chart's shift, and merges the parts; the nesting check and the
+        stabilization test compare run lists, and each iterate is wrapped as
+        an ArcSet once.
         """
         if max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        table = self._table
-        q = table[0]
+        q, _, charts = self._table
+        starts = [lo for lo, _, _, _ in charts]
         current = ArcSet.full()
         iterates = [current]
         runs = [(0, q)]
         for k in range(max_iter):
-            nxt = merge_segments(_walk(q, runs, table)[1])
+            moved = []
+            for a, b in runs:
+                # the chart holding a; each next chart starts where one ends
+                i = bisect.bisect_right(starts, a) - 1
+                _, hi, _, c = charts[i]
+                while hi < b:
+                    moved.append((a + c, hi + c))
+                    a = hi
+                    i += 1
+                    _, hi, _, c = charts[i]
+                moved.append((a + c, b + c))
+            nxt = merge_segments(moved)
             arcs = len(nxt) - _joins_at_zero(nxt, q)
             if arcs > max_arcs:
                 raise BudgetExceeded(

@@ -20,8 +20,8 @@ units of 1/M and the slope per cell of 1/Q.  ``Cdf`` bisects and solves on
 the rows, building one Fraction per answer, ``mass_between`` is two
 lookups in it, ``mass_near_points`` reads it at integer ends and
 ``total_mass`` at its last row, the conjugacy walk and the recurrence
-samples read its rows, and ``cdf_distance`` scans the table of the signed
-difference that ``tv_distance`` also sums.
+samples read its rows, and ``cdf_distance`` walks the merged cuts of two
+measures' tables.
 """
 
 from __future__ import annotations
@@ -355,6 +355,22 @@ class Cdf:
             return 0
         return self._at[i] * d + self._slopes[i] * (m - self._ticks[i] * d)
 
+    def _on_cuts(self, cuts: list[int], k: int) -> list[tuple[int, int]]:
+        """F(x-) and F(x) at sorted cuts x on the grid of 1/(kQ), in units of
+        1/(kM).  The cuts hold the table's own cuts scaled by k, so they run
+        from 0 to kQ."""
+        ticks, at, slopes = self._ticks, self._at, self._slopes
+        out, i = [], -1
+        for x in cuts:
+            if ticks[i + 1] * k == x:
+                i += 1
+                out.append((self._left[i] * k, at[i] * k))
+            else:
+                # F is linear from the cut before x, at row i
+                value = at[i] * k + slopes[i] * (x - ticks[i] * k)
+                out.append((value, value))
+        return out
+
     def _x_at_level(self, i: int, y: Fraction) -> Fraction:
         """The x at which F reaches y on row i, whose slope is positive."""
         n, d = y.numerator, y.denominator
@@ -525,14 +541,24 @@ def attractor_measure(s: Itm, attr: Optional[AttractorResult] = None) -> Measure
 def cdf_distance(mu: Measure, nu: Measure) -> Fraction:
     """sup over x of |F_mu(x) - F_nu(x)|, exact.
 
-    Both measures must be probability measures.  F_mu - F_nu is the
-    distribution function of mu - nu, linear between its cuts, so the sup
-    is its largest value at a cut or just below one.
+    Both measures must be probability measures.  F_mu - F_nu is linear
+    between the cuts of the two measures' cumulative tables, so the sup is
+    its largest value at a cut or just below one.  Both tables are read at
+    the merged cuts on the grid lcm(Q, Q'), with F in units of 1/U for U
+    the lcm of both tables' units on that grid.
     """
+    f, g = mu.cdf(), nu.cdf()
     if mu.total_mass != 1 or nu.total_mass != 1:
         raise ValueError("cdf distance requires probability measures")
-    _, unit, rows = _cumulative(*_difference(mu, nu))
-    return Fraction(max(max(abs(left), abs(at)) for _, left, at, _ in rows), unit)
+    grid = lcm(f._grid, g._grid)
+    kf, kg = grid // f._grid, grid // g._grid
+    unit = lcm(f._unit * kf, g._unit * kg)
+    uf, ug = unit // (f._unit * kf), unit // (g._unit * kg)
+    cuts = sorted({*[x * kf for x in f._ticks], *[x * kg for x in g._ticks]})
+    return Fraction(max(
+        max(abs(uf * f_left - ug * g_left), abs(uf * f_at - ug * g_at))
+        for (f_left, f_at), (g_left, g_at) in zip(f._on_cuts(cuts, kf), g._on_cuts(cuts, kg))
+    ), unit)
 
 
 def mass_near_points(

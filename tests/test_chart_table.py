@@ -166,7 +166,19 @@ def special_maps() -> list:
     ]
 
 
+def assert_forward_table_tiles(s: Itm) -> None:
+    """The charts of s's table have slope 1, tile [0, q) in order with no gap
+    or overlap, and map into [0, q]: the attractor step reads them so."""
+    q, r, charts = s._table
+    assert r == 1 and charts
+    starts = [lo for lo, _, _, _ in charts]
+    ends = [hi for _, hi, _, _ in charts]
+    assert starts == [0, *ends[:-1]] and ends[-1] == q
+    assert all(a == 1 and lo < hi and lo + b >= 0 and hi + b <= q for lo, hi, a, b in charts)
+
+
 def assert_table_matches(s: Itm) -> None:
+    assert_forward_table_tiles(s)
     charts = reference_charts(s)
     q, r, table = s._table
     assert (q, r) == (s.common_denominator(), 1)

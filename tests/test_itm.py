@@ -1,6 +1,7 @@
 """Interval translation maps: evaluation, images, attractors, homtervals."""
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -422,6 +423,29 @@ class TestAttractorAgainstReference:
             kind = "raised" if isinstance(res, tuple) else res.finite_type.value
             counts[kind] += 1
         assert all(counts.values()), counts
+
+
+class TestAttractorTakesNoWalk:
+    """The attractor steps its run lists through the tiling chart table
+    itself; the walk that images take is never reached."""
+
+    def test_with_the_walk_patched_to_raise(
+        self, acceptance_sweep_maps, approximant_level_maps, monkeypatch
+    ):
+        cases = [(s, DEFAULT_MAX_ITER, DEFAULT_MAX_ARCS) for s in acceptance_sweep_maps[:40]]
+        cases += [(s, 48, 24) for s in approximant_level_maps]
+        cases += [(s, DEFAULT_MAX_ITER, DEFAULT_MAX_ARCS) for s in (rotation(0), half_collapse())]
+        expected = [outcome(lambda: reference_attractor(s, i, a)) for s, i, a in cases]
+
+        def refuse(*_):
+            raise AssertionError("the attractor walked circle._walk")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("itmlib") and hasattr(module, "_walk"):
+                monkeypatch.setattr(module, "_walk", refuse)
+        for (s, max_iter, max_arcs), ref in zip(cases, expected):
+            s = Itm(s.breakpoints, s.shifts)  # a fresh map, with no table yet
+            assert outcome(lambda: s.attractor(max_iter, max_arcs)) == ref
 
 
 class TestAttractorMetamorphic:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itmlib.catalog import half_collapse, random_itm, rotation, two_shift_example
+from itmlib.catalog import half_collapse, halving_map, random_itm, rotation, two_shift_example
 from itmlib.circle import Arc, ArcSet, CirclePoint, _chart_table, _walk, arc, arcset, frac
 from itmlib.conjugacy import induce_iem
 from itmlib.families import (
@@ -23,7 +23,7 @@ from itmlib.families import (
 )
 import itmlib.measure as measure_module
 from itmlib.itm import AttractorResult, BudgetExceeded, FiniteType, Itm
-from itmlib.piecewise import AffinePiece, Domain, PiecewiseMap
+from itmlib.piecewise import AffinePiece, Domain, PiecewiseMap, empirical_measure
 from itmlib.measure import (
     AtomicMeasure,
     Recurrence,
@@ -747,6 +747,74 @@ def test_no_position_is_hashed(monkeypatch):
     assert Cdf(mu).at(F(1)) == 1
     assert tv_distance(mu, lebesgue) == 2
     assert cdf_distance(mu, lebesgue) == expected
+
+
+def parent_cdf_distance(mu: Measure, nu: Measure) -> Fraction:
+    """cdf_distance as it scanned a third table, the cumulative table of the
+    signed difference mu - nu; kept as the reference."""
+    if mu.total_mass != 1 or nu.total_mass != 1:
+        raise ValueError("cdf distance requires probability measures")
+    _, unit, rows = measure_module._cumulative(*measure_module._difference(mu, nu))
+    return F(max(max(abs(left), abs(at)) for _, left, at, _ in rows), unit)
+
+
+@st.composite
+def end_atom_measures(draw):
+    """Probability measures from measures(), often with atoms at 0 and at 1."""
+    mu = draw(measures())
+    mass = st.fractions(min_value=0, max_value=2, max_denominator=8)
+    ends = [(F(p), draw(mass)) for p in (0, 1) if draw(st.booleans())]
+    return probability(Measure(mu.density, mu.atoms + tuple(ends)))
+
+
+class TestCdfDistanceAgainstParent:
+    """cdf_distance merges the cuts of both measures' own tables; the
+    parent built the table of mu - nu and scanned it."""
+
+    @given(end_atom_measures(), end_atom_measures())
+    def test_hypothesis_measures_with_atoms_at_the_ends(self, mu, nu):
+        assert cdf_distance(mu, nu) == parent_cdf_distance(mu, nu)
+        assert cdf_distance(nu, mu) == parent_cdf_distance(nu, mu)
+
+    def test_equal_measures_and_grids_that_divide(self):
+        rng = random.Random(47)
+        for _ in range(200):
+            q = rng.randint(1, 60)
+            mu = probability(random_measure(rng, q))
+            nu = probability(random_measure(rng, q * rng.choice([1, 2, 3, 7])))
+            assert cdf_distance(mu, nu) == parent_cdf_distance(mu, nu)
+            assert cdf_distance(nu, mu) == parent_cdf_distance(nu, mu)
+            same = Measure(mu.density, mu.atoms)
+            assert cdf_distance(mu, same) == parent_cdf_distance(mu, same) == 0
+        for mu, nu in [
+            (Measure.point_mass(0), Measure.point_mass(1)),
+            (Measure.point_mass(1), Measure.lebesgue()),
+            (Measure.point_mass(0), Measure.lebesgue()),
+        ]:
+            assert cdf_distance(mu, nu) == parent_cdf_distance(mu, nu) == 1
+
+    def test_successive_approximant_levels(self, approximant_level_maps):
+        mus = []
+        for s in approximant_level_maps:
+            try:
+                res = s.attractor(48, 24)
+            except BudgetExceeded:
+                continue
+            if res.finite_type is FiniteType.YES:
+                mus.append(attractor_measure(s, res))
+        assert len(mus) > 20
+        for mu, nu in zip(mus, mus[1:]):
+            assert cdf_distance(mu, nu) == parent_cdf_distance(mu, nu)
+
+    def test_orbit_empirical_measures_against_lebesgue(self, criterion_8_orbits):
+        lebesgue = Measure.lebesgue()
+        for t, x0 in criterion_8_orbits[:25]:
+            emp = empirical_measure(t, x0, 500).measure
+            assert cdf_distance(emp, lebesgue) == parent_cdf_distance(emp, lebesgue)
+        for m in (1, 4, 60):
+            emp = empirical_measure(halving_map(), F(1), m).measure
+            for nu in (lebesgue, Measure.point_mass(0)):
+                assert cdf_distance(emp, nu) == parent_cdf_distance(emp, nu)
 
 
 # -- the Fraction measure layer the grid layer replaced, kept as a reference --

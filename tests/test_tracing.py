@@ -52,10 +52,12 @@ def test_tracer_installs_and_uninstalls_on_the_loaded_library():
         assert mods.itm.Itm.__dict__["attractor"] is not original
         tracer.begin_item(0)
         res = half_collapse().attractor()
+        # the sweep item's nesting check, a traced ArcSet method
+        nested = res.iterates[1].is_subset_of(res.iterates[0])
         tracer.end_item()
     finally:
         tracer.uninstall()
-    assert res.stabilized_at == 1
+    assert res.stabilized_at == 1 and nested
     assert tracer.calls_of("itm.attractor") == 1
     assert tracer.calls_of("circle.arcset") > 0
     after = library_state()
