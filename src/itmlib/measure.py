@@ -20,8 +20,8 @@ units of 1/M and the slope per cell of 1/Q.  ``Cdf`` bisects and solves on
 the rows, building one Fraction per answer, ``mass_between`` is two
 lookups in it, ``mass_near_points`` reads it at integer ends and
 ``total_mass`` at its last row, the conjugacy walk and the recurrence
-samples read its rows, and ``cdf_distance`` walks the merged cuts of two
-measures' tables.
+samples read its rows, and ``cdf_distance`` and ``tv_distance`` read
+F_mu - F_nu at the merged cuts of two measures' tables.
 """
 
 from __future__ import annotations
@@ -118,11 +118,11 @@ def _cumulative(
 ) -> tuple[int, int, list[list[int]]]:
     """The grids Q and M and the rows [x, F(x-), F(x), slope of F on [x, next cut)].
 
-    F(x) is the mass of [0, x], for density runs on the grid of 1/q and
-    atoms of either sign.  The cut x counts units of 1/Q, Q the lcm of q and
-    the atoms' denominators; F counts units of 1/M, M the lcm of Q times the
-    weights' denominators and the masses' denominators, and the slope units
-    of 1/M per cell of 1/Q.  The cuts are 0, Q, the run ends and the atom
+    F(x) is the mass of [0, x], for density runs on the grid of 1/q and atoms.
+    The cut x counts units of 1/Q, Q the lcm of q and the atoms'
+    denominators; F counts units of 1/M, M the lcm of Q times the weights'
+    denominators and the masses' denominators, and the slope units of 1/M
+    per cell of 1/Q.  The cuts are 0, Q, the run ends and the atom
     positions, in increasing order.  Between two cuts F is linear, so every
     query on the cut line reads one row.
     """
@@ -486,25 +486,34 @@ def _rigid_pieces(s: Itm, mu: Measure) -> tuple[int, int, list[tuple]]:
     return q, cdf._unit * k, pieces
 
 
-def _difference(mu: Measure, nu: Measure) -> tuple[int, tuple, tuple]:
-    """The signed measure mu - nu as (q, merged runs on 1/q, atoms), on the
-    grid q = lcm of both grids."""
-    q = lcm(mu._grid, nu._grid)
-    events = []
-    for m, sign in ((mu, 1), (nu, -1)):
-        k = q // m._grid
-        events += [e for a, b, w in m._cells for e in ((a * k, sign * w), (b * k, -sign * w))]
-    atoms = [*mu.atoms, *[(p, -m) for p, m in nu.atoms]]
-    return q, _sweep(events), _add_neighbours(atoms)
+def _difference_on_cuts(mu: Measure, nu: Measure) -> tuple[int, list[tuple[int, int]]]:
+    """U and the rows (D(x-), D(x)) in units of 1/U of D = F_mu - F_nu, which is
+    linear between the merged cuts x of both cumulative tables on the grid
+    lcm(Q, Q'); U is the lcm of both tables' units on that grid."""
+    f, g = mu.cdf(), nu.cdf()
+    grid = lcm(f._grid, g._grid)
+    kf, kg = grid // f._grid, grid // g._grid
+    unit = lcm(f._unit * kf, g._unit * kg)
+    uf, ug = unit // (f._unit * kf), unit // (g._unit * kg)
+    cuts = sorted({*[x * kf for x in f._ticks], *[x * kg for x in g._ticks]})
+    return unit, [
+        (uf * f_left - ug * g_left, uf * f_at - ug * g_at)
+        for (f_left, f_at), (g_left, g_at) in zip(f._on_cuts(cuts, kf), g._on_cuts(cuts, kg))
+    ]
 
 
 def tv_distance(mu: Measure, nu: Measure) -> Fraction:
-    """Exact total variation of mu - nu."""
+    """Exact total variation of mu - nu: that of D = F_mu - F_nu from D(0-) = 0,
+    the jump |D(x) - D(x-)| at each cut x and the change |D(x-) - D(c)| from
+    the cut c before it, over which D is linear."""
     if mu == nu:
         return ZERO
-    q, runs, atoms = _difference(mu, nu)
-    total = sum((abs(w) * (b - a) for a, b, w in runs), ZERO) / q
-    return total + sum((abs(m) for _, m in atoms), ZERO)
+    unit, rows = _difference_on_cuts(mu, nu)
+    total = before = 0
+    for left, at in rows:
+        total += abs(left - before) + abs(at - left)
+        before = at
+    return Fraction(total, unit)
 
 
 def invariance_residual_exact(t, mu: Measure) -> Fraction:
@@ -539,26 +548,13 @@ def attractor_measure(s: Itm, attr: Optional[AttractorResult] = None) -> Measure
 
 
 def cdf_distance(mu: Measure, nu: Measure) -> Fraction:
-    """sup over x of |F_mu(x) - F_nu(x)|, exact.
-
-    Both measures must be probability measures.  F_mu - F_nu is linear
-    between the cuts of the two measures' cumulative tables, so the sup is
-    its largest value at a cut or just below one.  Both tables are read at
-    the merged cuts on the grid lcm(Q, Q'), with F in units of 1/U for U
-    the lcm of both tables' units on that grid.
-    """
-    f, g = mu.cdf(), nu.cdf()
+    """sup over x of |F_mu(x) - F_nu(x)|, exact, for probability measures: as
+    F_mu - F_nu is linear between the merged cuts, its largest value at a cut
+    or just below one."""
+    unit, rows = _difference_on_cuts(mu, nu)
     if mu.total_mass != 1 or nu.total_mass != 1:
         raise ValueError("cdf distance requires probability measures")
-    grid = lcm(f._grid, g._grid)
-    kf, kg = grid // f._grid, grid // g._grid
-    unit = lcm(f._unit * kf, g._unit * kg)
-    uf, ug = unit // (f._unit * kf), unit // (g._unit * kg)
-    cuts = sorted({*[x * kf for x in f._ticks], *[x * kg for x in g._ticks]})
-    return Fraction(max(
-        max(abs(uf * f_left - ug * g_left), abs(uf * f_at - ug * g_at))
-        for (f_left, f_at), (g_left, g_at) in zip(f._on_cuts(cuts, kf), g._on_cuts(cuts, kg))
-    ), unit)
+    return Fraction(max(max(abs(left), abs(at)) for left, at in rows), unit)
 
 
 def mass_near_points(

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from itmlib.circle import ONE, ZERO, Rational, _affine_charts, _chart_table, circle_distance, frac
 from itmlib.itm import Itm
-from itmlib.measure import Measure, _difference
+from itmlib.measure import Measure, _add_neighbours
 
 VERDICT_RATIO = Fraction(1, 2)
 
@@ -413,8 +413,9 @@ class EmpiricalMeasure:
         """Check T#mu - mu = (delta(T^m x0) - delta(x0)) / m exactly.
 
         T#mu applies the map to the atoms, met on a walk from x0 that must
-        reach every atom, and mu must be a probability measure; T#mu - mu
-        must then be those two atoms, or nothing when the orbit closed.  Two
+        reach every atom, and mu must be a probability measure without a
+        density; the atoms of T#mu and those of mu negated must then sum to
+        those two atoms, or to nothing when the orbit closed.  Two
         solutions of the identity differ by a T-invariant signed measure.
         On the forward orbit of x0 that is a multiple of the uniform
         measure on its cycle, and total mass 1 makes the multiple 0.  So
@@ -434,13 +435,13 @@ class EmpiricalMeasure:
             x = images[j] = self.map.evaluate(x)
             reached += 1
             j = index(x)
-        if reached < len(images) or not self.measure.is_probability:
+        if reached < len(images) or self.measure.density or not self.measure.is_probability:
             return False
-        pushed = Measure((), [(q, w) for q, (_, w) in zip(images, self.measure.atoms)])
         weight = Fraction(1, self.m)
         moved = sorted([(self.base_point, -weight), (self.next_point, weight)])
         expected = () if self.defect == 0 else tuple(moved)
-        return _difference(pushed, self.measure)[1:] == ((), expected)
+        pushed = [(q, w) for q, (_, w) in zip(images, self.measure.atoms)]
+        return _add_neighbours(pushed + [(p, -w) for p, w in self.measure.atoms]) == expected
 
 
 def empirical_measure(t: PiecewiseMap, x0: Rational, m: int) -> EmpiricalMeasure:

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+import oracle
 from itmlib.approx import OrderViolation, generate_approximants
 from itmlib.catalog import random_itm
 from itmlib.circle import Arc, CirclePoint
-from itmlib.itm import Itm
-from itmlib.piecewise import from_itm
+from itmlib.itm import BudgetExceeded, Itm
+from itmlib.piecewise import HitDiscontinuity, from_itm
 
 settings.register_profile(
     "exact",
@@ -29,6 +30,12 @@ def acceptance_sweep_maps():
         n = rng.randint(2, 5)
         maps.append(random_itm(rng, n, rng.randint(2 * n, 512)))
     return maps
+
+
+@pytest.fixture(scope="session")
+def oracle_sweep_attractors(acceptance_sweep_maps):
+    """oracle.attractor of each acceptance-sweep map, with the default budgets."""
+    return [oracle.attractor(s) for s in acceptance_sweep_maps]
 
 
 @pytest.fixture(scope="session")
@@ -128,3 +135,42 @@ def grid_pair_arcs(approximant_level_maps):
     return pairs.flatmap(
         lambda p: st.tuples(st.just(p[0]), st.just(p[1]), arcs_on(p[0]), arcs_on(p[1]))
     )
+
+
+def assert_moves_match(s: Itm, a) -> None:
+    """An Itm's image and preimage of an ArcSet give the oracle's sets."""
+    f = oracle.Map(s)
+    assert s.image(a).segments() == f.image(a.segments())
+    assert s.preimage(a).segments() == f.preimage(a.segments())
+
+
+def outcome(f, *args):
+    """("ok", f(*args)), or how the run stopped: ("budget", message, budget,
+    value) on a BudgetExceeded, ("hit", step, point) when an orbit meets the
+    discontinuity set."""
+    try:
+        return "ok", f(*args)
+    except BudgetExceeded as e:
+        return "budget", str(e), e.budget, e.value
+    except HitDiscontinuity as e:
+        return "hit", e.step, e.point
+
+
+@st.composite
+def itms(draw, max_pieces=4, max_denominator=32):
+    n = draw(st.integers(1, max_pieces))
+    q = st.fractions(min_value=0, max_value=1, max_denominator=max_denominator)
+    bps = draw(st.lists(q.filter(lambda v: v < 1), min_size=n, max_size=n, unique=True))
+    shifts = draw(st.lists(q, min_size=n, max_size=n))
+    return Itm(tuple(sorted(bps)), tuple(shifts))
+
+
+@st.composite
+def raw_maps(draw, max_pieces=5, max_q=64):
+    """Maps drawn as raw integers on a grid, so breakpoints at 0, shifts of
+    0, one-piece maps, images ending exactly at 1 and orbits landing on
+    breakpoints all come up."""
+    q = draw(st.integers(1, max_q))
+    starts = sorted(draw(st.sets(st.integers(0, q - 1), min_size=1, max_size=max_pieces)))
+    shifts = [draw(st.integers(0, q - 1)) for _ in starts]
+    return Itm(tuple(Fraction(b, q) for b in starts), tuple(Fraction(c, q) for c in shifts))

@@ -1,26 +1,18 @@
-"""Each map's integer chart table against the Fraction charts it replaced."""
+"""Each map's integer chart table against the oracle's Fraction charts."""
 
 import bisect
 import random
 import sys
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
+from conftest import assert_moves_match, raw_maps
 from itmlib.catalog import rotation
-from itmlib.circle import (
-    Arc,
-    ArcSet,
-    CirclePoint,
-    _affine_charts,
-    _chart_table,
-    _charts_on,
-    _walk,
-    merge_segments,
-)
+from itmlib.circle import Arc, ArcSet, CirclePoint, _chart_table, _charts_on, _walk
 from itmlib.conjugacy import induce_iem
 from itmlib.itm import Itm
 from itmlib.measure import Cdf, attractor_measure, find_recurrent_points, pushforward
@@ -29,63 +21,20 @@ from itmlib.piecewise import from_itm
 F = Fraction
 
 
-def reference_charts(s: Itm) -> list:
-    """The Fraction charts of an Itm as the library built them before its
-    integer table: each piece cut at 0, then at the integers its image crosses."""
-    return _affine_charts(
-        (lo, hi, 1, c) for j, c in enumerate(s.shifts) for lo, hi in s.piece(j).segments()
-    )
-
-
-def reference_inverse(s: Itm) -> list:
-    return sorted((lo + b, hi + b, 1, -b) for lo, hi, _, b in reference_charts(s))
-
-
-def run_major_walk(q: int, runs, table: tuple) -> tuple:
-    """The walk as it went run by run, each run cut by every chart it meets,
-    before circle._walk went chart by chart; kept as the reference."""
-    grid, r = table[:2]
-    grid = grid if q == grid else lcm(q, grid)
-    charts = _charts_on(table, grid)
-    k = grid // q
-    if k != 1 or r != 1:
-        runs = [(lo * k, hi * k, *(w * r for w in weight)) for lo, hi, *weight in runs]
-    out = []
-    j = 0
-    for lo, hi, *weight in runs:
-        while j < len(charts) and charts[j][1] <= lo:
-            j += 1
-        i = j
-        while i < len(charts) and charts[i][0] < hi:
-            c_lo, c_hi, a, b = charts[i]
-            left, right = max(lo, c_lo), min(hi, c_hi)
-            i += 1
-            if left >= right:
-                continue
-            if a == 1:
-                out.append((left + b, right + b, *weight))
-            elif a > 0:
-                out.append((a * left + b, a * right + b, *(w / a for w in weight)))
-            elif a < 0:
-                out.append((a * right + b, a * left + b, *(w / -a for w in weight)))
-            else:
-                out.append((b, b, *(w * (right - left) for w in weight)))
-    return grid * r, out
-
-
 def assert_walks_agree(q: int, runs: list, table: tuple) -> None:
-    """The chart-major walk moves the same runs as the run-major one, in
-    chart order rather than run order."""
+    """The chart-major walk moves the runs as the oracle moves their segments
+    through the table's charts read as Fractions: the same parts, in chart
+    order rather than run order."""
     grid, moved = _walk(q, runs, table)
-    ref_grid, ref = run_major_walk(q, runs, table)
-    assert grid == ref_grid
-    assert sorted(moved) == sorted(ref)
-
-
-def reference_moved(a: ArcSet, table: tuple) -> ArcSet:
-    """A set moved through a table by the run-major walk."""
-    q, moved = run_major_walk(a._q, a._runs, table)
-    return ArcSet._from_runs(q, merge_segments(moved))
+    g, r, charts = table
+    charts = [(F(lo, g), F(hi, g), F(a, r), F(b, g * r)) for lo, hi, a, b in charts]
+    segments = [(F(lo, q), F(hi, q), *weight) for lo, hi, *weight in runs]
+    # a flat chart's empty run carries grid times the mass it gathered
+    got = [
+        (F(lo, grid), F(hi, grid), *(w if lo < hi else w / grid for w in weight))
+        for lo, hi, *weight in moved
+    ]
+    assert sorted(got) == sorted(oracle.walk(segments, charts))
 
 
 def cell_image(table: tuple, q: int, n: int) -> int:
@@ -94,12 +43,6 @@ def cell_image(table: tuple, q: int, n: int) -> int:
     lo, hi, _, b = charts[bisect.bisect_right([c[0] for c in charts], n) - 1]
     assert lo <= n < hi
     return n + b
-
-
-def rotated(s: Itm, r: Fraction) -> Itm:
-    """The conjugate x -> S(x - r) + r: breakpoints move by r, shifts stay."""
-    moved = sorted(((p.value + r) % 1, c) for p, c in zip(s.breakpoints, s.shifts))
-    return Itm(tuple(p for p, _ in moved), tuple(c for _, c in moved))
 
 
 @st.composite
@@ -142,16 +85,6 @@ def sorted_runs(draw, q, weighted):
     return runs
 
 
-@st.composite
-def raw_maps(draw, max_pieces=5, max_q=64):
-    """Maps drawn as raw integers on a grid, so breakpoints at 0, shifts of
-    0, one-piece maps and images ending exactly at 1 all come up."""
-    q = draw(st.integers(1, max_q))
-    starts = sorted(draw(st.sets(st.integers(0, q - 1), min_size=1, max_size=max_pieces)))
-    shifts = [draw(st.integers(0, q - 1)) for _ in starts]
-    return Itm(tuple(F(b, q) for b in starts), tuple(F(c, q) for c in shifts))
-
-
 def special_maps() -> list:
     """One-piece maps, breakpoints at 0, shifts of 0, images ending at 1."""
     return [
@@ -179,13 +112,14 @@ def assert_forward_table_tiles(s: Itm) -> None:
 
 def assert_table_matches(s: Itm) -> None:
     assert_forward_table_tiles(s)
-    charts = reference_charts(s)
+    charts = oracle.Map(s).charts()
     q, r, table = s._table
     assert (q, r) == (s.common_denominator(), 1)
     assert s.affine_segments() == charts
     assert (q, r, list(table)) == _chart_table(charts)
     inverse = s._inverse_table
-    assert (inverse[0], inverse[1], list(inverse[2])) == _chart_table(reference_inverse(s))
+    pulled_back = sorted((lo + b, hi + b, 1, -b) for lo, hi, _, b in charts)
+    assert (inverse[0], inverse[1], list(inverse[2])) == _chart_table(pulled_back)
 
 
 class TestTableAgainstFractionCharts:
@@ -216,43 +150,27 @@ class TestTableAgainstFractionCharts:
 
 class TestWalkAgainstFractionCharts:
     """image, preimage, attractor and pushforward through the table give
-    what the walk gave through the Fraction charts."""
+    the oracle's answers through its Fraction pieces and charts."""
 
-    def reference_attractor_sets(self, s: Itm) -> list:
-        table = _chart_table(reference_charts(s))
-        current = ArcSet.full()
-        sets = [current]
-        while True:
-            nxt = reference_moved(current, table)
-            if nxt == current:
-                return sets
-            sets.append(nxt)
-            current = nxt
-
-    def test_acceptance_sweep(self, acceptance_sweep_maps):
-        for s in acceptance_sweep_maps:
+    def test_acceptance_sweep(self, acceptance_sweep_maps, oracle_sweep_attractors):
+        for s, (iterates, _, _) in zip(acceptance_sweep_maps, oracle_sweep_attractors):
             res = s.attractor()
-            assert list(res.iterates) == self.reference_attractor_sets(s)
+            assert [a.segments() for a in res.iterates] == iterates
             a = res.attractor
-            assert s.image(a.complement()) == reference_moved(
-                a.complement(), _chart_table(reference_charts(s))
-            )
-            assert s.preimage(a) == reference_moved(a, _chart_table(reference_inverse(s)))
+            assert_moves_match(s, a)
+            assert_moves_match(s, a.complement())
             mu = attractor_measure(s, res)
             assert pushforward(s, mu) == pushforward(from_itm(s), mu) == mu
 
     @settings(max_examples=200)
     @given(raw_maps(), grid_sets())
     def test_hypothesis_maps_on_any_grid(self, s, a):
-        assert s.image(a) == reference_moved(a, _chart_table(reference_charts(s)))
-        assert s.preimage(a) == reference_moved(a, _chart_table(reference_inverse(s)))
+        assert_moves_match(s, a)
         assert_walks_agree(a._q, a._runs, s._table)
 
     def test_levels_above_2_40(self, approximant_level_maps):
         for s in [s for s in approximant_level_maps if s.common_denominator() > 2**40]:
-            a = s.attractor(8, 64).iterates[-1]
-            assert s.image(a) == reference_moved(a, _chart_table(reference_charts(s)))
-            assert s.preimage(a) == reference_moved(a, _chart_table(reference_inverse(s)))
+            assert_moves_match(s, s.attractor(8, 64).iterates[-1])
 
     @settings(max_examples=400)
     @given(chart_tables(), st.sampled_from([1, 2, 3, 5]), st.booleans(), st.data())
@@ -305,7 +223,7 @@ class TestTableMetamorphic:
         for s in acceptance_sweep_maps[:40]:
             q = s.common_denominator()
             shift = rng.randrange(1, q)
-            moved = rotated(s, F(shift, q))
+            moved = oracle.rotated(s, F(shift, q))
             for n in range(q):
                 assert cell_image(moved._table, q, (n + shift) % q) == (
                     cell_image(s._table, q, n) + shift

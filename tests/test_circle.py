@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from itmlib.circle import Arc, ArcSet, CirclePoint, _chart_table, arc, arcset, frac, mod1
 
 F = Fraction
@@ -144,112 +145,45 @@ class TestStorage:
         assert len(s) == 2
 
 
-def reference_merge(raw) -> tuple:
-    """Sort Fraction intervals on the cut line and merge overlapping or adjacent ones."""
-    merged: list = []
-    for lo, hi in sorted((lo, hi) for lo, hi in raw if hi > lo):
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-        else:
-            merged.append((lo, hi))
-    return tuple(merged)
+def assert_matches(real: ArcSet, segments: tuple) -> None:
+    """A set and its views against the oracle's merged segments."""
+    assert real.segments() == segments
+    assert [(a.start.value, a.length) for a in real.arcs] == oracle.arcs(segments)
+    assert len(real) == len(oracle.arcs(segments))
+    assert real.total_length == oracle.length(segments)
+    assert hash(real) == hash(segments)
+    assert bool(real) == bool(segments)
 
 
-class ReferenceArcSet:
-    """The Fraction-segment ArcSet algebra: merged segments of [0, 1] cut at 0."""
-
-    def __init__(self, raw):
-        self.segs = reference_merge(raw)
-
-    @property
-    def arcs(self) -> tuple:
-        arcs = [arc(lo, hi - lo) for lo, hi in self.segs]
-        if len(self.segs) > 1 and self.segs[0][0] == 0 and self.segs[-1][1] == 1:
-            first = arcs.pop(0)
-            arcs[-1] = Arc(arcs[-1].start, arcs[-1].length + first.length)
-        return tuple(arcs)
-
-    @property
-    def total_length(self) -> Fraction:
-        return sum((hi - lo for lo, hi in self.segs), F(0))
-
-    def __len__(self) -> int:
-        return len(self.arcs)
-
-    def __eq__(self, other) -> bool:
-        return self.segs == other.segs
-
-    def __hash__(self) -> int:
-        return hash(self.segs)
-
-    def intersect(self, other) -> "ReferenceArcSet":
-        return ReferenceArcSet(
-            (max(a, c), min(b, d)) for a, b in self.segs for c, d in other.segs
-        )
-
-    def union(self, other) -> "ReferenceArcSet":
-        return ReferenceArcSet(self.segs + other.segs)
-
-    def complement(self) -> "ReferenceArcSet":
-        ends = [F(0)] + [v for seg in self.segs for v in seg] + [F(1)]
-        return ReferenceArcSet(zip(ends[::2], ends[1::2]))
-
-    def difference(self, other) -> "ReferenceArcSet":
-        return self.intersect(other.complement())
-
-    def translate(self, c) -> "ReferenceArcSet":
-        c = F(c) % 1
-        raw = []
-        for lo, hi in self.segs:
-            lo, hi = lo + c, hi + c
-            raw += [(lo, min(hi, F(1))), (max(lo, F(1)) - 1, hi - 1)]
-        return ReferenceArcSet(raw)
-
-    def contains(self, x) -> bool:
-        return any(lo <= x < hi for lo, hi in self.segs)
-
-    def is_subset_of(self, other) -> bool:
-        return all(any(c <= a and b <= d for c, d in other.segs) for a, b in self.segs)
-
-
-def assert_matches(real: ArcSet, ref: ReferenceArcSet) -> None:
-    assert real.segments() == ref.segs
-    assert real.arcs == ref.arcs
-    assert len(real) == len(ref)
-    assert real.total_length == ref.total_length
-    assert hash(real) == hash(ref)
-    assert bool(real) == bool(ref.segs)
-
-
-def reference_of(arcs) -> ReferenceArcSet:
-    return ReferenceArcSet(seg for a in arcs for seg in a.segments())
+def oracle_set(arcs) -> tuple:
+    return oracle.merge(seg for a in arcs for seg in a.segments())
 
 
 class TestGridsAgainstReference:
-    """Sets on different grids give the Fraction-segment algebra's answers."""
+    """Sets on different grids give the oracle's segment algebra's answers."""
 
     @settings(max_examples=300)
     @given(data=st.data())
     def test_set_algebra(self, grid_pair_arcs, data):
         q, q2, arcs_a, arcs_b = data.draw(grid_pair_arcs)
         a, b = ArcSet(arcs_a), ArcSet.from_segments(s for x in arcs_b for s in x.segments())
-        ra, rb = reference_of(arcs_a), reference_of(arcs_b)
+        ra, rb = oracle_set(arcs_a), oracle_set(arcs_b)
         assert_matches(a, ra)
         assert_matches(b, rb)
-        assert_matches(a.intersect(b), ra.intersect(rb))
-        assert_matches(a.union(b), ra.union(rb))
-        assert_matches(a.complement(), ra.complement())
-        assert_matches(a.difference(b), ra.difference(rb))
-        assert_matches(b.difference(a), rb.difference(ra))
-        assert a.is_subset_of(b) == ra.is_subset_of(rb)
-        assert b.is_subset_of(a) == rb.is_subset_of(ra)
+        assert_matches(a.intersect(b), oracle.intersect(ra, rb))
+        assert_matches(a.union(b), oracle.union(ra, rb))
+        assert_matches(a.complement(), oracle.complement(ra))
+        assert_matches(a.difference(b), oracle.difference(ra, rb))
+        assert_matches(b.difference(a), oracle.difference(rb, ra))
+        assert a.is_subset_of(b) == oracle.is_subset(ra, rb)
+        assert b.is_subset_of(a) == oracle.is_subset(rb, ra)
         assert (a == b) == (ra == rb)
         c = F(data.draw(st.integers(-q2, q2)), q2)
-        assert_matches(a.translate(c), ra.translate(c))
-        xs = [v % 1 for seg in ra.segs + rb.segs for v in seg]
+        assert_matches(a.translate(c), oracle.translate(ra, c))
+        xs = [v % 1 for seg in ra + rb for v in seg]
         xs += [F(data.draw(st.integers(0, q * q2 - 1)), q * q2), F(1, 2 * q)]
         for x in xs:
-            assert a.contains(CirclePoint(x)) == ra.contains(x)
+            assert a.contains(CirclePoint(x)) == oracle.contains(ra, x)
 
     @settings(max_examples=200)
     @given(data=st.data())

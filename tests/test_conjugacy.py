@@ -1,6 +1,5 @@
 """Transport to Lebesgue coordinates and the induced interval exchange."""
 
-import bisect
 import random
 from fractions import Fraction
 
@@ -8,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from itmlib import conjugacy
 from itmlib.catalog import half_collapse, random_itm, rotation
-from itmlib.circle import ONE, ZERO, ArcSet, CirclePoint, _affine_charts
+from itmlib.circle import ONE, ZERO, CirclePoint
 from itmlib.conjugacy import (
     DEFAULT_SEMICONJUGACY_SAMPLES,
-    IemReport,
     NotInvariant,
     build_h,
     induce_iem,
@@ -149,9 +148,7 @@ class TestInduceIem:
             mu = attractor_measure(s)
             ends = [x for lo, hi, _ in mu.density for x in (lo, hi)]
             points = grid + ends + [ZERO, ONE]
-            expected = [
-                not any(lo < x < hi for lo, hi, _ in mu.density) for x in points
-            ]
+            expected = [oracle.exceptional(mu, x) for x in points]
             data = induce_iem(s, mu, samples=n)
             assert [data.is_exceptional(x) for x in points] == expected
             assert [(p.x, p.exceptional) for p in data.samples] == list(zip(grid, expected))
@@ -225,74 +222,17 @@ class TestIemType:
         assert not same_map(rotation(0), rotation(F(1, 3)))
 
 
-def reference_verify_iem(m: Itm) -> IemReport:
-    """verify_iem as pairwise intersections and one preimage per cell."""
-    failures: list[str] = []
-
-    # the length checks the library no longer makes: on an Itm they hold
-    images: list[ArcSet] = []
-    total = ZERO
-    for j in range(m.n):
-        piece = ArcSet([m.piece(j)])
-        img = piece.translate(m.shifts[j])
-        images.append(img)
-        total += piece.total_length
-        assert img.total_length == piece.total_length, f"piece {j} image length differs"
-    assert total == 1, "piece lengths do not sum to 1"
-
-    overlap = ZERO
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            overlap += images[i].intersect(images[j]).total_length
-    injective = overlap == 0
-    if not injective:
-        failures.append(f"piece images overlap in total length {overlap}")
-
-    cut_set = {ZERO}
-    for img in images:
-        for lo, hi in img.segments():
-            cut_set.add(lo)
-            if hi < ONE:
-                cut_set.add(hi)
-    cuts = sorted(cut_set)
-    lebesgue_ok = True
-    for i, lo in enumerate(cuts):
-        hi = cuts[i + 1] if i + 1 < len(cuts) else ONE
-        cell = ArcSet.from_segments([(lo, hi)])
-        pre = m.preimage(cell)
-        if pre.total_length != cell.total_length:
-            lebesgue_ok = False
-            failures.append(f"Lebesgue mass of [{lo},{hi}) changes under preimage")
-    return IemReport(lebesgue_ok, injective, overlap, tuple(failures))
-
-
-def fraction_verify_iem(t: Itm) -> IemReport:
-    """The coverage sweep over the piece images on Fractions, as verify_iem
-    ran before it counted cells of T's grid."""
-    failures: list[str] = []
-    coverage_change: dict[Fraction, int] = {ZERO: 0}
-    for j in range(t.n):
-        for lo, hi in t.piece(j).translate(t.shifts[j]).segments():
-            coverage_change[lo] = coverage_change.get(lo, 0) + 1
-            coverage_change[hi] = coverage_change.get(hi, 0) - 1
-    coverage_change.pop(ONE, None)
-    cuts = sorted(coverage_change)
-    overlap = ZERO
-    coverage = 0
-    mass_changes: list[str] = []
-    for lo, hi in zip(cuts, cuts[1:] + [ONE]):
-        coverage += coverage_change[lo]
-        overlap += coverage * (coverage - 1) // 2 * (hi - lo)
-        if coverage != 1:
-            mass_changes.append(f"Lebesgue mass of [{lo},{hi}) changes under preimage")
-    if overlap:
-        failures.append(f"piece images overlap in total length {overlap}")
-    failures.extend(mass_changes)
-    return IemReport(not mass_changes, overlap == 0, overlap, tuple(failures))
+def assert_report_matches(t: Itm) -> None:
+    """verify_iem gives the oracle's report: pairwise overlaps and one
+    preimage length per cell."""
+    report = verify_iem(t)
+    assert report.lengths_ok
+    got = (report.lebesgue_ok, report.injective, report.overlap_length, report.failures)
+    assert got == oracle.verify_iem(t)
 
 
 class TestVerifyIemAgainstReference:
-    """The coverage sweep gives the whole report of the per-cell reference."""
+    """The coverage sweep gives the whole report of the oracle's per-cell check."""
 
     def test_random_maps(self):
         rng = random.Random(4)
@@ -300,9 +240,8 @@ class TestVerifyIemAgainstReference:
         for _ in range(300):
             n = rng.randint(1, 6)
             t = random_itm(rng, n, rng.randint(n, 96))
-            report = verify_iem(t)
-            assert report == reference_verify_iem(t) == fraction_verify_iem(t)
-            failing += not report.all_ok
+            assert_report_matches(t)
+            failing += not verify_iem(t).all_ok
         assert failing > 200
 
     def test_a_piece_across_0_adds_no_cut(self):
@@ -310,9 +249,8 @@ class TestVerifyIemAgainstReference:
         # meet at 1/10, inside [0, 9/40), which both pieces cover; the report
         # cuts only at the ends of piece images, so that cell stays whole
         t = itm(["1/8", "1/2"], ["3/4", "1/10"])
-        report = verify_iem(t)
-        assert report == reference_verify_iem(t) == fraction_verify_iem(t)
-        assert "Lebesgue mass of [0,9/40) changes under preimage" in report.failures
+        assert_report_matches(t)
+        assert "Lebesgue mass of [0,9/40) changes under preimage" in verify_iem(t).failures
 
     def test_induced_exchanges_of_the_acceptance_sweep(self):
         # the first maps of the acceptance sweep, drawn as tests/test_acceptance.py does
@@ -321,46 +259,17 @@ class TestVerifyIemAgainstReference:
             n = rng.randint(2, 5)
             s = random_itm(rng, n, rng.randint(2 * n, 512))
             induced = induce_iem(s, attractor_measure(s), samples=1).induced
-            report = verify_iem(induced)
-            assert report.all_ok
-            assert report == reference_verify_iem(induced) == fraction_verify_iem(induced)
+            assert verify_iem(induced).all_ok
+            assert_report_matches(induced)
 
     def test_corrupted_three_exchange(self):
         t = corrupted_three_exchange()
-        report = verify_iem(t)
-        assert report == reference_verify_iem(t) == fraction_verify_iem(t)
-        assert report.failures == (
+        assert_report_matches(t)
+        assert verify_iem(t).failures == (
             "piece images overlap in total length 1/3",
             "Lebesgue mass of [1/6,1/2) changes under preimage",
             "Lebesgue mass of [1/2,5/6) changes under preimage",
         )
-
-
-def fraction_exceptional(mu: Measure, x: Fraction) -> bool:
-    """x outside the open interior of supp mu, found by a bisect of the
-    Fraction density pieces: only the last one starting before x can hold x."""
-    i = bisect.bisect_left(mu.density, (x,))
-    return i == 0 or mu.density[i - 1][1] <= x
-
-
-def reference_clean_samples(s: Itm, mu: Measure, t: Itm, n: int) -> bool:
-    """The sampled semi-conjugacy check the certificate replaced: h(S(x)) =
-    T(h(x)) at the n grid points x = (2i + 1) / 2n off the exceptional set."""
-    h = build_h(mu)
-    for i in range(n):
-        x = F(2 * i + 1, 2 * n)
-        if fraction_exceptional(mu, x):
-            continue
-        lhs = h.at(s.evaluate(CirclePoint(x)).value)
-        if lhs != t.evaluate(CirclePoint(h.at(x))).value:
-            return False
-    return True
-
-
-def rotated(s: Itm, r: Fraction) -> Itm:
-    """The conjugate x -> S(x - r) + r: breakpoints move by r, shifts stay."""
-    moved = sorted(((p.value + r) % 1, c) for p, c in zip(s.breakpoints, s.shifts))
-    return Itm(tuple(p for p, _ in moved), tuple(c for _, c in moved))
 
 
 def with_start(t: Itm, j: int, start: Fraction) -> Itm:
@@ -375,85 +284,15 @@ def with_shift(t: Itm, j: int, shift: Fraction) -> Itm:
     return Itm(t.breakpoints, tuple(shifts))
 
 
-def reference_semiconjugacy_cells(s: Itm, h, t: Itm) -> list:
-    """Cells (u, v, b) of [0, 1) on which h(S(x)) and T(h(x)) are both affine,
-    on Fractions: each chart (lo, hi, 1, b) of S cut at h's cuts, at their
-    S-preimages and at the rightmost h-preimages of T's chart ends."""
-    cuts = h.cuts
-    ends = sorted(e for lo, hi, _, _ in t.affine_segments() for e in (lo, hi))
-    pulled = [h.rightmost_preimage(y) for y in ends]
-    cells = []
-    for lo, hi, _, b in s.affine_segments():
-        edges = sorted([
-            lo,
-            hi,
-            *cuts[bisect.bisect_right(cuts, lo):bisect.bisect_left(cuts, hi)],
-            *(y - b for y in cuts[bisect.bisect_right(cuts, lo + b):
-                                   bisect.bisect_left(cuts, hi + b)]),
-            *pulled[bisect.bisect_right(pulled, lo):bisect.bisect_left(pulled, hi)],
-        ])
-        cells.extend((u, v, b) for u, v in zip(edges, edges[1:]) if u < v)
-    return cells
-
-
-def reference_semiconjugacy_failure(s: Itm, h, t: Itm):
-    """The first reference cell where h has positive slope and the two sides
-    differ in slope or at the midpoint, or None."""
-
-    def slope(x):
-        return h.slopes[bisect.bisect_right(h.cuts, x) - 1]
-
-    for u, v, b in reference_semiconjugacy_cells(s, h, t):
-        x = (u + v) / 2
-        if slope(x) == 0:
-            continue
-        if slope(x + b) != slope(x) or h.at(x + b) != t.evaluate(h.at(x)).value:
-            return (u, v)
-    return None
-
-
-def fraction_semiconjugacy_failure(s: Itm, h, t: Itm):
-    """The certificate on Fractions, as it ran before it read h and T on
-    integers: h through Cdf.at, T's chart ends from its Fraction charts."""
-    q, unit, pieces = _rigid_pieces(s, h.measure)
-    charts = _affine_charts(
-        (lo, hi, 1, c) for j, c in enumerate(t.shifts) for lo, hi in t.piece(j).segments()
-    )
-    ends = sorted({e for lo, hi, _, _ in charts for e in (lo, hi)})
-    for u, v, b, w, w_image, *_ in pieces:
-        w, w_image = F(w * q, unit), F(w_image * q, unit)
-        if w == 0:
-            continue
-        y0, y1 = h.at(F(u, q)), h.at(F(v, q))
-        move = (h.at(F(u + b, q)) - y0) % 1
-        levels = [y0, *ends[bisect.bisect_right(ends, y0):bisect.bisect_left(ends, y1)]]
-        cuts = [F(u, q) + (y - y0) / w for y in levels] + [F(v, q)]
-        for y, x, x_next in zip(levels, cuts, cuts[1:]):
-            if w_image != w or t.shifts[t.piece_index(CirclePoint(y))] != move:
-                return (x, x_next)
-    return None
-
-
-def reference_induced(s: Itm, mu: Measure) -> Itm:
-    """One exchange piece per connected component of supp mu within a piece
-    of the map cut at 0, shifted by h(S(x)) - h(x) at the component midpoint."""
-    h = build_h(mu)
-    cut = s.with_breakpoint(CirclePoint(ZERO))
-    supp = mu.support()
-    starts, shifts = [], []
-    for j in range(cut.n):
-        for lo, hi in (supp & ArcSet([cut.piece(j)])).segments():
-            mid = (lo + hi) / 2
-            starts.append(h.at(lo))
-            shifts.append((h.at(cut.evaluate(CirclePoint(mid)).value) - h.at(mid)) % 1)
-    return Itm(tuple(starts) or (ZERO,), tuple(shifts) or (ZERO,))
-
-
 def certified(s: Itm, data, t: Itm) -> bool:
+    """The certificate passes, failing on the oracle's first failing cell if not."""
     cell = semiconjugacy_failure(s, data.h, t)
-    assert cell == reference_semiconjugacy_failure(s, data.h, t)
-    assert cell == fraction_semiconjugacy_failure(s, data.h, t)
+    assert cell == oracle.semiconjugacy_failure(s, data.mu, t)
     return cell is None
+
+
+def induced_parameters(t: Itm) -> tuple:
+    return tuple(p.value for p in t.breakpoints), t.shifts
 
 
 @st.composite
@@ -474,13 +313,13 @@ class TestCertificateAgainstSamples:
             data = induce_iem(s, attractor_measure(s), samples=0)
             assert certified(s, data, data.induced)
             assert data.clean_samples
-            assert reference_clean_samples(s, data.mu, data.induced, 1024)
+            assert oracle.sampled_semiconjugacy(s, data.mu, data.induced, 1024)
 
     @settings(max_examples=60)
     @given(grid_maps())
     def test_random_maps(self, s):
         data = induce_iem(s, attractor_measure(s), samples=0)
-        reference = reference_clean_samples(s, data.mu, data.induced, 1024)
+        reference = oracle.sampled_semiconjugacy(s, data.mu, data.induced, 1024)
         assert certified(s, data, data.induced)
         assert data.clean_samples == reference
         assert data.clean_samples and data.report.all_ok
@@ -490,9 +329,9 @@ class TestCertificateAgainstSamples:
         # of h, and h(x) meets no chart end of T
         for s in acceptance_sweep_maps[:30]:
             data = induce_iem(s, attractor_measure(s), samples=0)
-            h, t = data.h, data.induced
-            ends = [e for lo, hi, _, _ in t.affine_segments() for e in (lo, hi)]
-            cells = reference_semiconjugacy_cells(s, h, t)
+            h, t = oracle.Cdf(data.mu), data.induced
+            ends = [e for lo, hi, _, _ in oracle.Map(t).charts() for e in (lo, hi)]
+            cells = oracle.semiconjugacy_cells(s, data.mu, t)
             assert cells[0][0] == 0 and cells[-1][1] == 1
             assert all(a[1] == b[0] for a, b in zip(cells, cells[1:]))
             for u, v, b in cells:
@@ -548,13 +387,15 @@ class TestWalkAgainstReference:
     def test_tau_reads_h_at_the_breakpoints(self, acceptance_sweep_maps):
         for s in acceptance_sweep_maps:
             data = induce_iem(s, attractor_measure(s), samples=0)
-            cut = s.with_breakpoint(CirclePoint(ZERO))
-            assert data.tau == tuple(data.h.at(t.value) for t in cut.breakpoints) + (ONE,)
+            h = oracle.Cdf(data.mu)
+            starts = [lo for lo, _, _, _ in oracle.Map(s).pieces]
+            assert data.tau == tuple(h.at(x) for x in starts) + (ONE,)
 
     def test_induced_on_the_acceptance_sweep(self, acceptance_sweep_maps):
         for s in acceptance_sweep_maps:
             mu = attractor_measure(s)
-            assert induce_iem(s, mu, samples=0).induced == reference_induced(s, mu)
+            induced = induce_iem(s, mu, samples=0).induced
+            assert induced_parameters(induced) == oracle.induced(s, mu)
 
     def test_induced_on_levels_above_2_40(self, approximant_level_maps):
         levels = [s for s in approximant_level_maps if s.common_denominator() > 2**40]
@@ -562,7 +403,7 @@ class TestWalkAgainstReference:
         for s in levels:
             mu = attractor_measure(s)
             data = induce_iem(s, mu, samples=0)
-            assert data.induced == reference_induced(s, mu)
+            assert induced_parameters(data.induced) == oracle.induced(s, mu)
             assert certified(s, data, data.induced)
             t = data.induced
             for j in range(t.n):
@@ -621,7 +462,7 @@ class TestCertificateMutants:
         assert t.shifts[0] != t.shifts[1]
         mutant = with_start(t, 1, F(1, 44) + EPS)
         assert not certified(s, data, mutant)
-        assert reference_clean_samples(s, data.mu, mutant, 2048)
+        assert oracle.sampled_semiconjugacy(s, data.mu, mutant, 2048)
 
     def test_start_between_equal_shifts_is_accepted(self, acceptance_sweep_maps):
         rng = random.Random(3)
@@ -648,11 +489,11 @@ class TestCertificateMetamorphic:
             q = s.common_denominator()
             r = F(rng.randrange(1, q), q)
             data = induce_iem(s, attractor_measure(s), samples=0)
-            moved_map = rotated(s, r)
+            moved_map = oracle.rotated(s, r)
             moved = induce_iem(moved_map, attractor_measure(moved_map), samples=0)
             assert moved.clean_samples == data.clean_samples
             c = data.h.at(1 - r)
-            assert same_map(moved.induced, rotated(data.induced, -c))
+            assert same_map(moved.induced, oracle.rotated(data.induced, -c))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_refining_at_a_grid_point(self, acceptance_sweep_maps, k):
@@ -715,19 +556,19 @@ def exceptional_probes(data, n: int) -> list:
 def assert_exceptional_matches(data, n: int) -> None:
     points = exceptional_probes(data, n)
     assert [data.is_exceptional(x) for x in points] == [
-        fraction_exceptional(data.mu, x) for x in points
+        oracle.exceptional(data.mu, x) for x in points
     ]
 
 
 class TestExceptionalOnRows:
     """is_exceptional and the samples read h's integer rows and agree with
-    the bisect of the Fraction density they replaced."""
+    the oracle's scan of the density pieces."""
 
     def test_acceptance_sweep(self, acceptance_sweep_maps):
         for s in acceptance_sweep_maps:
             data = induce_iem(s, attractor_measure(s), samples=1024)
             assert_exceptional_matches(data, 1024)
-            expected = [fraction_exceptional(data.mu, p.x) for p in data.samples]
+            expected = [oracle.exceptional(data.mu, p.x) for p in data.samples]
             assert [p.exceptional for p in data.samples] == expected
 
     def test_levels_above_2_40(self, approximant_level_maps):
@@ -773,7 +614,7 @@ class TestPiecesCarryH:
     def test_pieces_carry_h_at_both_ends(self, pair):
         # f/M and f'/M are mu([0, x]) at x = u/Q and at its image (u + b)/Q
         s, mu = pair
-        h = mu.cdf()
+        h = oracle.Cdf(mu)
         q, unit, pieces = _rigid_pieces(s, mu)
         for u, _, b, _, _, f, f_image in pieces:
             assert F(f, unit) == h.at(F(u, q))
@@ -789,10 +630,9 @@ class TestInvarianceFromTheCertificate:
     @given(map_with_measure())
     def test_non_invariant_measures_raise(self, pair):
         s, mu = pair
-        h, t = build_h(mu), reference_induced(s, mu)
+        h, t = build_h(mu), Itm(*oracle.induced(s, mu))
         cell = semiconjugacy_failure(s, h, t)
-        assert cell == reference_semiconjugacy_failure(s, h, t)
-        assert cell == fraction_semiconjugacy_failure(s, h, t)
+        assert cell == oracle.semiconjugacy_failure(s, mu, t)
         if invariance_residual_exact(s, mu) != 0:
             with pytest.raises(NotInvariant):
                 induce_iem(s, mu, samples=0)

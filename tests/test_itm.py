@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
+from conftest import assert_moves_match, itms, outcome
 from itmlib.catalog import half_collapse, random_itm, rotation, two_shift_example
 from itmlib.circle import Arc, ArcSet, CirclePoint, arc, arcset
 from itmlib.itm import (
     DEFAULT_MAX_ARCS,
     DEFAULT_MAX_ITER,
-    DEFAULT_ORBIT_BUDGET,
     AttractorResult,
     BudgetExceeded,
     FiniteType,
@@ -29,17 +30,6 @@ F = Fraction
 
 def pt(x) -> CirclePoint:
     return CirclePoint(F(x) if not isinstance(x, str) else F(*map(int, x.split("/"))))
-
-
-@st.composite
-def itms(draw, max_pieces=4, max_denominator=32):
-    n = draw(st.integers(1, max_pieces))
-    q = st.fractions(min_value=0, max_value=1, max_denominator=max_denominator)
-    bps = draw(
-        st.lists(q.filter(lambda v: v < 1), min_size=n, max_size=n, unique=True)
-    )
-    shifts = draw(st.lists(q, min_size=n, max_size=n))
-    return Itm(tuple(sorted(bps)), tuple(shifts))
 
 
 @st.composite
@@ -248,24 +238,6 @@ class TestAttractor:
         assert s.image(res.attractor) == res.attractor
 
 
-def reference_image(s: Itm, a: ArcSet) -> ArcSet:
-    """S(A) piece by piece: intersect with each piece, translate its arcs."""
-    parts: list[Arc] = []
-    for j in range(s.n):
-        hit = a.intersect(ArcSet([s.piece(j)]))
-        parts.extend(arc.translate(s.shifts[j]) for arc in hit.arcs)
-    return ArcSet(parts)
-
-
-def reference_preimage(s: Itm, a: ArcSet) -> ArcSet:
-    """S^{-1}(A) piece by piece: translate A's arcs back, intersect with the piece."""
-    parts: list[Arc] = []
-    for j in range(s.n):
-        back = ArcSet([arc.translate(-s.shifts[j]) for arc in a.arcs])
-        parts.extend(back.intersect(ArcSet([s.piece(j)])).arcs)
-    return ArcSet(parts)
-
-
 def random_arcset(rng: random.Random, q: int) -> ArcSet:
     """Up to four arcs with ends on the grid of multiples of 1/q."""
     return ArcSet(
@@ -277,14 +249,13 @@ def random_arcset(rng: random.Random, q: int) -> ArcSet:
 
 
 class TestImageAgainstReference:
-    """image and preimage walk the map's charts; the references cut per piece."""
+    """image and preimage walk the map's charts; the oracle cuts per piece."""
 
     def test_acceptance_sweep(self, acceptance_sweep_maps):
         for s in acceptance_sweep_maps:
             res = s.attractor()
             for a in res.iterates[:3] + (res.attractor, res.attractor.complement()):
-                assert s.image(a) == reference_image(s, a)
-                assert s.preimage(a) == reference_preimage(s, a)
+                assert_moves_match(s, a)
 
     def test_random_maps(self):
         rng = random.Random(14)
@@ -293,14 +264,11 @@ class TestImageAgainstReference:
             s = random_itm(rng, n, rng.randint(n, 96))
             # arcs on the map's grid, or on one unrelated to it
             q = rng.choice([s.common_denominator(), rng.randint(2, 97)])
-            a = random_arcset(rng, q)
-            assert s.image(a) == reference_image(s, a)
-            assert s.preimage(a) == reference_preimage(s, a)
+            assert_moves_match(s, random_arcset(rng, q))
 
     @given(itms(), small_arcsets())
     def test_hypothesis_maps(self, s, a):
-        assert s.image(a) == reference_image(s, a)
-        assert s.preimage(a) == reference_preimage(s, a)
+        assert_moves_match(s, a)
 
     @settings(max_examples=200)
     @given(data=st.data())
@@ -309,46 +277,33 @@ class TestImageAgainstReference:
         q, q2, _, arcs = data.draw(grid_pair_arcs)
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         s = random_itm(rng, rng.randint(1, min(q, 5)), q)
-        a = ArcSet(arcs)
-        assert s.image(a) == reference_image(s, a)
-        assert s.preimage(a) == reference_preimage(s, a)
+        assert_moves_match(s, ArcSet(arcs))
 
 
-def reference_attractor(
-    s: Itm, max_iter: int = DEFAULT_MAX_ITER, max_arcs: int = DEFAULT_MAX_ARCS
-) -> AttractorResult:
-    """Forward images of the circle iterated as ArcSets through reference_image()."""
-    current = ArcSet.full()
-    iterates = [current]
-    for k in range(max_iter):
-        nxt = reference_image(s, current)
-        if len(nxt) > max_arcs:
-            raise BudgetExceeded(
-                f"iterate {k + 1} needs {len(nxt)} arcs (max_arcs={max_arcs})",
-                budget="max_arcs",
-                value=max_arcs,
-            )
-        if not nxt.is_subset_of(current):
-            raise AssertionError("forward images failed to nest")
-        if nxt == current:
-            return AttractorResult(tuple(iterates), k, current, FiniteType.YES)
-        iterates.append(nxt)
-        current = nxt
-    return AttractorResult(tuple(iterates), None, current, FiniteType.NO_WITHIN_BUDGET)
+def attractor_outcome(s: Itm, max_iter: int = DEFAULT_MAX_ITER, max_arcs: int = DEFAULT_MAX_ARCS):
+    """The library's attractor run in the oracle's terms: ("ok", (iterates as
+    segments, stabilized_at)), or the message and budget of its BudgetExceeded."""
+    res = outcome(s.attractor, max_iter, max_arcs)
+    if res[0] != "ok":
+        return res
+    res = res[1]
+    assert res.attractor == res.iterates[-1]
+    assert (res.finite_type is FiniteType.YES) == (res.stabilized_at is not None)
+    return "ok", ([a.segments() for a in res.iterates], res.stabilized_at)
 
 
-def outcome(run):
-    """The result of run(), or the message and budget of its BudgetExceeded."""
-    try:
-        return run()
-    except BudgetExceeded as e:
-        return ("BudgetExceeded", str(e), e.budget, e.value)
+def oracle_outcome(s: Itm, max_iter: int = DEFAULT_MAX_ITER, max_arcs: int = DEFAULT_MAX_ARCS):
+    """oracle.attractor in the terms of attractor_outcome."""
+    return oracle_terms(oracle.attractor(s, max_iter, max_arcs), max_arcs)
 
 
-def rotated(s: Itm, r: Fraction) -> Itm:
-    """The conjugate x -> S(x - r) + r: breakpoints move by r, shifts stay."""
-    moved = sorted(((p.value + r) % 1, c) for p, c in zip(s.breakpoints, s.shifts))
-    return Itm(tuple(p for p, _ in moved), tuple(c for _, c in moved))
+def oracle_terms(run: tuple, max_arcs: int = DEFAULT_MAX_ARCS):
+    iterates, stabilized_at, too_many = run
+    if too_many is not None:
+        k, arcs = too_many
+        message = f"iterate {k} needs {arcs} arcs (max_arcs={max_arcs})"
+        return "budget", message, "max_arcs", max_arcs
+    return "ok", (iterates, stabilized_at)
 
 
 def fraction_views(res: AttractorResult) -> list[ArcSet]:
@@ -360,15 +315,14 @@ def fraction_views(res: AttractorResult) -> list[ArcSet]:
 
 
 class TestAttractorAgainstReference:
-    """image() iterated on the grid gives the whole AttractorResult of the
-    loop over reference_image()."""
+    """The attractor iterated on the grid gives the iterates, stabilization
+    and budget outcome of the oracle's loop over its images."""
 
-    def test_acceptance_sweep(self, acceptance_sweep_maps):
-        for s in acceptance_sweep_maps:
-            res = s.attractor()
+    def test_acceptance_sweep(self, acceptance_sweep_maps, oracle_sweep_attractors):
+        for s, run in zip(acceptance_sweep_maps, oracle_sweep_attractors):
             # the iteration never leaves the integers
-            assert not fraction_views(res)
-            assert res == reference_attractor(s)
+            assert not fraction_views(s.attractor())
+            assert attractor_outcome(s) == oracle_terms(run)
 
     def test_random_maps(self):
         rng = random.Random(11)
@@ -378,10 +332,10 @@ class TestAttractorAgainstReference:
             s = random_itm(rng, n, rng.randint(n, 96))
             max_iter = rng.choice([1, 2, 5, DEFAULT_MAX_ITER])
             max_arcs = rng.choice([0, 1, 2, 4, DEFAULT_MAX_ARCS])
-            res = outcome(lambda: s.attractor(max_iter, max_arcs))
-            assert res == outcome(lambda: reference_attractor(s, max_iter, max_arcs))
-            raised += isinstance(res, tuple)
-            limited += not isinstance(res, tuple) and res.stabilized_at is None
+            res = attractor_outcome(s, max_iter, max_arcs)
+            assert res == oracle_outcome(s, max_iter, max_arcs)
+            raised += res[0] == "budget"
+            limited += res[0] == "ok" and res[1][1] is None
         assert raised > 20 and limited > 20
 
     def test_max_iter_limited(self):
@@ -390,37 +344,37 @@ class TestAttractorAgainstReference:
         res = s.attractor(max_iter=2)
         assert res.finite_type is FiniteType.NO_WITHIN_BUDGET
         assert len(res.iterates) == 3
-        assert res == reference_attractor(s, max_iter=2)
+        assert attractor_outcome(s, max_iter=2) == oracle_outcome(s, max_iter=2)
 
     def test_max_arcs_budget(self):
         s = two_shift_example()
         with pytest.raises(BudgetExceeded) as grid:
             s.attractor(max_arcs=2)
-        with pytest.raises(BudgetExceeded) as arcs:
-            reference_attractor(s, max_arcs=2)
-        assert str(grid.value) == str(arcs.value)
         assert (grid.value.budget, grid.value.value) == ("max_arcs", 2)
-        assert (arcs.value.budget, arcs.value.value) == ("max_arcs", 2)
+        assert attractor_outcome(s, max_arcs=2) == oracle_outcome(s, max_arcs=2)
 
     def test_integer_map(self):
         s = rotation(0)
         assert s.common_denominator() == 1
-        assert s.attractor() == reference_attractor(s)
+        assert attractor_outcome(s) == oracle_outcome(s)
 
     def test_full_circle_counts_as_one_arc(self):
         s = rotation("1/3")
         with pytest.raises(BudgetExceeded, match="iterate 1 needs 1 arcs"):
             s.attractor(max_arcs=0)
-        assert s.attractor(max_arcs=1) == reference_attractor(s, max_arcs=1)
+        assert attractor_outcome(s, max_arcs=1) == oracle_outcome(s, max_arcs=1)
 
     def test_approximant_levels(self, approximant_level_maps):
         # level maps of irrational targets have denominators of tens of bits,
         # and these budgets end some of their runs, on either budget
         counts = {"yes": 0, "no-within-budget": 0, "raised": 0}
         for s in approximant_level_maps:
-            res = outcome(lambda: s.attractor(48, 24))
-            assert res == outcome(lambda: reference_attractor(s, 48, 24))
-            kind = "raised" if isinstance(res, tuple) else res.finite_type.value
+            res = attractor_outcome(s, 48, 24)
+            assert res == oracle_outcome(s, 48, 24)
+            if res[0] == "budget":
+                kind = "raised"
+            else:
+                kind = "yes" if res[1][1] is not None else "no-within-budget"
             counts[kind] += 1
         assert all(counts.values()), counts
 
@@ -430,12 +384,13 @@ class TestAttractorTakesNoWalk:
     itself; the walk that images take is never reached."""
 
     def test_with_the_walk_patched_to_raise(
-        self, acceptance_sweep_maps, approximant_level_maps, monkeypatch
+        self, acceptance_sweep_maps, oracle_sweep_attractors, approximant_level_maps, monkeypatch
     ):
         cases = [(s, DEFAULT_MAX_ITER, DEFAULT_MAX_ARCS) for s in acceptance_sweep_maps[:40]]
+        expected = [oracle_terms(run) for run in oracle_sweep_attractors[:40]]
         cases += [(s, 48, 24) for s in approximant_level_maps]
         cases += [(s, DEFAULT_MAX_ITER, DEFAULT_MAX_ARCS) for s in (rotation(0), half_collapse())]
-        expected = [outcome(lambda: reference_attractor(s, i, a)) for s, i, a in cases]
+        expected += [oracle_outcome(s, i, a) for s, i, a in cases[40:]]
 
         def refuse(*_):
             raise AssertionError("the attractor walked circle._walk")
@@ -445,7 +400,7 @@ class TestAttractorTakesNoWalk:
                 monkeypatch.setattr(module, "_walk", refuse)
         for (s, max_iter, max_arcs), ref in zip(cases, expected):
             s = Itm(s.breakpoints, s.shifts)  # a fresh map, with no table yet
-            assert outcome(lambda: s.attractor(max_iter, max_arcs)) == ref
+            assert attractor_outcome(s, max_iter, max_arcs) == ref
 
 
 class TestAttractorMetamorphic:
@@ -454,7 +409,7 @@ class TestAttractorMetamorphic:
         for s in acceptance_sweep_maps[:40]:
             q = s.common_denominator()
             r = F(rng.randrange(1, q), q)
-            res, moved = s.attractor(), rotated(s, r).attractor()
+            res, moved = s.attractor(), oracle.rotated(s, r).attractor()
             assert moved.iterates == tuple(a.translate(r) for a in res.iterates)
             assert moved.attractor == res.attractor.translate(r)
             assert moved.stabilized_at == res.stabilized_at
@@ -474,7 +429,7 @@ class TestAttractorMetamorphic:
             assert fine.common_denominator() > 2**16
             res = fine.attractor()
             assert not fraction_views(res)
-            assert res == reference_attractor(fine)
+            assert attractor_outcome(fine) == oracle_outcome(fine)
             assert res == s.attractor()
 
 
@@ -601,106 +556,38 @@ class TestPeriodicBall:
             assert all(h.resolved for h in report.homtervals)
 
 
-def fraction_point_preimages(s: Itm, y: CirclePoint) -> list:
-    """All x with S(x) = y, solved piece by piece on CirclePoints."""
-    out = []
-    for j in range(s.n):
-        x = y - s.shifts[j]
-        if s.piece_index(x) == j:
-            out.append(x)
-    return out
-
-
-def fraction_omega_to_depth(s: Itm, depth: int, max_points: int) -> list:
-    """The backward orbit of the breakpoints, stepped on CirclePoints."""
-    seen = set(s.breakpoints)
-    frontier = list(s.breakpoints)
-    for _ in range(depth):
-        fresh = []
-        for y in frontier:
-            for x in fraction_point_preimages(s, y):
-                if x not in seen:
-                    seen.add(x)
-                    fresh.append(x)
-        if len(seen) > max_points:
-            raise BudgetExceeded("backward orbit", budget="max_points", value=max_points)
-        if not fresh:
-            break
-        frontier = fresh
-    return sorted(seen)
-
-
-def fraction_advance_open_arc(s: Itm, start: Fraction, length: Fraction):
-    """The open arc (start, start + length) one step on, or None if it would split."""
-    j = s.piece_index(CirclePoint(start))
-    if s.n > 1:
-        piece = s.piece(j)
-        offset = (start - piece.start.value) % 1
-        if offset + length > piece.length:
-            return None
-    return ((start + s.shifts[j]) % 1, length)
-
-
-def fraction_track_arc(s: Itm, start: Fraction, length: Fraction, budget: int) -> tuple:
-    state = (start, length)
-    seen = {state: 0}
-    for step in range(1, budget + 1):
-        advanced = fraction_advance_open_arc(s, *state)
-        if advanced is None:
-            return None, None
-        if advanced in seen:
-            first = seen[advanced]
-            return first, step - first
-        seen[advanced] = step
-        state = advanced
-    return None, None
-
-
-def fraction_homtervals(s: Itm, depth: int, budget: int) -> tuple:
-    """omega and the (arc, preperiod, period) of each gap, on Fractions."""
-    omega = fraction_omega_to_depth(s, depth, DEFAULT_ORBIT_BUDGET)
-    gaps = []
-    for i, p in enumerate(omega):
-        length = p.gap_to(omega[(i + 1) % len(omega)]) if len(omega) > 1 else F(1)
-        gaps.append((Arc(p, length), *fraction_track_arc(s, p.value, length, budget)))
-    return tuple(omega), gaps
-
-
-def budget_point(walk, depth: int, max_points: int):
-    """The orbit, or the budget value that stopped it."""
-    try:
-        return walk(depth, max_points)
-    except BudgetExceeded as exc:
-        return ("exceeded", exc.budget, exc.value)
-
-
-def assert_matches_fraction_walk(s: Itm, depth: int, budget: int) -> None:
-    omega = s.omega_to_depth(depth)
-    assert omega == fraction_omega_to_depth(s, depth, DEFAULT_ORBIT_BUDGET)
+def assert_homtervals_match_oracle(s: Itm, depth: int, budget: int) -> None:
+    """omega, its budget verdicts and the homtervals equal the oracle's."""
+    omega = [p.value for p in s.omega_to_depth(depth)]
+    assert omega == oracle.omega(s, depth)
     for max_points in (len(omega), len(omega) - 1):
-        reference = budget_point(lambda k, m: fraction_omega_to_depth(s, k, m), depth, max_points)
-        assert budget_point(s.omega_to_depth, depth, max_points) == reference
+        run = outcome(s.omega_to_depth, depth, max_points)
+        expected = oracle.omega(s, depth, max_points)
+        if expected is None:
+            assert run[0] == "budget" and run[2:] == ("max_points", max_points)
+        else:
+            assert run == ("ok", [CirclePoint(x) for x in expected])
     report = s.classify_homtervals(depth, orbit_budget=budget)
-    got = [(h.arc, h.preperiod, h.period) for h in report.homtervals]
-    assert (report.omega, got) == fraction_homtervals(s, depth, budget)
+    gaps = [(h.arc.start.value, h.arc.length, h.preperiod, h.period) for h in report.homtervals]
+    assert ([p.value for p in report.omega], gaps) == oracle.homtervals(s, depth, budget)
 
 
 class TestCellWalkAgainstFractionWalk:
-    """omega and the homtervals on the chart table give the CirclePoint walk's answers."""
+    """omega and the homtervals on the chart table give the oracle's answers."""
 
     def test_acceptance_maps(self, acceptance_sweep_maps):
         outcomes = Counter()
         for i, s in enumerate(acceptance_sweep_maps):
             q = s.common_denominator()
             depth, budget = 1 + i % 3, (q, 2 * q, 8)[i % 3]
-            assert_matches_fraction_walk(s, depth, budget)
+            assert_homtervals_match_oracle(s, depth, budget)
             report = s.classify_homtervals(depth, orbit_budget=budget)
             outcomes.update(h.resolved for h in report.homtervals)
         assert outcomes[True] > 100 and outcomes[False] > 100
 
     @given(itms(), st.integers(1, 4), st.integers(1, 64))
     def test_hypothesis_maps(self, s, depth, budget):
-        assert_matches_fraction_walk(s, depth, budget)
+        assert_homtervals_match_oracle(s, depth, budget)
 
     @pytest.mark.parametrize("shift", ["0", "1/2", "5/8", "3/7", "377/610"])
     @pytest.mark.parametrize("base", ["0", "1/3"])
@@ -708,20 +595,14 @@ class TestCellWalkAgainstFractionWalk:
         # one piece is continuous across its breakpoint: no arc splits
         s = itm([base], [shift])
         for depth, budget in ((1, 4), (1, 1000), (3, 1000)):
-            assert_matches_fraction_walk(s, depth, budget)
+            assert_homtervals_match_oracle(s, depth, budget)
         assert all(h.resolved for h in s.classify_homtervals(1, orbit_budget=1000).homtervals)
 
     def test_levels_above_2_40(self, approximant_level_maps):
         levels = [s for s in approximant_level_maps if s.common_denominator() > 2**40]
         assert len(levels) >= 5
         for s in levels:
-            assert_matches_fraction_walk(s, 2, 50)
-
-
-def rotated(s: Itm, r: Fraction) -> Itm:
-    """The conjugate x -> S(x - r) + r: the breakpoints move by r, the shifts stay."""
-    moved = sorted(((p.value + r) % 1, c) for p, c in zip(s.breakpoints, s.shifts))
-    return Itm(tuple(p for p, _ in moved), tuple(c for _, c in moved))
+            assert_homtervals_match_oracle(s, 2, 50)
 
 
 class TestHomtervalsOnCells:
@@ -730,7 +611,7 @@ class TestHomtervalsOnCells:
         for s in acceptance_sweep_maps[:40]:
             q = s.common_denominator()
             r = F(rng.randrange(1, q), q)
-            t = rotated(s, r)
+            t = oracle.rotated(s, r)
             assert q % t.common_denominator() == 0
             before, after = (m.classify_homtervals(2, orbit_budget=2 * q) for m in (s, t))
             assert sorted(after.omega) == sorted(p + r for p in before.omega)

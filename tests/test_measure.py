@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from itmlib.catalog import half_collapse, halving_map, random_itm, rotation, two_shift_example
-from itmlib.circle import Arc, ArcSet, CirclePoint, _chart_table, _walk, arc, arcset, frac
+from itmlib.circle import Arc, ArcSet, CirclePoint, _chart_table, _walk, arc, arcset
 from itmlib.conjugacy import induce_iem
 from itmlib.families import (
     PolynomialFamily,
@@ -26,7 +27,6 @@ from itmlib.itm import AttractorResult, BudgetExceeded, FiniteType, Itm
 from itmlib.piecewise import AffinePiece, Domain, PiecewiseMap, empirical_measure
 from itmlib.measure import (
     AtomicMeasure,
-    Recurrence,
     Cdf,
     Measure,
     NotFiniteType,
@@ -180,20 +180,6 @@ class TestPushforward:
             assert pushforward(two_shift_example(), mu).non_atomic
 
 
-def reference_pushforward(s, mu: Measure) -> Measure:
-    """S#mu piece by piece: each density piece meets each map piece, and the
-    hit's arcs are translated with the weight riding along."""
-    density = []
-    for lo, hi, w in mu.density:
-        chunk = ArcSet.from_segments([(lo, hi)])
-        for j in range(s.n):
-            hit = chunk.intersect(ArcSet([s.piece(j)]))
-            moved = ArcSet([a.translate(s.shifts[j]) for a in hit.arcs])
-            density.extend((a, b, w) for a, b in moved.segments())
-    atoms = tuple((s.evaluate(CirclePoint(p)).value, m) for p, m in mu.atoms)
-    return Measure(tuple(density), atoms)
-
-
 def random_measure(rng: random.Random, q: int) -> Measure:
     """Weighted arcs and atoms on the grid of multiples of 1/q."""
     weighted = [
@@ -211,14 +197,14 @@ def random_measure(rng: random.Random, q: int) -> Measure:
 
 
 class TestPushforwardAgainstReference:
-    """pushforward walks the map's charts; the reference cuts per piece."""
+    """pushforward walks the map's charts; the oracle clips per chart."""
 
     def test_acceptance_sweep(self, acceptance_sweep_maps):
         for s in acceptance_sweep_maps:
             att = s.attractor()
             mu = attractor_measure(s, att)
             for nu in (mu, Measure.uniform_on(att.attractor), Measure.lebesgue()):
-                assert pushforward(s, nu) == reference_pushforward(s, nu)
+                assert pushforward(s, nu) == oracle.pushforward(s, nu)
 
     def test_random_maps(self):
         rng = random.Random(15)
@@ -227,14 +213,14 @@ class TestPushforwardAgainstReference:
             s = random_itm(rng, n, rng.randint(n, 96))
             q = rng.choice([s.common_denominator(), rng.randint(2, 97)])
             mu = random_measure(rng, q)
-            assert pushforward(s, mu) == reference_pushforward(s, mu)
+            assert pushforward(s, mu) == oracle.pushforward(s, mu)
 
     @given(measures(), st.integers(0, 2**32))
     def test_hypothesis_measures(self, mu, seed):
         rng = random.Random(seed)
         n = rng.randint(1, 5)
         s = random_itm(rng, n, rng.randint(n, 48))
-        assert pushforward(s, mu) == reference_pushforward(s, mu)
+        assert pushforward(s, mu) == oracle.pushforward(s, mu)
 
 
 class TestTvDistance:
@@ -262,49 +248,27 @@ class TestTvDistance:
         assert tv_distance(mu, mu) == 0
 
 
-def reference_tv_distance(mu: Measure, nu: Measure) -> Fraction:
-    """Total variation cell by cell over the common refinement of both
-    densities' endpoints, looking up each density's weight per cell."""
-
-    def weight_at(m: Measure, lo: Fraction, hi: Fraction) -> Fraction:
-        for a, b, w in m.density:
-            if a <= lo and hi <= b:
-                return w
-        return F(0)
-
-    cuts = sorted({x for m in (mu, nu) for lo, hi, _ in m.density for x in (lo, hi)})
-    total = sum(
-        (abs(weight_at(mu, lo, hi) - weight_at(nu, lo, hi)) * (hi - lo)
-         for lo, hi in zip(cuts, cuts[1:])),
-        F(0),
-    )
-    mu_atoms, nu_atoms = dict(mu.atoms), dict(nu.atoms)
-    for p in mu_atoms.keys() | nu_atoms.keys():
-        total += abs(mu_atoms.get(p, F(0)) - nu_atoms.get(p, F(0)))
-    return total
-
-
 class TestTvDistanceAgainstReference:
-    """tv_distance sweeps the signed densities once; the reference walks
-    the common refinement."""
+    """tv_distance reads both cumulative tables at their merged cuts; the
+    oracle sums the signed measure's pieces and atoms."""
 
     def test_acceptance_sweep_pushforwards(self, acceptance_sweep_maps):
         for s in acceptance_sweep_maps:
             att = s.attractor()
             for nu in (Measure.uniform_on(att.attractor), Measure.lebesgue()):
                 pushed = pushforward(s, nu)
-                assert tv_distance(pushed, nu) == reference_tv_distance(pushed, nu)
+                assert tv_distance(pushed, nu) == oracle.tv_distance(pushed, nu)
 
     def test_random_measures_with_atoms(self):
         rng = random.Random(29)
         for _ in range(300):
             q = rng.randint(2, 97)
             mu, nu = random_measure(rng, q), random_measure(rng, rng.choice([q, 60]))
-            assert tv_distance(mu, nu) == reference_tv_distance(mu, nu)
+            assert tv_distance(mu, nu) == oracle.tv_distance(mu, nu)
 
     @given(measures(), measures())
     def test_hypothesis_measures(self, mu, nu):
-        assert tv_distance(mu, nu) == reference_tv_distance(mu, nu)
+        assert tv_distance(mu, nu) == oracle.tv_distance(mu, nu)
 
 
 class TestInvarianceResidual:
@@ -574,108 +538,13 @@ class TestCdfDistance:
         assert cdf_distance(mu, rho) <= cdf_distance(mu, nu) + cdf_distance(nu, rho)
 
 
-class ReferenceCdf:
-    """F(x) = mu([0, x]) from a set of cuts, an atom dict and one pass over
-    the density; every lookup bisects and divides out a fresh slope."""
-
-    def __init__(self, measure: Measure):
-        cuts = {F(0), F(1)}
-        for lo, hi, _ in measure.density:
-            cuts.update((lo, hi))
-        cuts.update(p for p, _ in measure.atoms)
-        self.measure = measure
-        self.cuts = tuple(sorted(cuts))
-        atom_at = dict(measure.atoms)
-        value_at, value_left = [], []
-        running, seg_idx, prev = F(0), 0, F(0)
-        density = measure.density
-        for x in self.cuts:
-            gap = F(0)
-            while seg_idx < len(density) and density[seg_idx][1] <= prev:
-                seg_idx += 1
-            if x > prev and seg_idx < len(density):
-                lo, hi, w = density[seg_idx]
-                if lo <= prev < hi:
-                    gap = w * (x - prev)
-            left = running + gap
-            running = left + atom_at.get(x, F(0))
-            value_left.append(left)
-            value_at.append(running)
-            prev = x
-        self.value_at = tuple(value_at)
-        self.value_left = tuple(value_left)
-
-    def slope(self, i: int) -> Fraction:
-        lo, hi = self.cuts[i], self.cuts[i + 1]
-        return (self.value_left[i + 1] - self.value_at[i]) / (hi - lo)
-
-    def at(self, x: Fraction) -> Fraction:
-        if x < 0:
-            return F(0)
-        if x >= 1:
-            return self.value_at[-1]
-        i = bisect.bisect_right(self.cuts, x) - 1
-        if self.cuts[i] == x:
-            return self.value_at[i]
-        return self.value_at[i] + self.slope(i) * (x - self.cuts[i])
-
-    def left_limit(self, x: Fraction) -> Fraction:
-        if x <= 0:
-            return F(0)
-        if x > 1:
-            return self.value_at[-1]
-        i = bisect.bisect_left(self.cuts, x)
-        if i < len(self.cuts) and self.cuts[i] == x:
-            return self.value_left[i]
-        return self.value_at[i - 1] + self.slope(i - 1) * (x - self.cuts[i - 1])
-
-    def quantile(self, y: Fraction) -> Fraction:
-        if y <= 0:
-            return F(0)
-        i = bisect.bisect_left(self.value_at, y)
-        if i >= len(self.cuts):
-            return F(1)
-        if self.value_left[i] >= y and i > 0:
-            slope = self.slope(i - 1)
-            if slope > 0:
-                return self.cuts[i - 1] + (y - self.value_at[i - 1]) / slope
-        return self.cuts[i]
-
-    def rightmost_preimage(self, y: Fraction) -> Fraction:
-        v = self.value_at
-        i = bisect.bisect_right(v, y) - 1
-        if v[i] == y:
-            return self.cuts[i]
-        return self.cuts[i] + (y - v[i]) / self.slope(i)
-
-
-def reference_cdf_distance(mu: Measure, nu: Measure) -> Fraction:
-    """Both CDFs looked up at every cut of either, and just below it."""
-    fm, fn = ReferenceCdf(mu), ReferenceCdf(nu)
-    return max(
-        max(abs(fm.at(x) - fn.at(x)), abs(fm.left_limit(x) - fn.left_limit(x)))
-        for x in sorted(set(fm.cuts) | set(fn.cuts))
-    )
-
-
-def reference_mass_between(mu, lo, hi, include_lo=True, include_hi=False) -> Fraction:
-    """Each density piece clipped to [lo, hi], plus the atoms inside."""
-    total = sum((w * (min(b, hi) - max(a, lo)) for a, b, w in mu.density
-                 if min(b, hi) > max(a, lo)), F(0))
-    for p, m in mu.atoms:
-        if lo < p < hi or (p == lo and include_lo) or (p == hi and include_hi):
-            if not (p == lo == hi and not (include_lo and include_hi)):
-                total += m
-    return total
-
-
 def probability(mu: Measure) -> Measure:
     total = mu.total_mass
     return mu.scale(1 / total) if total else Measure.lebesgue()
 
 
 def assert_cdf_matches_reference(mu: Measure, rng: random.Random) -> None:
-    fast, ref = mu.cdf(), ReferenceCdf(mu)
+    fast, ref = mu.cdf(), oracle.Cdf(mu)
     assert fast.cuts == ref.cuts
     assert (fast.value_left, fast.value_at) == (ref.value_left, ref.value_at)
     mids = [(a + b) / 2 for a, b in zip(ref.cuts, ref.cuts[1:])]
@@ -695,13 +564,12 @@ def assert_cdf_matches_reference(mu: Measure, rng: random.Random) -> None:
         for include_lo in (False, True):
             for include_hi in (False, True):
                 args = (lo, hi, include_lo, include_hi)
-                assert fast.mass_between(*args) == reference_mass_between(mu, *args)
+                assert fast.mass_between(*args) == oracle.mass(mu, *args)
 
 
 class TestCumulativeTableAgainstReference:
     """Cdf, mass_between and cdf_distance read one cumulative table; the
-    references rebuild each lookup from the cuts, an atom dict and a
-    fresh slope division."""
+    oracle sums each piece and atom and interpolates on its own cuts."""
 
     def test_random_measures(self):
         rng = random.Random(31)
@@ -710,13 +578,13 @@ class TestCumulativeTableAgainstReference:
             mu, nu = random_measure(rng, q), random_measure(rng, rng.choice([q, 60]))
             assert_cdf_matches_reference(mu, rng)
             mu, nu = probability(mu), probability(nu)
-            assert cdf_distance(mu, nu) == reference_cdf_distance(mu, nu)
+            assert cdf_distance(mu, nu) == oracle.cdf_distance(mu, nu)
 
     @given(measures(), measures(probability=True), st.integers(0, 2**32))
     def test_hypothesis_measures(self, mu, nu, seed):
         assert_cdf_matches_reference(mu, random.Random(seed))
         mu = probability(mu)
-        assert cdf_distance(mu, nu) == reference_cdf_distance(mu, nu)
+        assert cdf_distance(mu, nu) == oracle.cdf_distance(mu, nu)
 
     def test_acceptance_sweep_against_lebesgue(self, acceptance_sweep_maps):
         rng = random.Random(37)
@@ -724,7 +592,7 @@ class TestCumulativeTableAgainstReference:
         for s in acceptance_sweep_maps:
             mu = attractor_measure(s)
             assert_cdf_matches_reference(mu, rng)
-            assert cdf_distance(mu, lebesgue) == reference_cdf_distance(mu, lebesgue)
+            assert cdf_distance(mu, lebesgue) == oracle.cdf_distance(mu, lebesgue)
 
 
 def test_no_position_is_hashed(monkeypatch):
@@ -736,7 +604,7 @@ def test_no_position_is_hashed(monkeypatch):
         x = x / 2 + F(1, 3)
     atoms = tuple((p, F(1, 1000)) for p in points)
     lebesgue = Measure.lebesgue()
-    expected = reference_cdf_distance(Measure((), atoms), lebesgue)
+    expected = oracle.cdf_distance(Measure((), atoms), lebesgue)
 
     def refuse(self):
         raise AssertionError("a Fraction was hashed")
@@ -749,15 +617,6 @@ def test_no_position_is_hashed(monkeypatch):
     assert cdf_distance(mu, lebesgue) == expected
 
 
-def parent_cdf_distance(mu: Measure, nu: Measure) -> Fraction:
-    """cdf_distance as it scanned a third table, the cumulative table of the
-    signed difference mu - nu; kept as the reference."""
-    if mu.total_mass != 1 or nu.total_mass != 1:
-        raise ValueError("cdf distance requires probability measures")
-    _, unit, rows = measure_module._cumulative(*measure_module._difference(mu, nu))
-    return F(max(max(abs(left), abs(at)) for _, left, at, _ in rows), unit)
-
-
 @st.composite
 def end_atom_measures(draw):
     """Probability measures from measures(), often with atoms at 0 and at 1."""
@@ -768,13 +627,13 @@ def end_atom_measures(draw):
 
 
 class TestCdfDistanceAgainstParent:
-    """cdf_distance merges the cuts of both measures' own tables; the
-    parent built the table of mu - nu and scanned it."""
+    """cdf_distance merges the cuts of both measures' own tables; the oracle
+    reads both distribution functions at every cut and just below it."""
 
     @given(end_atom_measures(), end_atom_measures())
     def test_hypothesis_measures_with_atoms_at_the_ends(self, mu, nu):
-        assert cdf_distance(mu, nu) == parent_cdf_distance(mu, nu)
-        assert cdf_distance(nu, mu) == parent_cdf_distance(nu, mu)
+        assert cdf_distance(mu, nu) == oracle.cdf_distance(mu, nu)
+        assert cdf_distance(nu, mu) == oracle.cdf_distance(nu, mu)
 
     def test_equal_measures_and_grids_that_divide(self):
         rng = random.Random(47)
@@ -782,16 +641,16 @@ class TestCdfDistanceAgainstParent:
             q = rng.randint(1, 60)
             mu = probability(random_measure(rng, q))
             nu = probability(random_measure(rng, q * rng.choice([1, 2, 3, 7])))
-            assert cdf_distance(mu, nu) == parent_cdf_distance(mu, nu)
-            assert cdf_distance(nu, mu) == parent_cdf_distance(nu, mu)
+            assert cdf_distance(mu, nu) == oracle.cdf_distance(mu, nu)
+            assert cdf_distance(nu, mu) == oracle.cdf_distance(nu, mu)
             same = Measure(mu.density, mu.atoms)
-            assert cdf_distance(mu, same) == parent_cdf_distance(mu, same) == 0
+            assert cdf_distance(mu, same) == oracle.cdf_distance(mu, same) == 0
         for mu, nu in [
             (Measure.point_mass(0), Measure.point_mass(1)),
             (Measure.point_mass(1), Measure.lebesgue()),
             (Measure.point_mass(0), Measure.lebesgue()),
         ]:
-            assert cdf_distance(mu, nu) == parent_cdf_distance(mu, nu) == 1
+            assert cdf_distance(mu, nu) == oracle.cdf_distance(mu, nu) == 1
 
     def test_successive_approximant_levels(self, approximant_level_maps):
         mus = []
@@ -804,149 +663,17 @@ class TestCdfDistanceAgainstParent:
                 mus.append(attractor_measure(s, res))
         assert len(mus) > 20
         for mu, nu in zip(mus, mus[1:]):
-            assert cdf_distance(mu, nu) == parent_cdf_distance(mu, nu)
+            assert cdf_distance(mu, nu) == oracle.cdf_distance(mu, nu)
 
     def test_orbit_empirical_measures_against_lebesgue(self, criterion_8_orbits):
         lebesgue = Measure.lebesgue()
         for t, x0 in criterion_8_orbits[:25]:
             emp = empirical_measure(t, x0, 500).measure
-            assert cdf_distance(emp, lebesgue) == parent_cdf_distance(emp, lebesgue)
+            assert cdf_distance(emp, lebesgue) == oracle.cdf_distance(emp, lebesgue)
         for m in (1, 4, 60):
             emp = empirical_measure(halving_map(), F(1), m).measure
             for nu in (lebesgue, Measure.point_mass(0)):
-                assert cdf_distance(emp, nu) == parent_cdf_distance(emp, nu)
-
-
-# -- the Fraction measure layer the grid layer replaced, kept as a reference --
-#
-# Densities are merged (lo, hi, weight) Fraction triples and every query
-# sorts and compares Fractions.  The grid layer must agree with it exactly.
-
-
-def fraction_sweep(events):
-    if not events:
-        return ()
-    events.sort(key=lambda e: e[0])
-    out = []
-    level = F(0)
-    prev = events[0][0]
-    i = 0
-    while i < len(events):
-        x = events[i][0]
-        if x > prev and level != 0:
-            if out and out[-1][1] == prev and out[-1][2] == level:
-                out[-1][1] = x
-            else:
-                out.append([prev, x, level])
-        while i < len(events) and events[i][0] == x:
-            level += events[i][1]
-            i += 1
-        prev = x
-    return tuple((lo, hi, w) for lo, hi, w in out)
-
-
-def fraction_merge_density(raw):
-    events = []
-    for lo, hi, w in raw:
-        if hi > lo and w > 0:
-            events.append((lo, w))
-            events.append((hi, -w))
-    return fraction_sweep(events)
-
-
-def fraction_add_neighbours(atoms):
-    out = []
-    for p, m in sorted(atoms, key=lambda a: a[0]):
-        if out and out[-1][0] == p:
-            out[-1] = (p, out[-1][1] + m)
-        else:
-            out.append((p, m))
-    return tuple(a for a in out if a[1] != 0)
-
-
-def fraction_cumulative(density, atoms):
-    events = [e for lo, hi, w in density for e in ((lo, w, F(0)), (hi, -w, F(0)))]
-    events += [(p, F(0), m) for p, m in atoms]
-    events.append((F(1), F(0), F(0)))
-    events.sort(key=lambda e: e[0])
-    rows = [[F(0), F(0), F(0), F(0)]]
-    for x, dw, m in events:
-        row = rows[-1]
-        if x != row[0]:
-            left = row[2] + row[3] * (x - row[0])
-            row = [x, left, left, row[3]]
-            rows.append(row)
-        row[2] += m
-        row[3] += dw
-    return rows
-
-
-class FractionCdf:
-    """The cumulative table on Fraction cuts, bisected with Fraction compares."""
-
-    def __init__(self, density, atoms):
-        self.cuts, self.value_left, self.value_at, self.slopes = zip(
-            *fraction_cumulative(density, atoms)
-        )
-
-    def at(self, x):
-        if x < 0:
-            return F(0)
-        i = bisect.bisect_right(self.cuts, x) - 1
-        return self.value_at[i] + self.slopes[i] * (x - self.cuts[i])
-
-    def left_limit(self, x):
-        if x <= 0:
-            return F(0)
-        i = bisect.bisect_left(self.cuts, x) - 1
-        return self.value_at[i] + self.slopes[i] * (x - self.cuts[i])
-
-
-def fraction_walk(segs, charts):
-    out = []
-    j = 0
-    for lo, hi, *weight in segs:
-        while j < len(charts) and charts[j][1] <= lo:
-            j += 1
-        i = j
-        while i < len(charts) and charts[i][0] < hi:
-            c_lo, c_hi, a, b = charts[i]
-            left, right = max(lo, c_lo), min(hi, c_hi)
-            i += 1
-            if left >= right:
-                continue
-            if a > 0:
-                out.append((a * left + b, a * right + b, *(w / a for w in weight)))
-            elif a < 0:
-                out.append((a * right + b, a * left + b, *(w / -a for w in weight)))
-            else:
-                out.append((b, b, *(w * (right - left) for w in weight)))
-    return out
-
-
-def fraction_pushforward(t, density, atoms):
-    moved = fraction_walk(density, t.affine_segments())
-    gathered = [(lo, m) for lo, hi, m in moved if lo == hi]
-    gathered += [(frac(t.evaluate(p)), m) for p, m in atoms]
-    return fraction_merge_density(moved), fraction_add_neighbours(gathered)
-
-
-def fraction_difference(mu, nu):
-    events = [e for lo, hi, w in mu.density for e in ((lo, w), (hi, -w))]
-    events += [e for lo, hi, w in nu.density for e in ((lo, -w), (hi, w))]
-    atoms = [*mu.atoms, *[(p, -m) for p, m in nu.atoms]]
-    return fraction_sweep(events), fraction_add_neighbours(atoms)
-
-
-def fraction_tv_distance(mu, nu):
-    density, atoms = fraction_difference(mu, nu)
-    total = sum((abs(w) * (hi - lo) for lo, hi, w in density), F(0))
-    return total + sum((abs(m) for _, m in atoms), F(0))
-
-
-def fraction_cdf_distance(mu, nu):
-    rows = fraction_cumulative(*fraction_difference(mu, nu))
-    return max(max(abs(left), abs(at)) for _, left, at, _ in rows)
+                assert cdf_distance(emp, nu) == oracle.cdf_distance(emp, nu)
 
 
 def raw_on_grid(rng: random.Random, q: int):
@@ -970,14 +697,13 @@ def assert_integer_rows_match(table, rows) -> None:
 
 
 def assert_grid_layer_matches(mu: Measure, density, atoms, rng: random.Random) -> None:
-    """mu, built from raw (density, atoms), against the Fraction layer."""
-    assert mu.density == fraction_merge_density(density)
-    assert mu.atoms == fraction_add_neighbours(atoms)
+    """mu, built from raw (density, atoms), against the oracle."""
+    model = oracle.Measure(density, atoms)
+    assert mu == model
+    fast, ref = mu.cdf(), oracle.Cdf(model)
     assert_integer_rows_match(
-        measure_module._cumulative(mu._grid, mu._cells, mu.atoms),
-        fraction_cumulative(mu.density, mu.atoms),
+        measure_module._cumulative(mu._grid, mu._cells, mu.atoms), ref.rows()
     )
-    fast, ref = mu.cdf(), FractionCdf(mu.density, mu.atoms)
     assert fast.cuts == ref.cuts
     assert (fast.value_left, fast.value_at, fast.slopes) == (
         ref.value_left, ref.value_at, ref.slopes
@@ -990,7 +716,7 @@ def assert_grid_layer_matches(mu: Measure, density, atoms, rng: random.Random) -
 
 
 class TestGridLayerAgainstFractionLayer:
-    """Measures on integer grids give the Fraction layer's answers exactly."""
+    """Measures on integer grids give the oracle's answers exactly."""
 
     GRIDS = st.one_of(
         st.tuples(st.integers(2, 600), st.integers(2, 600)).filter(lambda p: gcd(*p) == 1),
@@ -1003,18 +729,12 @@ class TestGridLayerAgainstFractionLayer:
         mu, nu = Measure(d1, a1), Measure(d2, a2)
         assert_grid_layer_matches(mu, d1, a1, rng)
         assert_grid_layer_matches(nu, d2, a2, rng)
-        assert tv_distance(mu, nu) == fraction_tv_distance(mu, nu)
-        assert tv_distance(nu, mu) == fraction_tv_distance(nu, mu)
-        assert_integer_rows_match(
-            measure_module._cumulative(*measure_module._difference(mu, nu)),
-            fraction_cumulative(*fraction_difference(mu, nu)),
-        )
+        assert tv_distance(mu, nu) == oracle.tv_distance(mu, nu)
+        assert tv_distance(nu, mu) == oracle.tv_distance(nu, mu)
         mu, nu = probability(mu), probability(nu)
-        assert cdf_distance(mu, nu) == fraction_cdf_distance(mu, nu)
+        assert cdf_distance(mu, nu) == oracle.cdf_distance(mu, nu)
         s = random_itm(rng, rng.randint(1, min(5, q2)), q2)
-        assert (pushforward(s, mu).density, pushforward(s, mu).atoms) == (
-            fraction_pushforward(s, mu.density, mu.atoms)
-        )
+        assert pushforward(s, mu) == oracle.pushforward(s, mu)
 
     @given(GRIDS, st.integers(0, 2**32))
     def test_hypothesis_grid_pairs(self, grids, seed):
@@ -1035,9 +755,9 @@ class TestGridLayerAgainstFractionLayer:
             assert_grid_layer_matches(mu, mu.density, (), rng)
             for nu in (mu, lebesgue):
                 pushed = pushforward(s, nu)
-                assert (pushed.density, pushed.atoms) == fraction_pushforward(s, nu.density, ())
-                assert tv_distance(pushed, nu) == fraction_tv_distance(pushed, nu)
-            assert cdf_distance(mu, lebesgue) == fraction_cdf_distance(mu, lebesgue)
+                assert pushed == oracle.pushforward(s, nu)
+                assert tv_distance(pushed, nu) == oracle.tv_distance(pushed, nu)
+            assert cdf_distance(mu, lebesgue) == oracle.cdf_distance(mu, lebesgue)
 
     @given(
         st.lists(st.tuples(st.integers(0, 40), st.integers(-6, 6), st.integers(1, 12)), max_size=12)
@@ -1045,7 +765,7 @@ class TestGridLayerAgainstFractionLayer:
     def test_integer_sweep(self, raw):
         # signed changes with mixed denominators
         events = [(x, F(n, d)) for x, n, d in raw]
-        assert measure_module._sweep(list(events)) == fraction_sweep(list(events))
+        assert measure_module._sweep(list(events)) == oracle.sweep(events)
 
     def test_integer_sweep_drops_zero_levels_and_merges_equal_ones(self):
         events = [
@@ -1055,8 +775,8 @@ class TestGridLayerAgainstFractionLayer:
             (10, F(1, 3)), (10, F(-1, 3)), (12, F(-1, 5)), (13, F(1, 5)),
         ]
         expected = ((0, 4, F(1, 2)), (6, 8, F(1, 2)), (12, 13, F(-1, 5)))
-        assert measure_module._sweep(list(events)) == fraction_sweep(list(events)) == expected
-        assert measure_module._sweep([]) == fraction_sweep([]) == ()
+        assert measure_module._sweep(list(events)) == oracle.sweep(events) == expected
+        assert measure_module._sweep([]) == oracle.sweep([]) == ()
 
     @given(GRIDS, st.integers(0, 2**32))
     def test_measures_swept_on_integers_equal_and_hash_as_before(self, grids, seed):
@@ -1066,7 +786,7 @@ class TestGridLayerAgainstFractionLayer:
         density += [(lo, hi, w * F(rng.randint(1, 7), rng.randint(1, 7))) for lo, hi, w in density]
         events = [e for lo, hi, w in density for e in ((lo * q, w), (hi * q, -w))]
         reference = Measure._on_cells(
-            *measure_module._own_grid(q, fraction_sweep([(int(x), w) for x, w in events])), ()
+            *measure_module._own_grid(q, oracle.sweep([(int(x), w) for x, w in events])), ()
         )
         mu = Measure(density)
         assert mu == reference and hash(mu) == hash(reference)
@@ -1089,7 +809,7 @@ class TestGridLayerAgainstFractionLayer:
         read = [
             (F(a, grid), F(b, grid), w if a < b else w / grid) for a, b, w in moved
         ]
-        assert sorted(read) == sorted(fraction_walk(list(mu.density), charts))
+        assert sorted(read) == sorted(oracle.walk(mu.density, charts))
 
     @pytest.mark.parametrize("domain", list(Domain))
     def test_piecewise_charts_of_every_slope(self, domain):
@@ -1104,10 +824,8 @@ class TestGridLayerAgainstFractionLayer:
             density, atoms = raw_on_grid(rng, q)
             mu = Measure(density, atoms)
             pushed = pushforward(t, mu)
-            assert (pushed.density, pushed.atoms) == fraction_pushforward(
-                t, mu.density, mu.atoms
-            )
-            assert tv_distance(pushed, mu) == fraction_tv_distance(pushed, mu)
+            assert pushed == oracle.pushforward(t, mu)
+            assert tv_distance(pushed, mu) == oracle.tv_distance(pushed, mu)
         assert all(slopes[a] > 30 for a in (F(1, 2), F(2), F(-1), F(0)))
 
     @given(GRIDS, st.integers(0, 2**32))
@@ -1191,40 +909,10 @@ class TestMassNearBreakpoints:
         assert all(a <= b for a, b in zip(small, large))
 
 
-def fraction_mass_near_points(mu, points, delta, wrap=True):
-    """mu((t - delta, t + delta)) per point with both ends as Fractions, each
-    mass read by Cdf.mass_between."""
-    delta = frac(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    cdf = mu.cdf()
-    out = []
-    for p in points:
-        t = frac(p)
-        if not wrap:
-            lo, hi = t - delta, t + delta
-            out.append(
-                cdf.mass_between(
-                    max(lo, F(0)), min(hi, F(1)), include_lo=lo < 0, include_hi=hi > 1
-                )
-            )
-            continue
-        lo, hi = (t - delta) % 1, (t + delta) % 1
-        if delta > F(1, 2):
-            out.append(mu.total_mass)
-        elif lo < hi:
-            out.append(cdf.mass_between(lo, hi, include_lo=False, include_hi=False))
-        else:
-            total = cdf.mass_between(lo, F(1), include_lo=False, include_hi=True)
-            total += cdf.mass_between(F(0), hi, include_lo=True, include_hi=False)
-            out.append(total)
-    return out
-
-
 def assert_masses_match(mu, points, delta):
     for wrap in (True, False):
         try:
-            want = fraction_mass_near_points(mu, points, delta, wrap=wrap)
+            want = oracle.mass_near_points(mu, points, delta, wrap=wrap)
         except Exception as exc:
             with pytest.raises(type(exc)):
                 mass_near_points(mu, points, delta, wrap=wrap)
@@ -1235,8 +923,8 @@ def assert_masses_match(mu, points, delta):
 
 
 class TestMassNearPointsAgainstFractionEnds:
-    """The masses read on integer ends equal the Fraction ends' on the
-    circle and on the clipped interval, and fail alike."""
+    """The masses read on integer ends equal the oracle's on the circle and
+    on the clipped interval, and fail alike."""
 
     ATOMIC = Measure(
         ((F(1, 8), F(5, 8), F(3, 2)),),
@@ -1291,18 +979,13 @@ class TestMassNearPointsAgainstFractionEnds:
         assert_masses_match(mu, points, delta)
 
 
-def fraction_total_mass(mu: Measure) -> Fraction:
-    density = sum((w * (hi - lo) for lo, hi, w in mu.density), F(0))
-    return density + sum((m for _, m in mu.atoms), F(0))
-
-
 class TestTotalMass:
-    """The total read from the cumulative table equals the Fraction sum,
+    """The total read from the cumulative table equals the oracle's sum,
     whether it is read before or after the table is built."""
 
     @staticmethod
     def assert_total(mu: Measure) -> None:
-        want = fraction_total_mass(mu)
+        want = oracle.total_mass(mu)
         before = Measure(mu.density, mu.atoms)
         assert before.total_mass == want
         before.cdf()
@@ -1315,7 +998,7 @@ class TestTotalMass:
     def test_acceptance_sweep_measures(self, acceptance_sweep_maps):
         for s in acceptance_sweep_maps:
             mu = attractor_measure(s)
-            assert mu.total_mass == 1 == fraction_total_mass(mu)
+            assert mu.total_mass == 1 == oracle.total_mass(mu)
             self.assert_total(mu)
             self.assert_total(mu.scale(F(3, 7)))
 
@@ -1384,45 +1067,19 @@ class TestRecurrence:
         assert at_gaps >= 8
 
 
-def reference_find_recurrent_points(s, mu, eps, horizon, samples, rng=None):
-    """The orbit walk on CirclePoints with evaluate() and distance_to()."""
-    eps = frac(eps)
-    cdf = mu.cdf()
-    total = mu.total_mass
-    levels = [
-        total * Fraction(rng.getrandbits(40), 1 << 40)
-        if rng is not None
-        else total * Fraction(2 * i + 1, 2 * samples)
-        for i in range(samples)
-    ]
-    q = s.common_denominator()
-    out = []
-    for y in levels:
-        x = cdf.quantile(y)
-        if x > 0 and (x * q).denominator == 1 and cdf.left_limit(x) == y:
-            # reached at a cell end from the left: the first point in the
-            # cell before x of the linear piece of F ending at x
-            ends = [e for lo, hi, _ in mu.density for e in (lo, hi)]
-            x = max(x - F(1, q), max(e for e in ends + [p for p, _ in mu.atoms] if e < x))
-        x = CirclePoint(x % 1)
-        found = None
-        cur = x
-        visited = {cur}
-        for m in range(1, horizon + 1):
-            cur = s.evaluate(cur)
-            d = cur.distance_to(x)
-            if d < eps:
-                found = Recurrence(x, m, d)
-                break
-            if cur in visited:
-                break
-            visited.add(cur)
-        out.append(found if found is not None else Recurrence(x, None, None))
-    return out
+def assert_recurrence_matches(s, mu, eps, horizon, samples, seed=None) -> list:
+    """find_recurrent_points gives the oracle's samples, times and distances,
+    each drawing from its own rng in the same state when seeded."""
+    rng = None if seed is None else random.Random(seed)
+    fast = find_recurrent_points(s, mu, eps, horizon, samples, rng=rng)
+    rng = None if seed is None else random.Random(seed)
+    rows = [(r.point.value, r.time, r.distance) for r in fast]
+    assert rows == oracle.recurrence(s, mu, eps, horizon, samples, rng=rng)
+    return fast
 
 
 class TestRecurrenceAgainstReference:
-    """The walk mod Q gives the Recurrence list of the CirclePoint walk."""
+    """The walk mod Q gives the samples and returns of the oracle's orbit walk."""
 
     @pytest.mark.parametrize("seeded", [False, True], ids=["grid", "rng"])
     @pytest.mark.parametrize(
@@ -1433,11 +1090,7 @@ class TestRecurrenceAgainstReference:
             q = s.common_denominator()
             eps = F(1, 3 * q + 1) if off_grid_eps else F(1, q)
             mu = attractor_measure(s)
-            args = (s, mu, eps, q * q, 8)
-            # each walk gets its own rng in the same state
-            fresh_rng = (lambda: random.Random(i)) if seeded else (lambda: None)
-            fast = find_recurrent_points(*args, rng=fresh_rng())
-            assert fast == reference_find_recurrent_points(*args, rng=fresh_rng())
+            assert_recurrence_matches(s, mu, eps, q * q, 8, seed=i if seeded else None)
 
     def test_visited_early_exit(self, acceptance_sweep_maps):
         # Lebesgue quantiles (2i+1)/16 keep Q = lcm(q, den x) <= 16q below the
@@ -1445,17 +1098,14 @@ class TestRecurrenceAgainstReference:
         misses = 0
         for s in acceptance_sweep_maps[:30]:
             q = s.common_denominator()
-            args = (s, Measure.lebesgue(), F(1, 10**6), 16 * q + 1, 8)
-            fast = find_recurrent_points(*args)
-            assert fast == reference_find_recurrent_points(*args)
+            fast = assert_recurrence_matches(s, Measure.lebesgue(), F(1, 10**6), 16 * q + 1, 8)
             misses += sum(not r.found for r in fast)
         assert misses > 20
 
     def test_return_across_zero(self):
         # 1/200 steps back to 199/200, at circle distance 1/100
-        args = (rotation(F(-1, 100)), Measure.lebesgue(), F(1, 50), 200, 100)
-        fast = find_recurrent_points(*args)
-        assert fast == reference_find_recurrent_points(*args)
+        s = rotation(F(-1, 100))
+        fast = assert_recurrence_matches(s, Measure.lebesgue(), F(1, 50), 200, 100)
         assert fast[0].point == CirclePoint(F(1, 200))
         assert (fast[0].time, fast[0].distance) == (1, F(1, 100))
 
@@ -1465,9 +1115,7 @@ class TestRecurrenceAgainstReference:
         early = 0
         for s in acceptance_sweep_maps[:30]:
             q = s.common_denominator()
-            args = (s, attractor_measure(s), F(k, q), q * q, 8)
-            fast = find_recurrent_points(*args)
-            assert fast == reference_find_recurrent_points(*args)
+            fast = assert_recurrence_matches(s, attractor_measure(s), F(k, q), q * q, 8)
             early += sum(r.distance != 0 for r in fast if r.found)
         assert early
 
@@ -1476,9 +1124,7 @@ class TestRecurrenceAgainstReference:
         for s in acceptance_sweep_maps[:30]:
             q = s.common_denominator()
             mu = attractor_measure(s)
-            args = (s, mu, F(1, q), 3, 8)
-            fast = find_recurrent_points(*args)
-            assert fast == reference_find_recurrent_points(*args)
+            fast = assert_recurrence_matches(s, mu, F(1, q), 3, 8)
             full = find_recurrent_points(s, mu, F(1, q), q * q, 8)
             cut += sum(not r.found and f.found and f.time > 3 for r, f in zip(fast, full))
         assert cut
@@ -1503,9 +1149,7 @@ class TestRecurrenceAgainstReference:
             mu = attractor_measure(s)
             for eps in (F(16, q), F(1, q)):
                 chart_steps.clear()
-                args = (s, mu, eps, q * q, 20)
-                fast = find_recurrent_points(*args, rng=random.Random(i))
-                assert fast == reference_find_recurrent_points(*args, rng=random.Random(i))
+                fast = assert_recurrence_matches(s, mu, eps, q * q, 20, seed=i)
             # with eps = 1/q only a full turn returns
             returns += sum(r.time for r in fast if r.found)
             steps += len(chart_steps)
@@ -1518,9 +1162,7 @@ class TestRecurrenceAgainstReference:
             q = s.common_denominator()
             attractor = s.attractor().attractor
             for eps in (F(1, q), F(5, q), F(1, 4)):
-                args = (s, Measure.lebesgue(), eps, q * q, 20)
-                fast = find_recurrent_points(*args)
-                assert fast == reference_find_recurrent_points(*args)
+                fast = assert_recurrence_matches(s, Measure.lebesgue(), eps, q * q, 20)
             transient += sum(r.point not in attractor for r in fast)
         assert transient > 50
 
@@ -1537,7 +1179,7 @@ class TestRecurrenceAgainstReference:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert fast == reference_find_recurrent_points(*args)
+        assert fast == assert_recurrence_matches(*args)
         assert all(r.time == 3 for r in fast)
         # a table of one 8-byte entry per cell would take 2^47 bytes
         assert peak < 2**20

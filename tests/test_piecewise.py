@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracle
+from conftest import outcome
 from itmlib.catalog import half_collapse, halving_map, random_itm, rotation
 from itmlib.circle import CirclePoint
 from itmlib.families import (
@@ -128,31 +130,6 @@ class TestPiecewiseMapType:
             PiecewiseMap(domain=Domain.SEGMENT, pieces=((F(0), F(1), F(1), F(0)),))
 
 
-def reference_affine_segments(t: PiecewiseMap) -> list:
-    """Charts cut piece by piece at the integers a*x + b crosses."""
-    out = []
-    for piece in t.pieces:
-        lo, hi, a, b = piece.lo, piece.hi, piece.a, piece.b
-        if t.domain is Domain.SEGMENT or a == 0:
-            out.append((lo, hi, a, t._reduce(a * lo + b) - a * lo))
-            continue
-        v_lo, v_hi = a * lo + b, a * hi + b
-        cuts = [lo]
-        first = min(v_lo, v_hi)
-        last = max(v_lo, v_hi)
-        k = first.__floor__() + 1
-        while k < last:
-            cuts.append((Fraction(k) - b) / a)
-            k += 1
-        cuts.append(hi)
-        cuts = sorted(set(cuts))
-        for seg_lo, seg_hi in zip(cuts, cuts[1:]):
-            mid = (seg_lo + seg_hi) / 2
-            window = (a * mid + b).__floor__()
-            out.append((seg_lo, seg_hi, a, b - window))
-    return out
-
-
 def random_circle_map(rng: random.Random) -> PiecewiseMap:
     """Affine circle pieces with slopes 2, -3, 1/2, 0 or 7 and offsets in [-4, 4]."""
     edges = sorted({F(0), F(1)} | {F(rng.randrange(1, 24), 24) for _ in range(3)})
@@ -177,7 +154,7 @@ class TestAffineCharts:
         for _ in range(200):
             t = random_circle_map(rng)
             charts = t.affine_segments()
-            assert charts == reference_affine_segments(t)
+            assert charts == oracle.Map(t).charts()
             crossings += len(charts) - len(t.pieces)
         assert crossings > 400
 
@@ -202,18 +179,20 @@ class TestAffineCharts:
 
     def test_segment_pieces_are_their_own_charts(self):
         t = trapping_map()
-        assert t.affine_segments() == reference_affine_segments(t) == [
+        assert t.affine_segments() == oracle.Map(t).charts() == [
             (p.lo, p.hi, p.a, p.b) for p in t.pieces
         ]
 
 
 def reference_integral_composed(d: int, t: PiecewiseMap, mu: Measure) -> Fraction:
-    """Integral of T(x)^d d(mu): each density piece meets each chart and
-    (a*x + b)^d is integrated there in closed form; atoms are evaluated."""
+    """Integral of T(x)^d d(mu): each density piece meets each of the
+    oracle's charts and (a*x + b)^d is integrated there in closed form; atoms
+    are evaluated by the oracle's map."""
+    f = oracle.Map(t)
     total = F(0)
     e = d + 1
     for lo, hi, w in mu.density:
-        for c_lo, c_hi, a, b in t.affine_segments():
+        for c_lo, c_hi, a, b in f.charts():
             left, right = max(lo, c_lo), min(hi, c_hi)
             if right <= left:
                 continue
@@ -222,7 +201,7 @@ def reference_integral_composed(d: int, t: PiecewiseMap, mu: Measure) -> Fractio
             else:
                 total += w * ((a * right + b) ** e - (a * left + b) ** e) / (a * e)
     for p, mass in mu.atoms:
-        total += mass * t.evaluate(p) ** d
+        total += mass * f(p) ** d
     return total
 
 
@@ -450,69 +429,24 @@ class TestWanderingCheck:
         ]
 
 
-def reference_orbit(t: PiecewiseMap, x0, m: int) -> tuple:
-    """The stepping orbit: one evaluation per step, never closing up."""
-    if m < 1:
-        raise ValueError("orbit length must be positive")
-    h = t.discontinuities
-    x = t._reduce(F(x0))
-    points = []
-    for step in range(m):
-        if h and x in h:
-            raise HitDiscontinuity(x, step)
-        points.append(x)
-        if step + 1 < m:
-            x = t.evaluate(x)
-    return tuple(points)
-
-
-def reference_from_orbit(points: tuple, next_point) -> tuple:
-    """(points, measure, next_point, pushforward) with an atom of 1/m per step.
-
-    Each point's atoms are tallied before the Measure is built, which gives
-    the measure that merging m atoms of 1/m gives, at a fraction of the
-    cost.  The pushforward relabels the orbit one step on instead of
-    applying T.
-    """
-    m = len(points)
-
-    def tallied(steps):
-        return Measure((), [(p, F(c, m)) for p, c in Counter(steps).items()])
-
-    return points, tallied(points), next_point, tallied(points[1:] + (next_point,))
-
-
-def reference_empirical(t: PiecewiseMap, x0, m: int) -> tuple:
-    points = reference_orbit(t, x0, m)
-    return reference_from_orbit(points, t.evaluate(points[-1]))
-
-
-def outcome(f, *args):
-    """("ok", result) or ("hit", step, point) when the orbit meets H."""
-    try:
-        return "ok", f(*args)
-    except HitDiscontinuity as err:
-        return "hit", err.step, err.point
-
-
-def assert_matches_reference(t: PiecewiseMap, x0, m: int, expected=None) -> None:
-    """Compare with the stepping reference, or with its given outcome."""
-    if expected is None:
-        expected = outcome(reference_empirical, t, x0, m)
-    assert outcome(orbit, t, x0, m) == (
-        ("ok", expected[1][0]) if expected[0] == "ok" else expected
-    )
+def assert_matches_oracle(t: PiecewiseMap, x0, m: int, run=None) -> None:
+    """orbit, the empirical measure and its pushforward against the oracle's
+    stepped orbit, or against a given run of it."""
+    if run is None:
+        run = oracle.orbit(t, x0, m)
+    assert outcome(orbit, t, x0, m) == run
     got = outcome(empirical_measure, t, x0, m)
-    if expected[0] == "hit":
-        assert got == expected
+    if run[0] == "hit":
+        assert got == run
         return
-    points, mu, next_point, pushed = expected[1]
-    emp = got[1]
+    points, emp = run[1], got[1]
+    # the visits are tallied first, as summing m atoms of 1/m one by one costs far more
+    mu = oracle.Measure((), [(p, F(c, m)) for p, c in Counter(points).items()])
     assert emp.points == points
     assert emp.base_point == points[0]
     assert emp.measure == mu
-    assert emp.next_point == next_point
-    assert pushforward(emp.map, emp.measure) == pushed
+    assert emp.next_point == oracle.Map(t)(points[-1])
+    assert pushforward(emp.map, emp.measure) == oracle.pushforward(t, mu)
     assert emp.verify_defect()
 
 
@@ -557,48 +491,27 @@ def piecewise_maps(draw) -> PiecewiseMap:
 starts = st.fractions(min_value=0, max_value=1, max_denominator=24)
 
 
-def reference_first_return(t: PiecewiseMap, probe, horizon: int):
-    """The probe's return time from stepping every start's full orbit."""
-    h, r = probe.point, probe.radius
-    for k in (1, 2):
-        offset = r * k / 3
-        for start in (h + offset, h - offset):
-            if t.domain is Domain.CIRCLE:
-                start = start % 1
-            elif not 0 <= start <= 1:
-                continue
-            try:
-                pts = reference_orbit(t, start, horizon + 1)
-            except HitDiscontinuity:
-                continue
-            for step, p in enumerate(pts[1:], start=1):
-                if t.distance_to(p, (h,)) < r:
-                    return step
-    return None
-
-
 class TestClosedOrbitAgainstReference:
-    """The closing walk gives the stepping orbit's points, atoms and pushforward."""
+    """The closing walk gives the oracle's stepped orbit, atoms and pushforward."""
 
     def test_criterion_8_maps(self, criterion_8_orbits):
         # One stepped orbit per map; the shorter lengths are its prefixes.
         longest = 10000
         for t, x0 in criterion_8_orbits:
-            points = reference_orbit(t, x0, longest)
-            ahead = points + (t.evaluate(points[-1]),)
+            status, points = oracle.orbit(t, x0, longest)
+            assert status == "ok"
             for m in (10, 100, 1000, longest):
-                expected = ("ok", reference_from_orbit(points[:m], ahead[m]))
-                assert_matches_reference(t, x0, m, expected)
+                assert_matches_oracle(t, x0, m, ("ok", points[:m]))
 
     @given(piecewise_maps(), starts, st.integers(1, 60))
     def test_hypothesis_maps(self, t, x0, m):
-        assert_matches_reference(t, x0, m)
+        assert_matches_oracle(t, x0, m)
 
     def test_halving_orbit_never_closes(self):
         points = orbit(halving_map(), F(1), 300)
         assert len(set(points)) == 300
-        assert_matches_reference(halving_map(), F(1), 300)
-        assert_matches_reference(halving_map(), F(3, 7), 300)
+        assert_matches_oracle(halving_map(), F(1), 300)
+        assert_matches_oracle(halving_map(), F(3, 7), 300)
 
     def test_a_closed_orbit_costs_at_most_three_steps_per_point(
         self, criterion_8_orbits, monkeypatch
@@ -634,12 +547,13 @@ class TestClosedOrbitAgainstReference:
         h = t.discontinuities
         epsilons = (F(1, 3), F(1, 12), F(1, 48))
         if h:
-            expected = outcome(reference_orbit, t, x0, m + 1)
+            expected = oracle.orbit(t, x0, m + 1)
             got = outcome(visit_frequency, t, x0, (1, m), epsilons)
             if expected[0] == "hit":
                 assert got == expected
             else:
-                dists = [t.distance_to(p, h) for p in expected[1][1:]]
+                f = oracle.Map(t)
+                dists = [min(f.distance(p, x) for x in h) for p in expected[1][1:]]
                 for n in (1, m):
                     for eps in epsilons:
                         count = sum(1 for dist in dists[:n] if dist < eps)
@@ -647,7 +561,7 @@ class TestClosedOrbitAgainstReference:
         for probe in wandering_discontinuity_check(
             t, radii=(F(1, 5),), horizon=m, points=(x0 % 1,), samples=2
         ):
-            assert probe.return_time == reference_first_return(t, probe, m)
+            assert probe.return_time == oracle.first_return(t, probe.point, probe.radius, m, 2)
 
 
 class TestVerifyDefectAppliesTheMap:
@@ -690,6 +604,16 @@ class TestVerifyDefectAppliesTheMap:
         (p, w), *rest = emp.measure.atoms
         doubled = Measure((), [(p, 2 * w)] + rest)
         assert not dataclasses.replace(emp, measure=doubled).verify_defect()
+
+    @pytest.mark.parametrize("t, x0, m", cases)
+    def test_a_density_part_fails(self, t, x0, m):
+        # half the mass moved into Lebesgue measure, which every rotation
+        # keeps: on a closed orbit the atoms still meet the identity, but the
+        # measure is no orbit's empirical measure
+        emp = empirical_measure(t, x0, m)
+        halved = Measure(((F(0), F(1), F(1, 2)),), [(p, w / 2) for p, w in emp.measure.atoms])
+        assert halved.is_probability
+        assert not dataclasses.replace(emp, measure=halved).verify_defect()
 
     @pytest.mark.parametrize(
         "t, x0, m",

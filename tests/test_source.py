@@ -2,12 +2,25 @@
 
 import ast
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
 
 import itmlib
+
+TESTS = Path(__file__).resolve().parent
+
+
+def imported_modules(tree) -> list:
+    """(line, module) for each absolute import in a module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+    return found
 
 
 def test_library_has_no_assert_statements():
@@ -27,21 +40,59 @@ def test_library_imports_only_the_standard_library():
     # the package promises no runtime dependencies, so a module outside the
     # standard library must not creep in even when it is installed
     root = Path(itmlib.__file__).parent
-    found = []
-    for path in sorted(root.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            found += [
-                f"{path.relative_to(root)}:{node.lineno}: {name}"
-                for name in names
-                if name.split(".")[0] not in sys.stdlib_module_names | {"itmlib"}
-            ]
+    found = [
+        f"{path.relative_to(root)}:{line}: {name}"
+        for path in sorted(root.rglob("*.py"))
+        for line, name in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+        if name.split(".")[0] not in sys.stdlib_module_names | {"itmlib"}
+    ]
     assert found == []
+
+
+def test_oracle_imports_only_the_standard_library():
+    # the differential tests' oracle is a model written from the definitions:
+    # it reads library objects through their public fields and never calls
+    # into itmlib, so a fault in the library's design cannot reach it
+    tree = ast.parse((TESTS / "oracle.py").read_text(encoding="utf-8"))
+    found = [
+        f"oracle.py:{line}: {name}"
+        for line, name in imported_modules(tree)
+        if name.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert found == []
+
+
+def top_level_names(tree) -> list:
+    """The names a module binds at its top level by def, class or assignment."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return names
+
+
+def test_no_test_module_binds_a_top_level_name_twice():
+    # a second definition silently shadows the first, and the tests that
+    # meant the first run the second
+    found = []
+    for path in sorted(TESTS.glob("*.py")):
+        names = Counter(top_level_names(ast.parse(path.read_text(encoding="utf-8"))))
+        found += [f"{path.name}: {name}" for name, count in names.items() if count > 1]
+    assert found == []
+
+
+def test_each_test_helper_has_one_home():
+    # a helper copied into a second test module drifts from the first; a
+    # shared one lives in conftest.py, or in oracle.py when it is a model
+    homes = defaultdict(list)
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith(("test", "Test")):
+                    homes[node.name].append(path.name)
+    assert {name: paths for name, paths in homes.items() if len(paths) > 1} == {}
 
 
 def test_pyproject_declares_no_dependencies():
