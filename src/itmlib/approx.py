@@ -42,6 +42,9 @@ from itmlib.measure import (
 )
 
 DEFAULT_DENOMINATOR_LIMIT = 10**6
+# Most itinerary steps the witnesses of one relation harvest may hold: the
+# rotation by 0 holds 245350 at depth 700, where every step is a relation.
+_WITNESS_STEPS = 2**20
 
 
 class InconsistentRelations(ValueError):
@@ -146,13 +149,16 @@ def detect_relations(s: Itm, depth: int) -> RelationSystem:
     Duplicate (i, j, l, w) hits keep their first witness.  Each orbit is
     the integer walk of ``Itm.evaluate_one_sided`` (``Itm._one_sided``): a
     collision is a lift whose cell lift % q holds a breakpoint, and its
-    winding is lift // q.
+    winding is lift // q.  A witness of r steps keeps its r-step itinerary,
+    so the kept witnesses can grow with the square of the depth; once they
+    hold more than _WITNESS_STEPS steps, BudgetExceeded is raised.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     q, starts, _ = s._grid_pieces
     lookup = {t: idx for idx, t in enumerate(starts)}
     found: dict[tuple, Relation] = {}
+    kept = 0  # itinerary steps held by the witnesses in found
     for i in range(s.n):
         for side in (Side.RIGHT, Side.LEFT):
             itinerary, lifts = s._one_sided(i, side, depth)
@@ -160,9 +166,20 @@ def detect_relations(s: Itm, depth: int) -> RelationSystem:
             for r, (k, lift) in enumerate(zip(itinerary, lifts[1:]), start=1):
                 counts[k] += 1
                 j = lookup.get(lift % q)
-                if j is not None:
-                    rel = Relation(i, j, tuple(counts), lift // q, side, itinerary[:r])
-                    found.setdefault((i, j, rel.l, rel.w), rel)
+                if j is None:
+                    continue
+                key = (i, j, tuple(counts), lift // q)
+                if key in found:
+                    continue
+                kept += r
+                if kept > _WITNESS_STEPS:
+                    raise BudgetExceeded(
+                        f"relation witnesses at depth {depth} exceed the budget "
+                        f"of {_WITNESS_STEPS} itinerary steps",
+                        budget="witness_steps",
+                        value=_WITNESS_STEPS,
+                    )
+                found[key] = Relation(*key, side, itinerary[:r])
     return RelationSystem(tuple(found.values()), depth)
 
 
@@ -545,7 +562,8 @@ def verify_limit_measure(
     when neighbourhoods overlap.
 
     The candidate must be a probability measure, since tol_mass is an
-    absolute bound, and the residual needs the density weights of mu_star
+    absolute bound, the deltas a nonempty, strictly decreasing sequence,
+    and the residual needs the density weights of mu_star
     and its image within the float range; ValueError otherwise.
     """
     if not mu_star.is_probability:
@@ -557,13 +575,15 @@ def verify_limit_measure(
     if deltas is None:
         deltas = tuple(Fraction(1, 2**k) for k in range(2, 13))
     deltas = tuple(frac(d) for d in deltas)
+    if not deltas:
+        raise ValueError("deltas must not be empty")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
     masses = tuple(
         sum(mass_near_points(mu_star, points, d, wrap=wrap), ZERO) for d in deltas
     )
     tol_mass = frac(tol_mass)
-    mass_ok = bool(masses) and masses[-1] <= tol_mass
+    mass_ok = masses[-1] <= tol_mass
     residual = invariance_residual_functional(s_target, mu_star, family)
     residual_ok = residual <= tol_res
     failures = []

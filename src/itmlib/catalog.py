@@ -91,14 +91,3 @@ def fibonacci_up_to(limit: int, start: int = 2) -> list[int]:
         a, b = b, a + b
     return out
 
-
-def convergents(x: Fraction, max_denominator: int) -> list[Fraction]:
-    """Continued-fraction convergents of x with denominator <= max_denominator."""
-    out: list[Fraction] = []
-    q = 1
-    while q <= max_denominator:
-        c = x.limit_denominator(q)
-        if not out or c != out[-1]:
-            out.append(c)
-        q = c.denominator + 1 if c.denominator >= q else q + 1
-    return out

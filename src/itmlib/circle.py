@@ -80,8 +80,7 @@ class CirclePoint:
 
     def distance_to(self, other: "CirclePoint") -> Fraction:
         """Circle metric: length of the shorter arc between the points."""
-        d = abs(self.value - other.value)
-        return min(d, 1 - d)
+        return circle_distance(self.value, other.value)
 
     def __repr__(self) -> str:
         return f"CirclePoint({self.value})"
@@ -118,12 +117,7 @@ class Arc:
         return self.start.value + self.length > ONE
 
     def contains(self, p: CirclePoint) -> bool:
-        v = p.value
-        s = self.start.value
-        e = s + self.length
-        if e <= ONE:
-            return s <= v < e
-        return v >= s or v < e - ONE
+        return any(lo <= p.value < hi for lo, hi in self.segments())
 
     def translate(self, c: Rational) -> "Arc":
         return Arc(self.start + frac(c), self.length)
@@ -131,10 +125,9 @@ class Arc:
     def segments(self) -> list[tuple[Fraction, Fraction]]:
         """The arc as intervals on the cut-open line [0, 1] (two if it wraps)."""
         s = self.start.value
-        e = s + self.length
-        if e <= ONE:
-            return [(s, e)]
-        return [(s, ONE), (ZERO, e - ONE)]
+        if self.wraps:
+            return [(s, ONE), (ZERO, s + self.length - ONE)]
+        return [(s, s + self.length)]
 
     def __repr__(self) -> str:
         return f"Arc({self.start.value}, len={self.length})"

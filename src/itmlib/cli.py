@@ -240,6 +240,8 @@ def _resolve(keys: tuple, config: dict, args) -> dict:
             value = values[key.name] = key.parse(raw)
             if key.check is not None and not key.check[0](value):
                 raise ValueError(key.check[1])
+        except KeyError as exc:
+            raise ConfigError(f"{key.name!r}: missing key {exc}") from exc
         except (ValueError, TypeError, LookupError) as exc:
             raise ConfigError(f"{key.name!r}: {exc}") from exc
     return values
@@ -574,7 +576,7 @@ COMMANDS: dict[str, tuple] = {
         Key("tolMass", parse_rational, Fraction(1, 100), NONNEGATIVE, "--tol"),
         Key("tolResidual", _real, 1e-6, FINITE_NONNEGATIVE),
         Key("family", _family, {"kind": "trig", "degree": 8}, _DEGREE),
-        Key("deltas", _list_of(parse_rational)),
+        Key("deltas", _list_of(parse_rational), check=ALL_POSITIVE),
     ),
 }
 

@@ -44,10 +44,9 @@ def build_h(mu: Measure) -> Cdf:
     """The transport map h(x) = mu([0, x]) for a non-atomic probability measure."""
     if mu.atoms:
         raise AtomicMeasure("h requires a non-atomic measure")
-    h = mu.cdf()  # built first, so the total mass is its last row
     if mu.total_mass != 1:
         raise ValueError("h requires a probability measure")
-    return h
+    return mu.cdf()
 
 
 @dataclass(frozen=True)

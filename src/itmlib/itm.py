@@ -22,7 +22,7 @@ times the orbit passed 1, is lift // q.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -157,7 +157,6 @@ class Itm:
 
     breakpoints: tuple[CirclePoint, ...]
     shifts: tuple[Fraction, ...]
-    _values: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bps = tuple(
@@ -174,13 +173,13 @@ class Itm:
                 raise ValueError(f"breakpoints not strictly increasing at index {k}")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "shifts", shs)
-        object.__setattr__(self, "_values", tuple(p.value for p in bps))
 
     @cached_property
     def _grid_pieces(self) -> tuple[int, list[int], list[int]]:
         """The common denominator q, and the breakpoints and shifts in cells of 1/q."""
-        q = self.common_denominator()
-        return q, [_units(v, q) for v in self._values], [_units(c, q) for c in self.shifts]
+        values = [p.value for p in self.breakpoints]
+        q = lcm(*(v.denominator for v in values), *(c.denominator for c in self.shifts))
+        return q, [_units(v, q) for v in values], [_units(c, q) for c in self.shifts]
 
     @cached_property
     def _table(self) -> tuple:
@@ -198,16 +197,17 @@ class Itm:
         return len(self.breakpoints)
 
     def piece(self, j: int) -> Arc:
-        """The half-open continuity piece [t_j, t_{j+1})."""
-        if self.n == 1:
-            return Arc(self.breakpoints[0], ONE)
+        """The half-open continuity piece [t_j, t_{j+1}); one piece is the whole circle."""
         nxt = self.breakpoints[(j + 1) % self.n]
-        return Arc(self.breakpoints[j], self.breakpoints[j].gap_to(nxt))
+        return Arc(self.breakpoints[j], self.breakpoints[j].gap_to(nxt) or ONE)
 
     def piece_index(self, x: CirclePoint) -> int:
         """Index j with x in [t_j, t_{j+1}); breakpoints belong to their right piece."""
-        i = bisect.bisect_right(self._values, x.value) - 1
-        return i if i >= 0 else self.n - 1
+        q, starts, _ = self._grid_pieces
+        # a breakpoint B/q lies at or below x iff B <= floor(x * q); x below
+        # the first one lies in the last piece, through 0
+        cell = x.value.numerator * q // x.value.denominator
+        return (bisect.bisect_right(starts, cell) - 1) % self.n
 
     def evaluate(self, x: Union[CirclePoint, Fraction]) -> CirclePoint:
         """S(x) for a CirclePoint or a rational, which is read mod 1."""
@@ -400,12 +400,12 @@ class Itm:
         """The same map with x inserted as an (artificial) breakpoint."""
         if not isinstance(x, CirclePoint):
             x = CirclePoint(frac(x))
-        if x.value in self._values:
+        if x in self.breakpoints:
             return self
-        j = self.piece_index(x)
-        i = bisect.bisect_left(self._values, x.value)
+        # x splits the piece i - 1, which is the last piece when i = 0
+        i = bisect.bisect_left(self.breakpoints, x)
         bps = self.breakpoints[:i] + (x,) + self.breakpoints[i:]
-        shs = self.shifts[:i] + (self.shifts[j],) + self.shifts[i:]
+        shs = self.shifts[:i] + (self.shifts[i - 1],) + self.shifts[i:]
         return Itm(bps, shs)
 
     def merged(self) -> "Itm":
@@ -415,8 +415,6 @@ class Itm:
         exact equality of merged maps decides equality of the underlying
         transformations for these normal forms.
         """
-        if self.n == 1:
-            return Itm((CirclePoint(ZERO),), self.shifts)
         if all(c == self.shifts[0] for c in self.shifts):
             return Itm((CirclePoint(ZERO),), (self.shifts[0],))
         keep = [j for j in range(self.n) if self.shifts[j] != self.shifts[j - 1]]
@@ -427,9 +425,7 @@ class Itm:
 
     def common_denominator(self) -> int:
         """lcm of all breakpoint and shift denominators (1 for integer maps)."""
-        dens = [p.value.denominator for p in self.breakpoints]
-        dens += [c.denominator for c in self.shifts]
-        return lcm(*dens)
+        return self._grid_pieces[0]
 
     def affine_segments(self) -> list[tuple]:
         """The chart table read as Fractions: charts (lo, hi, 1, b), x -> x + b on

@@ -160,7 +160,7 @@ class Measure:
     ``hash`` decide measure equality.
     """
 
-    __slots__ = ("_grid", "_cells", "atoms", "_density", "_cdf", "_total")
+    __slots__ = ("_grid", "_cells", "atoms", "_density", "_cdf")
 
     def __init__(
         self,
@@ -189,7 +189,6 @@ class Measure:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "_density", None)
         object.__setattr__(self, "_cdf", None)
-        object.__setattr__(self, "_total", None)
 
     @classmethod
     def _on_cells(cls, grid: int, cells: tuple, atoms: tuple) -> "Measure":
@@ -231,9 +230,7 @@ class Measure:
             raise ValueError("cannot normalize Lebesgue measure on a null set")
         # the set's runs are sorted, disjoint and non-adjacent: merged cells
         w = Fraction(q, cells)
-        out = cls._on_cells(*_own_grid(q, tuple([(a, b, w) for a, b in runs])), ())
-        object.__setattr__(out, "_total", ONE)  # w per unit length on cells/q of it
-        return out
+        return cls._on_cells(*_own_grid(q, tuple([(a, b, w) for a, b in runs])), ())
 
     @property
     def density(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
@@ -246,16 +243,9 @@ class Measure:
 
     @property
     def total_mass(self) -> Fraction:
-        """The mass of [0, 1], found on the first read and kept: the last row
-        of the cumulative table when it is built, else summed."""
-        if self._total is None:
-            if self._cdf is not None:
-                total = Fraction(self._cdf._at[-1], self._cdf._unit)
-            else:
-                dens = sum((w * (b - a) for a, b, w in self._cells), ZERO) / self._grid
-                total = dens + sum((m for _, m in self.atoms), ZERO)
-            object.__setattr__(self, "_total", total)
-        return self._total
+        """The mass of [0, 1]: the last row of the cumulative table."""
+        cdf = self.cdf()
+        return Fraction(cdf._at[-1], cdf._unit)
 
     @property
     def non_atomic(self) -> bool:
@@ -342,15 +332,19 @@ class Cdf:
     def slopes(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v * self._grid, self._unit) for v in self._slopes)
 
+    def _row(self, m: int, d: int, left: bool = False) -> int:
+        """The row of the last cut at or below x = m/(Q d), or below x when
+        left; -1 when there is none."""
+        if left:
+            # a cut c/Q lies below x iff c < ceil(x * Q)
+            return bisect.bisect_left(self._ticks, -(-m // d)) - 1
+        # a cut c/Q lies at or below x iff c <= floor(x * Q)
+        return bisect.bisect_right(self._ticks, m // d) - 1
+
     def _numerator(self, n: int, d: int, left: bool = False) -> int:
         """F(n/d), or the left limit F(n/d -) when left, in units of 1/(M d)."""
         m = n * self._grid
-        if left:
-            # a cut c/Q lies below x iff c < ceil(x * Q)
-            i = bisect.bisect_left(self._ticks, -(-m // d)) - 1
-        else:
-            # a cut c/Q lies at or below x iff c <= floor(x * Q)
-            i = bisect.bisect_right(self._ticks, m // d) - 1
+        i = self._row(m, d, left)
         if i < 0:
             return 0
         return self._at[i] * d + self._slopes[i] * (m - self._ticks[i] * d)
@@ -389,8 +383,7 @@ class Cdf:
     def _cut_or_flat(self, x: Fraction) -> bool:
         """Whether x is a cut of F or F is flat on the row holding x."""
         n, d = x.numerator * self._grid, x.denominator
-        # a cut c/Q lies at or below x iff c <= floor(x * Q)
-        i = bisect.bisect_right(self._ticks, n // d) - 1
+        i = self._row(n, d)
         return i < 0 or self._ticks[i] * d == n or self._slopes[i] == 0
 
     def mass_between(

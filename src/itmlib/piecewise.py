@@ -146,28 +146,21 @@ class PiecewiseMap:
     def _one_sided_values(self, e: Fraction) -> tuple[Optional[Fraction], Fraction]:
         """(left limit, right value) at an edge, None when x=0 on the segment."""
         right = self._formula_value(e)
-        if e == 0:
-            if self.domain is Domain.SEGMENT:
-                return None, right
-            return self._reduce(self.pieces[-1].value(ONE)), right
-        idx = bisect.bisect_right(self._starts, e) - 1
-        prev = self.pieces[idx - 1] if self._starts[idx] == e else self.pieces[idx]
-        return self._reduce(prev.value(e)), right
+        if e == 0 and self.domain is Domain.SEGMENT:
+            return None, right
+        # the last piece starting below e; below 0 on the circle that is the
+        # last piece, read at its end 1
+        prev = self.pieces[bisect.bisect_left(self._starts, e) - 1]
+        return self._reduce(prev.value(e if e else ONE)), right
 
     def _genuine_jumps(self) -> tuple[Fraction, ...]:
-        points = {p.lo for p in self.pieces} | set(self._overrides)
+        edges = {p.lo for p in self.pieces}
         if self.domain is Domain.SEGMENT:
-            points.discard(ZERO)
-            points |= set(self._overrides)
+            edges.discard(ZERO)  # the segment has no left limit at 0
         jumps = []
-        for e in sorted(points):
+        for e in sorted(edges | set(self._overrides)):
             left, right = self._one_sided_values(e)
-            value = self._overrides.get(e, right)
-            if left is None:
-                if value != right:
-                    jumps.append(e)
-                continue
-            if left != right or value != right:
+            if self._overrides.get(e, right) != right or left not in (None, right):
                 jumps.append(e)
         return tuple(jumps)
 
@@ -515,9 +508,8 @@ def wandering_discontinuity_check(
             for k in range(1, samples + 1):
                 offset = r * k / (samples + 1)
                 for start in (h + offset, h - offset):
-                    if t.domain is Domain.CIRCLE:
-                        start = start % 1
-                    elif not 0 <= start <= 1:
+                    start = t._reduce(start)
+                    if not 0 <= start <= 1:
                         continue
                     try:
                         walk = _walk(t, start, horizon + 1)
@@ -536,7 +528,7 @@ def wandering_discontinuity_check(
                         None,
                     )
                     if hit is not None:
-                        found, witness, when = True, t._reduce(start), hit
+                        found, witness, when = True, start, hit
                         break
                 if found:
                     break

@@ -28,13 +28,18 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _document(body: list[str], width: int = WIDTH, height: int = HEIGHT) -> str:
+def _document(body: list[str], title: str, width: int = WIDTH, height: int = HEIGHT) -> str:
+    """The SVG document of a chart's elements, with its title above the plot."""
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">'
     )
     bg = f'<rect width="{width}" height="{height}" fill="#ffffff"/>'
-    return "\n".join([head, bg, *body, "</svg>"]) + "\n"
+    caption = (
+        f'<text x="{MARGIN}" y="{MARGIN - 12}" font-size="12" '
+        f'fill="{_AXIS}">{title}</text>'
+    )
+    return "\n".join([head, bg, *body, caption, "</svg>"]) + "\n"
 
 
 def _x_pixel(x: Fraction, width: int = WIDTH) -> float:
@@ -83,11 +88,7 @@ def density_svg(mu: Measure, title: str = "density") -> str:
         body.append(
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="{_ATOM}"/>'
         )
-    body.append(
-        f'<text x="{MARGIN}" y="{MARGIN - 12}" font-size="12" '
-        f'fill="{_AXIS}">{title}</text>'
-    )
-    return _document(body)
+    return _document(body, title)
 
 
 def cdf_svg(mu: Measure, title: str = "distribution function") -> str:
@@ -106,11 +107,7 @@ def cdf_svg(mu: Measure, title: str = "distribution function") -> str:
     body.append(
         f'<polyline points="{path}" fill="none" stroke="{_LINE}" stroke-width="2"/>'
     )
-    body.append(
-        f'<text x="{MARGIN}" y="{MARGIN - 12}" font-size="12" '
-        f'fill="{_AXIS}">{title}</text>'
-    )
-    return _document(body)
+    return _document(body, title)
 
 
 def attractor_svg(
@@ -138,11 +135,7 @@ def attractor_svg(
             f'<text x="{MARGIN - 34}" y="{y + 12}" font-size="11" '
             f'fill="{_AXIS}">A_{k}</text>'
         )
-    body.append(
-        f'<text x="{MARGIN}" y="{MARGIN - 12}" font-size="12" '
-        f'fill="{_AXIS}">{title}</text>'
-    )
-    return _document(body, height=height)
+    return _document(body, title, height=height)
 
 
 def conjugacy_svg(data: ConjugacyData, title: str = "conjugating map h") -> str:

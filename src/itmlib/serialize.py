@@ -192,27 +192,23 @@ def relation_from_json(d: Mapping) -> Relation:
         raise ValueError(f"bad relation entry {d!r}: {exc}") from exc
 
 
+def _csv(header: str, rows) -> str:
+    """A CSV document: the header line, then one line per row of exact values."""
+    return "\n".join([header, *(",".join(map(rat, row)) for row in rows)]) + "\n"
+
+
 def cdf_csv(mu: Measure, points: Optional[Sequence] = None) -> str:
     """CSV with columns x,F(x), exact, at the CDF breaklist by default."""
     cdf = mu.cdf()
     xs = cdf.cuts if points is None else tuple(frac(p) for p in points)
-    lines = ["x,F(x)"]
-    for x in xs:
-        lines.append(f"{rat(x)},{rat(cdf.at(x))}")
-    return "\n".join(lines) + "\n"
+    return _csv("x,F(x)", ((x, cdf.at(x)) for x in xs))
 
 
 def visit_frequency_csv(table: VisitFrequencyTable) -> str:
     """CSV with columns m,eps,f, exact."""
-    lines = ["m,eps,f"]
-    for e in table.entries:
-        lines.append(f"{e.m},{rat(e.eps)},{rat(e.frequency)}")
-    return "\n".join(lines) + "\n"
+    return _csv("m,eps,f", ((e.m, e.eps, e.frequency) for e in table.entries))
 
 
 def conjugacy_csv(data: ConjugacyData) -> str:
     """CSV with columns x,h(x) at the grid points of ``data.samples``."""
-    lines = ["x,h(x)"]
-    for s in data.samples:
-        lines.append(f"{rat(s.x)},{rat(data.h.at(s.x))}")
-    return "\n".join(lines) + "\n"
+    return _csv("x,h(x)", ((s.x, data.h.at(s.x)) for s in data.samples))

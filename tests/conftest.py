@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import ceil, floor, gcd, isqrt
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -157,9 +157,22 @@ def outcome(f, *args):
 
 
 @st.composite
+def rationals(draw, min_value, max_value, max_denominator):
+    """Every fraction in [min_value, max_value], both ends included, with
+    denominator at most max_denominator: the values of st.fractions with
+    the same bounds, drawn as two integers, a denominator d and then a
+    numerator in [ceil(min_value d), floor(max_value d)], which costs far
+    less of hypothesis's time.  The range must hold an integer, so that
+    every d has a numerator."""
+    lo, hi = Fraction(min_value), Fraction(max_value)
+    d = draw(st.integers(1, max_denominator))
+    return Fraction(draw(st.integers(ceil(lo * d), floor(hi * d))), d)
+
+
+@st.composite
 def itms(draw, max_pieces=4, max_denominator=32):
     n = draw(st.integers(1, max_pieces))
-    q = st.fractions(min_value=0, max_value=1, max_denominator=max_denominator)
+    q = rationals(min_value=0, max_value=1, max_denominator=max_denominator)
     bps = draw(st.lists(q.filter(lambda v: v < 1), min_size=n, max_size=n, unique=True))
     shifts = draw(st.lists(q, min_size=n, max_size=n))
     return Itm(tuple(sorted(bps)), tuple(shifts))

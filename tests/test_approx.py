@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from itmlib.approx import (
     orbit_collision_preservation,
     verify_limit_measure,
 )
-from itmlib.approx import _best_approximations
+from itmlib.approx import _WITNESS_STEPS, _best_approximations
 from itmlib.catalog import (
     double_rotation,
     fibonacci_up_to,
@@ -33,6 +34,7 @@ from itmlib.catalog import (
     halving_map,
     root2_minus_one,
     rotation,
+    two_shift_example,
 )
 from itmlib.families import (
     PolynomialFamily,
@@ -40,7 +42,7 @@ from itmlib.families import (
     TrigFamily,
     invariance_residual_functional,
 )
-from itmlib.itm import Itm, Side, itm
+from itmlib.itm import BudgetExceeded, Itm, Side, itm
 from itmlib.measure import Measure, pushforward
 
 F = Fraction
@@ -110,6 +112,17 @@ class TestDetectRelations:
     def test_depth_must_be_positive(self):
         with pytest.raises(ValueError):
             detect_relations(rotation("1/3"), 0)
+
+    def test_witnesses_past_the_budget_raise(self):
+        # every return of this map's endpoint orbits is a new relation whose
+        # witness is as long as the return, so the kept itinerary steps grow
+        # with the square of the depth: 5.7M steps at depth 4000
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as exc:
+            detect_relations(two_shift_example(), 100_000)
+        assert time.perf_counter() - start < 5
+        assert (exc.value.budget, exc.value.value) == ("witness_steps", _WITNESS_STEPS)
+        assert str(_WITNESS_STEPS) in str(exc.value)
 
 
 class TestGenerateApproximants:
@@ -344,6 +357,11 @@ class TestVerifyLimitMeasure:
             verify_limit_measure(
                 rotation("1/3"), Measure.lebesgue(), deltas=(F(1, 8), F(1, 4))
             )
+
+    def test_deltas_must_not_be_empty(self):
+        # no delta tested is no evidence that the mass vanishes
+        with pytest.raises(ValueError, match="deltas must not be empty"):
+            verify_limit_measure(rotation("1/3"), Measure.lebesgue(), deltas=())
 
     def test_non_probability_candidate_is_refused(self):
         with pytest.raises(ValueError, match="probability measure"):

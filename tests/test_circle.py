@@ -8,19 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from conftest import rationals
 from itmlib.circle import Arc, ArcSet, CirclePoint, _chart_table, arc, arcset, frac, mod1
 
 F = Fraction
 
 
 def rational(max_denominator=2**20):
-    return st.fractions(
+    return rationals(
         min_value=0, max_value=1, max_denominator=max_denominator
     ).filter(lambda q: q < 1)
 
 
 def arc_strategy():
-    length = st.fractions(min_value=0, max_value=1, max_denominator=256).filter(
+    length = rationals(min_value=0, max_value=1, max_denominator=256).filter(
         lambda q: q > 0
     )
     return st.builds(lambda s, l: Arc(CirclePoint(s), l), rational(256), length)
@@ -44,7 +45,7 @@ class TestCirclePoint:
         assert CirclePoint(F(-1, 4)).value == F(3, 4)
         assert CirclePoint(F(1)).value == 0
 
-    @given(st.fractions(min_value=-5, max_value=5, max_denominator=2**20))
+    @given(rationals(min_value=-5, max_value=5, max_denominator=2**20))
     def test_reduces_as_fraction_mod_one(self, x):
         # negative values and values >= 1 reduce; values in [0, 1) are kept
         assert CirclePoint(x).value == mod1(x) == x % 1

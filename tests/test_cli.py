@@ -164,6 +164,17 @@ class TestRelations:
         assert (rel["i"], rel["j"], rel["l"], rel["w"]) == (0, 0, [3], 1)
         assert rel["residual"] == "0"
 
+    def test_witnesses_past_the_budget_exit_two(self, tmp_path, capsys):
+        # at depth 8000 this map's witnesses would hold about 23M steps
+        cfg = write_config(tmp_path, {"breakpoints": ["0", "1/2"], "shifts": ["1/3", "1/4"]})
+        code, report, err = run(capsys, "relations", "--config", cfg, "--depth", "8000")
+        assert code == 2
+        assert report is None
+        assert err.strip() == (
+            "relations: relation witnesses at depth 8000 exceed the budget "
+            "of 1048576 itinerary steps"
+        )
+
 
 class TestApproximate:
     def test_golden_rotation_levels_all_lebesgue(self, tmp_path, capsys):
@@ -590,6 +601,10 @@ MALFORMED = {
         {**HALVING_ORBIT, "wandering": {"radii": ["1/8"], "horizon": _MAX_STEPS + 1}},
         "horizon",
     ),
+    "deltas-empty": ("verify-limit", {**QUARTER_ROTATION_LIMIT, "deltas": []}, "'deltas'"),
+    "deltas-negative": (
+        "verify-limit", {**QUARTER_ROTATION_LIMIT, "deltas": ["1/4", "-1/8"]}, "'deltas'"
+    ),
     "family-degree-over-budget": (
         "verify-limit",
         {**QUARTER_ROTATION_LIMIT, "family": {"kind": "trig", "degree": _MAX_STEPS + 1}},
@@ -624,6 +639,28 @@ class TestExitCodeContract:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert key in err
+
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        [
+            (
+                "empirical",
+                {**HALVING_ORBIT, "wandering": {"radii": ["1/8"]}},
+                "empirical: 'wandering': missing key 'horizon'",
+            ),
+            (
+                "validate",
+                {"map": {"domain": "segment", "pieces": [{"interval": ["0", "1"]}]}},
+                "validate: 'map': missing key 'affine'",
+            ),
+        ],
+    )
+    def test_a_missing_nested_key_is_named(self, command, payload, message, tmp_path, capsys):
+        cfg = write_config(tmp_path, payload)
+        code, report, err = run(capsys, command, "--config", cfg)
+        assert code == 1
+        assert report is None
+        assert err.strip() == message
 
     def test_library_errors_exit_one_naming_their_origin(self, tmp_path, capsys):
         # t_0 - t_0 = c_0 fails at the target, whose shift is 1/3

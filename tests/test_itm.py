@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import assert_moves_match, itms, outcome
+from conftest import assert_moves_match, itms, outcome, rationals
 from itmlib.catalog import half_collapse, random_itm, rotation, two_shift_example
 from itmlib.circle import Arc, ArcSet, CirclePoint, arc, arcset
 from itmlib.itm import (
@@ -34,7 +34,7 @@ def pt(x) -> CirclePoint:
 
 @st.composite
 def small_arcsets(draw):
-    q = st.fractions(min_value=0, max_value=1, max_denominator=32)
+    q = rationals(min_value=0, max_value=1, max_denominator=32)
     pairs = draw(
         st.lists(
             st.tuples(q.filter(lambda v: v < 1), q.filter(lambda v: v > 0)),
@@ -95,7 +95,7 @@ class TestEvaluate:
         assert s.piece_index(pt(0)) == 1
         assert s.evaluate(pt(0)) == pt("1/2")
 
-    @given(itms(), st.fractions(min_value=0, max_value=1, max_denominator=64))
+    @given(itms(), rationals(min_value=0, max_value=1, max_denominator=64))
     def test_piece_membership_consistent(self, s, x):
         p = CirclePoint(x)
         j = s.piece_index(p)
@@ -166,7 +166,7 @@ class TestImage:
     def test_length_never_grows(self, s, a):
         assert s.image(a).total_length <= a.total_length
 
-    @given(itms(), small_arcsets(), st.fractions(min_value=0, max_value=1, max_denominator=64))
+    @given(itms(), small_arcsets(), rationals(min_value=0, max_value=1, max_denominator=64))
     def test_pointwise_consistency(self, s, a, x):
         p = CirclePoint(x)
         if a.contains(p):
@@ -185,7 +185,7 @@ class TestPreimage:
     def test_empty(self):
         assert two_shift_example().preimage(ArcSet.empty()) == ArcSet.empty()
 
-    @given(itms(), small_arcsets(), st.fractions(min_value=0, max_value=1, max_denominator=64))
+    @given(itms(), small_arcsets(), rationals(min_value=0, max_value=1, max_denominator=64))
     def test_exactness(self, s, a, x):
         p = CirclePoint(x)
         assert s.preimage(a).contains(p) == a.contains(s.evaluate(p))
@@ -651,7 +651,7 @@ class TestMergedAndFriends:
         s = itm(["1/4", "1/2"], ["1/3", "1/3"])
         assert s.merged() == rotation("1/3")
 
-    @given(itms(), st.fractions(min_value=0, max_value=1, max_denominator=64))
+    @given(itms(), rationals(min_value=0, max_value=1, max_denominator=64))
     def test_merged_preserves_evaluation(self, s, x):
         p = CirclePoint(x)
         assert s.merged().evaluate(p) == s.evaluate(p)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from conftest import rationals
 from itmlib.catalog import half_collapse, halving_map, random_itm, rotation, two_shift_example
 from itmlib.circle import Arc, ArcSet, CirclePoint, _chart_table, _walk, arc, arcset
 from itmlib.conjugacy import induce_iem
@@ -48,17 +49,17 @@ def half_density() -> Measure:
 
 @st.composite
 def measures(draw, probability=False):
-    q = st.fractions(min_value=0, max_value=1, max_denominator=16)
+    q = rationals(min_value=0, max_value=1, max_denominator=16)
     segs = draw(
         st.lists(
-            st.tuples(q, q, st.fractions(min_value=0, max_value=4, max_denominator=8)),
+            st.tuples(q, q, rationals(min_value=0, max_value=4, max_denominator=8)),
             max_size=4,
         )
     )
     density = tuple((min(a, b), max(a, b), w) for a, b, w in segs)
     atoms = draw(
         st.lists(
-            st.tuples(q, st.fractions(min_value=0, max_value=2, max_denominator=8)),
+            st.tuples(q, rationals(min_value=0, max_value=2, max_denominator=8)),
             max_size=3,
         )
     )
@@ -508,7 +509,7 @@ class TestCdf:
             find_recurrent_points(s, mu, F(1, q), q * q, 8, rng=random.Random(q))
             assert len(built) == 1
 
-    @given(measures(probability=True), st.fractions(min_value=0, max_value=1, max_denominator=64))
+    @given(measures(probability=True), rationals(min_value=0, max_value=1, max_denominator=64))
     def test_monotone(self, mu, x):
         f = mu.cdf()
         assert f.left_limit(x) <= f.at(x)
@@ -621,7 +622,7 @@ def test_no_position_is_hashed(monkeypatch):
 def end_atom_measures(draw):
     """Probability measures from measures(), often with atoms at 0 and at 1."""
     mu = draw(measures())
-    mass = st.fractions(min_value=0, max_value=2, max_denominator=8)
+    mass = rationals(min_value=0, max_value=2, max_denominator=8)
     ends = [(F(p), draw(mass)) for p in (0, 1) if draw(st.booleans())]
     return probability(Measure(mu.density, mu.atoms + tuple(ends)))
 
@@ -899,7 +900,7 @@ class TestMassNearBreakpoints:
         out = mass_near_points(mu, rotation(0).breakpoints, F(1, 8), wrap=True)
         assert out == [F(0)]
 
-    @given(measures(), st.fractions(min_value=0, max_value="1/4", max_denominator=32))
+    @given(measures(), rationals(min_value=0, max_value="1/4", max_denominator=32))
     def test_monotone_in_delta(self, mu, d):
         if d == 0:
             return
@@ -972,8 +973,8 @@ class TestMassNearPointsAgainstFractionEnds:
 
     @given(
         measures(),
-        st.lists(st.fractions(min_value=-2, max_value=3, max_denominator=24), max_size=4),
-        st.fractions(min_value=0, max_value=2, max_denominator=24),
+        st.lists(rationals(min_value=-2, max_value=3, max_denominator=24), max_size=4),
+        rationals(min_value=0, max_value=2, max_denominator=24),
     )
     def test_hypothesis(self, mu, points, delta):
         assert_masses_match(mu, points, delta)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracle
 from conftest import itms, raw_maps
+from itmlib.approx import _WITNESS_STEPS
 from itmlib.approx import (
     RelationSystem,
     detect_relations,
@@ -18,7 +19,7 @@ from itmlib.approx import (
 )
 from itmlib.catalog import half_collapse, rotation, two_shift_example
 from itmlib.circle import CirclePoint
-from itmlib.itm import Itm, Side, itm
+from itmlib.itm import BudgetExceeded, Itm, Side, itm
 
 F = Fraction
 
@@ -150,3 +151,22 @@ class TestOrbitsOnCells:
             assert report.all_pass
             replayed += report.checked
         assert replayed > 100
+
+
+class TestHarvestBudget:
+    """Every return of this map's endpoint orbits is a new relation with a
+    witness as long as the return, so the kept witnesses grow with the
+    square of the depth; by the oracle's count they pass the budget between
+    depth 1712 and 1713."""
+
+    s = two_shift_example()
+
+    def test_the_deepest_harvest_within_the_budget_is_whole(self):
+        rows = oracle.relations(self.s, 1712)
+        assert sum(len(row[5]) for row in rows) <= _WITNESS_STEPS
+        assert relation_rows(detect_relations(self.s, 1712)) == rows
+
+    def test_one_step_deeper_raises(self):
+        assert sum(len(row[5]) for row in oracle.relations(self.s, 1713)) > _WITNESS_STEPS
+        with pytest.raises(BudgetExceeded, match="itinerary steps"):
+            detect_relations(self.s, 1713)

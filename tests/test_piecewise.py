@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
-from conftest import outcome
+from conftest import outcome, rationals
 from itmlib.catalog import half_collapse, halving_map, random_itm, rotation
 from itmlib.circle import CirclePoint
 from itmlib.families import (
@@ -72,6 +72,20 @@ class TestPiecewiseMapType:
         for k in range(8):
             x = F(k, 8)
             assert t.evaluate(x) == s.evaluate(CirclePoint(x)).value
+
+    @pytest.mark.parametrize(
+        "pieces, jumps",
+        [
+            # x -> x/2 reaches 1/2 at 1, the left limit at 0, and is 0 at 0
+            ([(0, 1, F(1, 2), 0)], (F(0),)),
+            # 3x/2 - 1/2 reaches 1 = 0 mod 1 at 1, so only 1/2 is a jump,
+            # though the last piece's formula at 0 gives 1/2
+            ([(0, F(1, 2), 2, 0), (F(1, 2), 1, F(3, 2), F(-1, 2))], (F(1, 2),)),
+        ],
+    )
+    def test_the_left_limit_at_0_on_the_circle_is_the_last_piece_at_1(self, pieces, jumps):
+        t = PiecewiseMap(domain=Domain.CIRCLE, pieces=tuple(AffinePiece(*p) for p in pieces))
+        assert t.discontinuities == jumps
 
     def test_explicit_discontinuities_override_the_default(self):
         t = from_itm(rotation("2/5"), discontinuities=(F(0),))
@@ -488,7 +502,7 @@ def piecewise_maps(draw) -> PiecewiseMap:
     )
 
 
-starts = st.fractions(min_value=0, max_value=1, max_denominator=24)
+starts = rationals(min_value=0, max_value=1, max_denominator=24)
 
 
 class TestClosedOrbitAgainstReference:

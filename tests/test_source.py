@@ -23,6 +23,19 @@ def imported_modules(tree) -> list:
     return found
 
 
+def parsed(path: Path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def reads(tree) -> Counter:
+    """How often each name is read, as a variable or as an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    )
+
+
 def test_library_has_no_assert_statements():
     # python -O strips assert statements, so library invariants must raise
     # explicitly (AssertionError or a domain error) to hold in every mode
@@ -136,18 +149,7 @@ def test_every_private_helper_is_read_in_the_library():
     # package reads was orphaned by a refactor; reads inside its own body
     # (recursion) do not count
     root = Path(itmlib.__file__).parent
-    trees = {
-        path: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(root.rglob("*.py"))
-    }
-
-    def reads(tree) -> Counter:
-        return Counter(
-            node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-        )
-
+    trees = {path: parsed(path) for path in sorted(root.rglob("*.py"))}
     everywhere = sum((reads(tree) for tree in trees.values()), Counter())
     found = [
         f"{path.relative_to(root)}:{node.lineno}: {node.name}"
@@ -156,6 +158,29 @@ def test_every_private_helper_is_read_in_the_library():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and node.name.startswith("_")
         and not node.name.startswith("__")
+        and everywhere[node.name] == reads(node)[node.name]
+    ]
+    assert found == []
+
+
+def test_every_public_name_is_read_somewhere():
+    # a public module-level function or class that nothing in the library,
+    # the tests or the demos reads is an orphan: no caller keeps it honest;
+    # reads inside its own body (recursion) do not count
+    root = Path(itmlib.__file__).parent
+    library = {path: parsed(path) for path in sorted(root.rglob("*.py"))}
+    readers = list(library.values()) + [
+        parsed(path)
+        for folder in (TESTS, TESTS.parent / "demos")
+        for path in sorted(folder.glob("*.py"))
+    ]
+    everywhere = sum((reads(tree) for tree in readers), Counter())
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}: {node.name}"
+        for path, tree in library.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
         and everywhere[node.name] == reads(node)[node.name]
     ]
     assert found == []
