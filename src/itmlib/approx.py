@@ -40,6 +40,7 @@ from itmlib.measure import (
     cdf_distance,
     mass_near_points,
 )
+from itmlib.piecewise import Domain
 
 DEFAULT_DENOMINATOR_LIMIT = 10**6
 # Most itinerary steps the witnesses of one relation harvest may hold: the
@@ -105,7 +106,8 @@ class Relation:
     def residual(
         self, breakpoints: Sequence[Fraction], shifts: Sequence[Fraction]
     ) -> Fraction:
-        """t_j - t_i - sum_k l[k] * c_k + w at the given parameter values."""
+        """t_j - t_i - sum_k l[k] * c_k + w at the given parameter values,
+        rationals or CirclePoints."""
         total = sum(
             (Fraction(lk) * frac(ck) for lk, ck in zip(self.l, shifts)), ZERO
         )
@@ -215,10 +217,7 @@ class ApproximantSchedule:
             if level.map.n != self.target.n:
                 raise ValueError("level piece count differs from the target")
             for rel in self.relations:
-                res = rel.residual(
-                    [t.value for t in level.map.breakpoints],
-                    level.map.shifts,
-                )
+                res = rel.residual(level.map.breakpoints, level.map.shifts)
                 if res.denominator != 1:
                     raise ValueError(
                         f"level {level.bound} violates relation "
@@ -570,8 +569,7 @@ def verify_limit_measure(
         raise ValueError("the candidate limit measure must be a probability measure")
     if points is None:
         points = s_target.discontinuity_points()
-    domain = getattr(s_target, "domain", "circle")
-    wrap = isinstance(s_target, Itm) or getattr(domain, "value", domain) == "circle"
+    wrap = getattr(s_target, "domain", Domain.CIRCLE) == Domain.CIRCLE
     if deltas is None:
         deltas = tuple(Fraction(1, 2**k) for k in range(2, 13))
     deltas = tuple(frac(d) for d in deltas)

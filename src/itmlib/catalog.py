@@ -6,30 +6,23 @@ import random
 from fractions import Fraction
 from math import isqrt
 
-from itmlib.circle import CirclePoint, frac
 from itmlib.itm import Itm
 from itmlib.piecewise import AffinePiece, Domain, PiecewiseMap
 
 
 def rotation(c) -> Itm:
     """The rigid rotation t -> t + c as a one-piece map."""
-    return Itm((CirclePoint(Fraction(0)),), (frac(c),))
+    return Itm((0,), (c,))
 
 
 def half_collapse() -> Itm:
     """Breakpoints {0, 1/2}, shifts {0, 1/2}: both halves land on [0, 1/2)."""
-    return Itm(
-        (CirclePoint(Fraction(0)), CirclePoint(Fraction(1, 2))),
-        (Fraction(0), Fraction(1, 2)),
-    )
+    return Itm((0, Fraction(1, 2)), (0, Fraction(1, 2)))
 
 
 def double_rotation(beta, c0, c1) -> Itm:
     """Two-piece map: shift c0 on [0, beta), shift c1 on [beta, 1)."""
-    return Itm(
-        (CirclePoint(Fraction(0)), CirclePoint(frac(beta))),
-        (frac(c0), frac(c1)),
-    )
+    return Itm((0, beta), (c0, c1))
 
 
 def two_shift_example() -> Itm:
@@ -62,10 +55,8 @@ def random_itm(
     if denominator < pieces:
         raise ValueError("need denominator >= pieces for distinct breakpoints")
     numerators = sorted(rng.sample(range(denominator), pieces))
-    bps = tuple(CirclePoint(Fraction(a, denominator)) for a in numerators)
-    shs = tuple(
-        Fraction(rng.randrange(denominator), denominator) for _ in range(pieces)
-    )
+    bps = [Fraction(a, denominator) for a in numerators]
+    shs = [Fraction(rng.randrange(denominator), denominator) for _ in range(pieces)]
     return Itm(bps, shs)
 
 

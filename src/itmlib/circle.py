@@ -102,8 +102,7 @@ class Arc:
     length: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.start, CirclePoint):
-            object.__setattr__(self, "start", CirclePoint(frac(self.start)))
+        object.__setattr__(self, "start", CirclePoint(self.start))
         object.__setattr__(self, "length", frac(self.length))
         if not ZERO < self.length <= ONE:
             raise ValueError(f"arc length must be in (0, 1], got {self.length}")
@@ -120,7 +119,7 @@ class Arc:
         return any(lo <= p.value < hi for lo, hi in self.segments())
 
     def translate(self, c: Rational) -> "Arc":
-        return Arc(self.start + frac(c), self.length)
+        return Arc(self.start + c, self.length)
 
     def segments(self) -> list[tuple[Fraction, Fraction]]:
         """The arc as intervals on the cut-open line [0, 1] (two if it wraps)."""
@@ -273,7 +272,7 @@ def _joins_at_zero(segs, top) -> bool:
 
 def _segments_to_arcs(segs: tuple[Segment, ...]) -> tuple[Arc, ...]:
     """Canonical arc tuple from disjoint, merged cut-line segments."""
-    arcs = [Arc(CirclePoint(lo), hi - lo) for lo, hi in segs]
+    arcs = [Arc(lo, hi - lo) for lo, hi in segs]
     if _joins_at_zero(segs, ONE):
         first = arcs.pop(0)
         arcs[-1] = Arc(arcs[-1].start, arcs[-1].length + first.length)
@@ -469,7 +468,7 @@ def _set_of_runs(q: int, runs: list[tuple[int, int]]) -> ArcSet:
 
 def arc(start: Union[Rational, str], length: Union[Rational, str]) -> Arc:
     """Shorthand arc constructor from raw rationals."""
-    return Arc(CirclePoint(frac(start)), frac(length))
+    return Arc(start, length)
 
 
 def arcset(*pairs: tuple) -> ArcSet:

@@ -65,6 +65,9 @@ from itmlib.piecewise import (
 )
 from itmlib.plots import attractor_svg, cdf_svg, conjugacy_svg, density_svg
 from itmlib.serialize import (
+    _get,
+    _integer,
+    _object,
     arcset_to_json,
     cdf_csv,
     conjugacy_csv,
@@ -101,20 +104,6 @@ class VerificationFailure(RuntimeError):
 # raises ValueError, TypeError or LookupError on a value it cannot read
 
 
-def _shape(spec, **kinds) -> None:
-    if not isinstance(spec, dict):
-        raise TypeError(f"must be a JSON object: {spec!r}")
-    for name, kind in kinds.items():
-        if name in spec and not isinstance(spec[name], kind):
-            raise TypeError(f"'{name}' must be a {kind.__name__}")
-
-
-def _integer(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise TypeError(f"must be an integer: {v!r}")
-    return int(v)
-
-
 def _within_steps(v: int) -> bool:
     return 0 < v <= _MAX_STEPS
 
@@ -134,22 +123,11 @@ def _list_of(item: Callable) -> Callable:
     return parse
 
 
-def _itm(spec) -> Itm:
-    _shape(spec, breakpoints=list, shifts=list)
-    return itm_from_json(spec)
-
-
 def _any_map(spec):
     """A PiecewiseMap when the spec has 'pieces' or 'domain', else an Itm."""
     if isinstance(spec, dict) and ("pieces" in spec or "domain" in spec):
-        _shape(spec, pieces=list, boundaryValues=dict, discontinuities=list)
         return piecewise_from_json(spec)
-    return _itm(spec)
-
-
-def _measure(d):
-    _shape(d)
-    return measure_from_json(d)
+    return itm_from_json(spec)
 
 
 def _orbit_lengths(v) -> list:
@@ -157,22 +135,20 @@ def _orbit_lengths(v) -> list:
 
 
 def _wandering(v) -> dict:
-    _shape(v, radii=list)
-    horizon = _integer(v["horizon"])
+    horizon = _integer(_object(v)["horizon"], "horizon")
     if not _within_steps(horizon):
         raise ValueError(f"'horizon' must be between 1 and {_MAX_STEPS}")
     return {
-        "radii": [parse_rational(r, "radius") for r in v["radii"]],
+        "radii": [parse_rational(r, "radius") for r in _get(v, "radii", list)],
         "horizon": horizon,
     }
 
 
 def _family(v) -> dict:
-    _shape(v)
-    kind = v.get("kind", "trig")
+    kind = _object(v).get("kind", "trig")
     if kind not in FAMILIES:
         raise ValueError(f"unknown family kind: {kind!r}")
-    return {"kind": kind, "degree": _integer(v.get("degree", 8))}
+    return {"kind": kind, "degree": _integer(v.get("degree", 8), "degree")}
 
 
 POSITIVE = (lambda v: v > 0, "must be positive")
@@ -208,7 +184,7 @@ class Key(NamedTuple):
 
 ITM_KEYS = ("breakpoints", "shifts")
 MAP_KEYS = ITM_KEYS + ("domain", "pieces", "boundaryValues", "discontinuities")
-ITM_MAP = Key("map", _itm, bare=ITM_KEYS)
+ITM_MAP = Key("map", itm_from_json, bare=ITM_KEYS)
 ANY_MAP = Key("map", _any_map, bare=MAP_KEYS)
 MAX_ITER = Key("maxIter", _integer, DEFAULT_MAX_ITER, POSITIVE, "--max-iter")
 MAX_ARCS = Key("maxArcs", _integer, DEFAULT_MAX_ARCS, POSITIVE, "--max-arcs")
@@ -294,7 +270,7 @@ def _cmd_attractor(o, plot):
         "stabilizedAt": result.stabilized_at,
         "attractor": arcset_to_json(result.attractor),
         "attractorLength": rat(result.attractor.total_length),
-        "arcCount": len(result.attractor.arcs),
+        "arcCount": len(result.attractor),
     }
     artifacts = {}
     if plot:
@@ -349,11 +325,10 @@ def _cmd_relations(o, plot):
     """Harvest exact breakpoint-orbit relations."""
     s = o["map"]
     system = detect_relations(s, o["depth"])
-    breakpoints, shifts = [b.value for b in s.breakpoints], list(s.shifts)
     payload = {
         "sourceDepth": system.source_depth,
         "relations": [
-            {**relation_to_json(r), "residual": rat(r.residual(breakpoints, shifts))}
+            {**relation_to_json(r), "residual": rat(r.residual(s.breakpoints, s.shifts))}
             for r in system.relations
         ],
     }
@@ -544,7 +519,7 @@ COMMANDS: dict[str, tuple] = {
     "relations": (_cmd_relations, ITM_MAP, DEPTH),
     "approximate": (
         _cmd_approximate,
-        Key("target", _itm, bare=ITM_KEYS),
+        Key("target", itm_from_json, bare=ITM_KEYS),
         Key("declaredRelations", _list_of(relation_from_json)),
         Key("denominators", _list_of(_integer)),
         Key("precision", parse_rational, Fraction(0), NONNEGATIVE),
@@ -556,7 +531,7 @@ COMMANDS: dict[str, tuple] = {
     "conjugate": (
         _cmd_conjugate,
         ITM_MAP,
-        Key("measure", _measure),
+        Key("measure", measure_from_json),
         Key("samples", _integer, 10**4, _STEPS),
     ),
     "empirical": (
@@ -572,7 +547,7 @@ COMMANDS: dict[str, tuple] = {
     "verify-limit": (
         _cmd_verify_limit,
         ANY_MAP,
-        Key("measure", _measure, REQUIRED),
+        Key("measure", measure_from_json, REQUIRED),
         Key("tolMass", parse_rational, Fraction(1, 100), NONNEGATIVE, "--tol"),
         Key("tolResidual", _real, 1e-6, FINITE_NONNEGATIVE),
         Key("family", _family, {"kind": "trig", "degree": 8}, _DEGREE),

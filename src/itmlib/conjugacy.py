@@ -233,7 +233,7 @@ def induce_iem(
             shifts.append(Fraction((f_image - f) % unit, unit))
         previous = w
 
-    induced = Itm(tuple(starts), tuple(shifts))
+    induced = Itm(starts, shifts)
     report = verify_iem(induced)
     failing_cell = _semiconjugacy_failure(walk, induced)
     certified = failing_cell is None and report.all_ok

@@ -103,34 +103,40 @@ class PolynomialBasis:
         return total
 
 
-class TrigFamily:
+class _Family:
+    """Test functions for 1..degree, iterated in order.  A family names its
+    members for a degree (``_basis``) and its default degree."""
+
+    def __init__(self, degree: int):
+        if degree < 1:
+            raise ValueError("degree must be at least 1")
+        self.degree = degree
+        self.members = tuple(self._basis(degree))
+
+    def __iter__(self):
+        return iter(self.members)
+
+
+class TrigFamily(_Family):
     """cos(2 pi k x) and sin(2 pi k x) for k = 1..degree."""
 
     def __init__(self, degree: int = 8):
-        if degree < 1:
-            raise ValueError("degree must be at least 1")
-        self.degree = degree
-        self.members: tuple[TrigBasis, ...] = tuple(
-            TrigBasis(k, kind) for k in range(1, degree + 1) for kind in ("cos", "sin")
-        )
+        super().__init__(degree)
 
-    def __iter__(self):
-        return iter(self.members)
+    @staticmethod
+    def _basis(degree: int) -> list[TrigBasis]:
+        return [TrigBasis(k, kind) for k in range(1, degree + 1) for kind in ("cos", "sin")]
 
 
-class PolynomialFamily:
+class PolynomialFamily(_Family):
     """x^d for d = 1..degree; suited to segment maps, exact residuals."""
 
     def __init__(self, degree: int = 1):
-        if degree < 1:
-            raise ValueError("degree must be at least 1")
-        self.degree = degree
-        self.members: tuple[PolynomialBasis, ...] = tuple(
-            PolynomialBasis(d) for d in range(1, degree + 1)
-        )
+        super().__init__(degree)
 
-    def __iter__(self):
-        return iter(self.members)
+    @staticmethod
+    def _basis(degree: int) -> list[PolynomialBasis]:
+        return [PolynomialBasis(d) for d in range(1, degree + 1)]
 
 
 def integral(phi, mu: Measure) -> Number:

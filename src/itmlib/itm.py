@@ -11,7 +11,7 @@ integer chart table (ArcSet._moved).  The forward table's slope-1 charts
 tile [0, q) in order, so the attractor loop steps its iterates' run lists
 itself: each run finds its first chart by one bisection and moves its part
 in each chart it crosses by that chart's shift, on integers.
-The backward orbit steps cells through the inverse charts, and each gap
+The backward orbit steps cells back through the forward charts, and each gap
 between its points is a run of cells advanced whole through the pieces, so
 the homtervals stay on integers too.  The one-sided orbits of the
 breakpoints step the same cells: a lift adds each piece's shift unreduced,
@@ -29,7 +29,7 @@ from functools import cached_property
 from math import lcm
 from typing import Optional, Sequence, Union
 
-from itmlib.circle import ONE, ZERO, Arc, ArcSet, CirclePoint, frac, mod1
+from itmlib.circle import ONE, ZERO, Arc, ArcSet, CirclePoint, mod1
 from itmlib.circle import _joins_at_zero, _rigid_table, _runs_within, _set_of_runs, _units
 from itmlib.circle import merge_segments
 
@@ -50,13 +50,11 @@ class BudgetExceeded(RuntimeError):
 class FiniteType(Enum):
     YES = "yes"
     NO_WITHIN_BUDGET = "no-within-budget"
-    UNKNOWN = "unknown"
 
 
 class Genericity(Enum):
     NOT_GENERIC = "not generic"
     NO_PERIODIC_DOMAIN_FOUND = "no periodic domain found"
-    UNKNOWN = "unknown"
 
 
 class Side(Enum):
@@ -150,8 +148,8 @@ class HomtervalReport:
 class Itm:
     """An interval translation map presented by its breakpoints and shifts.
 
-    Accepts raw rationals or strings for convenience; everything is reduced
-    mod 1 on construction.  Instances are immutable and all operations are
+    Accepts sequences of raw rationals, strings or CirclePoints; the
+    constructor is the one place that turns them into tuples reduced mod 1.  Instances are immutable and all operations are
     pure, so maps can be shared freely.
     """
 
@@ -159,10 +157,7 @@ class Itm:
     shifts: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        bps = tuple(
-            p if isinstance(p, CirclePoint) else CirclePoint(frac(p))
-            for p in self.breakpoints
-        )
+        bps = tuple(map(CirclePoint, self.breakpoints))
         shs = tuple(mod1(c) for c in self.shifts)
         if not bps:
             raise ValueError("at least one piece required")
@@ -186,12 +181,6 @@ class Itm:
         """The map's chart table (q, 1, charts) on integers: circle._rigid_table."""
         return _rigid_table(*self._grid_pieces)
 
-    @cached_property
-    def _inverse_table(self) -> tuple:
-        """The table of preimages: each chart's image pulled back onto its cells."""
-        q, r, charts = self._table
-        return q, r, tuple(sorted((lo + b, hi + b, 1, -b) for lo, hi, _, b in charts))
-
     @property
     def n(self) -> int:
         return len(self.breakpoints)
@@ -211,8 +200,7 @@ class Itm:
 
     def evaluate(self, x: Union[CirclePoint, Fraction]) -> CirclePoint:
         """S(x) for a CirclePoint or a rational, which is read mod 1."""
-        if not isinstance(x, CirclePoint):
-            x = CirclePoint(x)
+        x = CirclePoint(x)
         return x + self.shifts[self.piece_index(x)]
 
     def evaluate_one_sided(
@@ -265,8 +253,13 @@ class Itm:
         return a._moved(self._table)
 
     def preimage(self, a: ArcSet) -> ArcSet:
-        """Exact S^{-1}(A): x lies in the result iff evaluate(x) lies in A."""
-        return a._moved(self._inverse_table)
+        """Exact S^{-1}(A): x lies in the result iff evaluate(x) lies in A.
+
+        A's runs walk through the forward charts pulled back onto their
+        images: (lo + b, hi + b, 1, -b) for each chart (lo, hi, 1, b).
+        """
+        q, r, charts = self._table
+        return a._moved((q, r, [(lo + b, hi + b, 1, -b) for lo, hi, _, b in charts]))
 
     def attractor(
         self,
@@ -331,17 +324,17 @@ class Itm:
     ) -> list[CirclePoint]:
         """Backward orbit of the breakpoints: union of S^{-k}(H) for k <= depth.
 
-        It runs on the cells of the chart table: a cell y has the preimage
-        y + b in each chart (lo, hi, 1, b) of ``_inverse_table`` holding y.
+        It runs on the cells of the chart table: the preimages of a cell y
+        are y - b over the forward charts (lo, hi, 1, b) with lo <= y - b < hi.
         """
         if depth < 0:
             raise ValueError("depth must be nonnegative")
-        q, _, inverse = self._inverse_table
+        q, _, charts = self._table
         seen = set(self._grid_pieces[1])
         frontier = list(seen)
         for _ in range(depth):
             # the preimages of distinct cells are distinct
-            fresh = [y + b for y in frontier for lo, hi, _, b in inverse if lo <= y < hi]
+            fresh = [y - b for y in frontier for lo, hi, _, b in charts if lo <= y - b < hi]
             fresh = [x for x in fresh if x not in seen]
             seen.update(fresh)
             if len(seen) > max_points:
@@ -398,8 +391,7 @@ class Itm:
 
     def with_breakpoint(self, x: CirclePoint) -> "Itm":
         """The same map with x inserted as an (artificial) breakpoint."""
-        if not isinstance(x, CirclePoint):
-            x = CirclePoint(frac(x))
+        x = CirclePoint(x)
         if x in self.breakpoints:
             return self
         # x splits the piece i - 1, which is the last piece when i = 0
@@ -416,12 +408,9 @@ class Itm:
         transformations for these normal forms.
         """
         if all(c == self.shifts[0] for c in self.shifts):
-            return Itm((CirclePoint(ZERO),), (self.shifts[0],))
+            return Itm((ZERO,), (self.shifts[0],))
         keep = [j for j in range(self.n) if self.shifts[j] != self.shifts[j - 1]]
-        return Itm(
-            tuple(self.breakpoints[j] for j in keep),
-            tuple(self.shifts[j] for j in keep),
-        )
+        return Itm([self.breakpoints[j] for j in keep], [self.shifts[j] for j in keep])
 
     def common_denominator(self) -> int:
         """lcm of all breakpoint and shift denominators (1 for integer maps)."""
@@ -444,4 +433,4 @@ class Itm:
 
 def itm(breakpoints: Sequence, shifts: Sequence) -> Itm:
     """Shorthand constructor from raw rationals or strings."""
-    return Itm(tuple(breakpoints), tuple(shifts))
+    return Itm(breakpoints, shifts)

@@ -27,7 +27,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
-from itmlib.circle import ONE, ZERO, Rational, _affine_charts, _chart_table, circle_distance, frac
+from itmlib.circle import ONE, ZERO, Rational, circle_distance, frac, mod1
+from itmlib.circle import _affine_charts, _chart_table
 from itmlib.itm import Itm
 from itmlib.measure import Measure, _add_neighbours
 
@@ -134,7 +135,7 @@ class PiecewiseMap:
             raise ValueError(f"{what} outside the domain: {p}")
 
     def _reduce(self, v: Fraction) -> Fraction:
-        return v % 1 if self.domain is Domain.CIRCLE else v
+        return mod1(v) if self.domain is Domain.CIRCLE else v
 
     def _piece_at(self, x: Fraction) -> AffinePiece:
         idx = bisect.bisect_right(self._starts, x) - 1
@@ -212,11 +213,7 @@ def from_itm(s: Itm, discontinuities: Optional[Sequence[Rational]] = None) -> Pi
     return PiecewiseMap(
         domain=Domain.CIRCLE,
         pieces=pieces,
-        discontinuities=(
-            tuple(sorted(frac(p) for p in discontinuities))
-            if discontinuities is not None
-            else None
-        ),
+        discontinuities=discontinuities,
     )
 
 

@@ -28,13 +28,13 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _document(body: list[str], title: str, width: int = WIDTH, height: int = HEIGHT) -> str:
+def _document(body: list[str], title: str, height: int = HEIGHT) -> str:
     """The SVG document of a chart's elements, with its title above the plot."""
     head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{height}" viewBox="0 0 {WIDTH} {height}">'
     )
-    bg = f'<rect width="{width}" height="{height}" fill="#ffffff"/>'
+    bg = f'<rect width="{WIDTH}" height="{height}" fill="#ffffff"/>'
     caption = (
         f'<text x="{MARGIN}" y="{MARGIN - 12}" font-size="12" '
         f'fill="{_AXIS}">{title}</text>'
@@ -42,28 +42,29 @@ def _document(body: list[str], title: str, width: int = WIDTH, height: int = HEI
     return "\n".join([head, bg, *body, caption, "</svg>"]) + "\n"
 
 
-def _x_pixel(x: Fraction, width: int = WIDTH) -> float:
-    return MARGIN + float(x) * (width - 2 * MARGIN)
-
-def _y_pixel(y: float, top: float, height: int = HEIGHT) -> float:
-    usable = height - 2 * MARGIN
-    return height - MARGIN - (y / top if top else 0.0) * usable
+def _x_pixel(x: Fraction) -> float:
+    return MARGIN + float(x) * (WIDTH - 2 * MARGIN)
 
 
-def _axes(width: int = WIDTH, height: int = HEIGHT) -> list[str]:
-    y0 = height - MARGIN
+def _y_pixel(y: float, top: float) -> float:
+    usable = HEIGHT - 2 * MARGIN
+    return HEIGHT - MARGIN - (y / top if top else 0.0) * usable
+
+
+def _axes() -> list[str]:
+    y0 = HEIGHT - MARGIN
     return [
-        f'<line x1="{MARGIN}" y1="{y0}" x2="{width - MARGIN}" y2="{y0}" '
+        f'<line x1="{MARGIN}" y1="{y0}" x2="{WIDTH - MARGIN}" y2="{y0}" '
         f'stroke="{_AXIS}" stroke-width="1"/>',
         f'<line x1="{MARGIN}" y1="{MARGIN}" x2="{MARGIN}" y2="{y0}" '
         f'stroke="{_AXIS}" stroke-width="1"/>',
         f'<text x="{MARGIN}" y="{y0 + 16}" font-size="11" fill="{_AXIS}">0</text>',
-        f'<text x="{width - MARGIN - 6}" y="{y0 + 16}" font-size="11" '
+        f'<text x="{WIDTH - MARGIN - 6}" y="{y0 + 16}" font-size="11" '
         f'fill="{_AXIS}">1</text>',
     ]
 
 
-def density_svg(mu: Measure, title: str = "density") -> str:
+def density_svg(mu: Measure) -> str:
     """Histogram of the density segments, with atom spikes."""
     top = max(
         [float(w) for _, _, w in mu.density] + [float(m) for _, m in mu.atoms] + [1.0]
@@ -88,7 +89,7 @@ def density_svg(mu: Measure, title: str = "density") -> str:
         body.append(
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="{_ATOM}"/>'
         )
-    return _document(body, title)
+    return _document(body, "density")
 
 
 def cdf_svg(mu: Measure, title: str = "distribution function") -> str:
@@ -110,9 +111,7 @@ def cdf_svg(mu: Measure, title: str = "distribution function") -> str:
     return _document(body, title)
 
 
-def attractor_svg(
-    iterates: Sequence[ArcSet], title: str = "forward images"
-) -> str:
+def attractor_svg(iterates: Sequence[ArcSet]) -> str:
     """One bar per iterate A_k, arcs filled, the final row is the attractor."""
     rows = len(iterates)
     height = max(2 * MARGIN + 24 * rows, HEIGHT // 2)
@@ -135,12 +134,12 @@ def attractor_svg(
             f'<text x="{MARGIN - 34}" y="{y + 12}" font-size="11" '
             f'fill="{_AXIS}">A_{k}</text>'
         )
-    return _document(body, title, height=height)
+    return _document(body, "forward images", height=height)
 
 
-def conjugacy_svg(data: ConjugacyData, title: str = "conjugating map h") -> str:
+def conjugacy_svg(data: ConjugacyData) -> str:
     """Graph of h(x) = mu([0, x]) with the induced piece starts marked."""
-    doc = cdf_svg(data.mu, title=title)
+    doc = cdf_svg(data.mu, title="conjugating map h")
     marks = []
     for p in data.induced.breakpoints:
         x = _fmt(_x_pixel(data.h.quantile(p.value)))

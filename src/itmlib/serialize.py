@@ -11,11 +11,12 @@ string cannot ask for an integer of millions of digits.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any
 
 from itmlib.approx import Relation
-from itmlib.circle import Arc, ArcSet, CirclePoint, frac
+from itmlib.circle import Arc, ArcSet, frac
 from itmlib.conjugacy import ConjugacyData
 from itmlib.itm import Itm
 from itmlib.measure import Measure
@@ -52,29 +53,69 @@ def parse_rational(v: Any, what: str = "rational") -> Fraction:
         raise ValueError(f"bad {what}: {v!r}") from exc
 
 
+def _integer(v: Any, key: str = "") -> int:
+    """A JSON integer, or a decimal string such as a flag's value, as an int.
+
+    Bools, floats and other strings are refused with a ValueError that
+    names the key when one is given.
+    """
+    if isinstance(v, (int, str)) and not isinstance(v, bool):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    named = f"'{key}' " if key else ""
+    raise ValueError(f"{named}must be an integer: {v!r}")
+
+
+_KINDS = {list: "a list", Mapping: "a JSON object"}
+
+
+def _object(d: Any) -> Mapping:
+    """d, which must be a JSON object."""
+    if not isinstance(d, Mapping):
+        raise ValueError(f"must be a JSON object: {d!r}")
+    return d
+
+
+def _get(d: Mapping, key: str, kind: type, *default) -> Any:
+    """d[key], or the default when one is given and d lacks the key, which
+    must be of the JSON kind: list or Mapping; ValueError names the key."""
+    v = d.get(key, *default) if default else d[key]
+    if not isinstance(v, kind):
+        raise ValueError(f"'{key}' must be {_KINDS[kind]}")
+    return v
+
+
+def _objects(d: Mapping, key: str, *default) -> list:
+    """d[key] as _get reads it, a list that must hold JSON objects."""
+    entries = _get(d, key, list, *default)
+    for e in entries:
+        if not isinstance(e, Mapping):
+            raise ValueError(f"'{key}' must list JSON objects: {e!r}")
+    return entries
+
+
 def itm_to_json(s: Itm) -> dict:
     return {
-        "breakpoints": [rat(b.value) for b in s.breakpoints],
+        "breakpoints": [rat(b) for b in s.breakpoints],
         "shifts": [rat(c) for c in s.shifts],
     }
 
 
 def itm_from_json(d: Mapping) -> Itm:
-    try:
-        bps = d["breakpoints"]
-        shs = d["shifts"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("map JSON needs 'breakpoints' and 'shifts'") from exc
+    if "breakpoints" not in _object(d) or "shifts" not in d:
+        raise ValueError("map JSON needs 'breakpoints' and 'shifts'")
     return Itm(
-        tuple(CirclePoint(parse_rational(b, "breakpoint")) for b in bps),
-        tuple(parse_rational(c, "shift") for c in shs),
+        [parse_rational(b, "breakpoint") for b in _get(d, "breakpoints", list)],
+        [parse_rational(c, "shift") for c in _get(d, "shifts", list)],
     )
 
 
 def arcset_to_json(a: ArcSet) -> dict:
     return {
         "arcs": [
-            {"start": rat(arc.start.value), "length": rat(arc.length)}
+            {"start": rat(arc.start), "length": rat(arc.length)}
             for arc in a.arcs
         ]
     }
@@ -83,10 +124,10 @@ def arcset_to_json(a: ArcSet) -> dict:
 def arcset_from_json(d: Mapping) -> ArcSet:
     arcs = tuple(
         Arc(
-            CirclePoint(parse_rational(e["start"], "arc start")),
+            parse_rational(e["start"], "arc start"),
             parse_rational(e["length"], "arc length"),
         )
-        for e in d["arcs"]
+        for e in _objects(_object(d), "arcs")
     )
     return ArcSet(arcs)
 
@@ -108,20 +149,21 @@ def measure_to_json(mu: Measure) -> dict:
 
 def measure_from_json(d: Mapping) -> Measure:
     density = []
-    for e in d.get("density", ()):
-        lo = parse_rational(e["arc"]["start"], "density start")
-        length = parse_rational(e["arc"]["length"], "density length")
+    for e in _objects(_object(d), "density", []):
+        arc = _get(e, "arc", Mapping)
+        lo = parse_rational(arc["start"], "density start")
+        length = parse_rational(arc["length"], "density length")
         # a Measure lives on [0, 1] and its density pieces never wrap
         if not 0 <= lo < 1:
-            raise ValueError(f"density start outside [0, 1): {e['arc']['start']!r}")
+            raise ValueError(f"density start outside [0, 1): {arc['start']!r}")
         if length <= 0:
-            raise ValueError(f"density length must be positive: {e['arc']['length']!r}")
+            raise ValueError(f"density length must be positive: {arc['length']!r}")
         if lo + length > 1:
-            raise ValueError(f"density length runs past 1: {e['arc']['length']!r}")
+            raise ValueError(f"density length runs past 1: {arc['length']!r}")
         density.append((lo, lo + length, parse_rational(e["weight"], "weight")))
     atoms = [
         (parse_rational(e["point"], "atom point"), parse_rational(e["mass"], "atom mass"))
-        for e in d.get("atoms", ())
+        for e in _objects(d, "atoms", [])
     ]
     return Measure(tuple(density), tuple(atoms))
 
@@ -142,34 +184,37 @@ def piecewise_to_json(t: PiecewiseMap) -> dict:
 
 
 def piecewise_from_json(d: Mapping) -> PiecewiseMap:
+    if "domain" not in _object(d) or "pieces" not in d:
+        raise ValueError("piecewise JSON needs 'domain' and 'pieces'")
     try:
         domain = Domain(d["domain"])
-        raw_pieces = d["pieces"]
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ValueError("piecewise JSON needs 'domain' and 'pieces'") from exc
-    pieces = tuple(
-        AffinePiece(
-            parse_rational(e["interval"][0], "piece start"),
-            parse_rational(e["interval"][1], "piece end"),
-            parse_rational(e["affine"]["a"], "coefficient a"),
-            parse_rational(e["affine"]["b"], "coefficient b"),
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"'domain' must be 'circle' or 'segment': {d['domain']!r}") from exc
+    pieces = []
+    for e in _objects(d, "pieces"):
+        interval, affine = _get(e, "interval", list), _get(e, "affine", Mapping)
+        if len(interval) != 2:
+            raise ValueError(f"'interval' must list two values: {interval!r}")
+        pieces.append(
+            AffinePiece(
+                parse_rational(interval[0], "piece start"),
+                parse_rational(interval[1], "piece end"),
+                parse_rational(affine["a"], "coefficient a"),
+                parse_rational(affine["b"], "coefficient b"),
+            )
         )
-        for e in raw_pieces
-    )
     bvs = tuple(
         (parse_rational(p, "boundary point"), parse_rational(v, "boundary value"))
-        for p, v in d.get("boundaryValues", {}).items()
+        for p, v in _get(d, "boundaryValues", Mapping, {}).items()
     )
-    disc = d.get("discontinuities")
+    disc = None
+    if d.get("discontinuities") is not None:
+        disc = [parse_rational(p, "discontinuity") for p in _get(d, "discontinuities", list)]
     return PiecewiseMap(
         domain=domain,
         pieces=pieces,
         boundary_values=bvs,
-        discontinuities=(
-            tuple(parse_rational(p, "discontinuity") for p in disc)
-            if disc is not None
-            else None
-        ),
+        discontinuities=disc,
     )
 
 
@@ -183,8 +228,12 @@ def relation_to_json(r: Relation) -> dict:
 
 def relation_from_json(d: Mapping) -> Relation:
     try:
+        counts = _get(_object(d), "l", list)
         return Relation(
-            i=int(d["i"]), j=int(d["j"]), l=tuple(int(v) for v in d["l"]), w=int(d["w"])
+            i=_integer(d["i"], "i"),
+            j=_integer(d["j"], "j"),
+            l=tuple(_integer(v, "l") for v in counts),
+            w=_integer(d["w"], "w"),
         )
     except KeyError as exc:
         raise ValueError(f"bad relation entry {d!r}: missing key {exc}") from exc
@@ -197,11 +246,10 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header, *(",".join(map(rat, row)) for row in rows)]) + "\n"
 
 
-def cdf_csv(mu: Measure, points: Optional[Sequence] = None) -> str:
-    """CSV with columns x,F(x), exact, at the CDF breaklist by default."""
+def cdf_csv(mu: Measure) -> str:
+    """CSV with columns x,F(x), exact, at the cuts of the CDF."""
     cdf = mu.cdf()
-    xs = cdf.cuts if points is None else tuple(frac(p) for p in points)
-    return _csv("x,F(x)", ((x, cdf.at(x)) for x in xs))
+    return _csv("x,F(x)", zip(cdf.cuts, cdf.value_at))
 
 
 def visit_frequency_csv(table: VisitFrequencyTable) -> str:

@@ -37,6 +37,7 @@ from itmlib.catalog import (
     two_shift_example,
 )
 from itmlib.families import (
+    PolynomialBasis,
     PolynomialFamily,
     TrigBasis,
     TrigFamily,
@@ -44,6 +45,7 @@ from itmlib.families import (
 )
 from itmlib.itm import BudgetExceeded, Itm, Side, itm
 from itmlib.measure import Measure, pushforward
+from itmlib.piecewise import from_itm
 
 F = Fraction
 
@@ -375,6 +377,21 @@ class TestVerifyLimitMeasure:
         with pytest.raises(ValueError, match="float range"):
             verify_limit_measure(rotation("1/4"), mu)
 
+    @pytest.mark.parametrize(
+        "target, wraps",
+        [
+            (rotation("1/4"), True),
+            (from_itm(rotation("1/4"), discontinuities=(F(0),)), True),
+            (halving_map(), False),
+        ],
+    )
+    def test_the_neighbourhood_wraps_on_the_circle_only(self, target, wraps):
+        # (-1/4, 1/4) around the discontinuity 0 holds the atom at 7/8 only
+        # when it wraps through 0
+        mu = Measure((), ((F(1, 2), F(1, 2)), (F(7, 8), F(1, 2))))
+        report = verify_limit_measure(target, mu, deltas=(F(1, 4),))
+        assert report.masses == ((F(1, 2) if wraps else F(0)),)
+
     def test_image_weight_above_the_float_range_is_refused(self):
         # x -> x/2 doubles the weight, which then leaves the float range
         w = F(int(sys.float_info.max))
@@ -382,6 +399,28 @@ class TestVerifyLimitMeasure:
         assert mu.is_probability
         with pytest.raises(ValueError, match="float range"):
             verify_limit_measure(halving_map(), mu)
+
+
+class TestFamilies:
+    @pytest.mark.parametrize(
+        "family, degree, members",
+        [
+            (TrigFamily(), 8, [TrigBasis(k, c) for k in range(1, 9) for c in ("cos", "sin")]),
+            (TrigFamily(2), 2, [TrigBasis(k, c) for k in (1, 2) for c in ("cos", "sin")]),
+            (PolynomialFamily(), 1, [PolynomialBasis(1)]),
+            (PolynomialFamily(3), 3, [PolynomialBasis(d) for d in (1, 2, 3)]),
+        ],
+    )
+    def test_members_in_order(self, family, degree, members):
+        assert family.degree == degree
+        assert family.members == tuple(members)
+        assert list(family) == members
+
+    @pytest.mark.parametrize("kind", [TrigFamily, PolynomialFamily])
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_degree_below_one_is_refused(self, kind, degree):
+        with pytest.raises(ValueError, match="degree must be at least 1"):
+            kind(degree)
 
 
 class TestMassProfile:

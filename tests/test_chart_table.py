@@ -117,9 +117,6 @@ def assert_table_matches(s: Itm) -> None:
     assert (q, r) == (s.common_denominator(), 1)
     assert s.affine_segments() == charts
     assert (q, r, list(table)) == _chart_table(charts)
-    inverse = s._inverse_table
-    pulled_back = sorted((lo + b, hi + b, 1, -b) for lo, hi, _, b in charts)
-    assert (inverse[0], inverse[1], list(inverse[2])) == _chart_table(pulled_back)
 
 
 class TestTableAgainstFractionCharts:

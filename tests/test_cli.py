@@ -92,6 +92,14 @@ class TestAttractor:
             "arcs": [{"start": "0", "length": "1/2"}]
         }
 
+    def test_an_arc_through_0_counts_once(self, tmp_path, capsys):
+        # both halves land on [3/4, 1/4), which the cut at 0 splits in two
+        cfg = write_config(tmp_path, {"breakpoints": ["0", "1/2"], "shifts": ["3/4", "1/4"]})
+        code, report, _ = run(capsys, "attractor", "--config", cfg)
+        assert code == 0
+        assert report["attractor"] == {"arcs": [{"start": "3/4", "length": "1/2"}]}
+        assert report["arcCount"] == 1
+
     def test_exhausted_iteration_budget_is_exit_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"map": HALF_COLLAPSE})
         code, _, err = run(capsys, "attractor", "--config", cfg, "--max-iter", "1")
@@ -605,6 +613,95 @@ MALFORMED = {
     "deltas-negative": (
         "verify-limit", {**QUARTER_ROTATION_LIMIT, "deltas": ["1/4", "-1/8"]}, "'deltas'"
     ),
+    # the JSON parsers check the kind of every list and object they read
+    "relation-counts-as-string": (
+        "approximate",
+        {
+            "target": {"breakpoints": ["0", "1/2"], "shifts": ["1/3", "1/5"]},
+            "declaredRelations": [{"i": 0, "j": 0, "l": "00", "w": 0}],
+            "denominators": [8, 13],
+        },
+        "'l' must be a list",
+    ),
+    "relation-index-float": (
+        "approximate",
+        {
+            "target": {"breakpoints": ["0", "1/2"], "shifts": ["1/3", "1/5"]},
+            "declaredRelations": [{"i": 0.7, "j": 0, "l": [0, 0], "w": 0}],
+            "denominators": [8, 13],
+        },
+        "'i' must be an integer",
+    ),
+    "relation-winding-boolean": (
+        "approximate",
+        {
+            "target": {"breakpoints": ["0", "1/2"], "shifts": ["1/3", "1/5"]},
+            "declaredRelations": [{"i": 0, "j": 0, "l": [0, 0], "w": True}],
+            "denominators": [8, 13],
+        },
+        "'w' must be an integer",
+    ),
+    "relation-count-float": (
+        "approximate",
+        {
+            "target": {"breakpoints": ["0", "1/2"], "shifts": ["1/3", "1/5"]},
+            "declaredRelations": [{"i": 0, "j": 0, "l": [1.9, 0], "w": 0}],
+            "denominators": [8, 13],
+        },
+        "'l' must be an integer",
+    ),
+    "shifts-as-string": (
+        "validate", {"breakpoints": ["0"], "shifts": "7"}, "'shifts' must be a list"
+    ),
+    "density-as-string": (
+        "conjugate",
+        {"map": HALF_COLLAPSE, "measure": {"density": "x"}},
+        "'density' must be a list",
+    ),
+    "atoms-as-object": (
+        "verify-limit",
+        {**QUARTER_ROTATION_LIMIT, "measure": {"atoms": {"point": "0", "mass": "1"}}},
+        "'atoms' must be a list",
+    ),
+    "density-arc-as-list": (
+        "verify-limit",
+        {
+            **QUARTER_ROTATION_LIMIT,
+            "measure": {"density": [{"arc": ["0", "1"], "weight": "1"}]},
+        },
+        "'arc' must be a JSON object",
+    ),
+    "piece-as-list": (
+        "validate",
+        {"map": {"domain": "segment", "pieces": [["0", "1"]]}},
+        "'pieces' must list JSON objects",
+    ),
+    "interval-of-one-value": (
+        "validate",
+        {"map": {"domain": "segment", "pieces": [{**HALVING["pieces"][0], "interval": ["0"]}]}},
+        "'interval' must list two values",
+    ),
+    "boundary-values-as-list": (
+        "validate", {"map": {**HALVING, "boundaryValues": [["0", "1"]]}}, "'boundaryValues'"
+    ),
+    "discontinuities-as-string": (
+        "validate", {"map": {**HALVING, "discontinuities": "0"}}, "'discontinuities'"
+    ),
+    "wandering-radii-as-string": (
+        "empirical",
+        {**HALVING_ORBIT, "wandering": {"radii": "1/8", "horizon": 3}},
+        "'radii' must be a list",
+    ),
+    "wandering-horizon-float": (
+        "empirical",
+        {**HALVING_ORBIT, "wandering": {"radii": ["1/8"], "horizon": 3.5}},
+        "'horizon' must be an integer",
+    ),
+    "family-degree-float": (
+        "verify-limit",
+        {**QUARTER_ROTATION_LIMIT, "family": {"kind": "trig", "degree": 2.5}},
+        "'degree' must be an integer",
+    ),
     "family-degree-over-budget": (
         "verify-limit",
         {**QUARTER_ROTATION_LIMIT, "family": {"kind": "trig", "degree": _MAX_STEPS + 1}},
@@ -683,6 +780,8 @@ class TestExitCodeContract:
             ({"i": 0, "j": 3, "l": [0, 0], "w": 0}, "relation indices outside the piece range"),
             ({"i": 0, "j": 1, "l": [0, -1], "w": 0}, "visit counts must be nonnegative"),
             ({"i": 0, "j": 1, "l": [0, 0]}, "missing key 'w'"),
+            ({"i": 0, "j": 1, "l": "01", "w": 0}, "'l' must be a list"),
+            ({"i": 0, "j": 1.0, "l": [0, 0], "w": 0}, "'j' must be an integer: 1.0"),
         ],
     )
     def test_refused_relation_states_its_reason(self, entry, reason, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Interval translation maps: evaluation, images, attractors, homtervals."""
 
+import itertools
 import random
 import sys
 from collections import Counter
@@ -11,7 +12,13 @@ from hypothesis import strategies as st
 
 import oracle
 from conftest import assert_moves_match, itms, outcome, rationals
-from itmlib.catalog import half_collapse, random_itm, rotation, two_shift_example
+from itmlib.catalog import (
+    double_rotation,
+    half_collapse,
+    random_itm,
+    rotation,
+    two_shift_example,
+)
 from itmlib.circle import Arc, ArcSet, CirclePoint, arc, arcset
 from itmlib.itm import (
     DEFAULT_MAX_ARCS,
@@ -76,6 +83,65 @@ class TestConstruction:
     def test_common_denominator(self):
         assert two_shift_example().common_denominator() == 12
         assert rotation(F(3, 7)).common_denominator() == 7
+
+
+def spellings(v: Fraction) -> list:
+    """v as a string, a Fraction and a CirclePoint, and as an int when it is one."""
+    return [str(v), v, CirclePoint(v)] + ([int(v)] if v.denominator == 1 else [])
+
+
+def lengths(v: Fraction) -> list:
+    """An arc length as a string, a Fraction and, when it is one, an int."""
+    return [str(v), v] + ([int(v)] if v.denominator == 1 else [])
+
+
+def reduced(s: Itm) -> bool:
+    """Whether s holds tuples of CirclePoints and shifts on Fractions in [0, 1)."""
+    return (
+        isinstance(s.breakpoints, tuple)
+        and isinstance(s.shifts, tuple)
+        and all(type(p) is CirclePoint and type(p.value) is F for p in s.breakpoints)
+        and all(type(c) is F and 0 <= c < 1 for c in s.shifts)
+    )
+
+
+class TestConstructorsCoerceOnce:
+    """Each constructor reads ints, strings, Fractions and CirclePoints alike."""
+
+    def test_itm_and_its_shorthand(self):
+        want = Itm((CirclePoint(F(0)), CirclePoint(F(1, 3))), (F(1, 4), F(0)))
+        coords = [F(0), F(4, 3), F(5, 4), F(1)]
+        for b0, b1, c0, c1 in itertools.product(*map(spellings, coords)):
+            for s in (Itm((b0, b1), (c0, c1)), itm([b0, b1], [c0, c1])):
+                assert s == want and reduced(s)
+
+    def test_arc_and_its_shorthand(self):
+        for length in (F(1, 2), F(1)):
+            want = Arc(CirclePoint(F(3, 4)), length)
+            for start, size in itertools.product(spellings(F(7, 4)), lengths(length)):
+                for a in (Arc(start, size), arc(start, size)):
+                    assert a == want
+                    assert type(a.start) is CirclePoint and type(a.start.value) is F
+                    assert type(a.length) is F
+
+    def test_rotation(self):
+        want = Itm((CirclePoint(F(0)),), (F(1, 4),))
+        for c in spellings(F(5, 4)):
+            assert rotation(c) == want and reduced(rotation(c))
+
+    def test_double_rotation(self):
+        want = Itm((CirclePoint(F(0)), CirclePoint(F(1, 3))), (F(1, 2), F(0)))
+        for beta, c0, c1 in itertools.product(*map(spellings, [F(4, 3), F(-1, 2), F(2)])):
+            s = double_rotation(beta, c0, c1)
+            assert s == want and reduced(s)
+
+    def test_with_breakpoint(self):
+        s = two_shift_example()
+        want = Itm((F(0), F(1, 4), F(1, 2)), (F(1, 3), F(1, 3), F(1, 4)))
+        for x in spellings(F(5, 4)):
+            assert s.with_breakpoint(x) == want and reduced(s.with_breakpoint(x))
+        for x in spellings(F(1)):
+            assert s.with_breakpoint(x) is s
 
 
 class TestEvaluate:

@@ -91,6 +91,13 @@ class TestPiecewiseMapType:
         t = from_itm(rotation("2/5"), discontinuities=(F(0),))
         assert t.discontinuities == (F(0),)
 
+    def test_explicit_discontinuities_are_sorted_and_read_as_rationals(self):
+        s = half_collapse()
+        t = from_itm(s, [F(1, 2), "1/4", CirclePoint(F(0))])
+        assert t == from_itm(s, [F(0), F(1, 4), F(1, 2)])
+        assert t.discontinuities == (F(0), F(1, 4), F(1, 2))
+        assert all(type(p) is F for p in t.discontinuities)
+
     def test_circle_values_reduce_mod_one(self):
         t = from_itm(rotation("3/4"))
         assert t.evaluate(F(1, 2)) == F(1, 4)

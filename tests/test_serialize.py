@@ -137,11 +137,112 @@ class TestRelations:
         with pytest.raises(ValueError):
             relation_from_json({"i": 0, "j": 0})
 
+    def test_integer_strings_are_read(self):
+        # the integer rule the command line applies to its flags
+        rel = relation_from_json({"i": "1", "j": 0, "l": [0, "1"], "w": "1"})
+        assert rel == Relation(i=1, j=0, l=(0, 1), w=1)
+
+
+GOOD_PIECE = {"interval": ["0", "1"], "affine": {"a": "1/2", "b": "0"}}
+MALFORMED_JSON = [
+    # parser, JSON value, the message it must raise
+    (relation_from_json, {"i": 0, "j": 0, "l": "10", "w": "2"}, "'l' must be a list"),
+    (relation_from_json, {"i": 0.7, "j": 0, "l": [0], "w": 0}, "'i' must be an integer: 0.7"),
+    (relation_from_json, {"i": True, "j": 0, "l": [0], "w": 0}, "'i' must be an integer: True"),
+    (relation_from_json, {"i": 0, "j": "x", "l": [0], "w": 0}, "'j' must be an integer: 'x'"),
+    (relation_from_json, {"i": 0, "j": 0, "l": [1.9, 0], "w": 0}, "'l' must be an integer: 1.9"),
+    (relation_from_json, {"i": 0, "j": 0, "l": [0], "w": 2.0}, "'w' must be an integer: 2.0"),
+    (relation_from_json, [0, 0, [0], 0], "must be a JSON object"),
+    (itm_from_json, {"breakpoints": "0", "shifts": "7"}, "'breakpoints' must be a list"),
+    (itm_from_json, {"breakpoints": ["0"], "shifts": "7"}, "'shifts' must be a list"),
+    (itm_from_json, "0", "must be a JSON object"),
+    (arcset_from_json, {"arcs": {"start": "0"}}, "'arcs' must be a list"),
+    (arcset_from_json, {"arcs": [["0", "1/2"]]}, "'arcs' must list JSON objects"),
+    (measure_from_json, {"density": "x"}, "'density' must be a list"),
+    (measure_from_json, {"density": [["0", "1", "1"]]}, "'density' must list JSON objects"),
+    (
+        measure_from_json,
+        {"density": [{"arc": ["0", "1"], "weight": "1"}]},
+        "'arc' must be a JSON object",
+    ),
+    (measure_from_json, {"atoms": {"point": "0", "mass": "1"}}, "'atoms' must be a list"),
+    (measure_from_json, {"atoms": ["0"]}, "'atoms' must list JSON objects"),
+    (measure_from_json, [], "must be a JSON object"),
+    (
+        piecewise_from_json,
+        {"domain": "segment", "pieces": [["0", "1"]]},
+        "'pieces' must list JSON objects",
+    ),
+    (piecewise_from_json, {"domain": "segment", "pieces": "x"}, "'pieces' must be a list"),
+    (
+        piecewise_from_json,
+        {"domain": "segment", "pieces": [{"interval": "01", "affine": {"a": 0, "b": 0}}]},
+        "'interval' must be a list",
+    ),
+    (
+        piecewise_from_json,
+        {"domain": "segment", "pieces": [{"interval": ["0"], "affine": {"a": 0, "b": 0}}]},
+        "'interval' must list two values",
+    ),
+    (
+        piecewise_from_json,
+        {"domain": "segment", "pieces": [{"interval": ["0", "1"], "affine": ["1/2", "0"]}]},
+        "'affine' must be a JSON object",
+    ),
+    (
+        piecewise_from_json,
+        {"domain": "segment", "pieces": [GOOD_PIECE], "boundaryValues": [["0", "1"]]},
+        "'boundaryValues' must be a JSON object",
+    ),
+    (
+        piecewise_from_json,
+        {"domain": "segment", "pieces": [GOOD_PIECE], "discontinuities": "0"},
+        "'discontinuities' must be a list",
+    ),
+    (piecewise_from_json, {"domain": "torus", "pieces": [GOOD_PIECE]}, "'domain' must be"),
+]
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize(
+        "parse, value, message",
+        MALFORMED_JSON,
+        ids=[f"{p.__name__}-{i}" for i, (p, _, _) in enumerate(MALFORMED_JSON)],
+    )
+    def test_refused_naming_the_key(self, parse, value, message):
+        with pytest.raises(ValueError) as exc:
+            parse(value)
+        assert message in str(exc.value)
+
 
 class TestCsv:
     def test_cdf_csv_at_breaklist(self):
         mu = Measure(((F(0), F(1, 2), F(2)),))
         assert cdf_csv(mu) == "x,F(x)\n0,0\n1/2,1\n1,1\n"
+
+    @pytest.mark.parametrize(
+        "mu, text",
+        [
+            # atoms at 0, on the density cut 1/2 and at 1
+            (
+                Measure(
+                    ((F(0), F(1, 2), F(1)),),
+                    ((F(0), F(1, 8)), (F(1, 2), F(1, 4)), (F(1), F(1, 8))),
+                ),
+                "x,F(x)\n0,1/8\n1/2,7/8\n1,1\n",
+            ),
+            # an atom inside a density run cuts it
+            (
+                Measure(((F(1, 4), F(3, 4), F(1)),), ((F(1, 2), F(1, 2)),)),
+                "x,F(x)\n0,0\n1/4,0\n1/2,3/4\n3/4,1\n1,1\n",
+            ),
+            (Measure.point_mass(F(1, 3)), "x,F(x)\n0,0\n1/3,1\n1,1\n"),
+        ],
+    )
+    def test_cdf_csv_rows_are_the_cdf_at_each_cut(self, mu, text):
+        cdf = mu.cdf()
+        rows = "".join(f"{rat(x)},{rat(cdf.at(x))}\n" for x in cdf.cuts)
+        assert cdf_csv(mu) == "x,F(x)\n" + rows == text
 
     def test_visit_frequency_csv(self):
         table = visit_frequency(

@@ -243,3 +243,51 @@ def test_only_measure_reads_measure_storage():
         if isinstance(node, ast.Attribute) and node.attr in private
     ]
     assert found == []
+
+
+def test_every_enum_member_is_named_outside_its_class():
+    # a member that no code names as Class.MEMBER is never produced or read:
+    # a value no caller can meet
+    root = Path(itmlib.__file__).parent
+    trees = {path: parsed(path) for path in sorted(root.rglob("*.py"))}
+    enums = {
+        node.name: node
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(b, ast.Name) and b.id == "Enum" for b in node.bases)
+    }
+    inside = {id(n) for cls in enums.values() for n in ast.walk(cls)}
+    named = {
+        (node.value.id, node.attr)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in enums
+        and id(node) not in inside
+    }
+    members = {
+        (name, target.id)
+        for name, cls in enums.items()
+        for node in cls.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    assert {"FiniteType", "Side", "Domain"} <= enums.keys()
+    assert sorted(members - named) == []
+
+
+def test_all_lists_exactly_the_imported_names():
+    # __all__ and the imports of __init__.py are two lists of one API, and a
+    # name added to one alone drifts from the other
+    tree = parsed(Path(itmlib.__file__))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert sorted(itmlib.__all__) == sorted(imported)
+    assert len(itmlib.__all__) == len(set(itmlib.__all__))
