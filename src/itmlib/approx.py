@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from itmlib.catalog import fibonacci_up_to
-from itmlib.circle import ZERO, Rational, frac
+from itmlib.circle import ZERO, Rational, _integer, frac
 from itmlib.itm import (
     DEFAULT_MAX_ARCS,
     DEFAULT_MAX_ITER,
@@ -78,7 +78,9 @@ class Relation:
     itinerary: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "l", tuple(int(v) for v in self.l))
+        for key in ("i", "j", "w"):
+            object.__setattr__(self, key, _integer(getattr(self, key), key))
+        object.__setattr__(self, "l", tuple(_integer(v, "l") for v in self.l))
         if any(v < 0 for v in self.l):
             raise ValueError("visit counts must be nonnegative")
         if not (0 <= self.i < len(self.l) and 0 <= self.j < len(self.l)):
@@ -86,7 +88,7 @@ class Relation:
         if self.side is not None:
             object.__setattr__(self, "side", Side(self.side))
         if self.itinerary is not None:
-            itin = tuple(int(k) for k in self.itinerary)
+            itin = tuple(_integer(k, "itinerary") for k in self.itinerary)
             object.__setattr__(self, "itinerary", itin)
             if self.side is None:
                 raise ValueError("a witness itinerary needs a side")
@@ -333,7 +335,7 @@ def generate_approximants(
     relations = relations if relations is not None else RelationSystem.empty()
     if denominators is None:
         denominators = fibonacci_up_to(DEFAULT_DENOMINATOR_LIMIT)
-    denominators = [int(q) for q in denominators]
+    denominators = [_integer(q, "denominators") for q in denominators]
     if not denominators:
         raise ValueError("at least one denominator bound is required")
     if any(q < 1 for q in denominators):

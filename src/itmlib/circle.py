@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
 from operator import itemgetter
-from typing import Iterable, Sequence, Union
+from typing import Any, Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -50,6 +50,22 @@ def mod1(x: Union[Rational, str]) -> Fraction:
     """Reduce a rational to the fundamental domain [0, 1); one already in it is kept."""
     v = frac(x)
     return v if 0 <= v.numerator < v.denominator else v % 1
+
+
+def _integer(v: Any, key: str = "") -> int:
+    """A count taken from a caller or from JSON as an int: an int, or a
+    decimal string such as a flag's value.
+
+    Bools, floats and other strings are refused with a ValueError that
+    names the key when one is given, so no count is truncated.
+    """
+    if isinstance(v, (int, str)) and not isinstance(v, bool):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    named = f"'{key}' " if key else ""
+    raise ValueError(f"{named}must be an integer: {v!r}")
 
 
 @dataclass(frozen=True, order=True)

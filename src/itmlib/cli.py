@@ -39,6 +39,7 @@ from itmlib.approx import (
     measure_sequence,
     verify_limit_measure,
 )
+from itmlib.circle import _integer
 from itmlib.conjugacy import AtomicMeasure, NotInvariant, induce_iem
 from itmlib.families import PolynomialFamily, TrigFamily
 from itmlib.itm import (
@@ -66,7 +67,6 @@ from itmlib.piecewise import (
 from itmlib.plots import attractor_svg, cdf_svg, conjugacy_svg, density_svg
 from itmlib.serialize import (
     _get,
-    _integer,
     _object,
     arcset_to_json,
     cdf_csv,

@@ -11,8 +11,14 @@ integer chart table (ArcSet._moved).  The forward table's slope-1 charts
 tile [0, q) in order, so the attractor loop steps its iterates' run lists
 itself: each run finds its first chart by one bisection and moves its part
 in each chart it crosses by that chart's shift, on integers.
+The map moves each cell [i/q, (i+1)/q) rigidly onto a cell, so it acts on
+the cells as a function f, and ``_cell_orbit`` is the one walk of f that
+closes a cycle: it returns the cells before the orbit enters its cycle and
+that cycle, and writes each cycle it closes into a record the caller keeps,
+so a later walk that meets the cycle stops there.  The recurrence search
+(``measure.find_recurrent_points``) and the homterval tracker read it.
 The backward orbit steps cells back through the forward charts, and each gap
-between its points is a run of cells advanced whole through the pieces, so
+between its points is a run of cells whose start follows the cell orbit, so
 the homtervals stay on integers too.  The one-sided orbits of the
 breakpoints step the same cells: a lift adds each piece's shift unreduced,
 its cell lift % q picks the next piece, and the winding, the number of
@@ -149,8 +155,9 @@ class Itm:
     """An interval translation map presented by its breakpoints and shifts.
 
     Accepts sequences of raw rationals, strings or CirclePoints; the
-    constructor is the one place that turns them into tuples reduced mod 1.  Instances are immutable and all operations are
-    pure, so maps can be shared freely.
+    constructor is the one place that turns them into tuples reduced mod 1.
+    Instances are immutable and all operations are pure, so maps can be
+    shared freely.
     """
 
     breakpoints: tuple[CirclePoint, ...]
@@ -192,11 +199,15 @@ class Itm:
 
     def piece_index(self, x: CirclePoint) -> int:
         """Index j with x in [t_j, t_{j+1}); breakpoints belong to their right piece."""
-        q, starts, _ = self._grid_pieces
-        # a breakpoint B/q lies at or below x iff B <= floor(x * q); x below
-        # the first one lies in the last piece, through 0
-        cell = x.value.numerator * q // x.value.denominator
-        return (bisect.bisect_right(starts, cell) - 1) % self.n
+        q = self._grid_pieces[0]
+        return self._piece_of(x.value.numerator * q // x.value.denominator)
+
+    def _piece_of(self, cell: int) -> int:
+        """Index j of the piece holding the cell [cell/q, (cell+1)/q), 0 <= cell < q."""
+        _, starts, _ = self._grid_pieces
+        # a breakpoint B/q starts the cell's piece or one before it iff
+        # B <= cell; a cell below the first one lies in the last piece
+        return (bisect.bisect_right(starts, cell) - 1) % len(starts)
 
     def evaluate(self, x: Union[CirclePoint, Fraction]) -> CirclePoint:
         """S(x) for a CirclePoint or a rational, which is read mod 1."""
@@ -348,21 +359,38 @@ class Itm:
             frontier = fresh
         return [CirclePoint(Fraction(x, q)) for x in sorted(seen)]
 
-    def _track_arc(self, start: int, length: int, budget: int) -> tuple:
-        # advance the open arc of cells (start, start + length) whole, so only
-        # its start moves, until it repeats; None, None once it would split
-        # across a breakpoint, which one piece never does, or at the budget
+    def _cell_orbit(self, cell: int, budget: int, record: dict) -> tuple:
+        """The orbit of a cell of 1/q under f, S's action on the cells, up to
+        its cycle: (tail, cycle, place), with tail the cells before the orbit
+        enters the cycle and cycle[place] the cell it enters at, after
+        len(tail) steps.
+
+        record maps each cell of a cycle closed before to (cycle, place); the
+        walk stops at the first recorded cell and writes each cycle it closes
+        there, so each cycle is walked once per record.  When budget steps
+        close no cycle, it returns (walked, None, None), walked holding the
+        budget + 1 cells of the orbit.
+        """
+        met = record.get(cell)
+        if met is not None:
+            return [], *met
         q, starts, shifts = self._grid_pieces
-        seen = {start: 0}
-        for step in range(1, budget + 1):
-            j = bisect.bisect_right(starts, start) - 1  # -1: the last piece, through 0
-            if self.n > 1 and length > (starts[(j + 1) % self.n] - start) % q:
-                return None, None
-            start = (start + shifts[j]) % q
-            if start in seen:
-                return seen[start], step - seen[start]
-            seen[start] = step
-        return None, None
+        steps = {cell: 0}  # cell -> step, in walk order
+        for m in range(1, budget + 1):
+            # -1: a cell below the first breakpoint lies in the last piece
+            cell = (cell + shifts[bisect.bisect_right(starts, cell) - 1]) % q
+            met = record.get(cell)
+            if met is not None:
+                return list(steps), *met
+            first = steps.get(cell)
+            if first is not None:
+                walked = list(steps)
+                cycle = walked[first:]
+                for place, c in enumerate(cycle):
+                    record[c] = (cycle, place)
+                return walked[:first], cycle, 0
+            steps[cell] = m
+        return list(steps), None, None
 
     def classify_homtervals(
         self, depth: int, orbit_budget: int = DEFAULT_ORBIT_BUDGET
@@ -373,20 +401,38 @@ class Itm:
         open arcs; each is advanced as a whole arc until its orbit repeats
         exactly (reported as preperiod and period), splits across a
         breakpoint, or exhausts the budget (reported unresolved).  The arcs
-        are runs of cells of 1/q, advanced on integers through the pieces of
-        ``_grid_pieces``; only the report holds them as Arcs.
+        are runs of cells of 1/q: while an arc (s, s + length) stays inside
+        the piece of its first cell s, it moves whole, so its start follows
+        ``_cell_orbit`` and repeats when that orbit closes its cycle.  The
+        gaps share one record of the cycles, and only the report holds them
+        as Arcs.
         """
         if depth < 1:
             raise ValueError("depth must be at least 1")
         omega = self.omega_to_depth(depth)
-        q = self._table[0]
+        q, starts, _ = self._grid_pieces
+        n = len(starts)
         cells = [_units(p.value, q) for p in omega]
+        record: dict = {}
         homtervals = []
         for i, p in enumerate(omega):
             # the gap to the next point; a single point leaves the whole circle
             length = (cells[(i + 1) % len(cells)] - cells[i]) % q or q
-            pre, per = self._track_arc(cells[i], length, orbit_budget)
-            homtervals.append(Homterval(Arc(p, Fraction(length, q)), pre, per))
+            arc = Arc(p, Fraction(length, q))
+            tail, cycle, _ = self._cell_orbit(cells[i], orbit_budget, record)
+            # the orbit repeats after len(tail) + len(cycle) steps, which can
+            # pass the budget when the walk met a recorded cycle
+            resolved = cycle is not None and len(tail) + len(cycle) <= orbit_budget
+            if resolved and n > 1:
+                # the arc stays whole iff it ends by the next breakpoint from
+                # each of its starts; one piece never splits it
+                resolved = all(
+                    length <= (starts[(self._piece_of(s) + 1) % n] - s) % q
+                    for s in tail + cycle
+                )
+            homtervals.append(
+                Homterval(arc, len(tail), len(cycle)) if resolved else Homterval(arc)
+            )
         return HomtervalReport(tuple(omega), tuple(homtervals))
 
     def with_breakpoint(self, x: CirclePoint) -> "Itm":

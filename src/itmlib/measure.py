@@ -641,13 +641,13 @@ def find_recurrent_points(
     cells as a function f and a point keeps its offset inside its cell:
     S^m(x) is as far from x as the cell f^m(c) is from x's cell c, a whole
     number of cells of 1/q, and the orbit of x repeats exactly when that
-    of c does.  A walk of c stops at its first eps-return, at the horizon,
-    on a repeated cell, which closes a cycle of f, or on a cell of a cycle
-    met before.  Each cycle is recorded the first time a walk closes it,
-    and a later walk that meets it reads its remaining steps from the
-    record instead of the charts, so each cycle is walked through the
-    charts once and memory grows only with the cells walked; it is looked
-    up at the cells near home when they are fewer than the cycle's.
+    of c does.  ``Itm._cell_orbit`` walks c for up to horizon steps, to the
+    cycle of f it enters, and the samples share its record of the cycles,
+    so each cycle is walked once and memory grows only with the cells
+    walked.  The first return is sought among the cells before the cycle,
+    then in the first turn of the cycle, by one scan over the cycle's cells
+    or over the cells near home looked up in the record, whichever are
+    fewer.
     """
     eps = frac(eps)
     if eps <= 0:
@@ -666,11 +666,10 @@ def find_recurrent_points(
         else Fraction(total * (2 * i + 1), unit * 2 * samples)
         for i in range(samples)
     ]
-    q, _, charts = s._table
-    starts = [lo for lo, *_ in charts]
+    q = s.common_denominator()
     # d cells are eps-close iff d/q < eps, iff d <= reach
     reach = (eps.numerator * q - 1) // eps.denominator
-    recorded: dict[int, tuple[list, int]] = {}  # cell -> (its cycle, its place)
+    record: dict = {}  # cell -> (its cycle, its place), shared by the samples
     out = []
     for y in levels:
         x, i = cdf._quantile(y)
@@ -679,49 +678,23 @@ def find_recurrent_points(
             x = max(x - Fraction(1, q), Fraction(cdf._ticks[i], cdf._grid))
         x %= 1
         home = x.numerator * q // x.denominator
-        time = near = None
-        met = recorded.get(home)
-        steps = {home: 0}  # cell -> step, in walk order
-        cur = home
-        while met is None and len(steps) <= horizon:
-            cur += charts[bisect.bisect_right(starts, cur) - 1][3]
-            m = len(steps)
-            first = steps.get(cur)
-            if first is not None:
-                # a repeated cell closes a cycle; it is eps-close only if it
-                # is home, since every other cell of the walk was checked
-                cycle = list(steps)[first:]
-                for place, cell in enumerate(cycle):
-                    recorded[cell] = (cycle, place)
-                if first == 0:
-                    time, near = m, home
-                break
-            if _gap(cur, home, q) <= reach:
-                time, near = m, cur
-                break
-            steps[cur] = m
-            met = recorded.get(cur)
-        if met is not None:
-            # the walk goes on around a recorded cycle, whose cells are all
-            # new to it until the full turn brings back the cell it met; that
-            # cell is eps-close only if it is home
-            cycle, place = met
-            n, walked = len(cycle), len(steps) - 1
-            if 2 * reach + 1 < n:
-                turns = [
-                    ((recorded[cell][1] - place - 1) % n + 1, cell)
-                    for cell in ((home + d) % q for d in range(-reach, reach + 1))
-                    if recorded.get(cell, (None,))[0] is cycle
-                ]
-                t, cell = min(turns, default=(horizon + 1, None))
-                if t <= horizon - walked:
-                    time, near = walked + t, cell
-            else:
-                for t in range(1, min(n, horizon - walked) + 1):
-                    cell = cycle[(place + t) % n]
-                    if _gap(cell, home, q) <= reach:
-                        time, near = walked + t, cell
-                        break
+        tail, cycle, place = s._cell_orbit(home, horizon, record)
+        # the tail holds at most horizon + 1 cells, and none of the cycle
+        time = next((m for m in range(1, len(tail)) if _gap(tail[m], home, q) <= reach), None)
+        near = None if time is None else tail[time]
+        if time is None and cycle is not None:
+            # the first turn of the cycle from step len(tail) meets each of
+            # its cells once; home, when on it, comes back after a full turn
+            n, skip = len(cycle), 0 if tail else 1
+            nearby = ((home + d) % q for d in range(-reach, reach + 1))
+            turns = [
+                ((record[cell][1] - place - skip) % n + skip, cell)
+                for cell in (nearby if 2 * reach + 1 < n else cycle)
+                if record.get(cell, (None,))[0] is cycle and _gap(cell, home, q) <= reach
+            ]
+            t, cell = min(turns, default=(horizon + 1, None))
+            if t <= horizon - len(tail):
+                time, near = len(tail) + t, cell
         distance = None if time is None else Fraction(_gap(near, home, q), q)
         out.append(Recurrence(CirclePoint(x), time, distance))
     return out

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
-from itmlib.circle import ONE, ZERO, Rational, circle_distance, frac, mod1
+from itmlib.circle import ONE, ZERO, Rational, _integer, circle_distance, frac, mod1
 from itmlib.circle import _affine_charts, _chart_table
 from itmlib.itm import Itm
 from itmlib.measure import Measure, _add_neighbours
@@ -350,7 +350,7 @@ def visit_frequency(
     """Exact visit counts of discontinuity neighbourhoods along the orbit."""
     if isinstance(ms, int):
         ms = (ms,)
-    ms = sorted(int(m) for m in ms)
+    ms = sorted(_integer(m, "ms") for m in ms)
     if not ms or ms[0] < 1:
         raise ValueError("orbit lengths must be positive")
     epsilons = sorted((frac(e) for e in epsilons), reverse=True)

@@ -53,21 +53,6 @@ def parse_rational(v: Any, what: str = "rational") -> Fraction:
         raise ValueError(f"bad {what}: {v!r}") from exc
 
 
-def _integer(v: Any, key: str = "") -> int:
-    """A JSON integer, or a decimal string such as a flag's value, as an int.
-
-    Bools, floats and other strings are refused with a ValueError that
-    names the key when one is given.
-    """
-    if isinstance(v, (int, str)) and not isinstance(v, bool):
-        try:
-            return int(v)
-        except ValueError:
-            pass
-    named = f"'{key}' " if key else ""
-    raise ValueError(f"{named}must be an integer: {v!r}")
-
-
 _KINDS = {list: "a list", Mapping: "a JSON object"}
 
 
@@ -229,12 +214,7 @@ def relation_to_json(r: Relation) -> dict:
 def relation_from_json(d: Mapping) -> Relation:
     try:
         counts = _get(_object(d), "l", list)
-        return Relation(
-            i=_integer(d["i"], "i"),
-            j=_integer(d["j"], "j"),
-            l=tuple(_integer(v, "l") for v in counts),
-            w=_integer(d["w"], "w"),
-        )
+        return Relation(i=d["i"], j=d["j"], l=counts, w=d["w"])
     except KeyError as exc:
         raise ValueError(f"bad relation entry {d!r}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:

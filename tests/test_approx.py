@@ -68,6 +68,20 @@ class TestRelationType:
         with pytest.raises(ValueError):
             Relation(i=0, j=0, l=(-1,), w=0)
 
+    @pytest.mark.parametrize(
+        "fields, key",
+        [
+            ({"l": (1.5, 0)}, "'l' must be an integer: 1.5"),
+            ({"i": 0.0}, "'i' must be an integer: 0.0"),
+            ({"j": True}, "'j' must be an integer: True"),
+            ({"w": 2.5}, "'w' must be an integer: 2.5"),
+            ({"l": (1, 0), "side": "left", "itinerary": (0.0,)}, "'itinerary' must be an integer"),
+        ],
+    )
+    def test_counts_are_integers_not_truncated(self, fields, key):
+        with pytest.raises(ValueError, match=key):
+            Relation(**{"i": 0, "j": 1, "l": (0, 0), "w": 0, **fields})
+
     @pytest.mark.parametrize("i, j", [(-1, 1), (0, -2), (2, 0), (1, 2)])
     def test_indices_outside_the_pieces_rejected(self, i, j):
         # a negative index would otherwise read a breakpoint from the end
@@ -200,6 +214,11 @@ class TestGenerateApproximants:
             generate_approximants(rotation("1/3"), denominators=(8, 4))
         with pytest.raises(ValueError):
             generate_approximants(rotation("1/3"), denominators=())
+
+    @pytest.mark.parametrize("bounds", [[True, 2.9, 5.5], [2, 3.0], [F(5)]])
+    def test_denominators_are_integers_not_truncated(self, bounds):
+        with pytest.raises(ValueError, match="'denominators' must be an integer"):
+            generate_approximants(rotation("0.381966"), denominators=bounds)
 
     def test_default_denominators_are_fibonacci(self):
         schedule = generate_approximants(rotation(golden_mean()))

@@ -701,6 +701,84 @@ class TestHomtervalsOnCells:
             assert s.classify_homtervals(2, orbit_budget=2 * q).homtervals
 
 
+def naive_cell_orbit(s: Itm, cell: int, budget: int) -> list:
+    """The cells f^m(cell) of the oracle's map walked on the points cell/q,
+    up to and with the first repeated cell, or the first budget + 1 cells."""
+    f, q = oracle.Map(s), oracle.common_denominator(s)
+    x, cells, seen = F(cell, q), [cell], set()
+    while cells[-1] not in seen and len(cells) <= budget:
+        seen.add(cells[-1])
+        x = f(x)
+        cells.append(int(x * q))
+    return cells
+
+
+def orbit_cells(s: Itm, rng: random.Random) -> list:
+    """Every cell of a map with q <= 64, and 24 sampled cells otherwise."""
+    q = s.common_denominator()
+    return list(range(q)) if q <= 64 else rng.sample(range(q), 24)
+
+
+class TestCellOrbitAgainstFractionWalk:
+    """Itm._cell_orbit, the one walk that closes cycles of cells, walks the
+    oracle's Fraction orbit of the cell's left end."""
+
+    def test_tail_and_cycle_are_the_orbit_up_to_its_first_repeat(self, acceptance_sweep_maps):
+        rng = random.Random(31)
+        for s in acceptance_sweep_maps:
+            q = s.common_denominator()
+            for cell in orbit_cells(s, rng):
+                cells = naive_cell_orbit(s, cell, q)
+                tail, cycle, place = s._cell_orbit(cell, q, {})
+                # q steps close every orbit: it holds at most q cells
+                assert tail + cycle == cells[:-1]
+                assert (cycle[place], place) == (cells[-1], 0)
+                assert tail == cells[: cells.index(cells[-1])]
+
+    def test_a_shared_record_gives_the_orbit_of_an_empty_one(self, acceptance_sweep_maps):
+        rng = random.Random(37)
+        shared = 0
+        for s in acceptance_sweep_maps:
+            q, record = s.common_denominator(), {}
+            for cell in orbit_cells(s, rng):
+                known = len(record)
+                tail, cycle, place = s._cell_orbit(cell, q, record)
+                alone = s._cell_orbit(cell, q, {})
+                assert (tail, cycle[place:] + cycle[:place]) == alone[:2]
+                assert all(record[c][0] is cycle for c in cycle)
+                assert [record[c][1] for c in cycle] == list(range(len(cycle)))
+                # no cycle closed: the walk stopped at a recorded cell
+                shared += len(record) == known
+        assert shared > 1000
+
+    def test_rotating_the_grid_shifts_every_cell(self, acceptance_sweep_maps):
+        rng = random.Random(41)
+        rotated = 0
+        for s in acceptance_sweep_maps:
+            q = s.common_denominator()
+            k = rng.randrange(1, q)
+            t = oracle.rotated(s, F(k, q))
+            if t.common_denominator() != q:
+                continue
+            rotated += 1
+            for cell in orbit_cells(s, rng):
+                tail, cycle, place = s._cell_orbit(cell, q, {})
+                moved = t._cell_orbit((cell + k) % q, q, {})
+                assert moved == ([(c + k) % q for c in tail], [(c + k) % q for c in cycle], place)
+        assert rotated > 90
+
+    def test_a_walk_out_of_budget_returns_budget_plus_one_cells(self, acceptance_sweep_maps):
+        rng = random.Random(43)
+        for s in acceptance_sweep_maps:
+            for cell in orbit_cells(s, rng):
+                tail, cycle, _ = s._cell_orbit(cell, s.common_denominator(), {})
+                # the orbit repeats first after len(tail) + len(cycle) steps
+                budget = rng.randrange(len(tail) + len(cycle))
+                walked, none, place = s._cell_orbit(cell, budget, {})
+                assert (len(walked), none, place) == (budget + 1, None, None)
+                assert walked == naive_cell_orbit(s, cell, budget) == (tail + cycle)[: budget + 1]
+
+
 class TestMergedAndFriends:
     def test_merged_collapses_equal_shifts(self):
         s = itm(["0", "1/4", "1/2"], ["1/8", "1/8", "3/4"])
