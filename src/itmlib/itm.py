@@ -31,7 +31,7 @@ import bisect
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import lcm
 from typing import Optional, Sequence, Union
 
@@ -359,7 +359,7 @@ class Itm:
             frontier = fresh
         return [CirclePoint(Fraction(x, q)) for x in sorted(seen)]
 
-    def _cell_orbit(self, cell: int, budget: int, record: dict) -> tuple:
+    def _cell_orbit(self, cell: int, budget: int, record: dict, stop=None) -> tuple:
         """The orbit of a cell of 1/q under f, S's action on the cells, up to
         its cycle: (tail, cycle, place), with tail the cells before the orbit
         enters the cycle and cycle[place] the cell it enters at, after
@@ -367,29 +367,32 @@ class Itm:
 
         record maps each cell of a cycle closed before to (cycle, place); the
         walk stops at the first recorded cell and writes each cycle it closes
-        there, so each cycle is walked once per record.  When budget steps
-        close no cycle, it returns (walked, None, None), walked holding the
-        budget + 1 cells of the orbit.
+        there, so each cycle is walked once per record.  stop, when given, is
+        the caller's test of each cell the walk steps to that neither closes
+        a cycle nor is recorded, and the walk ends at the first cell that
+        passes it.  A walk that ends there, or closes no cycle in budget
+        steps, returns (walked, None, None), walked holding the orbit up to
+        and with that cell, or its first budget + 1 cells; it records
+        nothing.
         """
-        met = record.get(cell)
-        if met is not None:
-            return [], *met
+        if cell in record:
+            return [], *record[cell]
         q, starts, shifts = self._grid_pieces
         steps = {cell: 0}  # cell -> step, in walk order
         for m in range(1, budget + 1):
             # -1: a cell below the first breakpoint lies in the last piece
             cell = (cell + shifts[bisect.bisect_right(starts, cell) - 1]) % q
-            met = record.get(cell)
-            if met is not None:
-                return list(steps), *met
+            if cell in record:
+                return list(steps), *record[cell]
             first = steps.get(cell)
             if first is not None:
                 walked = list(steps)
                 cycle = walked[first:]
-                for place, c in enumerate(cycle):
-                    record[c] = (cycle, place)
+                record.update((c, (cycle, place)) for place, c in enumerate(cycle))
                 return walked[:first], cycle, 0
             steps[cell] = m
+            if stop is not None and stop(cell):
+                break
         return list(steps), None, None
 
     def classify_homtervals(
@@ -404,32 +407,41 @@ class Itm:
         are runs of cells of 1/q: while an arc (s, s + length) stays inside
         the piece of its first cell s, it moves whole, so its start follows
         ``_cell_orbit`` and repeats when that orbit closes its cycle.  The
-        gaps share one record of the cycles, and only the report holds them
-        as Arcs.
+        walk ends at the first start the arc would split from, the gaps
+        share one record of the cycles, and only the report holds them as
+        Arcs.
         """
         if depth < 1:
             raise ValueError("depth must be at least 1")
         omega = self.omega_to_depth(depth)
         q, starts, _ = self._grid_pieces
         n = len(starts)
+
+        def room(s: int) -> int:
+            # the cells from s to the next breakpoint; one piece splits no arc
+            return (starts[(self._piece_of(s) + 1) % n] - s) % q if n > 1 else q
+
         cells = [_units(p.value, q) for p in omega]
         record: dict = {}
+        # the least room on the recorded cycle through a cell, once per cycle
+        least = cache(lambda c: min(map(room, record[c][0])))
         homtervals = []
         for i, p in enumerate(omega):
             # the gap to the next point; a single point leaves the whole circle
             length = (cells[(i + 1) % len(cells)] - cells[i]) % q or q
             arc = Arc(p, Fraction(length, q))
-            tail, cycle, _ = self._cell_orbit(cells[i], orbit_budget, record)
-            # the orbit repeats after len(tail) + len(cycle) steps, which can
-            # pass the budget when the walk met a recorded cycle
-            resolved = cycle is not None and len(tail) + len(cycle) <= orbit_budget
-            if resolved and n > 1:
-                # the arc stays whole iff it ends by the next breakpoint from
-                # each of its starts; one piece never splits it
-                resolved = all(
-                    length <= (starts[(self._piece_of(s) + 1) % n] - s) % q
-                    for s in tail + cycle
+            # the arc stays whole iff it ends by the next breakpoint from each
+            # of its starts: the walk ends at the first start it overhangs
+            tail = cycle = None
+            if length <= room(cells[i]):
+                tail, cycle, _ = self._cell_orbit(
+                    cells[i], orbit_budget, record, lambda s: length > room(s)
                 )
+            # the orbit repeats after len(tail) + len(cycle) steps, which can
+            # pass the budget when the walk met a recorded cycle, whose cells
+            # it did not test
+            resolved = cycle is not None and len(tail) + len(cycle) <= orbit_budget
+            resolved = resolved and length <= least(cycle[0])
             homtervals.append(
                 Homterval(arc, len(tail), len(cycle)) if resolved else Homterval(arc)
             )

@@ -641,13 +641,13 @@ def find_recurrent_points(
     cells as a function f and a point keeps its offset inside its cell:
     S^m(x) is as far from x as the cell f^m(c) is from x's cell c, a whole
     number of cells of 1/q, and the orbit of x repeats exactly when that
-    of c does.  ``Itm._cell_orbit`` walks c for up to horizon steps, to the
-    cycle of f it enters, and the samples share its record of the cycles,
-    so each cycle is walked once and memory grows only with the cells
-    walked.  The first return is sought among the cells before the cycle,
-    then in the first turn of the cycle, by one scan over the cycle's cells
-    or over the cells near home looked up in the record, whichever are
-    fewer.
+    of c does.  ``Itm._cell_orbit`` walks c for up to horizon steps and
+    ends at its first eps-close cell or at the cycle of f it enters, and
+    the samples share its record of the cycles, so each cycle is walked
+    once and time and memory grow only with the cells walked up to the
+    return.  A walk that enters a cycle seeks the return in the cycle's
+    first turn, by one scan over the cycle's cells or over the cells near
+    home looked up in the record, whichever are fewer.
     """
     eps = frac(eps)
     if eps <= 0:
@@ -678,13 +678,20 @@ def find_recurrent_points(
             x = max(x - Fraction(1, q), Fraction(cdf._ticks[i], cdf._grid))
         x %= 1
         home = x.numerator * q // x.denominator
-        tail, cycle, place = s._cell_orbit(home, horizon, record)
-        # the tail holds at most horizon + 1 cells, and none of the cycle
-        time = next((m for m in range(1, len(tail)) if _gap(tail[m], home, q) <= reach), None)
-        near = None if time is None else tail[time]
-        if time is None and cycle is not None:
-            # the first turn of the cycle from step len(tail) meets each of
-            # its cells once; home, when on it, comes back after a full turn
+
+        def close(cell: int) -> bool:
+            return _gap(cell, home, q) <= reach
+
+        # the walk ends at its first eps-return; with reach 0 only home is
+        # eps-close, and it comes back only by closing its cycle
+        tail, cycle, place = s._cell_orbit(home, horizon, record, close if reach else None)
+        time = near = None
+        if cycle is None and close(tail[-1]):
+            time, near = len(tail) - 1, tail[-1]
+        elif cycle is not None:
+            # the walk tested each cell after home; the first turn of the
+            # cycle from step len(tail) meets each of its cells once, and
+            # home, when on it, comes back after a full turn
             n, skip = len(cycle), 0 if tail else 1
             nearby = ((home + d) % q for d in range(-reach, reach + 1))
             turns = [

@@ -1,6 +1,9 @@
+import bisect
+import importlib
 import random
 from fractions import Fraction
 from math import ceil, floor, gcd, isqrt
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -135,6 +138,24 @@ def grid_pair_arcs(approximant_level_maps):
     return pairs.flatmap(
         lambda p: st.tuples(st.just(p[0]), st.just(p[1]), arcs_on(p[0]), arcs_on(p[1]))
     )
+
+
+@pytest.fixture
+def piece_lookups(monkeypatch):
+    """The cells looked up by bisection in itmlib.itm, as a list the test
+    reads and clears: the cell walk and the single-cell piece lookup."""
+    lookups = []
+
+    def counted(seq, x):
+        if isinstance(seq, list):
+            lookups.append(x)
+        return bisect.bisect_right(seq, x)
+
+    monkeypatch.setattr(
+        importlib.import_module("itmlib.itm"), "bisect",
+        SimpleNamespace(bisect_right=counted, bisect_left=bisect.bisect_left),
+    )
+    return lookups
 
 
 def assert_moves_match(s: Itm, a) -> None:

@@ -690,6 +690,17 @@ class TestHomtervalsOnCells:
             ]
             assert kinds[0] == kinds[1]
 
+    def test_a_gap_that_splits_early_walks_no_further(self, piece_lookups):
+        # no cycle of cells closes within the default budget of 2^16 steps,
+        # and each gap splits across a breakpoint within a few: its walk
+        # ends there, not at the budget
+        q = 10**6 + 3
+        s = itm([0, F(400000, q)], [F(618034, q), F(700001, q)])
+        report = s.classify_homtervals(2)
+        assert len(report.homtervals) > 4 and not report.resolved
+        assert 0 < len(piece_lookups) < 50 * len(report.homtervals)
+        assert_homtervals_match_oracle(s, 2, 2**16)
+
     def test_homtervals_read_no_piece(self, acceptance_sweep_maps, monkeypatch):
         def refuse(*_):
             raise AssertionError("a Fraction piece was read")
@@ -766,6 +777,25 @@ class TestCellOrbitAgainstFractionWalk:
                 moved = t._cell_orbit((cell + k) % q, q, {})
                 assert moved == ([(c + k) % q for c in tail], [(c + k) % q for c in cycle], place)
         assert rotated > 90
+
+    def test_a_walk_ends_at_the_first_cell_its_test_passes(self, acceptance_sweep_maps):
+        rng = random.Random(47)
+        stopped = 0
+        for s in acceptance_sweep_maps:
+            q = s.common_denominator()
+            for cell in orbit_cells(s, rng):
+                cells = naive_cell_orbit(s, cell, q)
+                marked = set(rng.sample(range(q), max(1, q // 8)))
+                record = {}
+                walk = s._cell_orbit(cell, q, record, marked.__contains__)
+                # the test reads the cells after the first, up to the repeat
+                hit = next((m for m in range(1, len(cells) - 1) if cells[m] in marked), None)
+                if hit is None:
+                    assert walk == s._cell_orbit(cell, q, {})
+                else:
+                    stopped += 1
+                    assert (walk, record) == ((cells[: hit + 1], None, None), {})
+        assert stopped > 1000
 
     def test_a_walk_out_of_budget_returns_budget_plus_one_cells(self, acceptance_sweep_maps):
         rng = random.Random(43)

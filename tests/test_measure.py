@@ -1,14 +1,11 @@
 """Measures: canonical form, pushforward, residuals, CDFs, recurrence."""
 
-import bisect
 import hashlib
-import importlib
 import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import gcd
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -1131,21 +1128,11 @@ class TestRecurrenceAgainstReference:
             cut += sum(not r.found and f.found and f.time > 3 for r, f in zip(fast, full))
         assert cut
 
-    def test_samples_sharing_cycles_read_the_record(self, acceptance_sweep_maps, monkeypatch):
+    def test_samples_sharing_cycles_read_the_record(self, acceptance_sweep_maps, piece_lookups):
         # each cycle of cells is walked once: later samples on it read the
         # record, so the piece lookups of Itm._cell_orbit, the one walk, fall
         # far below the return times
-        lookups = []
-
-        def counted(seq, x):
-            if isinstance(seq, list):
-                lookups.append(x)
-            return bisect.bisect_right(seq, x)
-
-        monkeypatch.setattr(
-            importlib.import_module("itmlib.itm"), "bisect",
-            SimpleNamespace(bisect_right=counted, bisect_left=bisect.bisect_left),
-        )
+        lookups = piece_lookups
         returns = steps = 0
         for i, s in enumerate(acceptance_sweep_maps[:30]):
             q = s.common_denominator()
@@ -1158,6 +1145,14 @@ class TestRecurrenceAgainstReference:
             steps += len(lookups)
         assert returns > 1000
         assert 0 < steps < returns / 2
+
+    def test_a_walk_ends_at_its_first_return(self, piece_lookups):
+        # one cycle of q cells, far longer than a return within eps = 1/10:
+        # each sample's walk ends after its first step, and records nothing
+        q = 10**6 + 3
+        recs = find_recurrent_points(rotation(F(1, q)), Measure.lebesgue(), F(1, 10), q * q, 20)
+        assert [(r.time, r.distance) for r in recs] == [(1, F(1, q))] * 20
+        assert len(piece_lookups) == 20
 
     def test_lebesgue_starts_on_transient_cells(self, acceptance_sweep_maps):
         transient = 0
