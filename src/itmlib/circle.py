@@ -14,11 +14,11 @@ builds for affine pieces read mod 1.  _walk carries sorted, disjoint runs of
 cells through a table chart by chart, for sets and measure densities alike:
 images, preimages, translates and pushforwards move through it, on tables
 whose charts may overlap, leave gaps, carry weights or have any slope.  The
-attractor loop steps its run lists itself, since a map's rigid table tiles
-[0, q) in order with slope 1; it merges its output with merge_segments,
-tests nesting with _runs_within and wraps the result with _set_of_runs.
-With Arc.segments, these are the only code that knows how a set meets the
-cut at 0.
+attractor (Itm.attractor) steps no whole iterate: since a map's rigid table
+tiles [0, q) with slope 1, it moves only the hole each step opens, cuts
+that out of one run list in place, counts arcs with _joins_at_zero and
+wraps a copy of the list per iterate with _set_of_runs.  With Arc.segments,
+these are the only code that knows how a set meets the cut at 0.
 """
 
 from __future__ import annotations
@@ -263,18 +263,6 @@ def _walk(q: int, runs: Sequence[tuple], table: tuple) -> tuple[int, list[tuple]
     return grid * r, out
 
 
-def _runs_within(inner: Sequence[tuple], outer: Sequence[tuple]) -> bool:
-    """Whether each of the sorted, disjoint runs inner lies in one of the sorted,
-    disjoint runs outer, both on one grid."""
-    j, n = 0, len(outer)
-    for lo, hi in inner:
-        while j < n and outer[j][1] < hi:
-            j += 1
-        if j == n or outer[j][0] > lo:
-            return False
-    return True
-
-
 def _units(v: Rational, q: int) -> int:
     """v counted in units of 1/q; q must be a multiple of v's denominator."""
     return v.numerator * (q // v.denominator)
@@ -428,8 +416,15 @@ class ArcSet:
         return i >= 0 and x < self._runs[i][1]
 
     def is_subset_of(self, other: "ArcSet") -> bool:
+        # each run must lie in one run of other; both lists are sorted
         _, inner, outer = self._meet(other)
-        return _runs_within(inner, outer)
+        j, n = 0, len(outer)
+        for lo, hi in inner:
+            while j < n and outer[j][1] < hi:
+                j += 1
+            if j == n or outer[j][0] > lo:
+                return False
+        return True
 
     # -- dunder sugar -----------------------------------------------------
 

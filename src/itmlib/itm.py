@@ -7,10 +7,13 @@ exact: images and preimages of arc unions, the attractor as a nested
 intersection of forward images, backward orbits of the discontinuity
 set, and whole-arc tracking of the continuity intervals in between.
 Images and preimages walk an ArcSet's runs of cells through the map's
-integer chart table (ArcSet._moved).  The forward table's slope-1 charts
-tile [0, q) in order, so the attractor loop steps its iterates' run lists
-itself: each run finds its first chart by one bisection and moves its part
-in each chart it crosses by that chart's shift, on integers.
+integer chart table (ArcSet._moved).  The attractor moves only what each
+iterate loses: the forward table's slope-1 charts tile [0, q), so the hole
+D_k = A_k \\ A_{k+1} satisfies D_{k+1} = S(D_k) \\ S(A_{k+1}), and a step
+moves D_k through the charts, pulls each moved part back through the
+charts whose images overlap, and cuts what stays uncovered out of one
+sorted run list in place.  Each iterate wraps a copy of that list, so the
+iterates share their run tuples.
 The map moves each cell [i/q, (i+1)/q) rigidly onto a cell, so it acts on
 the cells as a function f, and ``_cell_orbit`` is the one walk of f that
 closes a cycle: it returns the cells before the orbit enters its cycle and
@@ -36,7 +39,7 @@ from math import lcm
 from typing import Optional, Sequence, Union
 
 from itmlib.circle import ONE, ZERO, Arc, ArcSet, CirclePoint, mod1
-from itmlib.circle import _joins_at_zero, _rigid_table, _runs_within, _set_of_runs, _units
+from itmlib.circle import _END, _joins_at_zero, _rigid_table, _set_of_runs, _units
 from itmlib.circle import merge_segments
 
 DEFAULT_MAX_ITER = 4096
@@ -272,6 +275,75 @@ class Itm:
         q, r, charts = self._table
         return a._moved((q, r, [(lo + b, hi + b, 1, -b) for lo, hi, _, b in charts]))
 
+    @cached_property
+    def _images(self) -> tuple[tuple, tuple, list[int], list[list[tuple]]]:
+        """How the images of the forward charts cover [0, q), for the attractor.
+
+        The merged runs of S(circle) and those of its complement; the chart
+        starts; and for each chart, the image [x, y) and shift b of each
+        other chart (lo, hi, 1, b) whose image meets its own.  Only where
+        two images meet has a cell a second preimage, y' - b.
+        """
+        q, _, charts = self._table
+        images = sorted([(lo + b, hi + b, b, i) for i, (lo, hi, _, b) in enumerate(charts)])
+        overlaps = [[] for _ in charts]
+        runs, gaps, start, top = [], [], 0, 0
+        for k, (u, v, b, i) in enumerate(images):
+            # the images starting in [u, v) meet this one
+            for x, y, c, j in images[k + 1:]:
+                if x >= v:
+                    break
+                overlaps[i].append((x, y, c))
+                overlaps[j].append((u, v, b))
+            if u > top:
+                # no image holds [top, u): a run of S(circle) ends at top
+                gaps.append((top, u))
+                if top:
+                    runs.append((start, top))
+                start = u
+            top = max(top, v)
+        runs.append((start, top))
+        if top < q:
+            gaps.append((top, q))
+        return tuple(runs), tuple(gaps), [lo for lo, _, _, _ in charts], overlaps
+
+    def _moved_hole(self, hole: list[tuple[int, int]], runs: list[tuple[int, int]]) -> list:
+        """The merged runs of S(D) outside S(A), for a hole D disjoint from
+        A = ``runs``, both sorted runs of cells on the chart table's grid.
+
+        Each run of D is moved through the tiling charts it crosses; a moved
+        part keeps the cells that no other chart whose image overlaps its
+        chart's image pulls back into A.
+        """
+        _, _, charts = self._table
+        _, _, starts, overlaps = self._images
+        n = len(runs)
+        out = []
+        for a, b in hole:
+            # the chart holding a; each next chart starts where one ends
+            i = bisect.bisect_right(starts, a) - 1
+            while a < b:
+                _, hi, _, c = charts[i]
+                end = hi if hi < b else b
+                u, v = a + c, end + c
+                covered = []
+                for x, y, d in overlaps[i]:
+                    if x < v and u < y:
+                        x, y = (x if x > u else u) - d, (y if y < v else v) - d
+                        r = bisect.bisect_right(runs, x, key=_END)
+                        while r < n and runs[r][0] < y:
+                            covered.append((max(runs[r][0], x) + d, min(runs[r][1], y) + d))
+                            r += 1
+                for x, y in merge_segments(covered) if len(covered) > 1 else covered:
+                    if u < x:
+                        out.append((u, x))
+                    u = y
+                if u < v:
+                    out.append((u, v))
+                a = end
+                i += 1
+        return merge_segments(out) if len(out) > 1 else out
+
     def attractor(
         self,
         max_iter: int = DEFAULT_MAX_ITER,
@@ -280,54 +352,67 @@ class Itm:
         """Iterate A_{k+1} = S(A_k) from the full circle until exact stabilization.
 
         Stabilization at m means A_{m+1} = A_m, which makes A_m the
-        intersection of all forward images.  Nesting A_{k+1} within A_k is
-        checked at every step.  Raises BudgetExceeded when an iterate needs
-        more than max_arcs arcs; returns NO_WITHIN_BUDGET after max_iter
-        steps without stabilization.
+        intersection of all forward images.  Raises BudgetExceeded when an
+        iterate needs more than max_arcs arcs; returns NO_WITHIN_BUDGET after
+        max_iter steps without stabilization.
 
         S maps the cells [i/q, (i+1)/q) of its grid onto cells, so every A_k
-        is a union of cells.  The loop keeps A_k as its merged runs of cells
-        on the grid of the map's chart table, whose slope-1 charts tile
-        [0, q) in order.  Each step finds a run's first chart by bisecting
-        the chart starts, moves the run's part in each chart it crosses by
-        that chart's shift, and merges the parts; the nesting check and the
-        stabilization test compare run lists, and each iterate is wrapped as
-        an ArcSet once.
+        is a union of cells, kept as one sorted list of runs on the grid of
+        the map's chart table, whose slope-1 charts (lo, hi, 1, b) tile
+        [0, q).  The loop moves only the hole D_k = A_k \\ A_{k+1} that each
+        step opens.  A_1 is the union of the chart images and D_0 is its
+        complement.  Since A_k = A_{k+1} u D_k, S(A_k) = S(A_{k+1}) u S(D_k),
+        so D_{k+1} = S(D_k) \\ S(A_{k+1}).  A cell y that a chart moves out
+        of D_k lies in S(A_{k+1}) iff y - b' lies in A_{k+1} for another
+        chart (lo', hi', 1, b') whose image holds y, since D_k and A_{k+1}
+        are disjoint.  So each step moves D_k through the charts, pulls
+        each moved part back through the charts whose images overlap its
+        chart's image, and keeps what none of them pulls back into A_{k+1}:
+        that is D_{k+1}.  It is cut out of the run list in place, which
+        makes A_{k+2} = A_{k+1} \\ D_{k+1} a subset of A_{k+1} by
+        construction; the cut checks that each run of D_{k+1} lies within
+        one run of A_{k+1}, as S(D_k) within S(A_k) = A_{k+1} says, and
+        raises AssertionError if not.  The map stabilizes at the first k
+        with D_k empty.  A step costs the runs of D_k times the charts, not
+        the runs of A_k, and each iterate wraps a copy of the run list, so
+        the iterates share their run tuples.
         """
         if max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        q, _, charts = self._table
-        starts = [lo for lo, _, _, _ in charts]
+        q = self._table[0]
+        runs, hole, _, _ = self._images
+        runs = list(runs)
         current = ArcSet.full()
         iterates = [current]
-        runs = [(0, q)]
         for k in range(max_iter):
-            moved = []
-            for a, b in runs:
-                # the chart holding a; each next chart starts where one ends
-                i = bisect.bisect_right(starts, a) - 1
-                _, hi, _, c = charts[i]
-                while hi < b:
-                    moved.append((a + c, hi + c))
-                    a = hi
-                    i += 1
-                    _, hi, _, c = charts[i]
-                moved.append((a + c, b + c))
-            nxt = merge_segments(moved)
-            arcs = len(nxt) - _joins_at_zero(nxt, q)
+            if k:
+                hole = self._moved_hole(hole, runs)
+                for u, v in hole:
+                    # the run that must hold [u, v): the first ending after u
+                    r = bisect.bisect_right(runs, u, key=_END)
+                    if r == len(runs) or runs[r][0] > u or runs[r][1] < v:
+                        raise AssertionError("forward images failed to nest")
+                    # keep the parts of the run on either side of the hole
+                    a, b = runs[r]
+                    if a < u:
+                        runs[r] = (a, u)
+                        if v < b:
+                            runs.insert(r + 1, (v, b))
+                    elif v < b:
+                        runs[r] = (v, b)
+                    else:
+                        del runs[r]
+            arcs = len(runs) - _joins_at_zero(runs, q)
             if arcs > max_arcs:
                 raise BudgetExceeded(
                     f"iterate {k + 1} needs {arcs} arcs (max_arcs={max_arcs})",
                     budget="max_arcs",
                     value=max_arcs,
                 )
-            if not _runs_within(nxt, runs):
-                raise AssertionError("forward images failed to nest")
-            if nxt == runs:
+            if not hole:
                 return AttractorResult(tuple(iterates), k, current, FiniteType.YES)
-            current = _set_of_runs(q, nxt)
+            current = _set_of_runs(q, runs[:])
             iterates.append(current)
-            runs = nxt
         return AttractorResult(tuple(iterates), None, current, FiniteType.NO_WITHIN_BUDGET)
 
     def omega_to_depth(

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from numbers import Number
 from typing import NamedTuple, Optional, Sequence, Union
 
 from itmlib.circle import ONE, ZERO, Rational, _integer, circle_distance, frac, mod1
@@ -348,7 +349,7 @@ def visit_frequency(
     epsilons: Sequence[Rational],
 ) -> VisitFrequencyTable:
     """Exact visit counts of discontinuity neighbourhoods along the orbit."""
-    if isinstance(ms, int):
+    if isinstance(ms, Number):  # one orbit length, checked as the others are
         ms = (ms,)
     ms = sorted(_integer(m, "ms") for m in ms)
     if not ms or ms[0] < 1:

@@ -143,13 +143,14 @@ def grid_pair_arcs(approximant_level_maps):
 @pytest.fixture
 def piece_lookups(monkeypatch):
     """The cells looked up by bisection in itmlib.itm, as a list the test
-    reads and clears: the cell walk and the single-cell piece lookup."""
+    reads and clears: the cell walk, the single-cell piece lookup and the
+    attractor's lookups in its chart starts and run lists."""
     lookups = []
 
-    def counted(seq, x):
+    def counted(seq, x, *args, **kwargs):
         if isinstance(seq, list):
             lookups.append(x)
-        return bisect.bisect_right(seq, x)
+        return bisect.bisect_right(seq, x, *args, **kwargs)
 
     monkeypatch.setattr(
         importlib.import_module("itmlib.itm"), "bisect",

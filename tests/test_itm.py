@@ -19,7 +19,7 @@ from itmlib.catalog import (
     rotation,
     two_shift_example,
 )
-from itmlib.circle import Arc, ArcSet, CirclePoint, arc, arcset
+from itmlib.circle import Arc, ArcSet, CirclePoint, _runs_of, arc, arcset
 from itmlib.itm import (
     DEFAULT_MAX_ARCS,
     DEFAULT_MAX_ITER,
@@ -346,6 +346,19 @@ class TestImageAgainstReference:
         assert_moves_match(s, ArcSet(arcs))
 
 
+# rational maps whose attractors stabilize after 466, 457, 814 and 2609
+# steps, with 17 to 25 arcs at the end and up to 47 on the way
+DEEP_MAPS = [
+    itm(["190/541", "1354/1623", "1025/1082"], ["2821/3246", "718/1623", "901/1082"]),
+    itm(
+        ["380/1359", "1013/2718", "371/906", "1477/2718"],
+        ["241/302", "2377/2718", "443/453", "298/1359"],
+    ),
+    itm(["17/577", "98/1731", "200/1731"], ["85/577", "349/1731", "1171/1731"]),
+    itm(["377/862", "2841/3448"], ["367/3448", "55/431"]),
+]
+
+
 def attractor_outcome(s: Itm, max_iter: int = DEFAULT_MAX_ITER, max_arcs: int = DEFAULT_MAX_ARCS):
     """The library's attractor run in the oracle's terms: ("ok", (iterates as
     segments, stabilized_at)), or the message and budget of its BudgetExceeded."""
@@ -443,6 +456,54 @@ class TestAttractorAgainstReference:
                 kind = "yes" if res[1][1] is not None else "no-within-budget"
             counts[kind] += 1
         assert all(counts.values()), counts
+
+    @pytest.mark.parametrize("s", DEEP_MAPS, ids=lambda s: f"q{s.common_denominator()}")
+    def test_deep_maps(self, s):
+        # each step opens a hole of a few runs in an iterate of up to 47
+        # arcs, through 466 to 2609 steps
+        res = attractor_outcome(s)
+        assert res[0] == "ok" and res[1][1] >= 400
+        assert res == oracle_outcome(s)
+
+    def test_deep_maps_cut_short(self):
+        for s in DEEP_MAPS:
+            assert attractor_outcome(s, max_iter=300) == oracle_outcome(s, max_iter=300)
+
+    def test_a_map_that_outgrows_max_arcs_late(self):
+        # its iterates first need 125 arcs at step 176 of 193
+        s = itm(["454/639", "1121/1278", "397/426"], ["493/1278", "2329/2556", "575/2556"])
+        assert s.attractor().stabilized_at == 193
+        with pytest.raises(BudgetExceeded, match=r"^iterate 176 needs 125 arcs \(max_arcs=124\)$"):
+            s.attractor(max_arcs=124)
+        assert attractor_outcome(s, max_arcs=124) == oracle_outcome(s, max_arcs=124)
+
+
+class TestAttractorMovesHoles:
+    """A step moves the hole it opens, not the iterate, and the iterates are
+    copies of one run list that share their runs."""
+
+    def test_a_deep_map_looks_up_far_fewer_cells_than_its_iterates_hold(self, piece_lookups):
+        s = Itm(DEEP_MAPS[-1].breakpoints, DEEP_MAPS[-1].shifts)  # a fresh map, with no table yet
+        res = s.attractor()
+        held = sum(len(_runs_of(a)[1]) for a in res.iterates)
+        # 2609 steps over iterates of up to 47 arcs: a step that moved every
+        # run would look one up per run
+        assert res.stabilized_at == 2609 and held > 100000
+        assert len(piece_lookups) < held / 10
+
+    def test_iterates_share_their_run_tuples(self):
+        for s in DEEP_MAPS:
+            res = s.attractor()
+            distinct = {id(run) for a in res.iterates for run in _runs_of(a)[1]}
+            assert len(distinct) <= 2 * (res.stabilized_at + len(res.attractor))
+            assert sum(len(_runs_of(a)[1]) for a in res.iterates) > 10 * len(distinct)
+
+    def test_the_nesting_check_still_raises(self, monkeypatch):
+        # a hole that does not lie within the iterate fails the cut
+        s = two_shift_example()
+        monkeypatch.setattr(Itm, "_moved_hole", lambda self, hole, runs: [(0, 1 + runs[-1][1])])
+        with pytest.raises(AssertionError, match="forward images failed to nest"):
+            s.attractor()
 
 
 class TestAttractorTakesNoWalk:

@@ -408,7 +408,7 @@ class TestVisitFrequency:
         with pytest.raises(ValueError):
             visit_frequency(halving_map(), F(1), 10, epsilons=(F(0),))
 
-    @pytest.mark.parametrize("ms", [[2.9, 10], True, [F(4)]])
+    @pytest.mark.parametrize("ms", [[2.9, 10], True, [F(4)], 3.0, F(3)])
     def test_orbit_lengths_are_integers_not_truncated(self, ms):
         with pytest.raises(ValueError, match="'ms' must be an integer"):
             visit_frequency(halving_map(), F(1, 3), ms, epsilons=(F(1, 8),))
