@@ -12,18 +12,28 @@ attractor measures computed, successive distribution distances checked
 for a Cauchy tail, and a candidate limit measure tested against the two
 invariance hypotheses (vanishing mass near the discontinuities, read on
 integer ends from the measure's cumulative table, and small functional
-residual, in floats built once per measure for trig families).  Every
-exact output is a Fraction built once, at the end of its computation.
+residual, in floats built once per measure for trig families).
+
+Every exact output is a Fraction built once, at the end of its
+computation.  A level is computed on its own integer grid: the best
+approximations come as (p, q) pairs, the solved coordinates are integer
+numerators over the grid, and the map is built from them
+(``Itm._on_grid``); its distance to the target is a maximum taken by
+cross-multiplication.  The Cauchy distances walk two integer cumulative
+tables (``measure.cdf_distance``), and the limit masses of each delta are
+integer numerators over one denominator (``measure._masses_near``),
+summed before their one Fraction is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from itmlib.catalog import fibonacci_up_to
-from itmlib.circle import ZERO, Rational, _integer, frac
+from itmlib.circle import ZERO, Rational, _integer, _units, frac
 from itmlib.itm import (
     DEFAULT_MAX_ARCS,
     DEFAULT_MAX_ITER,
@@ -36,9 +46,9 @@ from itmlib.families import invariance_residual_functional
 from itmlib.measure import (
     Measure,
     NotFiniteType,
+    _masses_near,
     attractor_measure,
     cdf_distance,
-    mass_near_points,
 )
 from itmlib.piecewise import Domain
 
@@ -46,6 +56,21 @@ DEFAULT_DENOMINATOR_LIMIT = 10**6
 # Most itinerary steps the witnesses of one relation harvest may hold: the
 # rotation by 0 holds 245350 at depth 700, where every step is a relation.
 _WITNESS_STEPS = 2**20
+
+
+def _tolerance(value, key: str) -> Fraction:
+    """A tolerance taken from a caller, as an exact nonnegative rational.
+
+    Negative values, NaN and infinities are refused with a ValueError that
+    names the key, so no tolerance quietly fails or passes every check.
+    """
+    try:
+        tol = frac(value)
+    except (ValueError, OverflowError):
+        tol = None
+    if tol is None or tol < 0:
+        raise ValueError(f"'{key}' must be a finite nonnegative number: {value!r}")
+    return tol
 
 
 class InconsistentRelations(ValueError):
@@ -232,11 +257,12 @@ class ApproximantSchedule:
 
 def _solve_relation_system(
     relations: RelationSystem, n: int
-) -> tuple[dict[int, tuple[Fraction, list[Fraction]]], list[int]]:
+) -> tuple[list[tuple[int, int, int, list[tuple[int, int]]]], list[int]]:
     """Reduce the relation equations over the 2n parameters (t's then c's).
 
-    Returns the dependent columns mapped to (constant, coefficient row
-    over all columns) plus the free column list.  Pivots prefer later
+    Returns each dependent column on integers, as (column, d, c, [(f, a),
+    ...]) with the column's value (c + sum of a * x_f) / d over free
+    columns f, plus the free column list.  Pivots prefer later
     breakpoints, then later shifts, and protect t_0, so anchored targets
     keep their first breakpoint free.
     """
@@ -274,16 +300,18 @@ def _solve_relation_system(
             raise InconsistentRelations("relation system has no solution")
 
     free = [col for col in range(width) if col not in pivot_of]
-    dependent = {
-        col: (rows[r][width], [-rows[r][c] for c in range(width)])
-        for col, r in pivot_of.items()
-    }
-    return dependent, free
+    solved = []
+    for col, r in pivot_of.items():
+        c, terms = rows[r][width], [(f, -rows[r][f]) for f in free if rows[r][f] != 0]
+        d = lcm(c.denominator, *(a.denominator for _, a in terms))
+        solved.append((col, d, _units(c, d), [(f, _units(a, d)) for f, a in terms]))
+    return solved, free
 
 
-def _best_approximations(x: Fraction, bounds: Sequence[int]) -> list[Fraction]:
-    """x.limit_denominator(b) for each of the increasing bounds b, read from
-    one continued fraction expansion of x.
+def _best_approximations(x: Fraction, bounds: Sequence[int]) -> list[tuple[int, int]]:
+    """x.limit_denominator(b) for each of the increasing bounds b, as its
+    numerator and denominator, read from one continued fraction expansion of
+    x.
 
     Under a bound b the best approximation is the last convergent p1/q1 with
     q1 <= b or the semiconvergent (p0 + k p1)/(q0 + k q1) with the largest k
@@ -297,7 +325,7 @@ def _best_approximations(x: Fraction, bounds: Sequence[int]) -> list[Fraction]:
     out = []
     for bound in bounds:
         if x.denominator <= bound:
-            out.append(x)
+            out.append((x.numerator, x.denominator))
             continue
         while True:
             a = n // d
@@ -311,9 +339,9 @@ def _best_approximations(x: Fraction, bounds: Sequence[int]) -> list[Fraction]:
         # d/(q1 den x) from x, so p1/q1 is at least as close iff
         # 2 d (q0 + k q1) <= den x
         if 2 * d * (q0 + k * q1) <= x.denominator:
-            out.append(Fraction(p1, q1))
+            out.append((p1, q1))
         else:
-            out.append(Fraction(p0 + k * p1, q0 + k * q1))
+            out.append((p0 + k * p1, q0 + k * q1))
     return out
 
 
@@ -330,7 +358,16 @@ def generate_approximants(
     ``Fraction.limit_denominator(bound)``, read for all bounds from one
     continued fraction expansion (``_best_approximations``).  precision
     bounds the allowed relation residual at the target itself (0 demands
-    exactness, as for harvested relations).
+    exactness, as for harvested relations); a negative or NaN precision is
+    refused with a ValueError.
+
+    Each level is computed on its own integer grid G: the lcm of the free
+    coordinates' denominators times that of the solved rows'.  Every
+    coordinate is an integer numerator over G, the breakpoint order is
+    checked on the numerators, and the map is built from them
+    (``Itm._on_grid``).  The distance to the target is the largest error
+    |p/q - x| of a free coordinate, compared by cross-multiplication and
+    built as one Fraction.
     """
     relations = relations if relations is not None else RelationSystem.empty()
     if denominators is None:
@@ -345,7 +382,7 @@ def generate_approximants(
 
     n = target.n
     target_vec = [t.value for t in target.breakpoints] + list(target.shifts)
-    tol = frac(precision)
+    tol = _tolerance(precision, "precision")
     for rel in relations:
         if len(rel.l) != n:
             raise ValueError("relation visit counts do not match the piece count")
@@ -356,27 +393,28 @@ def generate_approximants(
                 f"by {res}"
             )
 
-    dependent, free = _solve_relation_system(relations, n)
-
+    solved, free = _solve_relation_system(relations, n)
+    rows_grid = lcm(*(d for _, d, _, _ in solved))
     best = {col: _best_approximations(target_vec[col], denominators) for col in free}
     levels = []
     for m, bound in enumerate(denominators):
-        values: list[Optional[Fraction]] = [None] * (2 * n)
-        distance = ZERO
+        # the grid holds every free q and every solved row's d
+        grid = lcm(*(best[col][m][1] for col in free)) * rows_grid
+        values = [0] * (2 * n)  # numerators over grid
+        err_num, err_den = 0, 1
         for col in free:
-            values[col] = best[col][m]
-            distance = max(distance, abs(values[col] - target_vec[col]))
-        for col, (constant, coefs) in dependent.items():
-            values[col] = constant + sum(
-                (coefs[f] * values[f] for f in free if coefs[f] != 0), ZERO
-            )
-        breakpoints = [v % 1 for v in values[:n]]
-        shifts = values[n:]
+            (p, q), x = best[col][m], target_vec[col]
+            values[col] = p * (grid // q)
+            num, den = abs(p * x.denominator - x.numerator * q), q * x.denominator
+            if num * err_den > err_num * den:
+                err_num, err_den = num, den
+        for col, d, c, terms in solved:
+            values[col] = (c * grid + sum(a * values[f] for f, a in terms)) // d
+        breakpoints = [v % grid for v in values[:n]]
         if any(b <= a for a, b in zip(breakpoints, breakpoints[1:])):
             raise OrderViolation(bound, "approximant breakpoints lose their order")
-        levels.append(
-            Level(bound=bound, map=Itm(breakpoints, shifts), distance=distance)
-        )
+        s = Itm._on_grid(grid, breakpoints, [v % grid for v in values[n:]])
+        levels.append(Level(bound=bound, map=s, distance=Fraction(err_num, err_den)))
     return ApproximantSchedule(target=target, relations=relations, levels=levels)
 
 
@@ -503,10 +541,13 @@ class ConvergenceReport:
 def detect_convergence(
     mus: Sequence[Measure], tol: Rational
 ) -> ConvergenceReport:
-    """Check successive cdf distances of the sequence for a tail within tol."""
+    """Check successive cdf distances of the sequence for a tail within tol.
+
+    tol must be a finite nonnegative number; ValueError otherwise.
+    """
     if len(mus) < 2:
         raise ValueError("need at least two measures")
-    tol = frac(tol)
+    tol = _tolerance(tol, "tol")
     distances = tuple(
         cdf_distance(a, b) for a, b in zip(mus, mus[1:])
     )
@@ -563,12 +604,20 @@ def verify_limit_measure(
     when neighbourhoods overlap.
 
     The candidate must be a probability measure, since tol_mass is an
-    absolute bound, the deltas a nonempty, strictly decreasing sequence,
-    and the residual needs the density weights of mu_star
-    and its image within the float range; ValueError otherwise.
+    absolute bound, the tolerances nonnegative numbers, the deltas a
+    nonempty, strictly decreasing sequence, and the residual needs the
+    density weights of mu_star and its image within the float range;
+    ValueError otherwise.
+
+    Per delta, the points' masses are integer numerators over one
+    denominator, read from the cumulative table of mu_star at integer ends
+    (``measure._masses_near``); they are summed as integers and the sum is
+    built as one Fraction.
     """
     if not mu_star.is_probability:
         raise ValueError("the candidate limit measure must be a probability measure")
+    tol_mass = _tolerance(tol_mass, "tol_mass")
+    tol_res = _tolerance(tol_res, "tol_res")
     if points is None:
         points = s_target.discontinuity_points()
     wrap = getattr(s_target, "domain", Domain.CIRCLE) == Domain.CIRCLE
@@ -579,10 +628,8 @@ def verify_limit_measure(
         raise ValueError("deltas must not be empty")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
-    masses = tuple(
-        sum(mass_near_points(mu_star, points, d, wrap=wrap), ZERO) for d in deltas
-    )
-    tol_mass = frac(tol_mass)
+    near = [_masses_near(mu_star, points, d, wrap) for d in deltas]
+    masses = tuple(Fraction(sum(nums), den) for den, nums in near)
     mass_ok = masses[-1] <= tol_mass
     residual = invariance_residual_functional(s_target, mu_star, family)
     residual_ok = residual <= tol_res
@@ -604,20 +651,17 @@ def verify_limit_measure(
 def mass_profile(
     measures: Sequence[LevelMeasure], deltas: Sequence[Rational]
 ) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Per delta, the worst mass near the breakpoints across all levels."""
+    """Per delta, the worst mass near the breakpoints across all levels.
+
+    Each level's masses are integer numerators over one denominator
+    (``measure._masses_near``), and its largest is built as one Fraction.
+    """
     out = []
     for d in deltas:
         worst = ZERO
         for lm in measures:
-            if lm.measure is None:
-                continue
-            worst = max(
-                worst,
-                max(
-                    mass_near_points(
-                        lm.measure, lm.map.breakpoints, d, wrap=True
-                    )
-                ),
-            )
+            if lm.measure is not None:
+                den, near = _masses_near(lm.measure, lm.map.breakpoints, d, wrap=True)
+                worst = max(worst, Fraction(max(near), den))
         out.append((frac(d), worst))
     return tuple(out)

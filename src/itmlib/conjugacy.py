@@ -44,7 +44,7 @@ def build_h(mu: Measure) -> Cdf:
     """The transport map h(x) = mu([0, x]) for a non-atomic probability measure."""
     if mu.atoms:
         raise AtomicMeasure("h requires a non-atomic measure")
-    if mu.total_mass != 1:
+    if not mu.is_probability:
         raise ValueError("h requires a probability measure")
     return mu.cdf()
 
@@ -203,7 +203,8 @@ def induce_iem(
     can jump across a support gap where h(x) stays flat) is a run of pieces
     (u, v, b, w, w', f, f') of ``measure._rigid_pieces`` with w > 0, whose
     first piece gives the exchange piece's start h(u) = f/M and shift
-    h(u + b) - h(u) = (f' - f)/M mod 1; tau reads f at the breakpoints.
+    h(u + b) - h(u) = (f' - f)/M mod 1, so T is built from integers on the
+    grid of 1/M (``Itm._on_grid``); tau reads f at the breakpoints.
     Then ``verify_iem`` checks that T preserves Lebesgue measure, and
     ``semiconjugacy_failure`` checks h(S(x)) = T(h(x)) cell by cell.
     ``samples`` sets only the grid of the h(x) table and plot.
@@ -224,16 +225,16 @@ def induce_iem(
     q, unit, pieces = walk
     breaks = {0, *(_units(p.value, q) for p in s.breakpoints)}
     tau = tuple(Fraction(f, unit) for u, *_, f, _ in pieces if u in breaks) + (ONE,)
-    starts: list[Fraction] = []
-    shifts: list[Fraction] = []
+    starts: list[int] = []
+    shifts: list[int] = []
     previous = 0  # the weight of the piece before, which ends at u
     for u, _, _, w, _, f, f_image in pieces:
         if w and (previous == 0 or u in breaks):
-            starts.append(Fraction(f, unit))
-            shifts.append(Fraction((f_image - f) % unit, unit))
+            starts.append(f)
+            shifts.append((f_image - f) % unit)
         previous = w
 
-    induced = Itm(starts, shifts)
+    induced = Itm._on_grid(unit, starts, shifts)
     report = verify_iem(induced)
     failing_cell = _semiconjugacy_failure(walk, induced)
     certified = failing_cell is None and report.all_ok

@@ -7,9 +7,10 @@ Density integrals are closed-form antiderivatives.  The polynomial family
 evaluates them at the exact rational endpoints, so it is exact end to end
 and a measure with T#mu = mu has residual exactly zero.  The
 trigonometric family reads each measure as floats once, not once per
-member: each endpoint, weight, atom position and mass becomes its nearest
-float, and from there only the transcendental evaluations and the float
-arithmetic on them round.  Each basis names the view it integrates over
+member (``measure._float_view``, which divides the integer run ends by
+the grid): each endpoint, weight, atom position and mass becomes its
+nearest float, and from there only the transcendental evaluations and the
+float arithmetic on them round.  Each basis names the view it integrates over
 (``view``) and has one integral loop over it (``integrate``).
 """
 
@@ -22,18 +23,12 @@ from fractions import Fraction
 from typing import Union
 
 from itmlib.circle import ZERO, Rational, frac
-from itmlib.measure import Measure, pushforward
+from itmlib.measure import Measure, _float_view, _largest_weight, pushforward
 
 Number = Union[float, Fraction]
 
 # the largest float, an integer
 _FLOAT_MAX = int(sys.float_info.max)
-
-
-def _float_view(mu: Measure) -> tuple[list, list]:
-    """mu's density runs (lo, hi, weight) and atoms (position, mass) in floats."""
-    runs = [(float(lo), float(hi), float(w)) for lo, hi, w in mu.density]
-    return runs, [(float(p), float(m)) for p, m in mu.atoms]
 
 
 def _exact_view(mu: Measure) -> tuple:
@@ -157,7 +152,7 @@ def invariance_residual_functional(t, mu: Measure, family=None) -> Number:
     if family is None:
         family = TrigFamily(8)
     pushed = pushforward(t, mu)
-    if any(w > _FLOAT_MAX for m in (mu, pushed) for _, _, w in m.density):
+    if any(_largest_weight(m) > _FLOAT_MAX for m in (mu, pushed)):
         raise ValueError("a density weight of mu or T#mu is above the float range")
     views: dict = {}
     best: Number = ZERO

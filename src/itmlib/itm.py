@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from itmlib.circle import ONE, ZERO, Arc, ArcSet, CirclePoint, mod1
@@ -178,6 +178,23 @@ class Itm:
                 raise ValueError(f"breakpoints not strictly increasing at index {k}")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "shifts", shs)
+
+    @classmethod
+    def _on_grid(cls, q: int, starts: Sequence[int], shifts: Sequence[int]) -> "Itm":
+        """The map with breakpoints starts[j]/q and shifts shifts[j]/q, given
+        as integers in [0, q) with the starts strictly increasing.
+
+        q is reduced by the gcd of q and every numerator, so the fields and
+        ``_grid_pieces``, which is seeded, are those ``Itm(...)`` computes.
+        """
+        g = gcd(q, *starts, *shifts)
+        q, starts, shifts = q // g, [s // g for s in starts], [c // g for c in shifts]
+        out = cls.__new__(cls)
+        bps = tuple([CirclePoint(Fraction(s, q)) for s in starts])
+        object.__setattr__(out, "breakpoints", bps)
+        object.__setattr__(out, "shifts", tuple([Fraction(c, q) for c in shifts]))
+        out.__dict__["_grid_pieces"] = (q, starts, shifts)
+        return out
 
     @cached_property
     def _grid_pieces(self) -> tuple[int, list[int], list[int]]:

@@ -18,10 +18,15 @@ slope) of F(x) = mass of [0, x] at each cut, with the cuts counted in
 units of 1/Q for Q the lcm of the grid and the atoms' denominators, F in
 units of 1/M and the slope per cell of 1/Q.  ``Cdf`` bisects and solves on
 the rows, building one Fraction per answer, ``mass_between`` is two
-lookups in it, ``mass_near_points`` reads it at integer ends and
-``total_mass`` at its last row, the conjugacy walk and the recurrence
-samples read its rows, and ``cdf_distance`` and ``tv_distance`` read
-F_mu - F_nu at the merged cuts of two measures' tables.
+lookups in it, ``total_mass`` and ``is_probability`` read its last row,
+and the conjugacy walk and the recurrence samples read its rows.
+``_masses_near`` reads F at the integer ends t -/+ delta of every point's
+neighbourhood over one denominator, so ``mass_near_points`` builds one
+Fraction per point and the limit check one per delta.  ``cdf_distance``
+and ``tv_distance`` walk the rows of two measures' tables once, merged on
+a common grid, and read F_mu - F_nu at each cut as an integer; the
+distance is one Fraction built at the end.  The trig integrals read the
+runs in floats (``_float_view``), each end a / q divided once.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from itmlib.circle import ONE, ZERO, Arc, ArcSet, CirclePoint, Rational, frac, merge_segments
 from itmlib.circle import _charts_on, _runs_of, _set_of_runs, _units, _walk
@@ -253,7 +258,9 @@ class Measure:
 
     @property
     def is_probability(self) -> bool:
-        return self.total_mass == 1
+        """Whether the mass of [0, 1] is 1: the table's last row is its unit."""
+        cdf = self.cdf()
+        return cdf._at[-1] == cdf._unit
 
     def scale(self, r: Rational) -> "Measure":
         r = frac(r)
@@ -348,22 +355,6 @@ class Cdf:
         if i < 0:
             return 0
         return self._at[i] * d + self._slopes[i] * (m - self._ticks[i] * d)
-
-    def _on_cuts(self, cuts: list[int], k: int) -> list[tuple[int, int]]:
-        """F(x-) and F(x) at sorted cuts x on the grid of 1/(kQ), in units of
-        1/(kM).  The cuts hold the table's own cuts scaled by k, so they run
-        from 0 to kQ."""
-        ticks, at, slopes = self._ticks, self._at, self._slopes
-        out, i = [], -1
-        for x in cuts:
-            if ticks[i + 1] * k == x:
-                i += 1
-                out.append((self._left[i] * k, at[i] * k))
-            else:
-                # F is linear from the cut before x, at row i
-                value = at[i] * k + slopes[i] * (x - ticks[i] * k)
-                out.append((value, value))
-        return out
 
     def _x_at_level(self, i: int, y: Fraction) -> Fraction:
         """The x at which F reaches y on row i, whose slope is positive."""
@@ -479,20 +470,42 @@ def _rigid_pieces(s: Itm, mu: Measure) -> tuple[int, int, list[tuple]]:
     return q, cdf._unit * k, pieces
 
 
-def _difference_on_cuts(mu: Measure, nu: Measure) -> tuple[int, list[tuple[int, int]]]:
-    """U and the rows (D(x-), D(x)) in units of 1/U of D = F_mu - F_nu, which is
-    linear between the merged cuts x of both cumulative tables on the grid
-    lcm(Q, Q'); U is the lcm of both tables' units on that grid."""
+def _difference_on_cuts(mu: Measure, nu: Measure) -> tuple[int, Iterator[tuple[int, int]]]:
+    """U, and the pairs (D(x-), D(x)) in units of 1/U of D = F_mu - F_nu at
+    the merged cuts x of both cumulative tables on the grid lcm(Q, Q'), in
+    increasing order; U is the lcm of both tables' units on that grid, and
+    D is linear between the cuts.  One walk merges the two tables' rows."""
     f, g = mu.cdf(), nu.cdf()
     grid = lcm(f._grid, g._grid)
     kf, kg = grid // f._grid, grid // g._grid
     unit = lcm(f._unit * kf, g._unit * kg)
-    uf, ug = unit // (f._unit * kf), unit // (g._unit * kg)
-    cuts = sorted({*[x * kf for x in f._ticks], *[x * kg for x in g._ticks]})
-    return unit, [
-        (uf * f_left - ug * g_left, uf * f_at - ug * g_at)
-        for (f_left, f_at), (g_left, g_at) in zip(f._on_cuts(cuts, kf), g._on_cuts(cuts, kg))
-    ]
+    # F_mu in units of 1/U is mf times a row value, and rises by pf times
+    # the row's slope per cell of 1/grid; likewise F_nu
+    pf, pg = unit // (f._unit * kf), unit // (g._unit * kg)
+    mf, mg = pf * kf, pg * kg
+
+    def walk() -> Iterator[tuple[int, int]]:
+        fx, fl, fa, fs = f._ticks, f._left, f._at, f._slopes
+        gx, gl, ga, gs = g._ticks, g._left, g._at, g._slopes
+        # both tables cut at 0 and at the grid's end; i and j are the rows
+        # next to meet, and a table with no cut at x is linear from the row
+        # before
+        i = j = 0
+        while i < len(fx):
+            x, y = fx[i] * kf, gx[j] * kg
+            if x == y:
+                yield mf * fl[i] - mg * gl[j], mf * fa[i] - mg * ga[j]
+                i, j = i + 1, j + 1
+            elif x < y:
+                v = mg * ga[j - 1] + pg * gs[j - 1] * (x - gx[j - 1] * kg)
+                yield mf * fl[i] - v, mf * fa[i] - v
+                i += 1
+            else:
+                v = mf * fa[i - 1] + pf * fs[i - 1] * (y - fx[i - 1] * kf)
+                yield v - mg * gl[j], v - mg * ga[j]
+                j += 1
+
+    return unit, walk()
 
 
 def tv_distance(mu: Measure, nu: Measure) -> Fraction:
@@ -544,10 +557,55 @@ def cdf_distance(mu: Measure, nu: Measure) -> Fraction:
     """sup over x of |F_mu(x) - F_nu(x)|, exact, for probability measures: as
     F_mu - F_nu is linear between the merged cuts, its largest value at a cut
     or just below one."""
-    unit, rows = _difference_on_cuts(mu, nu)
-    if mu.total_mass != 1 or nu.total_mass != 1:
+    if not (mu.is_probability and nu.is_probability):
         raise ValueError("cdf distance requires probability measures")
-    return Fraction(max(max(abs(left), abs(at)) for left, at in rows), unit)
+    unit, rows = _difference_on_cuts(mu, nu)
+    largest = 0
+    for pair in rows:
+        for d in pair:
+            if d > largest or -d > largest:
+                largest = abs(d)
+    return Fraction(largest, unit)
+
+
+def _masses_near(
+    mu: Measure, points: Iterable[Rational], delta: Rational, wrap: bool
+) -> tuple[int, list[int]]:
+    """One denominator D and, per point t, the numerator over D of
+    mu((t - delta, t + delta)), as ``mass_near_points`` defines it.
+
+    The ends t -/+ delta are integer numerators over L, the lcm of delta's
+    and the points' denominators, and F is read on them from the rows of
+    ``mu.cdf()`` in units of 1/(M L), so D = M L.
+    """
+    delta = frac(delta)
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    points = [frac(p) for p in points]
+    den = lcm(delta.denominator, *(t.denominator for t in points))
+    reach = delta.numerator * (den // delta.denominator)
+    cdf = mu.cdf()
+    total, numerator = cdf._at[-1] * den, cdf._numerator
+    out = []
+    for t in points:
+        mid = t.numerator * (den // t.denominator)
+        lo, hi = mid - reach, mid + reach
+        if wrap:
+            if 2 * reach > den:
+                out.append(total)
+                continue
+            lo, hi = lo % den, hi % den
+            # F(hi-) - F(lo), plus F(1) when (lo, hi) passes 0 (lo >= hi):
+            # the mass of (lo, 1] and [0, hi)
+            out.append(numerator(hi, den, left=True) - numerator(lo, den) + (lo >= hi) * total)
+        else:
+            if lo > den or hi < 0:
+                raise ValueError(f"point {t} lies farther than delta outside [0, 1]")
+            # F(hi-) - F(lo), with F(1) for F(hi-) where hi passes 1 and 0
+            # for F(lo) where lo passes 0
+            upper = total if hi > den else numerator(hi, den, left=True)
+            out.append(upper - (numerator(lo, den) if lo >= 0 else 0))
+    return cdf._unit * den, out
 
 
 def mass_near_points(
@@ -563,39 +621,26 @@ def mass_near_points(
     strictly inside the open neighbourhood.  A point farther than delta
     outside [0, 1] has no clipped interval; ValueError.
 
-    The ends t -/+ delta are integer numerators over L = lcm(den t, den
-    delta), F is read on them from the rows of ``mu.cdf()`` in units of
-    1/(M L), and each point's mass is built as one Fraction.
+    The masses are integer numerators over one denominator, read from the
+    rows of ``mu.cdf()`` at integer ends (``_masses_near``), and each is
+    built as one Fraction.
     """
-    delta = frac(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    cdf = mu.cdf()
-    total, unit, numerator = cdf._at[-1], cdf._unit, cdf._numerator
-    out = []
-    for p in points:
-        t = frac(p)
-        den = lcm(t.denominator, delta.denominator)
-        mid = t.numerator * (den // t.denominator)
-        reach = delta.numerator * (den // delta.denominator)
-        lo, hi = mid - reach, mid + reach
-        if wrap:
-            if 2 * reach > den:
-                out.append(mu.total_mass)
-                continue
-            lo, hi = lo % den, hi % den
-            # F(hi-) - F(lo), plus F(1) when (lo, hi) passes 0 (lo >= hi):
-            # the mass of (lo, 1] and [0, hi)
-            mass = numerator(hi, den, left=True) - numerator(lo, den) + (lo >= hi) * total * den
-        else:
-            if lo > den or hi < 0:
-                raise ValueError(f"point {t} lies farther than delta outside [0, 1]")
-            # F(hi-) - F(lo), with F(1) for F(hi-) where hi passes 1 and 0
-            # for F(lo) where lo passes 0
-            upper = total * den if hi > den else numerator(hi, den, left=True)
-            mass = upper - (numerator(lo, den) if lo >= 0 else 0)
-        out.append(Fraction(mass, unit * den))
-    return out
+    den, masses = _masses_near(mu, points, delta, wrap)
+    return [Fraction(m, den) for m in masses]
+
+
+def _largest_weight(mu: Measure) -> Fraction:
+    """The largest density weight of mu, read from its runs; 0 without any."""
+    return max((w for _, _, w in mu._cells), default=ZERO)
+
+
+def _float_view(mu: Measure) -> tuple[list, list]:
+    """mu's density runs (lo, hi, weight) and atoms (position, mass) in
+    floats.  The run ends are read from the integer runs: a / q on ints
+    rounds once, to the float of Fraction(a, q)."""
+    q = mu._grid
+    runs = [(a / q, b / q, float(w)) for a, b, w in mu._cells]
+    return runs, [(float(p), float(m)) for p, m in mu.atoms]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracle
 from itmlib.approx import (
     ApproximantSchedule,
     CollisionReport,
@@ -190,6 +191,29 @@ class TestGenerateApproximants:
         with pytest.raises(InconsistentRelations):
             generate_approximants(rotation("1/2"), system, denominators=(8,))
 
+    def test_distance_is_the_largest_free_error(self, approx_targets):
+        # with no relations every coordinate is free
+        checked = 0
+        for target in approx_targets:
+            coords = [p.value for p in target.breakpoints] + list(target.shifts)
+            try:
+                schedule = generate_approximants(target, denominators=BENCH_BOUNDS)
+            except OrderViolation:
+                continue
+            for level in schedule.levels:
+                want = max(abs(x.limit_denominator(level.bound) - x) for x in coords)
+                assert level.distance == want and type(level.distance) is Fraction
+                checked += 1
+        assert checked > 40
+
+    @pytest.mark.parametrize("precision", [-1, F(-1, 10**9), math.nan, math.inf])
+    def test_bad_precision_is_refused(self, precision):
+        # a residual of 0 is within any tolerance; a negative one is refused,
+        # not reported as a violated relation
+        s = half_collapse()
+        with pytest.raises(ValueError, match="'precision'"):
+            generate_approximants(s, detect_relations(s, 4), [5, 8], precision=precision)
+
     def test_contradictory_system_rejected(self):
         system = RelationSystem.declared(
             [
@@ -346,6 +370,13 @@ class TestDetectConvergence:
         with pytest.raises(ValueError):
             detect_convergence([Measure.lebesgue()], 0)
 
+    @pytest.mark.parametrize("tol", [-1, F(-1, 10**9), math.nan, math.inf])
+    def test_bad_tolerance_is_refused(self, tol):
+        # a negative tolerance never found a Cauchy tail, and NaN died in
+        # the Fraction conversion without naming the parameter
+        with pytest.raises(ValueError, match="'tol'"):
+            detect_convergence([Measure.lebesgue()] * 2, tol)
+
 
 class TestVerifyLimitMeasure:
     def test_lebesgue_for_rotation_passes(self):
@@ -388,6 +419,21 @@ class TestVerifyLimitMeasure:
         with pytest.raises(ValueError, match="probability measure"):
             verify_limit_measure(rotation("1/4"), Measure(((F(0), F(1, 2), F(1)),)))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("tol_mass", -1),
+            ("tol_mass", math.nan),
+            ("tol_res", -1),
+            ("tol_res", -1e-300),
+            ("tol_res", math.nan),
+        ],
+    )
+    def test_bad_tolerances_are_refused(self, key, value):
+        # each returned a failed report instead of refusing the value
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            verify_limit_measure(rotation("1/3"), Measure.lebesgue(), **{key: value})
+
     def test_weight_above_the_float_range_is_refused(self):
         # a probability measure, but the trig family integrates in floats
         tiny = F(1, 10**400)
@@ -418,6 +464,45 @@ class TestVerifyLimitMeasure:
         assert mu.is_probability
         with pytest.raises(ValueError, match="float range"):
             verify_limit_measure(halving_map(), mu)
+
+
+class TestLimitMassesAgainstOracle:
+    """Per delta, the limit masses are the sums over the points of the
+    oracle's masses, and the profile is the largest of them over the levels."""
+
+    DELTAS = tuple(F(1, 2**k) for k in range(2, 13))
+
+    def test_approx_pool(self, approx_paths):
+        checked = 0
+        for target, _, _, levels, _, limit in approx_paths:
+            if limit is None:
+                continue
+            mus = [lm for lm in levels if lm.measure is not None]
+            points = target.discontinuity_points()
+            assert limit.masses == tuple(
+                sum(oracle.mass_near_points(mus[-1].measure, points, d), F(0))
+                for d in self.DELTAS
+            )
+            assert mass_profile(levels, self.DELTAS) == tuple(
+                (d, max(max(oracle.mass_near_points(lm.measure, lm.map.breakpoints, d))
+                        for lm in mus))
+                for d in self.DELTAS
+            )
+            checked += 1
+        assert checked >= 4
+
+    def test_segment_map_with_atoms_at_the_ends(self):
+        # atoms at 0 and 1 and points on them; the neighbourhoods of 1/16
+        # pass through 0, and those of delta >= 1/2 hold the whole segment
+        mu = Measure(((F(1, 8), F(5, 8), F(1)),), ((F(0), F(1, 4)), (F(1), F(1, 4))))
+        points = [F(0), F(1), F(1, 16)]
+        deltas = (F(3, 4), F(1, 2), F(1, 4), F(1, 16), F(1, 32))
+        for target, wrap in ((halving_map(), False), (rotation("1/3"), True)):
+            report = verify_limit_measure(target, mu, points=points, deltas=deltas)
+            assert report.masses == tuple(
+                sum(oracle.mass_near_points(mu, points, d, wrap=wrap), F(0)) for d in deltas
+            )
+            assert not report.mass_ok
 
 
 class TestFamilies:
@@ -458,11 +543,12 @@ BENCH_BOUNDS = (21, 34, 55, 89, 144, 233, 377)
 
 class TestBestApproximations:
     """One continued fraction expansion per coordinate gives
-    Fraction.limit_denominator under every bound."""
+    Fraction.limit_denominator under every bound, as its lowest terms."""
 
     @staticmethod
     def assert_limit_denominator(x, bounds):
-        assert _best_approximations(x, bounds) == [x.limit_denominator(b) for b in bounds]
+        want = [x.limit_denominator(b) for b in bounds]
+        assert _best_approximations(x, bounds) == [(r.numerator, r.denominator) for r in want]
 
     def test_random_rationals(self):
         rng = random.Random(7)
@@ -487,7 +573,7 @@ class TestBestApproximations:
 
     def test_denominators_already_within_the_bound(self):
         x = F(3, 7)
-        assert _best_approximations(x, [2, 6, 7, 8, 10**6]) == [F(1, 2), F(2, 5), x, x, x]
+        assert _best_approximations(x, [2, 6, 7, 8, 10**6]) == [(1, 2), (2, 5), *[(3, 7)] * 3]
         self.assert_limit_denominator(F(-5), [1, 2])
         self.assert_limit_denominator(F(0), [1])
 

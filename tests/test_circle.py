@@ -52,7 +52,9 @@ class TestCirclePoint:
         if 0 <= x < 1:
             assert mod1(x) is x
 
-    @pytest.mark.parametrize("x", [F(-1), F(-7, 4), F(1), F(9, 4), F(-1, 2**70), F(2**70 + 1, 2**70)])
+    @pytest.mark.parametrize(
+        "x", [F(-1), F(-7, 4), F(1), F(9, 4), F(-1, 2**70), F(2**70 + 1, 2**70)]
+    )
     def test_boundary_values_reduce(self, x):
         assert CirclePoint(x).value == x % 1
         assert 0 <= CirclePoint(x).value < 1

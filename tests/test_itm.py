@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracle
 from conftest import assert_moves_match, itms, outcome, rationals
+from itmlib.approx import OrderViolation, generate_approximants
 from itmlib.catalog import (
     double_rotation,
     half_collapse,
@@ -20,6 +21,7 @@ from itmlib.catalog import (
     two_shift_example,
 )
 from itmlib.circle import Arc, ArcSet, CirclePoint, _runs_of, arc, arcset
+from itmlib.conjugacy import induce_iem
 from itmlib.itm import (
     DEFAULT_MAX_ARCS,
     DEFAULT_MAX_ITER,
@@ -31,6 +33,7 @@ from itmlib.itm import (
     Side,
     itm,
 )
+from itmlib.measure import NotFiniteType, attractor_measure
 
 F = Fraction
 
@@ -896,3 +899,61 @@ class TestMergedAndFriends:
         assert s.breakpoints == (pt(0), pt("1/2"))
         assert s.shifts == (F(1, 3), F(1, 3))
         assert s.with_breakpoint(pt("1/2")) is s
+
+
+def assert_on_grid_matches(q: int, starts: list, shifts: list) -> Itm:
+    """Itm._on_grid(q, starts, shifts) is the map Itm(...) builds from the
+    Fractions starts/q and shifts/q: fields, ==, hash, repr and both tables."""
+    got = Itm._on_grid(q, list(starts), list(shifts))
+    want = Itm(tuple(F(s, q) for s in starts), tuple(F(c, q) for c in shifts))
+    assert got.breakpoints == want.breakpoints and got.shifts == want.shifts
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert got._grid_pieces == want._grid_pieces
+    assert got._table == want._table
+    return got
+
+
+class TestOnGrid:
+    """The private constructor from integer cells builds the public map."""
+
+    @given(st.data())
+    def test_equals_the_public_constructor(self, data):
+        q = data.draw(st.integers(1, 10**6))
+        n = data.draw(st.integers(1, min(q, 5)))
+        starts = sorted(data.draw(st.sets(st.integers(0, q - 1), min_size=n, max_size=n)))
+        shifts = data.draw(
+            st.lists(st.integers(0, q - 1) | st.just(0), min_size=n, max_size=n)
+        )
+        # a common factor of q and every numerator is reduced away
+        k = data.draw(st.sampled_from([1, 2, 6, 2**40]))
+        assert_on_grid_matches(q * k, [s * k for s in starts], [c * k for c in shifts])
+
+    def test_single_pieces_and_zero_shifts(self):
+        assert assert_on_grid_matches(1, [0], [0])._grid_pieces == (1, [0], [0])
+        assert assert_on_grid_matches(12, [4], [0])._grid_pieces == (3, [1], [0])
+        assert assert_on_grid_matches(30, [0, 6, 20], [0, 0, 0]) == itm(
+            ["0", "1/5", "2/3"], ["0", "0", "0"]
+        )
+        assert assert_on_grid_matches(2**64, [2**63], [2**62])._grid_pieces == (4, [2], [1])
+
+    def test_approximant_levels_and_induced_exchanges(self, approx_targets):
+        # both callers build on their own grids; a rebuilt map has every table
+        checked = 0
+        for target in approx_targets:
+            try:
+                levels = generate_approximants(target, denominators=(21, 55, 144, 377)).levels
+            except OrderViolation:
+                continue
+            for level in levels:
+                maps = [level.map]
+                try:
+                    mu = attractor_measure(level.map, level.map.attractor(48, 24))
+                    maps.append(induce_iem(level.map, mu).induced)
+                except (NotFiniteType, BudgetExceeded):
+                    pass
+                for s in maps:
+                    fresh = Itm(s.breakpoints, s.shifts)
+                    assert s == fresh and s._grid_pieces == fresh._grid_pieces
+                    assert s._table == fresh._table
+                    checked += 1
+        assert checked > 40

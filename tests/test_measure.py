@@ -651,6 +651,28 @@ class TestCdfDistanceAgainstParent:
         ]:
             assert cdf_distance(mu, nu) == oracle.cdf_distance(mu, nu) == 1
 
+    def test_coprime_grids_with_atoms(self):
+        # the merged walk meets cuts of one table between those of the other
+        rng = random.Random(53)
+        for p, q in [(7, 11), (2**5, 3**4), (1, 13), (2**61 - 1, 6)]:
+            for _ in range(25):
+                mu = probability(random_measure(rng, p))
+                atoms = [(F(rng.randint(0, q), q), F(1, rng.randint(1, 4))) for _ in range(2)]
+                nu = probability(random_measure(rng, q) + Measure((), atoms))
+                assert cdf_distance(mu, nu) == oracle.cdf_distance(mu, nu)
+                assert cdf_distance(nu, mu) == oracle.cdf_distance(nu, mu)
+
+    def test_a_measure_of_another_mass_is_refused(self):
+        lebesgue = Measure.lebesgue()
+        for other in (
+            Measure(),
+            Measure.point_mass(F(1, 3), F(1, 2)),
+            Measure(((F(0), F(1, 7), F(7)),), ((F(1), F(1, 10**30)),)),
+        ):
+            for mu, nu in ((other, lebesgue), (lebesgue, other)):
+                with pytest.raises(ValueError, match="probability"):
+                    cdf_distance(mu, nu)
+
     def test_successive_approximant_levels(self, approximant_level_maps):
         mus = []
         for s in approximant_level_maps:
@@ -940,7 +962,8 @@ class TestMassNearPointsAgainstFractionEnds:
 
     @pytest.mark.parametrize("q", [2, 7, 64, 2**61 - 1])
     def test_points_at_0_and_next_to_1(self, q):
-        for mu in (self.ATOMIC, Measure.lebesgue(), half_density(), Measure.point_mass(F(q - 1, q))):
+        next_to_1 = Measure.point_mass(F(q - 1, q))
+        for mu in (self.ATOMIC, Measure.lebesgue(), half_density(), next_to_1):
             for delta in (F(1, 2 * q), F(1, q), F(1, 3), F(1, 2)):
                 assert_masses_match(mu, [F(0), F(q - 1, q), F(1, q), F(1)], delta)
 

@@ -124,7 +124,9 @@ class TestOrbitsOnCells:
         with pytest.raises(ValueError, match="outside range"):
             half_collapse().evaluate_one_sided(j, Side.RIGHT, 3)
 
-    def test_harvest_builds_no_circle_point(self, acceptance_sweep_maps, approx_targets, monkeypatch):
+    def test_harvest_builds_no_circle_point(
+        self, acceptance_sweep_maps, approx_targets, monkeypatch
+    ):
         # the harvest reads the integer walk alone: no EndpointOrbit, no point
         maps = acceptance_sweep_maps[:40] + approx_targets
         want = [oracle.relations(s, 16) for s in maps]

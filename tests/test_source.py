@@ -116,12 +116,16 @@ def test_pyproject_declares_no_dependencies():
 
 
 def test_library_lines_fit_in_100_columns():
-    # a longer line hides its end in a side-by-side diff; tests/ still holds
-    # a few and is not checked
-    root = Path(itmlib.__file__).parent
+    # a longer line hides its end in a side-by-side diff; the library, the
+    # tests and the demos are all checked
+    paths = [
+        *sorted(Path(itmlib.__file__).parent.rglob("*.py")),
+        *sorted(TESTS.glob("*.py")),
+        *sorted((TESTS.parent / "demos").glob("*.py")),
+    ]
     found = [
-        f"{path.relative_to(root)}:{number}"
-        for path in sorted(root.rglob("*.py"))
+        f"{path.parent.name}/{path.name}:{number}"
+        for path in paths
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
         if len(line) > 100
     ]
