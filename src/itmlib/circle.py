@@ -17,8 +17,10 @@ whose charts may overlap, leave gaps, carry weights or have any slope.  The
 attractor (Itm.attractor) steps no whole iterate: since a map's rigid table
 tiles [0, q) with slope 1, it moves only the hole each step opens, cuts
 that out of one run list in place, counts arcs with _joins_at_zero and
-wraps a copy of the list per iterate with _set_of_runs.  With Arc.segments,
-these are the only code that knows how a set meets the cut at 0.
+wraps a copy of the list per iterate with _set_of_runs; _arc_runs lists a
+set's runs in the order of its arcs, for the attractor's chart.  With
+Arc.segments, these are the only code that knows how a set meets the cut
+at 0.
 """
 
 from __future__ import annotations
@@ -470,6 +472,16 @@ class ArcSet:
 def _runs_of(s: ArcSet) -> tuple[int, list[tuple[int, int]]]:
     """A set's grid q and its merged runs of cells on 1/q."""
     return s._q, s._runs
+
+
+def _arc_runs(s: ArcSet) -> tuple[int, list[tuple[int, int]]]:
+    """A set's grid q and its runs of cells on 1/q in the order ``arcs`` lists
+    their segments: the arc through 0 comes last, as its run to q and then
+    its run from 0."""
+    runs = s._runs
+    if _joins_at_zero(runs, s._q):
+        runs = runs[1:] + runs[:1]
+    return s._q, runs
 
 
 def _set_of_runs(q: int, runs: list[tuple[int, int]]) -> ArcSet:

@@ -403,7 +403,7 @@ def _cmd_conjugate(o, plot):
             f"h(S(x)) != T(h(x)) on the cell ({lo},{hi}) "
             "(conjugacy.semiconjugacy_failure)"
         )
-    exceptional = sum(1 for p in data.samples if p.exceptional)
+    exceptional = sum(flag for _, flag in data._h_table[1])
     payload = {
         "tau": [rat(t) for t in data.tau],
         "induced": itm_to_json(data.induced),
@@ -415,7 +415,7 @@ def _cmd_conjugate(o, plot):
             "failures": list(data.report.failures),
         },
         "semiConjugacy": {
-            "samples": len(data.samples),
+            "samples": data.sample_count,
             "exceptional": exceptional,
             "clean": data.clean_samples,
         },

@@ -11,7 +11,10 @@ measure and is injective up to measure zero, and the certificate that
 h(S(x)) = T(h(x)) for mu-almost every x.  T and that certificate read
 the pieces of one integer walk, ``measure._rigid_pieces``, which S moves
 rigidly, with the slope of h = mu([0, x]) and its value at x and at S(x)
-read from mu's integer cumulative table.
+read from mu's integer cumulative table.  The h(x) table on the sample
+grid is one walk over the same table (``measure._values_at``), kept by
+the ConjugacyData: its CSV, its count of exceptional points and its
+``samples`` all read it.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from itmlib.measure import (
     Cdf,
     Measure,
     _rigid_pieces,
+    _values_at,
     invariance_residual_exact,
 )
 
@@ -154,7 +158,9 @@ class ConjugacyData:
     failing_cell is the first cell on which the certificate
     ``semiconjugacy_failure`` found h(S(x)) != T(h(x)), or None.  The
     sample_count grid points x = (2i + 1) / (2 * sample_count) only feed
-    the h(x) table and plot; ``samples`` builds them on first read.
+    the h(x) table and plot.  The table is built on first read, by one
+    walk over h's integer rows (``measure._values_at``), and ``samples``
+    reads it.
     """
 
     source_map: Itm
@@ -172,11 +178,18 @@ class ConjugacyData:
         return self.failing_cell is None
 
     @cached_property
+    def _h_table(self) -> tuple[int, list[tuple[int, bool]]]:
+        """One denominator D and, per grid point x, the numerator of h(x)
+        over D and whether x is exceptional."""
+        n = self.sample_count
+        return _values_at(self.h, range(1, 2 * n, 2), 2 * n)
+
+    @cached_property
     def samples(self) -> tuple[SemiConjugacySample, ...]:
         n = self.sample_count
         return tuple(
-            SemiConjugacySample(x, self.is_exceptional(x))
-            for x in (Fraction(2 * i + 1, 2 * n) for i in range(n))
+            SemiConjugacySample(Fraction(2 * i + 1, 2 * n), exceptional)
+            for i, (_, exceptional) in enumerate(self._h_table[1])
         )
 
     def is_exceptional(self, x: Rational) -> bool:
@@ -186,7 +199,8 @@ class ConjugacyData:
         Read from h's integer rows: x is exceptional exactly when it is a
         cut of h, or h has slope 0 on the row holding x.
         """
-        return self.h._cut_or_flat(frac(x))
+        x = frac(x)
+        return _values_at(self.h, (x.numerator,), x.denominator)[1][0][1]
 
 
 def induce_iem(

@@ -19,7 +19,12 @@ units of 1/Q for Q the lcm of the grid and the atoms' denominators, F in
 units of 1/M and the slope per cell of 1/Q.  ``Cdf`` bisects and solves on
 the rows, building one Fraction per answer, ``mass_between`` is two
 lookups in it, ``total_mass`` and ``is_probability`` read its last row,
-and the conjugacy walk and the recurrence samples read its rows.
+and the conjugacy walk reads its rows.  ``Cdf._quantile`` takes a level as
+two integers and gives the point as two integers, so the recurrence
+samples build one Fraction per sample.  Other modules read the rows
+through two helpers: ``_rows`` gives the integer columns that the CSV
+and the chart of F print, and ``_values_at`` reads F and h's exceptional
+set at sorted points n/d in one walk, for the h(x) table.
 ``_masses_near`` reads F at the integer ends t -/+ delta of every point's
 neighbourhood over one denominator, so ``mass_near_points`` builds one
 Fraction per point and the limit check one per delta.  ``cdf_distance``
@@ -356,11 +361,11 @@ class Cdf:
             return 0
         return self._at[i] * d + self._slopes[i] * (m - self._ticks[i] * d)
 
-    def _x_at_level(self, i: int, y: Fraction) -> Fraction:
-        """The x at which F reaches y on row i, whose slope is positive."""
-        n, d = y.numerator, y.denominator
+    def _x_at_level(self, i: int, n: int, d: int) -> tuple[int, int]:
+        """The x at which F reaches the level n/d on row i, whose slope is
+        positive, as a numerator and a denominator."""
         top = (self._ticks[i] * self._slopes[i] - self._at[i]) * d + n * self._unit
-        return Fraction(top, self._slopes[i] * self._grid * d)
+        return top, self._slopes[i] * self._grid * d
 
     def at(self, x: Rational) -> Fraction:
         x = frac(x)
@@ -370,12 +375,6 @@ class Cdf:
         x = frac(x)
         d = x.denominator
         return Fraction(self._numerator(x.numerator, d, left=True), self._unit * d)
-
-    def _cut_or_flat(self, x: Fraction) -> bool:
-        """Whether x is a cut of F or F is flat on the row holding x."""
-        n, d = x.numerator * self._grid, x.denominator
-        i = self._row(n, d)
-        return i < 0 or self._ticks[i] * d == n or self._slopes[i] == 0
 
     def mass_between(
         self, lo: Rational, hi: Rational, include_lo: bool = True, include_hi: bool = False
@@ -390,39 +389,40 @@ class Cdf:
 
     def quantile(self, y: Rational) -> Fraction:
         """Smallest x with F(x) >= y (generalized inverse, for sampling)."""
-        return self._quantile(frac(y))[0]
+        y = frac(y)
+        n, d, _ = self._quantile(y.numerator, y.denominator)
+        return Fraction(n, d)
 
-    def _quantile(self, y: Fraction) -> tuple[Fraction, Optional[int]]:
-        """quantile(y), and the row i when F reaches y on its slope from cuts[i]."""
-        if y <= 0:
-            return ZERO, None
-        # F >= y at a cut iff F * M >= ceil(y * M)
-        need = -(-y.numerator * self._unit // y.denominator)
+    def _quantile(self, n: int, d: int, above: bool = False) -> tuple[int, int, Optional[int]]:
+        """The smallest x with F(x) >= y for the level y = n/d (d > 0), or the
+        largest x with F(x) <= y when above and F is continuous, as a
+        numerator and a denominator, and the row i when F reaches y on its
+        slope from cuts[i]; x is 1 when F stays below y."""
+        # F >= y at a cut iff F * M >= ceil(y * M), and F > y iff F * M > floor(y * M)
+        need = n * self._unit // d + 1 if above else -(-n * self._unit // d)
         i = bisect.bisect_left(self._at, need)
         if i >= len(self._ticks):
-            return ONE, None
+            return 1, 1, None
         if i > 0 and self._left[i] >= need:
             # the level is reached in (cuts[i-1], cuts[i]], where F rises
             # from value_at[i-1] < y, so the slope is positive
-            return self._x_at_level(i - 1, y), i - 1
-        return Fraction(self._ticks[i], self._grid), None
+            return (*self._x_at_level(i - 1, n, d), i - 1)
+        return self._ticks[i], self._grid, None
 
     def rightmost_preimage(self, y: Rational) -> Fraction:
         """Largest x in [0, 1] with F(x) = y, for continuous (atom-free) F.
 
         Level sets of a continuous non-decreasing F are closed intervals;
-        this returns their right endpoint exactly.
+        this returns their right endpoint exactly: the point where F first
+        passes y, or 1.
         """
         if self.measure.atoms:
             raise AtomicMeasure("rightmost preimage needs a continuous CDF")
         y = frac(y)
         if y < 0 or y.numerator * self._unit > self._at[-1] * y.denominator:
             raise ValueError(f"level {y} is not attained by this CDF")
-        # the last cut with F <= y; F is flat after it only if F = y there
-        i = bisect.bisect_right(self._at, y.numerator * self._unit // y.denominator) - 1
-        if self._slopes[i] == 0:
-            return Fraction(self._ticks[i], self._grid)
-        return self._x_at_level(i, y)
+        n, d, _ = self._quantile(y.numerator, y.denominator, above=True)
+        return Fraction(n, d)
 
 
 def pushforward(t, mu: Measure) -> Measure:
@@ -634,6 +634,34 @@ def _largest_weight(mu: Measure) -> Fraction:
     return max((w for _, _, w in mu._cells), default=ZERO)
 
 
+def _rows(mu: Measure) -> tuple[int, int, tuple, tuple, tuple]:
+    """The grid Q, the unit M and the columns x, F(x-) and F(x) of the rows
+    of ``mu.cdf()``: each cut x in units of 1/Q, and F in units of 1/M."""
+    cdf = mu.cdf()
+    return cdf._grid, cdf._unit, cdf._ticks, cdf._left, cdf._at
+
+
+def _values_at(cdf: Cdf, numerators: Iterable[int], den: int) -> tuple[int, list]:
+    """F at the points x = n/den, taken in increasing order: one denominator
+    D = M den and, per point, the numerator of F(x) over D and whether x is
+    a cut of F or F is flat on the row holding x (h's exceptional set, when
+    F is h).  One walk over the rows meets every point."""
+    ticks, at, slopes = cdf._ticks, cdf._at, cdf._slopes
+    last = len(ticks) - 1
+    out, i = [], 0
+    for n in numerators:
+        m = n * cdf._grid  # x in units of 1/(Q den)
+        if m < 0:
+            out.append((0, True))
+            continue
+        # the last cut c/Q at or below x
+        while i < last and ticks[i + 1] * den <= m:
+            i += 1
+        tick = ticks[i] * den
+        out.append((at[i] * den + slopes[i] * (m - tick), tick == m or slopes[i] == 0))
+    return cdf._unit * den, out
+
+
 def _float_view(mu: Measure) -> tuple[list, list]:
     """mu's density runs (lo, hi, weight) and atoms (position, mass) in
     floats.  The run ends are read from the integer runs: a / q on ints
@@ -705,10 +733,11 @@ def find_recurrent_points(
     total, unit = cdf._at[-1], cdf._unit  # mu's mass is total/unit
     if total == 0:
         raise ValueError("a measure of zero mass has no support to sample")
+    # the levels y = n/d, a fraction of mu's mass total/unit
     levels = [
-        Fraction(total * rng.getrandbits(40), unit << 40)
+        (total * rng.getrandbits(40), unit << 40)
         if rng is not None
-        else Fraction(total * (2 * i + 1), unit * 2 * samples)
+        else (total * (2 * i + 1), unit * 2 * samples)
         for i in range(samples)
     ]
     q = s.common_denominator()
@@ -716,13 +745,19 @@ def find_recurrent_points(
     reach = (eps.numerator * q - 1) // eps.denominator
     record: dict = {}  # cell -> (its cycle, its place), shared by the samples
     out = []
-    for y in levels:
-        x, i = cdf._quantile(y)
-        if i is not None and q % x.denominator == 0:
-            # F reaches y at a cell end, from the cut of row i below it
-            x = max(x - Fraction(1, q), Fraction(cdf._ticks[i], cdf._grid))
-        x %= 1
-        home = x.numerator * q // x.denominator
+    for n, d in levels:
+        a, b, i = cdf._quantile(n, d)
+        home = a * q // b
+        if i is not None and home * b == a * q:
+            # F reaches y at the cell end home/q, from the cut t/Q of row i
+            # below it: the sample moves into the cell, to the later of its
+            # start and the cut
+            home -= 1
+            t, grid = cdf._ticks[i], cdf._grid
+            x = Fraction(t, grid) if t * q > home * grid else Fraction(home, q)
+        else:
+            x = Fraction(a, b)
+            home %= q
 
         def close(cell: int) -> bool:
             return _gap(cell, home, q) <= reach

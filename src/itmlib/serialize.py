@@ -6,6 +6,12 @@ decimal strings like "0.618", which are read exactly; an approximation
 target given as a decimal should carry its precision in the config.
 Decimal exponents are bounded by MAX_DECIMAL_EXPONENT, so that a short
 string cannot ask for an integer of millions of digits.
+
+The CSV tables print exact values read from integers: a measure's
+cumulative table gives its rows as integers (``measure._rows``) and a
+conjugacy its h(x) table as numerators over one denominator, and
+``_ratio(n, d)`` prints n/d as ``rat`` prints Fraction(n, d), with no
+Fraction built per row.
 """
 
 from __future__ import annotations
@@ -13,13 +19,14 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd
 from typing import Any
 
 from itmlib.approx import Relation
 from itmlib.circle import Arc, ArcSet, frac
 from itmlib.conjugacy import ConjugacyData
 from itmlib.itm import Itm
-from itmlib.measure import Measure
+from itmlib.measure import Measure, _rows
 from itmlib.piecewise import (
     AffinePiece,
     Domain,
@@ -34,6 +41,14 @@ _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
 
 def rat(x) -> str:
     return str(frac(x))
+
+
+def _ratio(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for integers n and d > 0, built from the integers."""
+    g = gcd(n, d)
+    if g == d:
+        return str(n // g)
+    return f"{n // g}/{d // g}"
 
 
 def parse_rational(v: Any, what: str = "rational") -> Fraction:
@@ -222,21 +237,29 @@ def relation_from_json(d: Mapping) -> Relation:
 
 
 def _csv(header: str, rows) -> str:
-    """A CSV document: the header line, then one line per row of exact values."""
-    return "\n".join([header, *(",".join(map(rat, row)) for row in rows)]) + "\n"
+    """A CSV document: the header line, then one line per row of exact values
+    given as strings."""
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
 
 
 def cdf_csv(mu: Measure) -> str:
-    """CSV with columns x,F(x), exact, at the cuts of the CDF."""
-    cdf = mu.cdf()
-    return _csv("x,F(x)", zip(cdf.cuts, cdf.value_at))
+    """CSV with columns x,F(x), exact, at the cuts of the CDF, read from the
+    integer rows of its table."""
+    grid, unit, ticks, _, at = _rows(mu)
+    return _csv("x,F(x)", ((_ratio(x, grid), _ratio(v, unit)) for x, v in zip(ticks, at)))
 
 
 def visit_frequency_csv(table: VisitFrequencyTable) -> str:
     """CSV with columns m,eps,f, exact."""
-    return _csv("m,eps,f", ((e.m, e.eps, e.frequency) for e in table.entries))
+    return _csv("m,eps,f", ((str(e.m), rat(e.eps), rat(e.frequency)) for e in table.entries))
 
 
 def conjugacy_csv(data: ConjugacyData) -> str:
-    """CSV with columns x,h(x) at the grid points of ``data.samples``."""
-    return _csv("x,h(x)", ((s.x, data.h.at(s.x)) for s in data.samples))
+    """CSV with columns x,h(x) at the grid points of ``data.samples``, read
+    from the h(x) table that ``data`` keeps."""
+    den, values = data._h_table
+    n = 2 * data.sample_count
+    return _csv(
+        "x,h(x)",
+        ((_ratio(2 * i + 1, n), _ratio(v, den)) for i, (v, _) in enumerate(values)),
+    )

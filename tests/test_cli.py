@@ -8,6 +8,7 @@ import re
 import sys
 import tempfile
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itmlib import cli, conjugacy
+from itmlib import cli, conjugacy, measure
 from itmlib.catalog import golden_mean
 from itmlib.cli import _MAX_STEPS, COMMANDS, main
+from itmlib.plots import cdf_svg, density_svg
+from itmlib.serialize import cdf_csv, measure_from_json
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -36,6 +39,12 @@ def run(capsys, *argv):
 
 
 DATA = Path(__file__).resolve().parent / "data"
+
+
+def undated(path):
+    """A report's lines without its generatedAt line."""
+    lines = path.read_bytes().split(b"\n")
+    return [line for line in lines if b'"generatedAt"' not in line]
 HALF_COLLAPSE = {"breakpoints": ["0", "1/2"], "shifts": ["0", "1/2"]}
 HALVING = {
     "domain": "segment",
@@ -276,13 +285,34 @@ class TestConjugate:
         )
         assert code == 0
 
-        def undated(path):
-            lines = path.read_bytes().split(b"\n")
-            return [line for line in lines if b'"generatedAt"' not in line]
-
         assert undated(out / "report.json") == undated(stored / "report.json")
         for name in ("conjugacy.csv", "h.svg"):
             assert (out / name).read_bytes() == (stored / name).read_bytes()
+
+    def test_conjugate_builds_no_samples(self, tmp_path, capsys, monkeypatch):
+        # the table, the CSV and the report read h's integer rows: no sample
+        # object and no h(x) query per grid point
+        built = Counter()
+
+        def sample(*args):
+            built["samples"] += 1
+            return original_sample(*args)
+
+        def at(self, x):
+            built["at"] += 1
+            return original_at(self, x)
+
+        original_sample, original_at = conjugacy.SemiConjugacySample, measure.Cdf.at
+        monkeypatch.setattr(conjugacy, "SemiConjugacySample", sample)
+        monkeypatch.setattr(measure.Cdf, "at", at)
+        config = DATA / "conjugate_gaps" / "config.json"
+        assert json.loads(config.read_text())["samples"] == 128
+        code, report, _ = run(
+            capsys, "conjugate", "--config", str(config), "--out", str(tmp_path), "--plot"
+        )
+        assert code == 0 and report["semiConjugacy"]["samples"] == 128
+        assert (tmp_path / "conjugacy.csv").read_text().count("\n") == 129
+        assert built == Counter()
 
     def test_non_invariant_supplied_measure_is_exit_three(self, tmp_path, capsys):
         cfg = write_config(
@@ -964,3 +994,51 @@ def test_mutated_configs_keep_the_exit_code_contract(data):
             code = main([command, "--config", str(path)])
     assert code in {0, 1, 2, 3}
     assert "Traceback" not in err.getvalue()
+
+
+# the command behind each stored run under data/artifacts
+STORED_RUNS = {
+    "attractor_through_0": "attractor",
+    "measure_through_0": "measure",
+    "approximate": "approximate",
+    "empirical_atoms_at_ends": "empirical",
+}
+
+
+class TestStoredArtifacts:
+    """Every artifact the commands write, byte for byte as an earlier
+    renderer wrote it: SVGs and CSVs drawn from a Fraction per value, now
+    from the integer rows."""
+
+    def test_the_stored_runs_cover_every_command_writing_a_chart_or_table(self):
+        assert sorted(p.name for p in (DATA / "artifacts").iterdir()) == sorted(STORED_RUNS)
+        names = {p.name for case in STORED_RUNS for p in (DATA / "artifacts" / case).iterdir()}
+        assert names >= {
+            "attractor.svg", "cdf.csv", "density.svg", "cdf.svg", "limit-cdf.svg",
+            "empirical-cdf.svg", "visit-frequency.csv",
+        }
+
+    @pytest.mark.parametrize("case", sorted(STORED_RUNS))
+    def test_report_and_artifacts_match_the_stored_ones(self, case, tmp_path, capsys):
+        stored = DATA / "artifacts" / case
+        code, _, _ = run(
+            capsys, STORED_RUNS[case], "--config", str(stored / "config.json"),
+            "--out", str(tmp_path), "--plot",
+        )
+        assert code == 0
+        assert undated(tmp_path / "report.json") == undated(stored / "report.json")
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == sorted(p.name for p in stored.iterdir() if p.name != "config.json")
+        for name in written:
+            if name != "report.json":
+                assert (tmp_path / name).read_bytes() == (stored / name).read_bytes(), name
+
+    @pytest.mark.parametrize("case", ["atoms_on_cuts", "sub_ulp_atom"])
+    def test_measure_charts_match_the_stored_ones(self, case):
+        # atoms at 0, on a density cut and at 1; and an atom of mass 10^-20
+        # on Lebesgue measure, whose jump the floats of F cannot see
+        stored = DATA / "renderers" / case
+        mu = measure_from_json(json.loads((stored / "measure.json").read_text()))
+        renderers = {"cdf.csv": cdf_csv, "cdf.svg": cdf_svg, "density.svg": density_svg}
+        for name, render in renderers.items():
+            assert render(mu) == (stored / name).read_text(encoding="utf-8"), name

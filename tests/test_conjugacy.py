@@ -560,6 +560,20 @@ def assert_exceptional_matches(data, n: int) -> None:
     ]
 
 
+def assert_h_table_matches(mu, n: int) -> None:
+    """The h(x) table of n grid points, and the samples built from it, give
+    h.at(x) and is_exceptional(x) at each point, as the oracle does."""
+    data = induce_iem(rotation(0), mu, samples=n)
+    points = [F(2 * i + 1, 2 * n) for i in range(n)]
+    den, values = data._h_table
+    h = oracle.Cdf(mu)
+    expected = [(h.at(x), oracle.exceptional(mu, x)) for x in points]
+    assert [(F(v, den), flag) for v, flag in values] == expected
+    assert [(data.h.at(x), data.is_exceptional(x)) for x in points] == expected
+    samples = [(x, exceptional) for x, (_, exceptional) in zip(points, expected)]
+    assert [(p.x, p.exceptional) for p in data.samples] == samples
+
+
 class TestExceptionalOnRows:
     """is_exceptional and the samples read h's integer rows and agree with
     the oracle's scan of the density pieces."""
@@ -584,6 +598,26 @@ class TestExceptionalOnRows:
         # weight changes inside the support as well as at its ends
         _, mu = pair
         assert_exceptional_matches(induce_iem(rotation(0), mu, samples=0), 64)
+
+    @settings(max_examples=100)
+    @given(map_with_measure(), st.sampled_from(["none", "one", "cuts", "drawn"]), st.data())
+    def test_the_table_is_h_and_the_exceptional_set_at_each_grid_point(self, pair, grid, data):
+        s, mu = pair
+        q = s.common_denominator()
+        # a grid point (2i + 1)/(2n) lands on the cut j/q of an even q when
+        # n = q/2; an odd q has no cut on any such grid
+        if grid == "drawn":
+            n = data.draw(st.integers(1, 200))
+        else:
+            n = {"none": 0, "one": 1, "cuts": max(q // 2, 1)}[grid]
+        assert_h_table_matches(mu, n)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 8])
+    def test_the_table_on_cuts_and_flat_rows(self, n):
+        # mu lives on [0, 1/4) and [1/2, 1): the grid points of n = 1, 2, 4
+        # and 8 land on its cuts 1/4 and 1/2 or in its gap, where h is flat
+        mu = Measure(((ZERO, F(1, 4), F(2)), (F(1, 2), ONE, F(1))))
+        assert_h_table_matches(mu, n)
 
     @pytest.mark.parametrize("shift", ["0", "1/2", "3/7"])
     def test_lebesgue_on_rotations(self, shift):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -34,6 +35,7 @@ from itmlib.itm import (
     itm,
 )
 from itmlib.measure import NotFiniteType, attractor_measure
+from itmlib.plots import attractor_svg
 
 F = Fraction
 
@@ -500,6 +502,24 @@ class TestAttractorMovesHoles:
             distinct = {id(run) for a in res.iterates for run in _runs_of(a)[1]}
             assert len(distinct) <= 2 * (res.stabilized_at + len(res.attractor))
             assert sum(len(_runs_of(a)[1]) for a in res.iterates) > 10 * len(distinct)
+
+    def test_the_chart_of_a_deep_map_stays_bounded(self):
+        # attractor.svg draws the first 63 iterates and the attractor, and a
+        # line naming the rows left out, so its size stops growing with the
+        # depth; charts of up to 64 iterates draw every row
+        res = DEEP_MAPS[-1].attractor()
+        arcs = max(len(a) for a in res.iterates)
+        sizes = {}
+        for depth in (32, 64, 65, 256, 1024, len(res.iterates)):
+            svg = attractor_svg(res.iterates[: depth - 1] + res.iterates[-1:])
+            labels = re.findall(r">A_(\d+)<", svg)
+            shown = min(depth, 64)
+            assert labels == [*map(str, range(shown - 1)), str(depth - 1)]
+            assert ("rows left out" in svg) == (depth > 64)
+            sizes[depth] = len(svg)
+        assert sizes[32] < sizes[64]
+        # past 64 iterates only the last row and the note change
+        assert max(sizes.values()) - sizes[64] < 100 * (arcs + 2)
 
     def test_the_nesting_check_still_raises(self, monkeypatch):
         # a hole that does not lie within the iterate fails the cut

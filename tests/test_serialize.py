@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from itmlib.approx import Relation
 from itmlib.catalog import half_collapse, halving_map, two_shift_example
@@ -13,6 +15,7 @@ from itmlib.measure import Measure, attractor_measure
 from itmlib.piecewise import visit_frequency
 from itmlib.serialize import (
     MAX_DECIMAL_EXPONENT,
+    _ratio,
     arcset_from_json,
     arcset_to_json,
     cdf_csv,
@@ -38,6 +41,14 @@ class TestRationals:
         assert rat(F(2, 4)) == "1/2"
         assert rat(2) == "2"
         assert rat(F(0)) == "0"
+
+    @given(st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+    def test_ratio_of_integers_is_the_fractions_text(self, n, d):
+        assert _ratio(n, d) == str(F(n, d))
+
+    def test_ratio_of_small_integers(self):
+        cases = [(0, 7), (-6, 4), (6, 3), (-6, 3), (5, 1), (-1, 10**20), (10**20 + 1, 10**20)]
+        assert [_ratio(n, d) for n, d in cases] == [str(F(n, d)) for n, d in cases]
 
     def test_parse_accepts_fractions_integers_and_decimals(self):
         assert parse_rational("1/3") == F(1, 3)

@@ -232,26 +232,38 @@ def test_only_circle_reads_arcset_storage():
     assert found == []
 
 
-def test_only_measure_reads_measure_storage():
-    # a Measure's grid and cells are measure.py's business: other modules
-    # read the density and atoms views, and measure.py reaches an ArcSet's
-    # runs through circle.py's helpers, as the pin above requires
-    root = Path(itmlib.__file__).parent
-    measure = ast.parse((root / "measure.py").read_text(encoding="utf-8"))
-    cls = next(
-        node for node in measure.body
-        if isinstance(node, ast.ClassDef) and node.name == "Measure"
-    )
+def private_names(cls) -> set:
+    """The private names a class binds: its methods, its slots and the
+    attributes its methods set on self."""
     names = set()
     for node in cls.body:
         if isinstance(node, ast.FunctionDef):
             names.add(node.name)
         elif isinstance(node, ast.Assign) and node.targets[0].id == "__slots__":
             names.update(ast.literal_eval(node.value))
-    private = {
-        name for name in names if name.startswith("_") and not name.startswith("__")
+    names.update(
+        node.attr for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    )
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_only_measure_reads_measure_storage():
+    # a Measure's grid and cells, and a Cdf's integer rows and the methods
+    # that read them, are measure.py's business: other modules read the
+    # density, atoms and Cdf views, or the rows through measure.py's
+    # helpers, and measure.py reaches an ArcSet's runs through circle.py's
+    # helpers, as the pin above requires
+    root = Path(itmlib.__file__).parent
+    measure = ast.parse((root / "measure.py").read_text(encoding="utf-8"))
+    classes = {
+        node.name: node for node in measure.body
+        if isinstance(node, ast.ClassDef) and node.name in ("Measure", "Cdf")
     }
+    private = private_names(classes["Measure"]) | private_names(classes["Cdf"])
     assert {"_grid", "_cells", "_on_cells"} <= private
+    assert {"_ticks", "_left", "_at", "_slopes", "_unit", "_quantile"} <= private
     found = [
         f"{path.relative_to(root)}:{node.lineno}: {node.attr}"
         for path in sorted(root.rglob("*.py"))
