@@ -450,7 +450,10 @@ def orbit_collision_preservation(
 
     A replay passes when the approximant's one-sided orbit repeats the
     witness itinerary and lands exactly on the expected breakpoint.
-    uniform_from is the first level from which every replay passes.
+    uniform_from is the first level from which every replay passes.  The
+    orbit is the integer walk of ``Itm.evaluate_one_sided``
+    (``Itm._one_sided``), so the landing is the last lift's cell, lift % q,
+    compared with the breakpoint's cell.
     """
     relations = relations if relations is not None else schedule.relations
     if depth is None:
@@ -460,15 +463,16 @@ def orbit_collision_preservation(
     passing: list[bool] = []
     for m, level in enumerate(schedule.levels, start=1):
         ok = True
+        q, starts, _ = level.map._grid_pieces
         for rel in witnessed:
-            orbit = level.map.evaluate_one_sided(rel.i, rel.side, rel.depth)
-            if orbit.itinerary != rel.itinerary:
+            itinerary, lifts = level.map._one_sided(rel.i, rel.side, rel.depth)
+            if itinerary != rel.itinerary:
                 ok = False
                 failures.append(
                     CollisionFailure(m, rel, "orbit itinerary deviates")
                 )
                 continue
-            if orbit.points[-1] != level.map.breakpoints[rel.j]:
+            if lifts[-1] % q != starts[rel.j]:
                 ok = False
                 failures.append(
                     CollisionFailure(m, rel, "orbit misses the breakpoint")

@@ -17,8 +17,8 @@ whose charts may overlap, leave gaps, carry weights or have any slope.  The
 attractor (Itm.attractor) steps no whole iterate: since a map's rigid table
 tiles [0, q) with slope 1, it moves only the hole each step opens, cuts
 that out of one run list in place, counts arcs with _joins_at_zero and
-wraps a copy of the list per iterate with _set_of_runs; _arc_runs lists a
-set's runs in the order of its arcs, for the attractor's chart.  With
+wraps an iterate's runs, when one is read, with _set_of_runs; _arc_runs
+lists a set's runs in the order of its arcs, for the attractor's chart.  With
 Arc.segments, these are the only code that knows how a set meets the cut
 at 0.
 """
@@ -219,7 +219,7 @@ def _charts_on(table: tuple, q: int) -> Sequence[tuple]:
     return table[2] if k == 1 else [(lo * k, hi * k, a, b * k) for lo, hi, a, b in table[2]]
 
 
-def _walk(q: int, runs: Sequence[tuple], table: tuple) -> tuple[int, list[tuple]]:
+def _walk(q: int, runs: Sequence[tuple], table: tuple) -> tuple[int, int, list[tuple]]:
     """Runs (a, b) or (a, b, weight) of cells on the grid of 1/q moved through
     a chart table.
 
@@ -227,21 +227,30 @@ def _walk(q: int, runs: Sequence[tuple], table: tuple) -> tuple[int, list[tuple]
     table (grid, R, charts) sends the cells of 1/grid onto the grid of
     1/(grid R) by n -> a*n + b on each chart (lo, hi, a, b).  The walk runs
     on Q = lcm(q, grid), scaling the charts only when Q is finer than their
-    grid, and returns QR and the moved runs on that grid.  Charts may
-    overlap or leave gaps.  The walk goes chart by chart: it bisects the
+    grid, and returns QR, a scale L and the moved runs on that grid.  Charts
+    may overlap or leave gaps.  The walk goes chart by chart: it bisects the
     runs a chart meets, clips the first and the last of them to the chart,
     and moves each part [left, right) to its image, with the ends swapped
     when a < 0.  A weight per unit length becomes weight/|a|, so mass is
-    kept.  A flat chart (a = 0) gives the empty run [b, b), whose weight is
-    QR times the mass gathered at b.  The moved runs come chart by chart.
+    kept; the walk returns every weight times L, the lcm of the slopes |a|,
+    so that it multiplies an integer weight by L/|a| where it would divide
+    by |a|.  A flat chart (a = 0) gives the empty run [b, b), whose weight
+    is QR L times the mass gathered at b.  The moved runs come chart by
+    chart.  L is 1 for unweighted runs and for tables of slope 1.
     """
     grid, r = table[:2]
     grid = grid if q == grid else lcm(q, grid)
     charts = _charts_on(table, grid)
     k = grid // q
+    weighted = bool(runs) and len(runs[0]) > 2
+    scale = lcm(*[abs(c[2]) for c in charts if c[2]]) if weighted else 1
     if k != 1 or r != 1:
-        # the walk divides weights by the integer slope a*R, so scale them by R
-        runs = [(lo * k, hi * k, *(w * r for w in weight)) for lo, hi, *weight in runs]
+        # a weight per unit length moves by R/|a|: scale them by R here, and
+        # by L/|a| chart by chart
+        if weighted:
+            runs = [(lo * k, hi * k, w * r) for lo, hi, w in runs]
+        else:
+            runs = [(lo * k, hi * k) for lo, hi in runs]
     out: list[tuple] = []
     for lo, hi, a, b in charts:
         # the runs ending after lo and starting before hi, which meet [lo, hi),
@@ -254,15 +263,17 @@ def _walk(q: int, runs: Sequence[tuple], table: tuple) -> tuple[int, list[tuple]
             part[0] = (lo, *part[0][1:])
         if part[-1][1] > hi:
             part[-1] = (part[-1][0], hi, *part[-1][2:])
-        if a == 1:
+        if a == 1 and scale == 1:
             out += [(x[0] + b, x[1] + b) + x[2:] for x in part]
         elif a > 0:
-            out += [(a * x[0] + b, a * x[1] + b, *[w / a for w in x[2:]]) for x in part]
+            f = scale // a
+            out += [(a * x[0] + b, a * x[1] + b, *[w * f for w in x[2:]]) for x in part]
         elif a < 0:
-            out += [(a * x[1] + b, a * x[0] + b, *[w / -a for w in x[2:]]) for x in part]
+            f = scale // -a
+            out += [(a * x[1] + b, a * x[0] + b, *[w * f for w in x[2:]]) for x in part]
         else:
-            out += [(b, b, *[w * (x[1] - x[0]) for w in x[2:]]) for x in part]
-    return grid * r, out
+            out += [(b, b, *[w * (x[1] - x[0]) * scale for w in x[2:]]) for x in part]
+    return grid * r, scale, out
 
 
 def _units(v: Rational, q: int) -> int:
@@ -350,7 +361,7 @@ class ArcSet:
 
     def _moved(self, table: tuple) -> "ArcSet":
         """The set walked through a chart table (see _walk)."""
-        q, moved = _walk(self._q, self._runs, table)
+        q, _, moved = _walk(self._q, self._runs, table)
         return ArcSet._from_runs(q, merge_segments(moved))
 
     @property

@@ -59,9 +59,9 @@ from itmlib.measure import (
 from itmlib.piecewise import (
     HitDiscontinuity,
     PiecewiseMap,
+    _visit_frequency,
     empirical_measure,
     from_itm,
-    visit_frequency,
     wandering_discontinuity_check,
 )
 from itmlib.plots import attractor_svg, cdf_svg, conjugacy_svg, density_svg
@@ -274,7 +274,7 @@ def _cmd_attractor(o, plot):
     }
     artifacts = {}
     if plot:
-        artifacts["attractor.svg"] = attractor_svg(result.iterates)
+        artifacts["attractor.svg"] = attractor_svg(result)
     return payload, artifacts
 
 
@@ -455,7 +455,7 @@ def _cmd_empirical(o, plot):
     ms = o["orbitLengths"] = (o["orbitLengths"] or [m]) if o["epsilons"] else None
     if ms is not None:
         try:
-            table = visit_frequency(t, o["x0"], ms, o["epsilons"])
+            table = _visit_frequency(t, o["x0"], ms, o["epsilons"], emp._orbit)
         except (ValueError, HitDiscontinuity) as exc:
             raise VerificationFailure(f"{exc} (piecewise.visit_frequency)") from exc
         payload["visitFrequency"] = {

@@ -8,9 +8,10 @@ evaluates them at the exact rational endpoints, so it is exact end to end
 and a measure with T#mu = mu has residual exactly zero.  The
 trigonometric family reads each measure as floats once, not once per
 member (``measure._float_view``, which divides the integer run ends by
-the grid): each endpoint, weight, atom position and mass becomes its
-nearest float, and from there only the transcendental evaluations and the
-float arithmetic on them round.  Each basis names the view it integrates over
+the grid and the integer weights by their denominator): each endpoint,
+weight, atom position and mass becomes its nearest float, and from there
+only the transcendental evaluations and the float arithmetic on them
+round.  Each basis names the view it integrates over
 (``view``) and has one integral loop over it (``integrate``).
 """
 

@@ -12,8 +12,8 @@ iterate loses: the forward table's slope-1 charts tile [0, q), so the hole
 D_k = A_k \\ A_{k+1} satisfies D_{k+1} = S(D_k) \\ S(A_{k+1}), and a step
 moves D_k through the charts, pulls each moved part back through the
 charts whose images overlap, and cuts what stays uncovered out of one
-sorted run list in place.  Each iterate wraps a copy of that list, so the
-iterates share their run tuples.
+sorted run list in place.  The result keeps the holes, not the iterates,
+and builds the iterates from them when they are read.
 The map moves each cell [i/q, (i+1)/q) rigidly onto a cell, so it acts on
 the cells as a function f, and ``_cell_orbit`` is the one walk of f that
 closes a cycle: it returns the cells before the orbit enters its cycle and
@@ -31,7 +31,7 @@ times the orbit passed 1, is lift // q.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cache, cached_property
@@ -101,12 +101,72 @@ class AttractorResult:
     stabilized_at = m and attractor = A_m is the true intersection of all
     forward images.  NO_WITHIN_BUDGET means the budget ran out first; the
     attractor field then holds the deepest iterate as an upper bound.
+
+    The result keeps the attractor and the holes D_k = A_k \\ A_{k+1}, each
+    as sorted runs of cells on the grid of 1/_hole_grid, so it holds the
+    runs the iteration moved, not a copy of every iterate.  ``iterates``,
+    the tuple (A_0, ..., A_m), is built from the holes on first read, by
+    A_0 the full circle and A_{k+1} = A_k \\ D_k.  Two results are equal
+    when they stabilize alike and their attractors and holes are equal
+    sets, on any grids, which makes their iterates equal.
     """
 
-    iterates: tuple[ArcSet, ...]
     stabilized_at: Optional[int]
     attractor: ArcSet
     finite_type: FiniteType
+    _hole_grid: int = field(repr=False)
+    _holes: tuple = field(repr=False)
+
+    @cached_property
+    def iterates(self) -> tuple[ArcSet, ...]:
+        return tuple(self._iterates(len(self._holes) + 1))
+
+    def _iterates(self, count: int) -> list[ArcSet]:
+        """The first count iterates A_0, A_1, ..., built from the holes."""
+        q, runs = self._hole_grid, [(0, self._hole_grid)]
+        out = [ArcSet.full()][:count]
+        for hole in self._holes[:max(count - 1, 0)]:
+            _cut(runs, hole)
+            out.append(_set_of_runs(q, runs[:]))
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AttractorResult):
+            return NotImplemented
+        if (self.stabilized_at, self.finite_type, len(self._holes)) != (
+            other.stabilized_at, other.finite_type, len(other._holes)
+        ) or self.attractor != other.attractor:
+            return False
+        # the holes on the grid that holds both
+        q = lcm(self._hole_grid, other._hole_grid)
+        k, j = q // self._hole_grid, q // other._hole_grid
+        return all(
+            [(a * k, b * k) for a, b in mine] == [(a * j, b * j) for a, b in yours]
+            for mine, yours in zip(self._holes, other._holes)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.stabilized_at, self.finite_type, self.attractor))
+
+
+def _cut(runs: list[tuple[int, int]], hole) -> None:
+    """Cut the sorted runs of a hole out of sorted runs, in place.  Each run
+    of the hole must lie within one of the runs; AssertionError if not."""
+    for u, v in hole:
+        # the run that must hold [u, v): the first ending after u
+        r = bisect.bisect_right(runs, u, key=_END)
+        if r == len(runs) or runs[r][0] > u or runs[r][1] < v:
+            raise AssertionError("forward images failed to nest")
+        # keep the parts of the run on either side of the hole
+        a, b = runs[r]
+        if a < u:
+            runs[r] = (a, u)
+            if v < b:
+                runs.insert(r + 1, (v, b))
+        elif v < b:
+            runs[r] = (v, b)
+        else:
+            del runs[r]
 
 
 @dataclass(frozen=True)
@@ -391,34 +451,21 @@ class Itm:
         one run of A_{k+1}, as S(D_k) within S(A_k) = A_{k+1} says, and
         raises AssertionError if not.  The map stabilizes at the first k
         with D_k empty.  A step costs the runs of D_k times the charts, not
-        the runs of A_k, and each iterate wraps a copy of the run list, so
-        the iterates share their run tuples.
+        the runs of A_k.  The result keeps the attractor's runs and the
+        holes D_0, ..., D_{m-1}, which after m steps hold far fewer runs than
+        the m iterates would; ``AttractorResult.iterates`` builds the
+        iterates from them when read.
         """
         if max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         q = self._table[0]
         runs, hole, _, _ = self._images
         runs = list(runs)
-        current = ArcSet.full()
-        iterates = [current]
+        holes = []
         for k in range(max_iter):
             if k:
                 hole = self._moved_hole(hole, runs)
-                for u, v in hole:
-                    # the run that must hold [u, v): the first ending after u
-                    r = bisect.bisect_right(runs, u, key=_END)
-                    if r == len(runs) or runs[r][0] > u or runs[r][1] < v:
-                        raise AssertionError("forward images failed to nest")
-                    # keep the parts of the run on either side of the hole
-                    a, b = runs[r]
-                    if a < u:
-                        runs[r] = (a, u)
-                        if v < b:
-                            runs.insert(r + 1, (v, b))
-                    elif v < b:
-                        runs[r] = (v, b)
-                    else:
-                        del runs[r]
+                _cut(runs, hole)
             arcs = len(runs) - _joins_at_zero(runs, q)
             if arcs > max_arcs:
                 raise BudgetExceeded(
@@ -427,10 +474,12 @@ class Itm:
                     value=max_arcs,
                 )
             if not hole:
-                return AttractorResult(tuple(iterates), k, current, FiniteType.YES)
-            current = _set_of_runs(q, runs[:])
-            iterates.append(current)
-        return AttractorResult(tuple(iterates), None, current, FiniteType.NO_WITHIN_BUDGET)
+                attractor = _set_of_runs(q, runs) if k else ArcSet.full()
+                return AttractorResult(k, attractor, FiniteType.YES, q, tuple(holes))
+            holes.append(hole)
+        return AttractorResult(
+            None, _set_of_runs(q, runs), FiniteType.NO_WITHIN_BUDGET, q, tuple(holes)
+        )
 
     def omega_to_depth(
         self, depth: int, max_points: int = DEFAULT_ORBIT_BUDGET

@@ -3,13 +3,19 @@
 A Measure lives on [0, 1] cut open at 0: density pieces never wrap through
 0 (wrapping arcs are split on construction) and atom positions are exact
 rationals in [0, 1], so segment maps can keep an atom at 1 distinct from
-one at 0.  The density is stored as merged runs (a, b, w) of cells
-[i/q, (i+1)/q) on the measure's own grid q: weight w per unit length on
-[a/q, b/q).  q is the lcm of the merged ends' denominators, so the
-representation is canonical, which makes equality of measures and exact
-invariance residuals decidable.  Two measures meet on the grid lcm(q, q'),
-a map's chart table moves the runs on integers (``circle._walk``), and the
-``density`` tuples of Fractions are a view built on first read.  Atoms are
+one at 0.  The density is stored as merged runs (a, b, n) of integers over
+one weight denominator W: weight n/W per unit length on the cells
+[a/q, b/q) of the measure's own grid q.  q is the lcm of the merged ends'
+denominators and W that of the weights' denominators, so no integer above
+1 divides q and every end, or W and every n: the representation is
+canonical, which makes equality of measures and exact invariance
+residuals decidable, and ``==`` and ``hash`` compare integers.
+Construction sums the weight changes along the line as integers over W
+(``_sweep``) and reduces q and W (``_own_grid``); a map's chart table moves
+the runs on integers (``circle._walk``), which scales their weights so that
+dividing by a slope stays exact, and the pushforward sums them over the
+scaled W.  The ``density`` tuples of Fractions are a view built on first
+read, and the largest weight and the float view read n / W.  Atoms are
 sorted (position, mass) pairs of Fractions.
 
 Every mass query reads one integer cumulative table, which a measure
@@ -31,7 +37,8 @@ Fraction per point and the limit check one per delta.  ``cdf_distance``
 and ``tv_distance`` walk the rows of two measures' tables once, merged on
 a common grid, and read F_mu - F_nu at each cut as an integer; the
 distance is one Fraction built at the end.  The trig integrals read the
-runs in floats (``_float_view``), each end a / q divided once.
+runs in floats (``_float_view``), each end a / q and each weight n / W
+divided once.
 """
 
 from __future__ import annotations
@@ -57,37 +64,36 @@ class AtomicMeasure(ValueError):
     """A non-atomic measure was required."""
 
 
-def _sweep(events: list[tuple[int, Rational]]) -> tuple[tuple[int, int, Fraction], ...]:
+def _sweep(events: list[tuple[int, int]]) -> tuple[tuple[int, int, int], ...]:
     """Sum (cell, weight change) events along the cut-open line into runs
     (a, b, level) of constant level, merging adjacent runs of equal level and
-    dropping runs of level 0.
-
-    The levels are summed as integers in units of 1/D, D the lcm of the
-    changes' denominators, and each run's level becomes one Fraction.
-    """
-    den = lcm(*(w.denominator for _, w in events))
+    dropping runs of level 0.  Changes and levels are integers over one
+    weight denominator, which the caller keeps."""
     steps: dict[int, int] = {}
     for x, w in events:
-        steps[x] = steps.get(x, 0) + w.numerator * (den // w.denominator)
-    out: list[list[int]] = []
+        steps[x] = steps.get(x, 0) + w
+    out: list[tuple[int, int, int]] = []
     level = prev = 0
     for x in sorted(steps):
         if level:
             if out and out[-1][1] == prev and out[-1][2] == level:
-                out[-1][1] = x
+                out[-1] = (out[-1][0], x, level)
             else:
-                out.append([prev, x, level])
+                out.append((prev, x, level))
         level += steps[x]
         prev = x
-    return tuple([(lo, hi, Fraction(w, den)) for lo, hi, w in out])
+    return tuple(out)
 
 
-def _own_grid(q: int, runs: tuple) -> tuple[int, tuple[tuple[int, int, Fraction], ...]]:
-    """Merged runs on the grid of 1/q moved to the coarsest grid holding their ends."""
-    g = gcd(q, *(e for a, b, _ in runs for e in (a, b)))
-    if g == 1:
-        return q, runs
-    return q // g, tuple([(a // g, b // g, w) for a, b, w in runs])
+def _own_grid(q: int, den: int, runs: tuple) -> tuple[int, int, tuple[tuple[int, int, int], ...]]:
+    """Merged runs (a, b, n) of weight n/den on the grid of 1/q moved to the
+    coarsest grid holding their ends, and their weights to the least
+    denominator: the canonical (grid, W, runs)."""
+    g = gcd(q, *map(itemgetter(0), runs), *map(itemgetter(1), runs))
+    h = gcd(den, *map(itemgetter(2), runs))
+    if g == 1 and h == 1:
+        return q, den, runs
+    return q // g, den // h, tuple([(a // g, b // g, n // h) for a, b, n in runs])
 
 
 def _merge_atoms(
@@ -123,26 +129,26 @@ def _add_neighbours(
 
 def _cumulative(
     q: int,
-    runs: tuple[tuple[int, int, Fraction], ...],
+    den: int,
+    runs: tuple[tuple[int, int, int], ...],
     atoms: tuple[tuple[Fraction, Fraction], ...],
 ) -> tuple[int, int, list[list[int]]]:
     """The grids Q and M and the rows [x, F(x-), F(x), slope of F on [x, next cut)].
 
-    F(x) is the mass of [0, x], for density runs on the grid of 1/q and atoms.
-    The cut x counts units of 1/Q, Q the lcm of q and the atoms'
-    denominators; F counts units of 1/M, M the lcm of Q times the weights'
-    denominators and the masses' denominators, and the slope units of 1/M
-    per cell of 1/Q.  The cuts are 0, Q, the run ends and the atom
-    positions, in increasing order.  Between two cuts F is linear, so every
-    query on the cut line reads one row.
+    F(x) is the mass of [0, x], for density runs (a, b, n) of weight n/den on
+    the grid of 1/q and atoms.  The cut x counts units of 1/Q, Q the lcm of
+    q and the atoms' denominators; F counts units of 1/M, M the lcm of Q
+    den and the masses' denominators, and the slope units of 1/M per cell
+    of 1/Q.  The cuts are 0, Q, the run ends and the atom positions, in
+    increasing order.  Between two cuts F is linear, so every query on the
+    cut line reads one row.
     """
     grid = lcm(q, *(p.denominator for p, _ in atoms))
-    dens = lcm(*(w.denominator for _, _, w in runs))
-    unit = lcm(grid * dens, *(m.denominator for _, m in atoms))
-    k, per_cell = grid // q, unit // grid
+    unit = lcm(grid * den, *(m.denominator for _, m in atoms))
+    k, per_weight = grid // q, unit // (grid * den)
     events = [(_units(p, grid), 0, _units(m, unit)) for p, m in atoms]
-    for a, b, w in runs:
-        v = _units(w, per_cell)
+    for a, b, n in runs:
+        v = n * per_weight
         events += [(a * k, v, 0), (b * k, -v, 0)]
     events.append((grid, 0, 0))
     events.sort(key=itemgetter(0))
@@ -166,11 +172,12 @@ class Measure:
     mass) atoms.  ``density`` reads back disjoint, sorted pieces that never
     wrap through 0, and ``atoms`` sorted (position, mass) pairs.  The
     pieces are stored as merged runs of cells on the coarsest grid of 1/q
-    holding their ends, so equal measures store equal data and ``==`` and
+    holding their ends, with integer weights over the least denominator
+    holding them, so equal measures store equal integers and ``==`` and
     ``hash`` decide measure equality.
     """
 
-    __slots__ = ("_grid", "_cells", "atoms", "_density", "_cdf")
+    __slots__ = ("_grid", "_den", "_cells", "atoms", "_density", "_cdf")
 
     def __init__(
         self,
@@ -186,25 +193,29 @@ class Measure:
             if hi > lo and w > 0:
                 pieces.append((lo, hi, w))
         q = lcm(*(v.denominator for lo, hi, _ in pieces for v in (lo, hi)))
-        events = [
-            e for lo, hi, w in pieces for e in ((_units(lo, q), w), (_units(hi, q), -w))
-        ]
-        self._keep(*_own_grid(q, _sweep(events)), _merge_atoms(atoms))
+        den = lcm(*(w.denominator for _, _, w in pieces))
+        events = []
+        for lo, hi, w in pieces:
+            n = w.numerator * (den // w.denominator)
+            events += [(_units(lo, q), n), (_units(hi, q), -n)]
+        self._keep(*_own_grid(q, den, _sweep(events)), _merge_atoms(atoms))
 
-    def _keep(self, grid: int, cells: tuple, atoms: tuple) -> None:
-        # cells: merged runs (a, b, w) on the grid of 1/grid, grid reduced;
-        # atoms: sorted, merged (position, mass) pairs with nonzero mass
+    def _keep(self, grid: int, den: int, cells: tuple, atoms: tuple) -> None:
+        # cells: merged runs (a, b, n) of weight n/den on the grid of 1/grid,
+        # grid and den reduced; atoms: sorted, merged (position, mass) pairs
+        # with nonzero mass
         object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "_density", None)
         object.__setattr__(self, "_cdf", None)
 
     @classmethod
-    def _on_cells(cls, grid: int, cells: tuple, atoms: tuple) -> "Measure":
+    def _on_cells(cls, grid: int, den: int, cells: tuple, atoms: tuple) -> "Measure":
         """The measure of canonical cells and atoms, as ``_keep`` takes them."""
         out = cls.__new__(cls)
-        out._keep(grid, cells, atoms)
+        out._keep(grid, den, cells, atoms)
         return out
 
     def __setattr__(self, name, value):
@@ -239,15 +250,17 @@ class Measure:
         if cells == 0:
             raise ValueError("cannot normalize Lebesgue measure on a null set")
         # the set's runs are sorted, disjoint and non-adjacent: merged cells
-        w = Fraction(q, cells)
-        return cls._on_cells(*_own_grid(q, tuple([(a, b, w) for a, b in runs])), ())
+        # of the weight q/cells
+        return cls._on_cells(*_own_grid(q, cells, tuple([(a, b, q) for a, b in runs])), ())
 
     @property
     def density(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
         """Disjoint (lo, hi, weight-per-unit-length) pieces, sorted."""
         if self._density is None:
-            q = self._grid
-            pieces = tuple((Fraction(a, q), Fraction(b, q), w) for a, b, w in self._cells)
+            q, den = self._grid, self._den
+            pieces = tuple(
+                (Fraction(a, q), Fraction(b, q), Fraction(n, den)) for a, b, n in self._cells
+            )
             object.__setattr__(self, "_density", pieces)
         return self._density
 
@@ -298,12 +311,12 @@ class Measure:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Measure):
             return NotImplemented
-        return (self._grid, self._cells, self.atoms) == (
-            other._grid, other._cells, other.atoms
+        return (self._grid, self._den, self._cells, self.atoms) == (
+            other._grid, other._den, other._cells, other.atoms
         )
 
     def __hash__(self) -> int:
-        return hash((self._grid, self._cells, self.atoms))
+        return hash((self._grid, self._den, self._cells, self.atoms))
 
     def __repr__(self) -> str:
         d = ", ".join(f"[{lo},{hi})x{w}" for lo, hi, w in self.density)
@@ -325,7 +338,9 @@ class Cdf:
 
     def __init__(self, measure: Measure):
         self.measure = measure
-        self._grid, self._unit, rows = _cumulative(measure._grid, measure._cells, measure.atoms)
+        self._grid, self._unit, rows = _cumulative(
+            measure._grid, measure._den, measure._cells, measure.atoms
+        )
         self._ticks, self._left, self._at, self._slopes = zip(*rows)
 
     @cached_property
@@ -431,14 +446,17 @@ def pushforward(t, mu: Measure) -> Measure:
     The density runs walk through the map's chart table on integers
     (``circle._walk``), each run's weight divided by |a|, so every chart
     keeps its mass; a flat chart gathers the mass it covers into one atom
-    at its value b.  Atoms move by the map's own evaluate, so boundary
-    values apply.
+    at its value b.  The walk scales the integer weights so that each
+    division is exact, and the moved runs are summed over the scaled
+    denominator.  Atoms move by the map's own evaluate, so boundary values
+    apply.
     """
-    q, moved = _walk(mu._grid, mu._cells, t._table)
-    events = [e for a, b, w in moved if a < b for e in ((a, w), (b, -w))]
-    atoms = [(Fraction(a, q), w / q) for a, b, w in moved if a == b]
+    q, scale, moved = _walk(mu._grid, mu._cells, t._table)
+    den = mu._den * scale
+    events = [e for a, b, n in moved if a < b for e in ((a, n), (b, -n))]
+    atoms = [(Fraction(a, q), Fraction(n, den * q)) for a, b, n in moved if a == b]
     atoms += [(frac(t.evaluate(p)), m) for p, m in mu.atoms]
-    return Measure._on_cells(*_own_grid(q, _sweep(events)), _add_neighbours(atoms))
+    return Measure._on_cells(*_own_grid(q, den, _sweep(events)), _add_neighbours(atoms))
 
 
 def _rigid_pieces(s: Itm, mu: Measure) -> tuple[int, int, list[tuple]]:
@@ -631,7 +649,7 @@ def mass_near_points(
 
 def _largest_weight(mu: Measure) -> Fraction:
     """The largest density weight of mu, read from its runs; 0 without any."""
-    return max((w for _, _, w in mu._cells), default=ZERO)
+    return Fraction(max((n for _, _, n in mu._cells), default=0), mu._den)
 
 
 def _rows(mu: Measure) -> tuple[int, int, tuple, tuple, tuple]:
@@ -664,10 +682,11 @@ def _values_at(cdf: Cdf, numerators: Iterable[int], den: int) -> tuple[int, list
 
 def _float_view(mu: Measure) -> tuple[list, list]:
     """mu's density runs (lo, hi, weight) and atoms (position, mass) in
-    floats.  The run ends are read from the integer runs: a / q on ints
-    rounds once, to the float of Fraction(a, q)."""
-    q = mu._grid
-    runs = [(a / q, b / q, float(w)) for a, b, w in mu._cells]
+    floats.  The run ends and weights are read from the integer runs: a / q
+    and n / W on ints round once, to the floats of Fraction(a, q) and
+    Fraction(n, W)."""
+    q, den = mu._grid, mu._den
+    runs = [(a / q, b / q, n / den) for a, b, n in mu._cells]
     return runs, [(float(p), float(m)) for p, m in mu.atoms]
 
 

@@ -349,6 +349,24 @@ def visit_frequency(
     epsilons: Sequence[Rational],
 ) -> VisitFrequencyTable:
     """Exact visit counts of discontinuity neighbourhoods along the orbit."""
+    return _visit_frequency(t, x0, ms, epsilons, None)
+
+
+def _visit_frequency(
+    t: PiecewiseMap,
+    x0: Rational,
+    ms: Union[int, Sequence[int]],
+    epsilons: Sequence[Rational],
+    walk: Optional[_Walk],
+) -> VisitFrequencyTable:
+    """``visit_frequency``, counted on a walk of x0's orbit when one is given
+    that covers the longest orbit asked for (a closed walk, or one of that
+    many points), so that ``cli empirical`` walks its orbit once.
+
+    Each distinct point's distance to H is read from its neighbours in the
+    sorted H, found by bisection: on the circle the two points of H on
+    either side, the last and the first for a point outside [h_0, h_{n-1}].
+    """
     if isinstance(ms, Number):  # one orbit length, checked as the others are
         ms = (ms,)
     ms = sorted(_integer(m, "ms") for m in ms)
@@ -361,8 +379,16 @@ def visit_frequency(
     if not h:
         raise ValueError("the map has no discontinuity points to visit")
     x0 = frac(x0)
-    walk = _walk(t, x0, ms[-1] + 1)
-    dists = [t.distance_to(p, h) for p in walk.points]
+    if walk is None or (walk.start is None and len(walk.points) <= ms[-1]):
+        walk = _walk(t, x0, ms[-1] + 1)
+    circle, n = t.domain is Domain.CIRCLE, len(h)
+    dists = []
+    for p in walk.points:
+        i = bisect.bisect_left(h, p)
+        if circle:
+            dists.append(min(circle_distance(p, h[i - 1]), circle_distance(p, h[i % n])))
+        else:
+            dists.append(min(abs(p - h[j]) for j in (i - 1, i) if 0 <= j < n))
     entries = []
     for m in ms:
         visits = walk.visits(m + 1)
@@ -381,7 +407,8 @@ class EmpiricalMeasure:
     mass from the base point to next_point, so the defect in total
     variation is 2/m exactly unless the orbit closed up.  An orbit that
     revisits a point repeats its cycle, so measure holds one atom per
-    distinct point, weighted by its visit count.
+    distinct point, weighted by its visit count.  _orbit keeps the walk
+    that found them, for the visit counts of ``cli empirical``.
     """
 
     base_point: Fraction
@@ -389,6 +416,7 @@ class EmpiricalMeasure:
     next_point: Fraction
     measure: Measure
     map: PiecewiseMap
+    _orbit: Optional[_Walk] = field(default=None, repr=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -457,6 +485,7 @@ def empirical_measure(t: PiecewiseMap, x0: Rational, m: int) -> EmpiricalMeasure
         next_point=next_point,
         measure=mu,
         map=t,
+        _orbit=walk,
     )
 
 

@@ -7,16 +7,15 @@ library stores: a measure's runs and atoms in floats
 (``measure._float_view``), its distribution function's rows
 (``measure._rows``) and each iterate's runs of cells (``circle._arc_runs``),
 each value a / q divided once, which is the float of Fraction(a, q).  An
-attractor's chart draws at most 64 rows: the first iterates and the
-attractor, with a note of the rows left out.
+attractor's chart draws at most 64 rows: the first iterates, built from
+the result's holes, and the attractor, with a note of the rows left out.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from itmlib.circle import ArcSet, _arc_runs
+from itmlib.circle import _arc_runs
 from itmlib.conjugacy import ConjugacyData
+from itmlib.itm import AttractorResult
 from itmlib.measure import Measure, _float_view, _rows
 
 WIDTH = 640
@@ -119,16 +118,18 @@ def cdf_svg(mu: Measure, title: str = "distribution function") -> str:
     return _document(body, title)
 
 
-def attractor_svg(iterates: Sequence[ArcSet]) -> str:
-    """One bar per iterate A_k, arcs filled, the final row is the attractor.
+def attractor_svg(result: AttractorResult) -> str:
+    """One bar per iterate A_k of an attractor run, arcs filled, the final
+    row is the attractor.
 
     Past _MAX_ROWS iterates, the chart draws the first _MAX_ROWS - 1 and the
-    attractor, and a line under them says how many rows it left out.
+    attractor, and a line under them says how many rows it left out.  It
+    builds only the iterates it draws.
     """
-    shown = list(enumerate(iterates))
-    if len(shown) > _MAX_ROWS:
-        shown = shown[: _MAX_ROWS - 1] + shown[-1:]
-    rows = len(shown) + (len(shown) < len(iterates))
+    count = len(result._holes) + 1
+    first = result._iterates(min(count, _MAX_ROWS) - 1)
+    shown = [*enumerate(first), (count - 1, result.attractor)]
+    rows = len(shown) + (len(shown) < count)
     height = max(2 * MARGIN + 24 * rows, HEIGHT // 2)
     body = []
     for row, (k, a) in enumerate(shown):
@@ -149,11 +150,11 @@ def attractor_svg(iterates: Sequence[ArcSet]) -> str:
             f'<text x="{MARGIN - 34}" y="{y + 12}" font-size="11" '
             f'fill="{_AXIS}">A_{k}</text>'
         )
-    if len(shown) < len(iterates):
-        y, left_out = MARGIN + 24 * len(shown) + 12, len(iterates) - len(shown)
+    if len(shown) < count:
+        y, left_out = MARGIN + 24 * len(shown) + 12, count - len(shown)
         body.append(
             f'<text x="{MARGIN}" y="{y}" font-size="11" fill="{_AXIS}">{left_out} of '
-            f'{len(iterates)} rows left out: A_{_MAX_ROWS - 1} to A_{len(iterates) - 2}</text>'
+            f'{count} rows left out: A_{_MAX_ROWS - 1} to A_{count - 2}</text>'
         )
     return _document(body, "forward images", height=height)
 

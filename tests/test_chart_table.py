@@ -25,13 +25,14 @@ def assert_walks_agree(q: int, runs: list, table: tuple) -> None:
     """The chart-major walk moves the runs as the oracle moves their segments
     through the table's charts read as Fractions: the same parts, in chart
     order rather than run order."""
-    grid, moved = _walk(q, runs, table)
+    grid, scale, moved = _walk(q, runs, table)
     g, r, charts = table
     charts = [(F(lo, g), F(hi, g), F(a, r), F(b, g * r)) for lo, hi, a, b in charts]
     segments = [(F(lo, q), F(hi, q), *weight) for lo, hi, *weight in runs]
-    # a flat chart's empty run carries grid times the mass it gathered
+    # every moved weight comes times the scale, and a flat chart's empty run
+    # carries grid times the mass it gathered
     got = [
-        (F(lo, grid), F(hi, grid), *(w if lo < hi else w / grid for w in weight))
+        (F(lo, grid), F(hi, grid), *(w / scale if lo < hi else w / (grid * scale) for w in weight))
         for lo, hi, *weight in moved
     ]
     assert sorted(got) == sorted(oracle.walk(segments, charts))

@@ -357,6 +357,29 @@ class TestEmpirical:
         assert probe["returnTime"] == 1
         assert (out / "visit-frequency.csv").read_text().startswith("m,eps,f\n")
 
+    @pytest.mark.parametrize("config, walks", [
+        # a slope-1 orbit closes, so its walk serves every orbit length
+        ({"map": {"breakpoints": ["0", "1/2"], "shifts": ["1/4", "1/2"]}, "x0": "1/7",
+          "m": 100, "orbitLengths": [10, 1000]}, 1),
+        # the halving orbit from 1/3 never closes: its walk of m points
+        # serves lengths below m, and a longer one takes a walk of its own
+        ({**HALVING, "x0": "1/3", "m": 64, "orbitLengths": [8, 63]}, 1),
+        ({**HALVING, "x0": "1/3", "m": 64, "orbitLengths": [8, 64]}, 2),
+    ])
+    def test_empirical_walks_each_orbit_once(self, tmp_path, capsys, monkeypatch, config, walks):
+        piecewise = sys.modules["itmlib.piecewise"]
+        walk, called = piecewise._walk, []
+
+        def counted(*args):
+            called.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(piecewise, "_walk", counted)
+        config = {**config, "epsilons": ["1/8", "1/64"]}
+        code, report, _ = run(capsys, "empirical", "--config", write_config(tmp_path, config))
+        assert code == 0 and len(report["visitFrequency"]["entries"]) == 4
+        assert len(called) == walks
+
     def test_orbit_from_the_discontinuity_is_exit_three(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"map": HALVING, "x0": "0", "m": 4})
         code, _, err = run(capsys, "empirical", "--config", cfg)

@@ -484,34 +484,55 @@ class TestAttractorAgainstReference:
 
 
 class TestAttractorMovesHoles:
-    """A step moves the hole it opens, not the iterate, and the iterates are
-    copies of one run list that share their runs."""
+    """A step moves the hole it opens, not the iterate, and the result keeps
+    the holes and the attractor: the iterates are built from them on read."""
 
     def test_a_deep_map_looks_up_far_fewer_cells_than_its_iterates_hold(self, piece_lookups):
         s = Itm(DEEP_MAPS[-1].breakpoints, DEEP_MAPS[-1].shifts)  # a fresh map, with no table yet
         res = s.attractor()
+        lookups = len(piece_lookups)
         held = sum(len(_runs_of(a)[1]) for a in res.iterates)
         # 2609 steps over iterates of up to 47 arcs: a step that moved every
         # run would look one up per run
         assert res.stabilized_at == 2609 and held > 100000
-        assert len(piece_lookups) < held / 10
+        assert lookups < held / 10
 
-    def test_iterates_share_their_run_tuples(self):
+    def test_a_deep_result_holds_its_holes_not_its_iterates(self):
+        # the last map stabilizes after 2609 steps: its holes and attractor
+        # hold about one run per step, its iterates 47 times as many
         for s in DEEP_MAPS:
             res = s.attractor()
-            distinct = {id(run) for a in res.iterates for run in _runs_of(a)[1]}
-            assert len(distinct) <= 2 * (res.stabilized_at + len(res.attractor))
-            assert sum(len(_runs_of(a)[1]) for a in res.iterates) > 10 * len(distinct)
+            assert "iterates" not in vars(res)
+            kept = sum(len(hole) for hole in res._holes) + len(_runs_of(res.attractor)[1])
+            assert kept <= 2 * (res.stabilized_at + len(res.attractor))
+            listed = sum(len(_runs_of(a)[1]) for a in res.iterates)
+            assert listed > 10 * kept
+
+    def test_each_hole_is_what_its_step_cuts(self, acceptance_sweep_maps):
+        # D_k = A_k \ A_{k+1}, on the grid of the map's chart table
+        for s in [*acceptance_sweep_maps[:40], *DEEP_MAPS]:
+            res = s.attractor()
+            assert len(res.iterates) == len(res._holes) + 1
+            assert res.iterates[-1] == res.attractor
+            for k, hole in enumerate(res._holes):
+                assert hole and ArcSet._from_runs(res._hole_grid, list(hole)) == (
+                    res.iterates[k] - res.iterates[k + 1]
+                )
 
     def test_the_chart_of_a_deep_map_stays_bounded(self):
         # attractor.svg draws the first 63 iterates and the attractor, and a
         # line naming the rows left out, so its size stops growing with the
-        # depth; charts of up to 64 iterates draw every row
-        res = DEEP_MAPS[-1].attractor()
+        # depth; charts of up to 64 iterates draw every row.  A run cut short
+        # after depth - 1 steps has depth iterates.
+        s = DEEP_MAPS[-1]
+        res = s.attractor()
         arcs = max(len(a) for a in res.iterates)
         sizes = {}
         for depth in (32, 64, 65, 256, 1024, len(res.iterates)):
-            svg = attractor_svg(res.iterates[: depth - 1] + res.iterates[-1:])
+            run = s.attractor(max_iter=depth - 1) if depth < len(res.iterates) else s.attractor()
+            svg = attractor_svg(run)
+            # the chart builds only the rows it draws
+            assert "iterates" not in vars(run)
             labels = re.findall(r">A_(\d+)<", svg)
             shown = min(depth, 64)
             assert labels == [*map(str, range(shown - 1)), str(depth - 1)]
@@ -520,6 +541,13 @@ class TestAttractorMovesHoles:
         assert sizes[32] < sizes[64]
         # past 64 iterates only the last row and the note change
         assert max(sizes.values()) - sizes[64] < 100 * (arcs + 2)
+
+    def test_the_chart_draws_the_rows_the_iterates_hold(self):
+        # the rows built from the holes are the iterates'
+        for s in (half_collapse(), rotation("1/3"), *DEEP_MAPS):
+            res = s.attractor()
+            count = min(len(res.iterates), 64)
+            assert res._iterates(count - 1) == list(res.iterates[: count - 1])
 
     def test_the_nesting_check_still_raises(self, monkeypatch):
         # a hole that does not lie within the iterate fails the cut
@@ -572,6 +600,46 @@ class TestAttractorMetamorphic:
             refined = s.with_breakpoint(F(1, k * q))
             assert refined.common_denominator() == k * q
             assert refined.attractor() == s.attractor()
+
+    def test_refining_the_grid_leaves_every_result_equal(self, approximant_level_maps):
+        # results cut short by either budget, and raised ones, on grids of
+        # tens of bits and on the deep maps cut short
+        cases = [(s, 48, 24) for s in approximant_level_maps]
+        cases += [(s, max_iter, DEFAULT_MAX_ARCS) for s in DEEP_MAPS for max_iter in (1, 300)]
+        for s, max_iter, max_arcs in cases:
+            q = s.common_denominator()
+            refined = s.with_breakpoint(F(1, 3 * q))
+            assert refined.common_denominator() == 3 * q
+            fine = outcome(refined.attractor, max_iter, max_arcs)
+            assert fine == outcome(s.attractor, max_iter, max_arcs)
+            if fine[0] == "ok":
+                assert fine[1].iterates == s.attractor(max_iter, max_arcs).iterates
+
+    def test_rotating_by_grid_steps_rotates_the_holes(self, acceptance_sweep_maps):
+        rng = random.Random(19)
+        for s in [*acceptance_sweep_maps[:40], *DEEP_MAPS]:
+            q = s.common_denominator()
+            r = F(rng.choice([1, rng.randrange(1, q)]), q)
+            res, moved = s.attractor(), oracle.rotated(s, r).attractor()
+            assert len(moved._holes) == len(res._holes)
+            for hole, image in zip(res._holes, moved._holes):
+                # the holes of the rotated map are the holes rotated
+                assert ArcSet._from_runs(moved._hole_grid, list(image)) == (
+                    ArcSet._from_runs(res._hole_grid, list(hole)).translate(r)
+                )
+
+    def test_equal_results_need_equal_holes(self):
+        res = DEEP_MAPS[0].attractor()
+        q, holes = res._hole_grid, res._holes
+
+        def forged(grid, kept):
+            return AttractorResult(res.stabilized_at, res.attractor, res.finite_type, grid, kept)
+
+        # the same holes on a grid three times finer, and one hole moved
+        assert forged(3 * q, tuple([(3 * a, 3 * b) for a, b in h] for h in holes)) == res
+        (a, b), *rest = holes[5]
+        assert forged(q, holes[:5] + ([(a + 1, b + 1), *rest],) + holes[6:]) != res
+        assert forged(q, holes[:-1]) != res
 
     def test_denominator_above_2_16_takes_the_same_kernel(self, acceptance_sweep_maps):
         for s in acceptance_sweep_maps[:20]:

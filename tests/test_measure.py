@@ -5,7 +5,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -349,8 +349,10 @@ class TestAttractorMeasure:
             a = att.attractor
             assert verdict(s, att) is residual_zero(s, a) is True
             if att.stabilized_at >= 1:
+                # the run one step short: A_{m-1} and the holes before it
                 early = AttractorResult(
-                    att.iterates[:-1], att.stabilized_at - 1, att.iterates[-2], FiniteType.YES
+                    att.stabilized_at - 1, att.iterates[-2], FiniteType.YES,
+                    att._hole_grid, att._holes[:-1],
                 )
                 assert verdict(s, early) is residual_zero(s, early.attractor) is False
                 forged_early += 1
@@ -361,7 +363,9 @@ class TestAttractorMeasure:
                 cell = int(s.evaluate(F(cell, q)).value * q)
             cycle = cycle[cycle.index(cell):]
             sub = ArcSet.from_segments([(F(c, q), F(c + 1, q)) for c in cycle])
-            forged = AttractorResult(att.iterates, att.stabilized_at, sub, FiniteType.YES)
+            forged = AttractorResult(
+                att.stabilized_at, sub, FiniteType.YES, att._hole_grid, att._holes
+            )
             assert verdict(s, forged) is residual_zero(s, sub) is True
             proper += sub != a
         assert forged_early > 50 and proper > 30
@@ -707,6 +711,14 @@ def raw_on_grid(rng: random.Random, q: int):
     return density, atoms
 
 
+def swept_over_one_denominator(events) -> tuple:
+    """measure._sweep of Fraction changes, each an integer over the lcm D of
+    their denominators, with the summed levels read back over D."""
+    den = lcm(*(w.denominator for _, w in events))
+    ints = [(x, w.numerator * (den // w.denominator)) for x, w in events]
+    return tuple((a, b, F(n, den)) for a, b, n in measure_module._sweep(ints))
+
+
 def assert_integer_rows_match(table, rows) -> None:
     """The integer rows (Q, M, rows) of _cumulative read as the Fraction rows."""
     grid, unit, ints = table
@@ -723,7 +735,7 @@ def assert_grid_layer_matches(mu: Measure, density, atoms, rng: random.Random) -
     assert mu == model
     fast, ref = mu.cdf(), oracle.Cdf(model)
     assert_integer_rows_match(
-        measure_module._cumulative(mu._grid, mu._cells, mu.atoms), ref.rows()
+        measure_module._cumulative(mu._grid, mu._den, mu._cells, mu.atoms), ref.rows()
     )
     assert fast.cuts == ref.cuts
     assert (fast.value_left, fast.value_at, fast.slopes) == (
@@ -786,7 +798,7 @@ class TestGridLayerAgainstFractionLayer:
     def test_integer_sweep(self, raw):
         # signed changes with mixed denominators
         events = [(x, F(n, d)) for x, n, d in raw]
-        assert measure_module._sweep(list(events)) == oracle.sweep(events)
+        assert swept_over_one_denominator(events) == oracle.sweep(events)
 
     def test_integer_sweep_drops_zero_levels_and_merges_equal_ones(self):
         events = [
@@ -796,7 +808,7 @@ class TestGridLayerAgainstFractionLayer:
             (10, F(1, 3)), (10, F(-1, 3)), (12, F(-1, 5)), (13, F(1, 5)),
         ]
         expected = ((0, 4, F(1, 2)), (6, 8, F(1, 2)), (12, 13, F(-1, 5)))
-        assert measure_module._sweep(list(events)) == oracle.sweep(events) == expected
+        assert swept_over_one_denominator(events) == oracle.sweep(events) == expected
         assert measure_module._sweep([]) == oracle.sweep([]) == ()
 
     @given(GRIDS, st.integers(0, 2**32))
@@ -806,9 +818,10 @@ class TestGridLayerAgainstFractionLayer:
         density, _ = raw_on_grid(rng, q)
         density += [(lo, hi, w * F(rng.randint(1, 7), rng.randint(1, 7))) for lo, hi, w in density]
         events = [e for lo, hi, w in density for e in ((lo * q, w), (hi * q, -w))]
-        reference = Measure._on_cells(
-            *measure_module._own_grid(q, oracle.sweep([(int(x), w) for x, w in events])), ()
-        )
+        swept = oracle.sweep([(int(x), w) for x, w in events])
+        den = lcm(*(w.denominator for _, _, w in swept))
+        runs = tuple((a, b, w.numerator * (den // w.denominator)) for a, b, w in swept)
+        reference = Measure._on_cells(*measure_module._own_grid(q, den, runs), ())
         mu = Measure(density)
         assert mu == reference and hash(mu) == hash(reference)
 
@@ -826,9 +839,12 @@ class TestGridLayerAgainstFractionLayer:
             a = rng.choice([F(1), F(2), F(1, 3), F(-1), F(-5, 2), F(0)])
             charts.append((F(lo, p), F(rng.randint(lo + 1, p), p), a, F(rng.randint(-p, p), p)))
         charts.sort()
-        grid, moved = _walk(mu._grid, mu._cells, _chart_table(charts))
+        grid, scale, moved = _walk(mu._grid, mu._cells, _chart_table(charts))
+        # the moved integer weights are over mu's denominator times the scale
+        den = mu._den * scale
         read = [
-            (F(a, grid), F(b, grid), w if a < b else w / grid) for a, b, w in moved
+            (F(a, grid), F(b, grid), F(n, den) if a < b else F(n, den * grid))
+            for a, b, n in moved
         ]
         assert sorted(read) == sorted(oracle.walk(mu.density, charts))
 
@@ -1268,3 +1284,116 @@ class TestFunctionalResidual:
                 val = s.evaluate(CirclePoint(x)).value
                 chart = next(c for c in charts if c[0] <= x < c[1])
                 assert chart[2] * x + chart[3] == val
+
+
+def sloped_maps() -> list[PiecewiseMap]:
+    """A segment map and a circle map, each with pieces of slopes 2, 1/2 and
+    -1 and one flat piece."""
+    segment = PiecewiseMap(Domain.SEGMENT, (
+        AffinePiece(F(0), F(1, 4), F(2), F(0)),  # onto [0, 1/2)
+        AffinePiece(F(1, 4), F(1, 2), F(1, 2), F(1, 2)),  # onto [5/8, 3/4)
+        AffinePiece(F(1, 2), F(3, 4), F(-1), F(5, 4)),  # onto (1/2, 3/4]
+        AffinePiece(F(3, 4), F(1), F(0), F(1, 8)),
+    ))
+    circle = PiecewiseMap(Domain.CIRCLE, (
+        AffinePiece(F(0), F(1, 2), F(2), F(1, 3)),  # once around, through 0
+        AffinePiece(F(1, 2), F(3, 4), F(1, 2), F(1, 7)),
+        AffinePiece(F(3, 4), F(7, 8), F(-1), F(1)),
+        AffinePiece(F(7, 8), F(1), F(0), F(2, 5)),
+    ))
+    return [segment, circle]
+
+
+def float_view(model) -> tuple[list, list]:
+    """The oracle measure's pieces and atoms, each Fraction read as a float."""
+    return (
+        [(float(lo), float(hi), float(w)) for lo, hi, w in model.density],
+        [(float(p), float(m)) for p, m in model.atoms],
+    )
+
+
+def assert_canonical_weights(mu: Measure) -> None:
+    """The runs hold integer weights over one denominator that shares no
+    factor with all of them, on a grid that shares none with all the ends."""
+    ends = [e for a, b, _ in mu._cells for e in (a, b)]
+    weights = [n for _, _, n in mu._cells]
+    assert all(type(v) is int for v in (mu._grid, mu._den, *ends, *weights))
+    assert gcd(mu._grid, *ends) == 1 and gcd(mu._den, *weights) == 1
+    assert mu._den == lcm(*(w.denominator for _, _, w in mu.density))
+
+
+class TestIntegerWeightsAgainstReference:
+    """A measure keeps its density weights as integers over one denominator;
+    the density view, uniform_on, pushforward, tv_distance and the float
+    view of the trig family read them as the oracle's Fraction pieces."""
+
+    def check(self, t, mu: Measure, model) -> None:
+        assert mu == model
+        assert_canonical_weights(mu)
+        pushed, reference = pushforward(t, mu), oracle.pushforward(t, model)
+        assert pushed == reference
+        assert_canonical_weights(pushed)
+        assert tv_distance(pushed, mu) == oracle.tv_distance(reference, model)
+        assert measure_module._float_view(pushed) == float_view(reference)
+        assert measure_module._largest_weight(pushed) == max(
+            (w for _, _, w in reference.density), default=0
+        )
+        # the trig residual integrates the float views of mu and T#mu
+        family = TrigFamily(4)
+        expected = max(
+            abs(phi.integrate(*float_view(model)) - phi.integrate(*float_view(reference)))
+            for phi in family
+        )
+        assert invariance_residual_functional(t, mu, family) == expected
+
+    def test_acceptance_sweep(self, acceptance_sweep_maps):
+        rng = random.Random(31)
+        for s in acceptance_sweep_maps:
+            a = s.attractor().attractor
+            segments = a.segments()
+            length = sum(hi - lo for lo, hi in segments)
+            uniform = Measure.uniform_on(a)
+            self.check(s, uniform, oracle.Measure([(lo, hi, 1 / length) for lo, hi in segments]))
+            density, atoms = raw_on_grid(rng, s.common_denominator())
+            self.check(s, Measure(density, atoms), oracle.Measure(density, atoms))
+
+    @pytest.mark.parametrize("t", sloped_maps(), ids=lambda t: t.domain.value)
+    def test_maps_of_slopes_two_one_half_minus_one_and_zero(self, t):
+        assert sorted({a for _, _, a, _ in t.affine_segments()}) == [-1, 0, F(1, 2), 2]
+        rng = random.Random(37)
+        for _ in range(60):
+            q = rng.choice([rng.randint(2, 97), 24, 2**17 + rng.randint(1, 99)])
+            density, atoms = raw_on_grid(rng, q)
+            self.check(t, Measure(density, atoms), oracle.Measure(density, atoms))
+
+    @pytest.mark.parametrize("domain", list(Domain))
+    def test_random_maps_of_every_slope(self, domain):
+        rng = random.Random(41)
+        for _ in range(60):
+            t = random_piecewise_map(rng, domain)
+            density, atoms = raw_on_grid(rng, rng.choice([rng.randint(2, 97), 36]))
+            self.check(t, Measure(density, atoms), oracle.Measure(density, atoms))
+
+    def test_weights_past_53_bits_round_once(self):
+        # n / W of integers rounds once; a float of n first would round twice
+        # and miss the float of a weight by an ulp
+        big = F(5865050356743306309, 139369621766914201)
+        density = [(F(0), F(1, 2), big), (F(1, 2), F(1), F(1, 3))]
+        mu, model = Measure(density), oracle.Measure(density)
+        den = mu._den
+        assert any(float(n) / den != n / den for _, _, n in mu._cells)
+        assert measure_module._float_view(mu) == float_view(model)
+        self.check(rotation("1/3"), mu, model)
+
+    def test_a_slope_below_one_raises_the_weights_exactly(self):
+        # x -> x/2 spreads [0, 1) onto [0, 1/2) at twice the weight, and
+        # x -> 2x onto [0, 1) at half the weight, over the same denominator
+        half = PiecewiseMap(Domain.SEGMENT, (AffinePiece(F(0), F(1), F(1, 2), F(0)),))
+        double = PiecewiseMap(Domain.SEGMENT, (AffinePiece(F(0), F(1, 2), F(2), F(0)),
+                                                AffinePiece(F(1, 2), F(1), F(0), F(1))))
+        mu = Measure(((F(0), F(1), F(3, 7)),))
+        assert pushforward(half, mu).density == ((F(0), F(1, 2), F(6, 7)),)
+        pushed = pushforward(double, mu)
+        assert pushed.density == ((F(0), F(1), F(3, 14)),)
+        assert pushed.atoms == ((F(1), F(3, 14)),)
+        assert (pushed._grid, pushed._den, pushed._cells) == (1, 14, ((0, 1, 3),))

@@ -12,6 +12,9 @@ import oracle
 from conftest import itms, raw_maps
 from itmlib.approx import _WITNESS_STEPS
 from itmlib.approx import (
+    ApproximantSchedule,
+    Level,
+    Relation,
     RelationSystem,
     detect_relations,
     generate_approximants,
@@ -153,6 +156,35 @@ class TestOrbitsOnCells:
             assert report.all_pass
             replayed += report.checked
         assert replayed > 100
+
+    def test_replays_build_no_endpoint_orbit(self, acceptance_sweep_maps, monkeypatch):
+        # a replay compares the last lift's cell with the breakpoint's cell:
+        # no EndpointOrbit and no CirclePoint, and the same reports
+        schedules = []
+        for s in acceptance_sweep_maps[:40]:
+            q = s.common_denominator()
+            relations = detect_relations(s, 16)
+            schedules.append(generate_approximants(s, relations, [q // 2 or 1, q]))
+        # a level whose witness orbit passes through piece 0 twice
+        rel = Relation(i=0, j=0, l=(1, 1), w=1, side=Side.RIGHT, itinerary=(0, 1))
+        schedules.append(ApproximantSchedule(
+            target=itm(["0", "1/2"], ["5/8", "3/8"]),
+            relations=RelationSystem.declared([rel]),
+            levels=(
+                Level(bound=4, map=itm(["0", "1/2"], ["1/4", "3/4"])),
+                Level(bound=8, map=itm(["0", "1/2"], ["5/8", "3/8"])),
+            ),
+        ))
+        expected = [orbit_collision_preservation(schedule) for schedule in schedules]
+        assert not expected[-1].all_pass
+
+        def refuse(*_):
+            raise AssertionError("a replay built a CirclePoint or an EndpointOrbit")
+
+        monkeypatch.setattr(CirclePoint, "__post_init__", refuse)
+        monkeypatch.setattr(Itm, "evaluate_one_sided", refuse)
+        assert [orbit_collision_preservation(schedule) for schedule in schedules] == expected
+        assert sum(report.checked for report in expected) > 100
 
 
 class TestHarvestBudget:

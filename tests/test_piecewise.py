@@ -26,6 +26,7 @@ from itmlib.piecewise import (
     HitDiscontinuity,
     PiecewiseMap,
     Verdict,
+    _visit_frequency,
     empirical_measure,
     from_itm,
     orbit,
@@ -588,6 +589,22 @@ class TestClosedOrbitAgainstReference:
             t, radii=(F(1, 5),), horizon=m, points=(x0 % 1,), samples=2
         ):
             assert probe.return_time == oracle.first_return(t, probe.point, probe.radius, m, 2)
+
+
+class TestVisitsOnTheEmpiricalWalk:
+    """The visit counts read on empirical_measure's walk, as ``cli
+    empirical`` reads them, are visit_frequency's, whether that walk closed,
+    covers the longest orbit asked for, or falls short of it."""
+
+    @given(piecewise_maps(), starts, st.integers(1, 40), st.integers(1, 60))
+    def test_against_a_fresh_walk(self, t, x0, m, longest):
+        epsilons = (F(1, 3), F(1, 12), F(1, 48))
+        emp = outcome(empirical_measure, t, x0, m)
+        if not t.discontinuities or emp[0] != "ok":
+            return
+        ms = (1, longest)
+        expected = outcome(visit_frequency, t, x0, ms, epsilons)
+        assert outcome(_visit_frequency, t, x0, ms, epsilons, emp[1]._orbit) == expected
 
 
 class TestVerifyDefectAppliesTheMap:
